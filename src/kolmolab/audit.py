@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import qmc
 
-from .dsl import CoeffExpr, const_expr, parse_coeff_expr
-from .operators import OperatorSpec, WeightSpec
+from .dsl import parse_coeff_expr
+from .operators import _eval_matrix
 
 __all__ = ["AuditError", "HypothesisReport", "sample_points", "eta_sphere",
            "check_ellipticity", "check_coupling_nonnegativity", "check_coupling_growth",
@@ -39,24 +39,27 @@ class HypothesisReport:
                 if isinstance(v, dict) and "verdict" in v}
 
     def to_json(self, **extra):
-        def clean(obj):
-            if isinstance(obj, dict):
-                return {k: clean(v) for k, v in obj.items()}
-            if isinstance(obj, (list, tuple)):
-                return [clean(v) for v in obj]
-            if isinstance(obj, (np.floating, np.integer)):
-                return obj.item()
-            if isinstance(obj, np.ndarray):
-                return obj.tolist()
-            if isinstance(obj, (np.bool_,)):
-                return bool(obj)
-            return obj
-
         payload = {"spec": self.spec_name, "box": self.box,
-                   "sections": clean(self.sections),
-                   "verdicts": clean(self.verdicts())}
-        payload.update(clean(extra))
+                   "sections": jsonable(self.sections),
+                   "verdicts": jsonable(self.verdicts())}
+        payload.update(jsonable(extra))
         return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def jsonable(obj):
+    """obj with every numpy scalar and array inside it turned into the
+    plain Python value json can write."""
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    return obj
 
 
 def sample_points(d, box, n_samples, time_interval, corners=True):
@@ -239,12 +242,6 @@ def lyapunov_probe(spec, box, phi=None, n_samples=2048, r_exponent=None):
             "verdict": bool(np.isfinite(mu))}
 
 
-def _matrix_field(exprs, ts, pts):
-    return np.moveaxis(np.array(
-        [[np.broadcast_to(e(ts, pts), pts.shape[1:]) for e in row]
-         for row in exprs]), 2, 0)
-
-
 def _matrix_diff(exprs, var):
     return tuple(tuple(e.diff(var) for e in row) for row in exprs)
 
@@ -255,30 +252,31 @@ def _psi_envelopes(spec, weight, ts, pts):
     d = spec.d
     K = pts.shape[1]
 
-    def norm2(mats):
-        # mats (K, a, b) -> spectral norm per sample
-        return np.linalg.norm(mats, ord=2, axis=(1, 2))
+    def norm2(exprs):
+        # spectral norm per sample of the (a, b, K) coefficient field
+        return np.linalg.norm(np.moveaxis(_eval_matrix(exprs, ts, pts), 2, 0),
+                              ord=2, axis=(1, 2))
 
     psi1 = np.zeros(K)
     psi2 = np.zeros(K)
     for i in range(d):
         Bt = spec.Btilde[i]
-        psi1 = np.maximum(psi1, norm2(_matrix_field(Bt, ts, pts)))
+        psi1 = np.maximum(psi1, norm2(Bt))
         for k in range(d):
             dBt = _matrix_diff(Bt, f"x{k + 1}")
-            psi2 = np.maximum(psi2, norm2(_matrix_field(dBt, ts, pts)))
+            psi2 = np.maximum(psi2, norm2(dBt))
     psi3 = np.zeros(K)
     for k in range(d):
         dC = _matrix_diff(spec.C, f"x{k + 1}")
-        psi3 = np.maximum(psi3, norm2(_matrix_field(dC, ts, pts)))
-    psi4 = norm2(_matrix_field(_matrix_diff(weight.M, "t"), ts, pts))
+        psi3 = np.maximum(psi3, norm2(dC))
+    psi4 = norm2(_matrix_diff(weight.M, "t"))
     psi5 = np.zeros(K)
     psi6 = np.zeros(K)
     for k in range(d):
         dM = _matrix_diff(weight.M, f"x{k + 1}")
-        psi5 = np.maximum(psi5, norm2(_matrix_field(dM, ts, pts)))
+        psi5 = np.maximum(psi5, norm2(dM))
         dQ = _matrix_diff(spec.Q, f"x{k + 1}")
-        psi6 = np.maximum(psi6, norm2(_matrix_field(dQ, ts, pts)))
+        psi6 = np.maximum(psi6, norm2(dQ))
     return np.stack([psi1, psi2, psi3, psi4, psi5, psi6])
 
 
@@ -298,11 +296,13 @@ def _mathcal_m(spec, weight, ts, pts):
     bv = spec.b_at(ts, pts)
     Qv = spec.Q_at(ts, pts)
     for j in range(d):
-        DjM = _matrix_field(_matrix_diff(weight.M, f"x{j + 1}"), ts, pts)
+        DjM = np.moveaxis(_eval_matrix(
+            _matrix_diff(weight.M, f"x{j + 1}"), ts, pts), 2, 0)
         out -= bv[j][:, None, None] * (DjM @ Minv)
         for i in range(d):
-            DijM = _matrix_field(_matrix_diff(
-                _matrix_diff(weight.M, f"x{i + 1}"), f"x{j + 1}"), ts, pts)
+            DiM = _matrix_diff(weight.M, f"x{i + 1}")
+            DijM = np.moveaxis(_eval_matrix(
+                _matrix_diff(DiM, f"x{j + 1}"), ts, pts), 2, 0)
             out -= Qv[i, j][:, None, None] * (DijM @ Minv)
     return out
 

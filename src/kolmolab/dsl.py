@@ -17,7 +17,6 @@ symbolic differentiation in t and x_i, and round-trip through
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -254,7 +253,9 @@ def _print(node):
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def _eval(node, t, x, bindings):
+def _eval(node, t, x, bindings, z=None):
+    """Evaluate node at t and coordinates x; z maps extra state variable
+    names (z11, z12, ...) to arrays, for nonlinearities."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -262,12 +263,14 @@ def _eval(node, t, x, bindings):
             return t
         if node.name.startswith("x"):
             return x[int(node.name[1:]) - 1]
+        if z is not None and node.name in z:
+            return z[node.name]
         raise DslError(f"unbound state variable {node.name!r}")
     if isinstance(node, NormSq):
         return sum(x[i] * x[i] for i in range(len(x)))
     if isinstance(node, BinOp):
-        a = _eval(node.left, t, x, bindings)
-        b = _eval(node.right, t, x, bindings)
+        a = _eval(node.left, t, x, bindings, z)
+        b = _eval(node.right, t, x, bindings, z)
         if node.op == "+":
             return a + b
         if node.op == "-":
@@ -276,38 +279,19 @@ def _eval(node, t, x, bindings):
             return a * b
         return a / b
     if isinstance(node, Pow):
-        base = _eval(node.base, t, x, bindings)
+        base = _eval(node.base, t, x, bindings, z)
         e = node.exponent
         if e == int(e):
             return base ** int(e)
         return np.power(base, e)
     if isinstance(node, Exp):
-        return np.exp(_eval(node.arg, t, x, bindings))
+        return np.exp(_eval(node.arg, t, x, bindings, z))
     if isinstance(node, Name):
         if node.ident not in bindings:
             raise DslError(f"unknown identifier {node.ident!r}")
         bound = bindings[node.ident]
-        return _eval(bound.ast, t, x, bindings)
+        return _eval(bound.ast, t, x, bindings, z)
     raise TypeError(node)
-
-
-def _eval_state(node, t, x, z, bindings):
-    # like _eval but with extra z variables (flattened names z11, z12, ...)
-    if isinstance(node, Var) and node.name.startswith("z"):
-        return z[node.name]
-    if isinstance(node, BinOp):
-        a = _eval_state(node.left, t, x, z, bindings)
-        b = _eval_state(node.right, t, x, z, bindings)
-        return {"+": a + b, "-": a - b, "*": a * b, "/": a / b}[node.op]
-    if isinstance(node, Pow):
-        base = _eval_state(node.base, t, x, z, bindings)
-        e = node.exponent
-        return base ** int(e) if e == int(e) else np.power(base, e)
-    if isinstance(node, Exp):
-        return np.exp(_eval_state(node.arg, t, x, z, bindings))
-    if isinstance(node, Name):
-        return _eval_state(bindings[node.ident].ast, t, x, z, bindings)
-    return _eval(node, t, x, bindings)
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +433,6 @@ class CoeffExpr:
     def __call__(self, t, x):
         """Evaluate at time(s) t and points x of shape (d, ...)."""
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1 and self.d > 1 and x.shape[0] == self.d:
-            x = x.reshape(self.d, 1)[:, 0:][..., None][..., 0] if False else x
         coords = [x[i] for i in range(self.d)] if x.ndim > 0 else [x]
         out = _eval(self.ast, t, coords, self.bindings)
         return np.asarray(out, dtype=float) + np.zeros(np.broadcast(
@@ -459,8 +441,8 @@ class CoeffExpr:
     def eval_state(self, t, x, z):
         """Evaluate with extra named state variables (dict name -> array)."""
         coords = [np.asarray(x)[i] for i in range(self.d)]
-        return np.asarray(_eval_state(self.ast, t, coords, z, self.bindings),
-                         dtype=float)
+        return np.asarray(_eval(self.ast, t, coords, self.bindings, z),
+                          dtype=float)
 
     def diff(self, var):
         """Symbolic derivative with respect to 't' or 'x1'..'xd'."""

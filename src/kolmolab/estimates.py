@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evolve import _Stepper, _time_ladder, evolve
-from .grids import Grid, GridFunction, gradient
+from .grids import GridFunction, gradient, weighted_gradient_sup
 from .operators import scalar_comparison
 
 __all__ = ["EstimateResult", "max_principle_check", "pointwise_check",
@@ -71,20 +71,20 @@ def pointwise_check(spec, f: GridFunction, s, T, HJ, n_t=4, dt=2e-3,
     |u(t,x)|^2 / (G(t,s)|f|^2)(x) against exp(2 H_J (T-s))."""
     probe_L = probe_L if probe_L is not None else f.grid.L / 2
     mask = f.grid.interior_mask(probe_L)
-    sc = scalar_comparison(spec)
-    f2 = GridFunction(f.grid, 1, np.sum(f.values ** 2, axis=0)[None, :],
-                      bc=f.bc)
     check_times = np.linspace(s, T, n_t + 1)[1:]
     measured = 0.0
     floored_frac = 0.0
-    uv, gv = f, f2
+    vec = _Stepper(spec, f.grid, f.bc)
+    sca = _Stepper(scalar_comparison(spec), f.grid, f.bc)
+    u, g = f.values, np.sum(f.values ** 2, axis=0)[None, :]  # f and |f|^2
     prev = s
     for tk in check_times:
-        uv = evolve(spec, uv, prev, tk, dt)
-        gv = evolve(sc, gv, prev, tk, dt)
+        times = _time_ladder(prev, tk, dt)
+        u = vec.final(u, times)
+        g = sca.final(g, times)
         prev = tk
-        num = np.sum(uv.values ** 2, axis=0)[mask]
-        den = gv.values[0, mask]
+        num = np.sum(u ** 2, axis=0)[mask]
+        den = g[0, mask]
         floored = den < floor
         floored_frac = max(floored_frac, np.mean(floored))
         ratio = num / np.maximum(den, floor)
@@ -100,15 +100,6 @@ def pointwise_check(spec, f: GridFunction, s, T, HJ, n_t=4, dt=2e-3,
                   "probe_L": probe_L})
 
 
-def _weighted_grad_sup(spec, weight, u: GridFunction, t, mask):
-    grad = gradient(u)  # (m, d, N)
-    pts = u.grid.points()
-    Mv = weight.M_at(t, pts)  # (d, d, N)
-    # (M (J_x u)^T)_{a m} = sum_d M_{a d} D_d u_m
-    wg = np.einsum("adN,mdN->amN", Mv, grad)
-    return float(np.max(np.sqrt(np.sum(wg[:, :, mask] ** 2, axis=(0, 1)))))
-
-
 def weighted_gradient_check(spec, weight, f_fn, s, T, t_list, grid_pair,
                             dt=2e-3, probe_L=None, bc="dirichlet"):
     """sqrt(t-s) * sup |M (J_x u)^T| / sup|f| measured on two grid
@@ -121,12 +112,14 @@ def weighted_gradient_check(spec, weight, f_fn, s, T, t_list, grid_pair,
         f = GridFunction.from_callable(grid, spec.m, f_fn, bc=bc)
         fnorm = f.sup_norm()
         best = 0.0
-        u, prev = f, s
+        stepper = _Stepper(spec, grid, bc)
+        u, prev = f.values, s
         for t in sorted(t_list):
-            u = evolve(spec, u, prev, t, dt)
+            u = stepper.final(u, _time_ladder(prev, t, dt))
             prev = t
-            val = np.sqrt(t - s) * _weighted_grad_sup(
-                spec, weight, u, t, mask) / fnorm
+            grad = gradient(GridFunction(grid, spec.m, u))
+            val = np.sqrt(t - s) * weighted_gradient_sup(
+                weight.M_at(t, grid.points()), grad, mask) / fnorm
             best = max(best, val)
         trend.append(best)
     measured = trend[-1]
@@ -155,25 +148,27 @@ def representation_residual(spec, f: GridFunction, kbar, s, t, dt,
     probe_L = probe_L if probe_L is not None else grid.L / 2
     mask = grid.interior_mask(probe_L)
     pts = grid.points()
-    sc = scalar_comparison(spec)
-
     vec_step = _Stepper(spec, grid, f.bc)
-    sca_step = _Stepper(sc, grid, f.bc)
+    sca_step = _Stepper(scalar_comparison(spec), grid, f.bc)
     times = _time_ladder(s, t, dt)
-    u = f.values.copy()
-    v = f.values[kbar:kbar + 1].copy()  # scalar transport of f_kbar
-    w = np.zeros_like(v)  # integral term
-    for l in range(1, len(times)):
-        step = times[l] - times[l - 1]
+    u = f.values
+
+    def source(l):
         # left-endpoint quadrature: source from the previous level, so
-        # the defect is a genuine O(dt) time-integration error
+        # the defect is a genuine O(dt) time-integration error; u still
+        # holds level l-1 because the loop below rebinds it afterwards
         ug = gradient(GridFunction(grid, spec.m, u, bc=f.bc))
         Btv = spec.Btilde_at(times[l - 1], pts)  # (d, m, m, N)
         Cv = spec.C_at(times[l - 1], pts)
         src = np.einsum("ikN,kiN->N", Btv[:, kbar, :, :], ug) \
             + np.einsum("kN,kN->N", Cv[kbar], u)
-        u = vec_step.step(u, times[l], step)
-        v = sca_step.step(v, times[l], step)
-        w = sca_step.step(w + step * src[None, :], times[l], step)
+        return src[None, :]
+
+    levels = zip(vec_step.march(u, times),
+                 # scalar transport of f_kbar, and the integral term
+                 sca_step.march(f.values[kbar:kbar + 1], times),
+                 sca_step.march(np.zeros((1, grid.n_nodes)), times, source))
+    for u, v, w in levels:
+        pass
     resid = u[kbar] - v[0] - w[0]
     return float(np.max(np.abs(resid[mask])))

@@ -9,6 +9,7 @@ Neumann is realized by ghost-node reflection in the stencils.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,8 +18,8 @@ import scipy.sparse.linalg as spla
 
 from .grids import Grid, GridFunction, gradient, interp_multilinear
 
-__all__ = ["evolve", "evolve_batch", "evolve_path", "evolve_inflated",
-           "compose_check", "assemble_operator", "EvolveReport", "EvolveError"]
+__all__ = ["evolve", "evolve_inflated", "compose_check", "assemble_operator",
+           "EvolveReport", "EvolveError"]
 
 BLOWUP_GUARD = 1e12
 
@@ -228,8 +229,25 @@ class _Stepper:
             raise EvolveError(f"blow-up detected at t={t_new}")
         return out.reshape(shape)
 
+    def march(self, values, times, source=None):
+        """Step values (m, N, ...) along the ladder times, yielding each
+        new level.  source(l), when given, adds step * source(l) to the
+        right-hand side of the step onto times[l]."""
+        for l in range(1, len(times)):
+            step = times[l] - times[l - 1]
+            rhs = values if source is None else values + step * source(l)
+            values = self.step(rhs, times[l], step)
+            yield values
+
+    def final(self, values, times):
+        """Last level of march(values, times); earlier levels are
+        dropped as soon as the next one exists."""
+        return deque(self.march(values, times), maxlen=1).pop()
+
 
 def _time_ladder(s, t, dt):
+    if not t > s:
+        raise ValueError("need t > s")
     n_steps = max(1, int(np.ceil((t - s) / dt - 1e-12)))
     return np.linspace(s, t, n_steps + 1)
 
@@ -237,38 +255,8 @@ def _time_ladder(s, t, dt):
 def evolve(spec, f: GridFunction, s, t, dt, bc=None):
     """Evolve initial data f from time s to t; returns u(t, .)."""
     bc = bc or f.bc
-    if not t > s:
-        raise ValueError("need t > s")
-    stepper = _Stepper(spec, f.grid, bc)
-    vals = f.values.copy()
-    times = _time_ladder(s, t, dt)
-    for i in range(1, len(times)):
-        vals = stepper.step(vals, times[i], times[i] - times[i - 1])
+    vals = _Stepper(spec, f.grid, bc).final(f.values, _time_ladder(s, t, dt))
     return GridFunction(f.grid, spec.m, vals, bc=bc, t=float(t))
-
-
-def evolve_batch(spec, grid, F, s, t, dt, bc):
-    """Evolve many initial data at once; F has shape (m, N, K)."""
-    stepper = _Stepper(spec, grid, bc)
-    vals = np.array(F, dtype=float)
-    times = _time_ladder(s, t, dt)
-    for i in range(1, len(times)):
-        vals = stepper.step(vals, times[i], times[i] - times[i - 1])
-    return vals
-
-
-def evolve_path(spec, f: GridFunction, s, t, dt, bc=None):
-    """Evolve and record every time level; returns (times, list of
-    value arrays) with the initial data first."""
-    bc = bc or f.bc
-    stepper = _Stepper(spec, f.grid, bc)
-    vals = f.values.copy()
-    times = _time_ladder(s, t, dt)
-    path = [vals.copy()]
-    for i in range(1, len(times)):
-        vals = stepper.step(vals, times[i], times[i] - times[i - 1])
-        path.append(vals.copy())
-    return times, path
 
 
 def evolve_inflated(spec, f_fn, s, t, dt, L_list, n_list, probe_L, tol,

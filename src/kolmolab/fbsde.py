@@ -19,7 +19,7 @@ from .semilinear import sqrtQ_at
 
 __all__ = ["FbsdeError", "DiffusionSpec", "PathBatch", "YZProcess",
            "simulate_forward", "identify_yz", "bsde_residual",
-           "girsanov_weights", "cost", "write_kpb", "read_kpb"]
+           "girsanov_weights", "payoffs", "cost", "write_kpb", "read_kpb"]
 
 _EXPLODE = 1e9
 
@@ -255,18 +255,23 @@ def girsanov_weights(ds: DiffusionSpec, batch: PathBatch, strategy):
     return out
 
 
-def cost(ds: DiffusionSpec, batch: PathBatch, i):
-    """Weighted Monte-Carlo estimate of player i's cost with its
-    standard error and an effective-sample-size degeneracy flag."""
-    N, steps = batch.N, batch.steps
-    running = np.zeros(N)
+def payoffs(ds: DiffusionSpec, batch: PathBatch, i):
+    """Per-path weighted payoff of player i: rho (running + terminal)."""
+    running = np.zeros(batch.N)
     if ds.h is not None:
-        for l in range(steps):
+        for l in range(batch.steps):
             pts = batch.X[:, l, :].T
             u = None if batch.controls is None else batch.controls[:, l, :].T
             running += batch.h_step * np.asarray(ds.h(pts, u))[i]
     terminal = np.asarray(ds.g(batch.X[:, -1, :].T))[i]
-    payoff = batch.rho * (running + terminal)
+    return batch.rho * (running + terminal)
+
+
+def cost(ds: DiffusionSpec, batch: PathBatch, i):
+    """Weighted Monte-Carlo estimate of player i's cost with its
+    standard error and an effective-sample-size degeneracy flag."""
+    N = batch.N
+    payoff = payoffs(ds, batch, i)
     est = float(np.mean(payoff))
     stderr = float(np.std(payoff, ddof=1) / np.sqrt(N)) if N > 1 else 0.0
     ess = float(np.sum(batch.rho) ** 2 / np.sum(batch.rho ** 2))

@@ -13,11 +13,10 @@ lexicographically (first minimizer wins) so the table is deterministic.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
-from .fbsde import cost, girsanov_weights, simulate_forward
+from .fbsde import cost, girsanov_weights, payoffs, simulate_forward
 
 __all__ = ["GameError", "minimax_select", "equilibrium_strategy",
            "nash_check", "write_nash_csv"]
@@ -108,19 +107,6 @@ def _deviation_strategy(base, player, value):
     return strategy
 
 
-def _paired_payoffs(ds, batch, i):
-    """Per-path weighted payoff for player i (no averaging)."""
-    N, steps = batch.N, batch.steps
-    running = np.zeros(N)
-    if ds.h is not None:
-        for l in range(steps):
-            pts = batch.X[:, l, :].T
-            u = None if batch.controls is None else batch.controls[:, l, :].T
-            running += batch.h_step * np.asarray(ds.h(pts, u))[i]
-    terminal = np.asarray(ds.g(batch.X[:, -1, :].T))[i]
-    return batch.rho * (running + terminal)
-
-
 def nash_check(ds, sol, x0, t, T, h_step, N, seed, deviations=None):
     """Deviation test for the best-response strategy profile.
 
@@ -136,11 +122,11 @@ def nash_check(ds, sol, x0, t, T, h_step, N, seed, deviations=None):
     rows = []
     verdict = True
     for i in range(players):
-        pay_eq = _paired_payoffs(ds, batch_eq, i)
+        pay_eq = payoffs(ds, batch_eq, i)
         for v in deviations[i]:
             batch_dev = girsanov_weights(
                 ds, base, _deviation_strategy(eq, i, v))
-            pay_dev = _paired_payoffs(ds, batch_dev, i)
+            pay_dev = payoffs(ds, batch_dev, i)
             diff = pay_dev - pay_eq
             dJ = float(np.mean(diff))
             stderr = float(np.std(diff, ddof=1) / np.sqrt(N)) if N > 1 \

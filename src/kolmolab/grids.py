@@ -9,12 +9,12 @@ flattening of the axes, axis 1 fastest.  For d=2 the flat index of node
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = ["Grid", "GridFunction", "gradient", "write_kgf", "read_kgf",
-           "write_csv_1d"]
+__all__ = ["Grid", "GridFunction", "gradient", "weighted_gradient_sup",
+           "write_kgf", "read_kgf", "write_csv_1d"]
 
 _KGF_MAGIC = b"KGF1"
 _HEADER_SIZE = 64
@@ -142,6 +142,14 @@ def gradient(u: GridFunction):
     g1 = np.swapaxes(g1, 1, 2)  # derivative along axis 1 (x1)
     g2 = _one_dim_gradient(vals, h, n)  # along axis 2 (x2)
     return np.stack([g1.reshape(u.m, -1), g2.reshape(u.m, -1)], axis=1)
+
+
+def weighted_gradient_sup(weight, grad, mask):
+    """sup over the masked nodes of the Frobenius norm of W (J_x u)^T,
+    for a weight field W (d, d, N) and a gradient (m, d, N)."""
+    # (W (J_x u)^T)_{a m} = sum_d W_{a d} D_d u_m
+    wg = np.einsum("adN,mdN->amN", weight, grad)
+    return float(np.max(np.sqrt(np.sum(wg[:, :, mask] ** 2, axis=(0, 1)))))
 
 
 def interp_multilinear(grid, values, x):

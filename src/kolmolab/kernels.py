@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolve import evolve_batch
-from .grids import Grid, GridFunction, interp_multilinear
+from .evolve import _Stepper, _time_ladder
+from .grids import interp_multilinear
 from .operators import scalar_comparison
 
 __all__ = ["KernelRow", "kernel_row", "tightness_mass", "compactness_probe",
@@ -81,7 +81,8 @@ def kernel_row(spec, grid, t, s, x, n_cells, dt, bc="dirichlet"):
     F = np.zeros((m, N, m * nc))
     for j in range(m):
         F[j, :, j * nc:(j + 1) * nc] = W.T
-    out = evolve_batch(spec, grid, F, s, t, dt, bc)  # (m, N, m*nc)
+    out = _Stepper(spec, grid, bc).final(
+        F, _time_ladder(s, t, dt))  # (m, N, m*nc)
     # evaluate at x by multilinear interpolation per RHS
     vals = np.empty((m, m * nc))
     for i in range(m):

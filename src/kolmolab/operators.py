@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsl import CoeffExpr, DslError, check_guards, const_expr, parse_coeff_expr
+from .dsl import check_guards, const_expr, parse_coeff_expr
 
 __all__ = ["OperatorSpec", "WeightSpec", "FamilyError", "example_family",
            "check_family_params", "FAMILIES", "matrix_of_consts",

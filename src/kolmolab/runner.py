@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from . import __version__
-from .audit import check_coupling_growth, full_audit
+from .audit import check_coupling_growth, full_audit, jsonable
 from .dsl import parse_coeff_expr, const_expr
 from .estimates import (max_principle_check, pointwise_check,
                         representation_residual, weighted_gradient_check)
@@ -25,9 +25,8 @@ from .fbsde import DiffusionSpec, girsanov_weights, identify_yz, \
 from .game import nash_check, write_nash_csv
 from .grids import Grid, GridFunction
 from .kernels import compactness_probe, scalar_compactness_probe
-from .operators import (FAMILIES, OperatorSpec, WeightSpec, example_family,
-                        matrix_of_consts)
-from .semilinear import (kt_norm, mild_solve, mollify_nonlinearity,
+from .operators import FAMILIES, WeightSpec, example_family, matrix_of_consts
+from .semilinear import (mild_solve, mollify_nonlinearity,
                          nonlinearity_from_exprs)
 
 __all__ = ["ConfigError", "StageError", "load_config", "run", "audit_only",
@@ -381,15 +380,21 @@ class _Runner:
                 "rows": report["rows"]}
 
 
-def run(config_path, outdir=None):
-    """Execute a config; returns (exit_code, report dict)."""
+def _setup(config_path, outdir):
+    """Load and validate the config, make the output directory (outdir,
+    else the config's own) and build the stage runner writing into it."""
     cfg = load_config(config_path)
     with open(config_path, "rb") as fh:
         cfg_bytes = fh.read()
     out = outdir or cfg["output"]
     os.makedirs(out, exist_ok=True)
-    runner = _Runner(cfg, cfg_bytes, out)
-    order = [c for c in ALL_CHECKS if c in cfg["checks"]]
+    return _Runner(cfg, cfg_bytes, out)
+
+
+def run(config_path, outdir=None):
+    """Execute a config; returns (exit_code, report dict)."""
+    runner = _setup(config_path, outdir)
+    order = [c for c in ALL_CHECKS if c in runner.cfg["checks"]]
     stages = {}
     code = 0
     for name in order:
@@ -403,35 +408,16 @@ def run(config_path, outdir=None):
     if any(v == "FAIL" for v in verdicts.values()):
         code = max(code, 1)
     report = {"version": __version__, "config_sha256": runner.hash,
-              "seed": runner.seed, "stages": _clean(stages),
+              "seed": runner.seed, "stages": jsonable(stages),
               "verdicts": verdicts, "exit_code": code}
-    with open(os.path.join(out, "report.json"), "w") as fh:
+    with open(runner._path("report.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
     return code, report
 
 
-def _clean(obj):
-    if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
-
-
 def audit_only(config_path, outdir=None):
     """Run just the hypothesis audit of a config."""
-    cfg = load_config(config_path)
-    with open(config_path, "rb") as fh:
-        cfg_bytes = fh.read()
-    out = outdir or cfg["output"]
-    os.makedirs(out, exist_ok=True)
-    runner = _Runner(cfg, cfg_bytes, out)
+    runner = _setup(config_path, outdir)
     result = runner.stage_audit()
     return (0 if result["verdict"] == "PASS" else 1), result
 

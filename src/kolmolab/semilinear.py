@@ -21,8 +21,9 @@ import os
 import numpy as np
 
 from .dsl import parse_state_expr
-from .evolve import _Stepper, evolve
-from .grids import GridFunction, gradient, interp_multilinear, write_kgf
+from .evolve import _Stepper
+from .grids import (GridFunction, gradient, interp_multilinear,
+                    weighted_gradient_sup, write_kgf)
 
 __all__ = ["Nonlinearity", "nonlinearity_from_exprs", "mollify_nonlinearity",
            "mild_solve", "kt_norm", "MildSolution", "sqrtQ_at"]
@@ -176,26 +177,20 @@ def _graded_ladder(T, dt, graded_steps=8):
     return np.unique(np.concatenate([graded, uniform]))
 
 
-def _weighted_grad_sup(spec, grid, vals, t_fwd, mask):
-    u = GridFunction(grid, vals.shape[0], vals)
-    g = gradient(u)  # (m, d, N)
-    R = sqrtQ_at(spec, t_fwd, grid.points())  # (d, d, N)
-    wg = np.einsum("adN,mdN->amN", R, g)
-    return float(np.max(np.sqrt(np.sum(wg[:, :, mask] ** 2, axis=(0, 1)))))
-
-
 def kt_norm(sol: MildSolution, probe_L=None):
     """sup|u| plus the sqrt(T-t)-weighted sqrtQ-gradient sup, excluding
     the terminal time."""
     probe_L = probe_L if probe_L is not None else sol.grid.L / 2
-    mask = sol.grid.interior_mask(probe_L)
+    grid = sol.grid
+    mask = grid.interior_mask(probe_L)
     sup_u = max(float(np.max(np.abs(v[:, mask]))) for v in sol.values)
     sup_g = 0.0
     for t, v in zip(sol.times, sol.values):
         if t >= sol.T - 1e-14:
             continue
-        val = np.sqrt(sol.T - t) * _weighted_grad_sup(
-            sol.spec, sol.grid, v, t, mask)
+        val = np.sqrt(sol.T - t) * weighted_gradient_sup(
+            sqrtQ_at(sol.spec, t, grid.points()),
+            gradient(GridFunction(grid, v.shape[0], v)), mask)
         sup_g = max(sup_g, val)
     return sup_u + sup_g
 
@@ -216,42 +211,35 @@ def mild_solve(spec, nl, g: GridFunction, T, dt, picard_tol=1e-8,
     taus = _graded_ladder(T, dt, graded_steps)
     L = len(taus)
 
-    def sweep(source_levels):
-        vals = g.values.copy()
-        out = [vals.copy()]
-        for l in range(1, L):
-            step = taus[l] - taus[l - 1]
-            rhs = vals if source_levels is None else \
-                vals - step * source_levels[l]
-            vals = stepper.step(rhs, taus[l], step)
-            out.append(vals.copy())
-        return out
+    def sweep(source=None):
+        return [g.values.copy(), *stepper.march(g.values, taus, source)]
 
-    def sources(levels):
-        src = [np.zeros_like(g.values)]
-        for l in range(1, L):
-            t_fwd = T - taus[l]
+    def forcing(levels):
+        """Source -Psi(u) of the forward problem at ladder level l, with
+        u the previous iterate."""
+        def source(l):
             u = GridFunction(grid, spec.m, levels[l], bc=bc)
             grad = gradient(u)  # (m, d, N)
-            R = sqrtQ_at(spec, t_fwd, pts)
+            R = sqrtQ_at(spec, T - taus[l], pts)
             z = np.einsum("idN,mdN->imN", R, grad)  # (d, m, N)
-            src.append(nl(pts, z))
-        return src
+            return -nl(pts, z)
+        return source
 
-    current = sweep(None)  # linear start
+    current = sweep()  # linear start
     history = []
     if nl is not None:
         for _ in range(max_iter):
-            nxt = sweep(sources(current))
+            nxt = sweep(forcing(current))
             delta_u = max(np.max(np.abs(a[:, mask] - b[:, mask]))
                           for a, b in zip(nxt, current))
             delta_g = 0.0
             for l in range(L):
                 if taus[l] <= 1e-14:
                     continue
-                diff = nxt[l] - current[l]
-                delta_g = max(delta_g, np.sqrt(taus[l]) * _weighted_grad_sup(
-                    spec, grid, diff, T - taus[l], mask))
+                diff = GridFunction(grid, spec.m, nxt[l] - current[l])
+                sup = weighted_gradient_sup(sqrtQ_at(spec, T - taus[l], pts),
+                                            gradient(diff), mask)
+                delta_g = max(delta_g, np.sqrt(taus[l]) * sup)
             delta = float(delta_u + delta_g)
             history.append(delta)
             current = nxt

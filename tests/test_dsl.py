@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -77,6 +79,15 @@ def test_state_expr_z_variables():
     z = {"z11": np.array([2.0]), "z12": np.array([5.0])}
     out = e.eval_state(0.0, np.array([[3.0]]), z)
     assert out[0] == pytest.approx(11.0)
+
+
+def test_state_expr_evaluates_only_the_selected_operation():
+    # a - b with b == a must not also compute a / b and warn about it
+    e = parse_state_expr("x1 - z11", d=1, m=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = e.eval_state(0.0, np.array([[3.0]]), {"z11": np.array([0.0])})
+    assert out[0] == 3.0
 
 
 def _random_expr_text(rng):

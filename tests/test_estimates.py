@@ -6,6 +6,7 @@ from kolmolab.estimates import (max_principle_check, pointwise_check,
                                 representation_residual,
                                 weighted_gradient_check)
 from kolmolab.grids import Grid, GridFunction, gradient
+from kolmolab import evolve as evolve_module
 from kolmolab.evolve import evolve
 from kolmolab.operators import (WeightSpec, example_family, matrix_of_consts,
                                 scalar_comparison)
@@ -73,6 +74,27 @@ def test_pointwise_ex71ii():
         grid, 2, lambda p: np.stack([np.cos(p[0]), np.sin(2 * p[0])]))
     res = pointwise_check(spec, f, 0.0, 0.5, HJ=max(HJ, 0.0), n_t=4, dt=2e-3)
     assert res.verdict == "PASS", res.as_dict()
+
+
+def test_pointwise_factorises_once_per_operator(monkeypatch):
+    # one stepper per operator carries its LU across the check times
+    calls = []
+    splu = evolve_module.spla.splu
+
+    def counting_splu(M):
+        calls.append(M.shape)
+        return splu(M)
+
+    monkeypatch.setattr(evolve_module.spla, "splu", counting_splu)
+    spec = example_family("ex71ii", {"d": 1, "m": 2})
+    grid = Grid(1, 6.0, 61)
+    # the runner's default data: exp(-|x|^2) and cos(2 x1), neumann
+    f = GridFunction.from_callable(
+        grid, 2, lambda p: np.stack([np.exp(-p[0] ** 2), np.cos(2 * p[0])]),
+        bc="neumann")
+    res = pointwise_check(spec, f, 0.0, 0.2, HJ=1.0, n_t=4, dt=0.01)
+    assert len(calls) == 2
+    assert res.measured == 0.8649752824184967
 
 
 def test_pointwise_coupled_bounded_C():

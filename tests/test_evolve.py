@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kolmolab.evolve import (EvolveError, assemble_operator, compose_check,
-                             evolve, evolve_batch, evolve_inflated,
-                             evolve_path)
+from kolmolab.evolve import (EvolveError, _Stepper, _time_ladder,
+                             assemble_operator, compose_check, evolve,
+                             evolve_inflated)
 from kolmolab.grids import Grid, GridFunction, gradient
 from kolmolab.operators import example_family, matrix_of_consts, OperatorSpec
 from kolmolab.dsl import const_expr, parse_coeff_expr
@@ -158,16 +158,32 @@ def test_blowup_guard():
 
 
 def test_evolve_path_and_batch_agree():
+    # the path is every level of one march, the batch two columns at once
     spec = example_family("ou", {"d": 1})
     grid = Grid(1, 6.0, 121)
     f = GridFunction.from_callable(grid, 1, lambda p: np.tanh(p[0]))
-    times, path = evolve_path(spec, f, 0.0, 0.3, dt=5e-2)
+    times = _time_ladder(0.0, 0.3, 5e-2)
+    path = list(_Stepper(spec, grid, "dirichlet").march(f.values, times))
     u = evolve(spec, f, 0.0, 0.3, dt=5e-2)
+    assert len(path) == len(times) - 1
     assert np.allclose(path[-1], u.values)
     F = np.stack([f.values, 2 * f.values], axis=2).reshape(1, grid.n_nodes, 2)
-    out = evolve_batch(spec, grid, F, 0.0, 0.3, 5e-2, "dirichlet")
+    out = _Stepper(spec, grid, "dirichlet").final(F, times)
     assert np.allclose(out[..., 0] * 2, out[..., 1], atol=1e-12)
     assert np.allclose(out[..., 0], u.values, atol=1e-12)
+
+
+def test_march_source_adds_step_times_source():
+    # A annihilates constants under neumann when C = 0, so each step
+    # of a constant datum adds exactly step * source(l)
+    spec = example_family("const_coupling", {"d": 1, "C": [[0.0]]})
+    grid = Grid(1, 2.0, 21)
+    times = np.array([0.0, 0.1, 0.3])
+    levels = list(_Stepper(spec, grid, "neumann").march(
+        np.ones((1, grid.n_nodes)), times,
+        source=lambda l: np.full((1, grid.n_nodes), float(l))))
+    assert np.allclose(levels[0], 1.0 + 0.1 * 1.0)
+    assert np.allclose(levels[1], 1.1 + 0.2 * 2.0)
 
 
 def test_evolve_inflated_ou():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 
 import pytest
@@ -151,3 +152,28 @@ def test_golden_config_full_suite(tmp_path):
     assert set(report["verdicts"]) == {
         "audit", "max_principle", "pointwise", "representation",
         "compactness", "semilinear", "fbsde", "girsanov", "nash"}
+    with open(os.path.join(os.path.dirname(__file__), "golden",
+                           "ex71ii_full_report.json")) as fh:
+        golden = json.load(fh)
+    fresh = json.loads((tmp_path / "golden" / "report.json").read_text())
+    _assert_same_leaves(fresh, golden, "report")
+
+
+def _assert_same_leaves(got, want, where):
+    """Numbers agree to rtol 1e-10 / atol 1e-12; every other leaf
+    (string, boolean, verdict, null) and every key set exactly."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and set(got) == set(want), where
+        for key in want:
+            _assert_same_leaves(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for k, (a, b) in enumerate(zip(got, want)):
+            _assert_same_leaves(a, b, f"{where}[{k}]")
+    elif isinstance(want, (int, float)) and not isinstance(want, bool):
+        assert isinstance(got, (int, float)) and not isinstance(got, bool), \
+            where
+        assert math.isclose(got, want, rel_tol=1e-10, abs_tol=1e-12) or \
+            (math.isnan(got) and math.isnan(want)), (where, got, want)
+    else:
+        assert got == want and type(got) is type(want), (where, got, want)
