@@ -5,21 +5,25 @@ controlled drifts, and weighted cost functionals.
 
 Path generation uses a counter-based generator keyed per path so the
 ensemble is schedule independent: path p always consumes the stream
-Philox(key=(seed, p)) no matter how the batch is partitioned.
+Philox(key=(seed, p)) no matter how the batch is partitioned.  One
+Philox generator serves the whole batch; before each path its state is
+reset to counter 0 and key (seed, p), which reproduces a fresh
+Philox(key=[seed, p]) bit for bit without building one per path.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .semilinear import sqrtQ_at
 
 __all__ = ["FbsdeError", "DiffusionSpec", "PathBatch", "YZProcess",
-           "simulate_forward", "identify_yz", "bsde_residual",
-           "girsanov_weights", "payoffs", "cost", "write_kpb", "read_kpb"]
+           "horizon_steps", "simulate_forward", "identify_yz",
+           "bsde_residual", "girsanov_weights", "payoffs", "cost",
+           "write_kpb", "read_kpb"]
 
 _EXPLODE = 1e9
 
@@ -101,6 +105,7 @@ class PathBatch:
     rho: np.ndarray = None  # (N,)
     controls: np.ndarray = None  # (N, steps, players)
     exploded: np.ndarray = field(default_factory=lambda: np.zeros(0, int))
+    r_warning: str = None  # set when sup |r| exceeds DiffusionSpec.r_bound
 
     @property
     def steps(self):
@@ -120,23 +125,38 @@ class YZProcess:
     n_excluded: int = 0
 
 
-def _path_normals(seed, p, steps, d):
-    gen = np.random.Generator(np.random.Philox(key=[seed, p]))
-    return gen.standard_normal((steps, d))
+def _path_normals(seed, N, steps, d):
+    """(N, steps, d) standard normals; path p is drawn from the stream
+    Philox(key=[seed, p]) by re-keying one generator."""
+    bits = np.random.Philox(key=[seed, 0])
+    gen = np.random.Generator(bits)
+    fresh = bits.state  # counter 0, empty buffer
+    key = fresh["state"]["key"]  # keeps Philox's own conversion of seed
+    out = np.empty((N, steps, d))
+    for p in range(N):
+        key[1] = p
+        bits.state = fresh
+        out[p] = gen.standard_normal((steps, d))
+    return out
+
+
+def horizon_steps(horizon, h_step):
+    """Number of h_step steps covering the horizon; raises unless h_step
+    divides it."""
+    steps = int(round(horizon / h_step))
+    tol = 1e-10 * max(1.0, horizon)
+    if steps < 1 or abs(steps * h_step - horizon) > tol:
+        raise FbsdeError("h_step must divide the horizon T - t")
+    return steps
 
 
 def simulate_forward(ds: DiffusionSpec, x0, t, T, h_step, N, seed):
     """Euler-Maruyama ensemble of the forward diffusion."""
     d = ds.d
-    steps = int(round((T - t) / h_step))
-    if steps < 1 or abs(steps * h_step - (T - t)) > 1e-10 * max(1.0, T - t):
-        raise FbsdeError("h_step must divide the horizon T - t")
+    steps = horizon_steps(T - t, h_step)
     x0 = np.broadcast_to(np.asarray(x0, dtype=float).reshape(-1), (d,))
     times = t + h_step * np.arange(steps + 1)
-    sqh = np.sqrt(h_step)
-    dW = np.empty((N, steps, d))
-    for p in range(N):
-        dW[p] = sqh * _path_normals(seed, p, steps, d)
+    dW = np.sqrt(h_step) * _path_normals(seed, N, steps, d)
     X = np.empty((N, steps + 1, d))
     X[:, 0, :] = x0
     alive = np.ones(N, dtype=bool)
@@ -245,14 +265,12 @@ def girsanov_weights(ds: DiffusionSpec, batch: PathBatch, strategy):
         sup_r = max(sup_r, float(np.max(np.sqrt(np.sum(r ** 2, axis=0)))))
         log_rho += np.einsum("dN,Nd->N", r, batch.dW[:, l, :])
         log_rho -= 0.5 * batch.h_step * np.sum(r ** 2, axis=0)
-    out = PathBatch(N=N, h_step=batch.h_step, t0=batch.t0,
-                    times=batch.times, X=batch.X, dW=batch.dW,
-                    seed=batch.seed, rho=np.exp(log_rho), controls=ctrl,
-                    exploded=batch.exploded)
+    warning = None
     if ds.r_bound is not None and sup_r > ds.r_bound:
-        out.r_warning = (f"sup |r| = {sup_r:.3g} exceeds the audited "
-                         f"bound {ds.r_bound:g}")
-    return out
+        warning = (f"sup |r| = {sup_r:.3g} exceeds the audited bound "
+                   f"{ds.r_bound:g}")
+    return replace(batch, rho=np.exp(log_rho), controls=ctrl,
+                   r_warning=warning)
 
 
 def payoffs(ds: DiffusionSpec, batch: PathBatch, i):

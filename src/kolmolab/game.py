@@ -16,7 +16,7 @@ import csv
 
 import numpy as np
 
-from .fbsde import cost, girsanov_weights, payoffs, simulate_forward
+from .fbsde import cost, girsanov_weights, payoffs
 
 __all__ = ["GameError", "minimax_select", "equilibrium_strategy",
            "nash_check", "write_nash_csv"]
@@ -99,21 +99,25 @@ def equilibrium_strategy(ds, sol=None):
     return strategy
 
 
-def _deviation_strategy(base, player, value):
+def _deviation_strategy(batch_eq, player, value):
+    """Equilibrium controls recorded in batch_eq with the deviating
+    player's column replaced by a constant."""
     def strategy(t, X, l):
-        u = np.asarray(base(t, X, l), dtype=float).copy()
+        u = batch_eq.controls[:, l, :].copy()
         u[:, player] = value
         return u
     return strategy
 
 
-def nash_check(ds, sol, x0, t, T, h_step, N, seed, deviations=None):
-    """Deviation test for the best-response strategy profile.
+def nash_check(ds, sol, base, deviations=None):
+    """Deviation test for the best-response strategy profile on the
+    uncontrolled path batch base.
 
     For every player and every constant deviation the cost difference
     dJ = J_i(deviation) - J_i(equilibrium) is estimated on paired paths;
-    the profile passes when dJ >= -3 stderr throughout."""
-    base = simulate_forward(ds, x0, t, T, h_step, N, seed)
+    the profile passes when dJ >= -3 stderr throughout.  The equilibrium
+    feedback is evaluated once per step; each deviation reuses it."""
+    N = base.N
     eq = equilibrium_strategy(ds, sol)
     batch_eq = girsanov_weights(ds, base, eq)
     players = ds.n_players
@@ -125,7 +129,7 @@ def nash_check(ds, sol, x0, t, T, h_step, N, seed, deviations=None):
         pay_eq = payoffs(ds, batch_eq, i)
         for v in deviations[i]:
             batch_dev = girsanov_weights(
-                ds, base, _deviation_strategy(eq, i, v))
+                ds, base, _deviation_strategy(batch_eq, i, v))
             pay_dev = payoffs(ds, batch_dev, i)
             diff = pay_dev - pay_eq
             dJ = float(np.mean(diff))
@@ -137,7 +141,7 @@ def nash_check(ds, sol, x0, t, T, h_step, N, seed, deviations=None):
                          "stderr": stderr, "pass": ok})
     J_eq = [cost(ds, batch_eq, i) for i in range(players)]
     return {"verdict": verdict, "rows": rows, "J_equilibrium": J_eq,
-            "N": N, "seed": seed, "h_step": h_step}
+            "N": N, "seed": base.seed, "h_step": base.h_step}
 
 
 def write_nash_csv(path, report):

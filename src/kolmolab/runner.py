@@ -9,8 +9,10 @@ package version; reruns of the same config are byte-identical.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -20,8 +22,8 @@ from .audit import check_coupling_growth, full_audit, jsonable
 from .dsl import parse_coeff_expr, const_expr
 from .estimates import (max_principle_check, pointwise_check,
                         representation_residual, weighted_gradient_check)
-from .fbsde import DiffusionSpec, girsanov_weights, identify_yz, \
-    simulate_forward
+from .fbsde import (DiffusionSpec, FbsdeError, girsanov_weights,
+                    horizon_steps, identify_yz, simulate_forward)
 from .game import nash_check, write_nash_csv
 from .grids import Grid, GridFunction
 from .kernels import compactness_probe, scalar_compactness_probe
@@ -106,7 +108,40 @@ def load_config(path):
             raise ConfigError(
                 f"unknown family {cfg['operator']['family']!r}; "
                 f"known: {sorted(FAMILIES)}")
+    _check_mc(cfg)
     return cfg
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and math.isfinite(v)
+
+
+def _check_mc(cfg):
+    """Types and ranges of the Monte-Carlo section."""
+    mc = cfg.get("mc", {})
+    if "N" in mc:
+        N = mc["N"]
+        if not isinstance(N, int) or isinstance(N, bool) or N < 2:
+            raise ConfigError(f"mc.N must be an integer >= 2, got {N!r}")
+    if "h_step" in mc:
+        h = mc["h_step"]
+        if not _is_number(h) or h <= 0:
+            raise ConfigError(f"mc.h_step must be a number > 0, got {h!r}")
+        T, s = cfg["time"].get("T"), cfg["time"].get("s")
+        if _is_number(T) and _is_number(s):
+            try:
+                horizon_steps(T - s, h)
+            except FbsdeError:
+                raise ConfigError(
+                    f"mc.h_step = {h!r} does not divide T - s = {T - s!r}")
+    if "x0" in mc:
+        x0 = mc["x0"]
+        d = (cfg["operator"].get("params") or {}).get("d", 1)
+        if not isinstance(x0, list) or len(x0) != d or \
+                not all(_is_number(v) for v in x0):
+            raise ConfigError(
+                f"mc.x0 must be a list of d = {d} numbers, got {x0!r}")
 
 
 def _build_operator(cfg):
@@ -170,6 +205,7 @@ class _Runner:
         self.f = _default_f(self.spec, self.grid, cfg)
         self.box = _acfg(cfg, "box", self.grid.L)
         self.sol = None  # filled by the semilinear/fbsde stages
+        self._batches = {}  # (N, h_step) -> uncontrolled path batch
 
     def _path(self, name):
         return os.path.join(self.outdir, name)
@@ -258,7 +294,9 @@ class _Runner:
                 "scalar_agrees": bool(sca["verdict"] == vec["verdict"]),
                 "vector": vec, "scalar": sca}
 
-    def _nonlinearity(self):
+    @functools.cached_property
+    def nl(self):
+        """The configured nonlinearity psi, or None for a linear run."""
         sc = self.cfg.get("semilinear", {})
         if "psi" not in sc:
             return None
@@ -266,7 +304,7 @@ class _Runner:
 
     def stage_semilinear(self):
         sc = self.cfg.get("semilinear", {})
-        nl = self._nonlinearity()
+        nl = self.nl
         ladder = sc.get("mollify_ladder", [8, 16, 32])
         tol = sc.get("picard_tol", 1e-8)
         max_iter = sc.get("max_iter", 40)
@@ -279,15 +317,20 @@ class _Runner:
             norms.append(sol.kt_norm)
         self.sol = sols[-1]
         spread = (max(norms) - min(norms)) / max(max(norms), 1e-300)
+        converged = all(sol.converged for sol in sols)
         self._write_csv("semilinear.csv", ["mollify_n", "kt_norm"],
                         [(0 if n is None else n, v)
                          for n, v in zip([None] if nl is None else ladder,
                                          norms)])
-        return {"verdict": "PASS" if spread <= 0.10 else "FAIL",
+        ok = converged and spread <= 0.10
+        return {"verdict": "PASS" if ok else "FAIL",
                 "kt_norms": norms, "spread": float(spread),
                 "picard_history": self.sol.picard_history}
 
-    def _diffusion(self):
+    @functools.cached_property
+    def ds(self):
+        """The controlled forward diffusion shared by the Monte-Carlo
+        stages."""
         gc = self.cfg.get("game", {})
         controls = tuple(tuple(v) for v in gc.get("controls", []))
         w = gc.get("running_weight", 1.0)
@@ -324,24 +367,34 @@ class _Runner:
     def _mc(self, key, default):
         return self.cfg.get("mc", {}).get(key, default)
 
+    def _x0(self):
+        return self._mc("x0", [0.0] * self.spec.d)
+
+    def _batch(self, N, h_step):
+        """Uncontrolled path batch from x0 over [0, T - s], simulated once
+        per (N, h_step) and shared by the stages asking for it."""
+        key = (N, h_step)
+        if key not in self._batches:
+            self._batches[key] = simulate_forward(
+                self.ds, self._x0(), 0.0, self.T - self.s, h_step, N,
+                self.seed)
+        return self._batches[key]
+
     def stage_fbsde(self):
         if self.sol is None:
-            self.sol = mild_solve(self.spec, self._nonlinearity(), self.f,
+            self.sol = mild_solve(self.spec, self.nl, self.f,
                                   self.T - self.s, self.dt)
-        ds = self._diffusion()
+        ds = self.ds
         ds.check_q(self.box)
-        N = self._mc("N", 4000)
-        h_step = self._mc("h_step", (self.T - self.s) / 32)
-        x0 = self._mc("x0", [0.0] * self.spec.d)
-        batch = simulate_forward(ds, x0, 0.0, self.T - self.s, h_step, N,
-                                 self.seed)
+        batch = self._batch(self._mc("N", 4000),
+                            self._mc("h_step", (self.T - self.s) / 32))
         yz = identify_yz(self.sol, ds, batch)
         vals = yz.Y[yz.valid, -1, :]
         mc = np.mean(vals, axis=0)
         se = np.std(vals, axis=0, ddof=1) / np.sqrt(vals.shape[0])
-        pde = self.sol.eval(0.0, np.asarray(x0, dtype=float)
+        pde = self.sol.eval(0.0, np.asarray(self._x0(), dtype=float)
                             .reshape(-1, 1))[:, 0]
-        lin = self._nonlinearity() is None
+        lin = self.nl is None
         gap = np.abs(mc - pde)
         ok = bool(np.all(gap <= 3 * se + 5e-3)) if lin else True
         return {"verdict": "PASS" if ok else "FAIL",
@@ -349,17 +402,14 @@ class _Runner:
                 "n_excluded": yz.n_excluded, "linear": lin}
 
     def stage_girsanov(self):
-        ds = self._diffusion()
-        N = self._mc("N", 4000)
-        h_step = self._mc("h_step", (self.T - self.s) / 32)
-        x0 = self._mc("x0", [0.0] * self.spec.d)
-        batch = simulate_forward(ds, x0, 0.0, self.T - self.s, h_step, N,
-                                 self.seed)
+        ds = self.ds
+        batch = self._batch(self._mc("N", 4000),
+                            self._mc("h_step", (self.T - self.s) / 32))
         zero = girsanov_weights(
             DiffusionSpec(op=self.spec, g=ds.g), batch, None)
         exact_one = bool(np.all(zero.rho == 1.0))
         w = girsanov_weights(ds, batch, None)
-        se = float(np.std(w.rho, ddof=1) / np.sqrt(N))
+        se = float(np.std(w.rho, ddof=1) / np.sqrt(batch.N))
         gap = abs(float(np.mean(w.rho)) - 1.0)
         ok = exact_one and (se == 0.0 or gap <= 3 * se)
         return {"verdict": "PASS" if ok else "FAIL",
@@ -367,14 +417,12 @@ class _Runner:
                 "zero_control_exact": exact_one}
 
     def stage_nash(self):
-        ds = self._diffusion()
+        ds = self.ds
         if not ds.controls:
             raise StageError("nash check needs game.controls")
-        N = self._mc("N", 2000)
-        h_step = self._mc("h_step", (self.T - self.s) / 16)
-        x0 = self._mc("x0", [0.0] * self.spec.d)
-        report = nash_check(ds, self.sol, x0, 0.0, self.T - self.s,
-                            h_step, N, self.seed)
+        batch = self._batch(self._mc("N", 2000),
+                            self._mc("h_step", (self.T - self.s) / 16))
+        report = nash_check(ds, self.sol, batch)
         write_nash_csv(self._path("nash.csv"), report)
         return {"verdict": "PASS" if report["verdict"] else "FAIL",
                 "rows": report["rows"]}

@@ -128,6 +128,7 @@ class MildSolution:
     kt_norm: float = None
     picard_history: list = field(default_factory=list)
     probe_L: float = None
+    converged: bool = True  # False when Picard ran out of iterations
 
     def u_at(self, t):
         """(m, N) values linearly interpolated in time."""
@@ -227,6 +228,7 @@ def mild_solve(spec, nl, g: GridFunction, T, dt, picard_tol=1e-8,
 
     current = sweep()  # linear start
     history = []
+    converged = True
     if nl is not None:
         for _ in range(max_iter):
             nxt = sweep(forcing(current))
@@ -246,11 +248,12 @@ def mild_solve(spec, nl, g: GridFunction, T, dt, picard_tol=1e-8,
             if delta <= picard_tol:
                 break
         else:
-            history.append(float("nan"))  # max_iter exhausted marker
+            converged = False
     times_fwd = (T - taus)[::-1]
     values_fwd = current[::-1]
     sol = MildSolution(times=times_fwd, values=values_fwd, grid=grid,
                        m=spec.m, T=T, spec=spec,
-                       picard_history=history, probe_L=probe_L)
+                       picard_history=history, probe_L=probe_L,
+                       converged=converged)
     sol.kt_norm = kt_norm(sol, probe_L)
     return sol

@@ -317,14 +317,15 @@ def test_10_nash_inequalities():
                         g=lambda p: np.zeros((2, p.shape[1])),
                         controls=((-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0)),
                         h=h2)
-    rep2 = nash_check(ds2, None, [0.0, 0.0], 0.0, 0.4, 0.4 / 8, N=512,
-                      seed=6)
+    rep2 = nash_check(ds2, None, simulate_forward(ds2, [0.0, 0.0], 0.0, 0.4,
+                                                  0.4 / 8, 512, 6))
     ok2 = rep2["verdict"]
 
     ds3 = DiffusionSpec(op=heat, g=lambda p: np.ones((1, p.shape[1])),
                         controls=((0.0, 1.0),),
                         h=lambda p, u: np.ones((1, p.shape[1])))
-    rep3 = nash_check(ds3, None, 0.0, 0.0, 0.5, 1 / 16, N=512, seed=7)
+    rep3 = nash_check(ds3, None,
+                      simulate_forward(ds3, 0.0, 0.0, 0.5, 1 / 16, 512, 7))
     ok3 = rep3["verdict"] and all(
         abs(r["dJ"]) <= 3 * r["stderr"] + 1e-12 for r in rep3["rows"])
     report(10, "nash inequalities", ok1 and ok2 and ok3,

@@ -51,6 +51,18 @@ def test_paths_schedule_independent():
     assert not np.array_equal(small.X, other.X)
 
 
+@pytest.mark.parametrize("seed", [9, -3])
+def test_path_streams_are_per_path_philox(seed):
+    spec = example_family("heat", {"d": 2})
+    ds = DiffusionSpec(op=spec, g=const_g([0.0]))
+    h, steps = 1 / 32, 8
+    batch = simulate_forward(ds, [0.0, 0.0], 0.0, steps * h, h, 5, seed)
+    for p in range(5):
+        gen = np.random.Generator(np.random.Philox(key=[seed, p]))
+        assert np.array_equal(batch.dW[p],
+                              np.sqrt(h) * gen.standard_normal((steps, 2)))
+
+
 def test_diffusion_matrix_consistency_check():
     spec = example_family("ex71ii", {"d": 2, "m": 2})
     ds = DiffusionSpec(op=spec, g=const_g([0.0, 0.0]))

@@ -93,7 +93,8 @@ def test_nash_degenerate_zero_deltas():
     ds = DiffusionSpec(op=spec, g=const_g([1.0]),
                        controls=((0.0, 1.0),),
                        h=lambda p, u: np.ones((1, p.shape[1])))
-    report = nash_check(ds, None, 0.0, 0.0, 0.5, 1 / 16, N=512, seed=4)
+    report = nash_check(
+        ds, None, simulate_forward(ds, 0.0, 0.0, 0.5, 1 / 16, 512, 4))
     assert report["verdict"]
     for row in report["rows"]:
         assert abs(row["dJ"]) <= 3 * row["stderr"] + 1e-12
@@ -106,7 +107,8 @@ def test_nash_single_player_beats_constant_controls():
         op=spec, g=const_g([2.0]), controls=(V,),
         r2=lambda p, u: 0.2 * u[:1] * np.ones((1, p.shape[1])),
         h=lambda p, u: u[:1] ** 2 * np.ones((1, p.shape[1])))
-    report = nash_check(ds, None, 0.0, 0.0, 0.5, 1 / 16, N=2000, seed=6)
+    report = nash_check(
+        ds, None, simulate_forward(ds, 0.0, 0.0, 0.5, 1 / 16, 2000, 6))
     assert report["verdict"]
     # cross-check against exhaustive constant controls: u = 0 has the
     # smallest running cost and must match the equilibrium cost
@@ -130,8 +132,8 @@ def test_nash_separable_strict_deviations():
 
     ds = DiffusionSpec(op=spec, g=const_g([0.0, 0.0]),
                        controls=((-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0)), h=h)
-    report = nash_check(ds, None, [0.0, 0.0], 0.0, 0.4, 0.4 / 8, N=256,
-                        seed=8)
+    report = nash_check(
+        ds, None, simulate_forward(ds, [0.0, 0.0], 0.0, 0.4, 0.4 / 8, 256, 8))
     assert report["verdict"]
     for row in report["rows"]:
         best = 1.0 if row["player"] == 0 else -1.0
@@ -139,12 +141,32 @@ def test_nash_separable_strict_deviations():
             assert row["dJ"] > 0  # strictly suboptimal deviation costs
 
 
+def test_nash_selects_equilibrium_once_per_step(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return minimax_select(*args, **kwargs)
+
+    monkeypatch.setattr("kolmolab.game.minimax_select", counted)
+    spec = example_family("heat", {"d": 2})
+    ds = DiffusionSpec(
+        op=spec, g=const_g([0.0, 0.0]),
+        controls=((-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0)),
+        h=lambda p, u: u ** 2 * np.ones((2, p.shape[1])))
+    base = simulate_forward(ds, [0.0, 0.0], 0.0, 0.4, 0.4 / 8, 64, 3)
+    report = nash_check(ds, None, base)
+    assert len(report["rows"]) == 6
+    assert len(calls) == base.steps
+
+
 def test_nash_csv(tmp_path):
     spec = example_family("heat", {"d": 1})
     ds = DiffusionSpec(op=spec, g=const_g([0.5]),
                        controls=((0.0, 1.0),),
                        h=lambda p, u: u[:1] ** 2 * np.ones((1, p.shape[1])))
-    report = nash_check(ds, None, 0.0, 0.0, 0.25, 1 / 8, N=128, seed=12)
+    report = nash_check(
+        ds, None, simulate_forward(ds, 0.0, 0.0, 0.25, 1 / 8, 128, 12))
     path = tmp_path / "nash.csv"
     write_nash_csv(path, report)
     lines = path.read_text().strip().splitlines()

@@ -7,7 +7,11 @@ import pytest
 
 from kolmolab import __version__
 from kolmolab.cli import main
+from kolmolab.fbsde import simulate_forward
 from kolmolab.runner import ConfigError, list_presets, load_config, run
+
+GOLDEN_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
+                             "ex71ii_full.run")
 
 
 def write_cfg(path, **overrides):
@@ -109,6 +113,38 @@ def test_failing_stage_exits_nonzero(tmp_path):
     assert report["verdicts"]["max_principle"] == "FAIL"
 
 
+@pytest.mark.parametrize("mc, message", [
+    ({"N": "20"}, "mc.N"),
+    ({"N": 1}, "mc.N"),
+    ({"h_step": 0.3}, "mc.h_step"),
+    ({"x0": [0.0, 0.0, 0.0]}, "mc.x0"),
+])
+def test_bad_mc_section_exits_2(tmp_path, mc, message):
+    p = tmp_path / "c.run"
+    write_cfg(p, mc=mc)
+    with pytest.raises(ConfigError, match=message):
+        load_config(p)
+    assert main(["run", str(p)]) == 2
+
+
+def test_exhausted_picard_fails_with_strict_json(tmp_path):
+    with open(GOLDEN_CONFIG) as fh:
+        cfg = json.load(fh)
+    cfg["checks"] = ["semilinear"]
+    cfg["semilinear"]["max_iter"] = 1
+    p = tmp_path / "c.run"
+    p.write_text(json.dumps(cfg))
+    code, report = run(p, outdir=tmp_path / "r")
+    assert code == 1
+    assert report["verdicts"] == {"semilinear": "FAIL"}
+
+    def reject(name):
+        raise ValueError(f"non-finite constant {name} in report.json")
+
+    json.loads((tmp_path / "r" / "report.json").read_text(),
+               parse_constant=reject)
+
+
 def test_presets_table():
     rows = dict(list_presets())
     assert "p > 2r >= 0" in rows["ex71i"]
@@ -143,10 +179,17 @@ def test_cli_audit(tmp_path, capsys):
     assert (tmp_path / "o" / "audit.json").exists()
 
 
-def test_golden_config_full_suite(tmp_path):
-    cfg_path = os.path.join(os.path.dirname(__file__), "..", "configs",
-                            "ex71ii_full.run")
-    code, report = run(cfg_path, outdir=tmp_path / "golden")
+def test_golden_config_full_suite(tmp_path, monkeypatch):
+    batches = []
+
+    def counted(*args, **kwargs):
+        batches.append(args)
+        return simulate_forward(*args, **kwargs)
+
+    monkeypatch.setattr("kolmolab.runner.simulate_forward", counted)
+    code, report = run(GOLDEN_CONFIG, outdir=tmp_path / "golden")
+    # fbsde, girsanov and nash share one path batch
+    assert len(batches) == 1
     assert code == 0, report["verdicts"]
     assert all(v == "PASS" for v in report["verdicts"].values())
     assert set(report["verdicts"]) == {

@@ -71,7 +71,7 @@ def test_picard_contraction_tanh_gradient_coupling():
     sol = mild_solve(spec, nl, g, 0.5, 2e-2, picard_tol=1e-10)
     h = sol.picard_history
     assert len(h) >= 2
-    assert not np.isnan(h[-1])
+    assert sol.converged and not np.isnan(h[-1])
     assert h[-1] <= 1e-10
     assert h[1] <= 0.5 * h[0]  # geometric contraction
 
