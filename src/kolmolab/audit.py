@@ -10,7 +10,6 @@ across nested annuli and reported as such.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,13 +36,6 @@ class HypothesisReport:
     def verdicts(self):
         return {k: v.get("verdict") for k, v in self.sections.items()
                 if isinstance(v, dict) and "verdict" in v}
-
-    def to_json(self, **extra):
-        payload = {"spec": self.spec_name, "box": self.box,
-                   "sections": jsonable(self.sections),
-                   "verdicts": jsonable(self.verdicts())}
-        payload.update(jsonable(extra))
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def jsonable(obj):

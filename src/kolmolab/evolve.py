@@ -10,30 +10,20 @@ Neumann is realized by ghost-node reflection in the stencils.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grids import Grid, GridFunction, gradient, interp_multilinear
+from .grids import GridFunction
 
-__all__ = ["evolve", "evolve_inflated", "compose_check", "assemble_operator",
-           "EvolveReport", "EvolveError"]
+__all__ = ["evolve", "assemble_operator", "EvolveError"]
 
 BLOWUP_GUARD = 1e12
 
 
 class EvolveError(RuntimeError):
     pass
-
-
-@dataclass
-class EvolveReport:
-    solution: GridFunction
-    gradient: np.ndarray
-    inflation_history: list = field(default_factory=list)
-    converged: bool = False
 
 
 def _axis_indices(grid):
@@ -257,49 +247,3 @@ def evolve(spec, f: GridFunction, s, t, dt, bc=None):
     bc = bc or f.bc
     vals = _Stepper(spec, f.grid, bc).final(f.values, _time_ladder(s, t, dt))
     return GridFunction(f.grid, spec.m, vals, bc=bc, t=float(t))
-
-
-def evolve_inflated(spec, f_fn, s, t, dt, L_list, n_list, probe_L, tol,
-                    bc="dirichlet", m=None):
-    """Solve on an increasing ladder of boxes and compare successive
-    solutions on the probe box.  f_fn maps points (d, N) to (m, N).
-    """
-    if list(L_list) != sorted(L_list) or len(set(L_list)) != len(L_list):
-        raise ValueError("L_list must be strictly increasing")
-    if probe_L >= min(L_list):
-        raise ValueError("probe_L must sit inside the smallest box")
-    m = m or spec.m
-    probe_n = 41 if spec.d == 2 else 201
-    probe = Grid(spec.d, probe_L, probe_n)
-    ppts = probe.points()
-
-    history = []
-    prev = None
-    last = None
-    for L, n in zip(L_list, n_list):
-        grid = Grid(spec.d, L, n)
-        f = GridFunction.from_callable(grid, m, f_fn, bc=bc)
-        u = evolve(spec, f, s, t, dt, bc=bc)
-        vals = interp_multilinear(grid, u.values, ppts)
-        if prev is not None:
-            history.append((L, float(np.max(np.abs(vals - prev)))))
-        prev = vals
-        last = u
-    converged = bool(history and history[-1][1] <= tol)
-    if len(history) >= 2 and history[-1][1] > history[-2][1] > tol:
-        converged = False
-    return EvolveReport(solution=last, gradient=gradient(last),
-                        inflation_history=history, converged=converged)
-
-
-def compose_check(spec, f: GridFunction, s, r, t, dt, probe_L=None, bc=None):
-    """Sup discrepancy of G(t,r)G(r,s)f vs G(t,s)f on the probe box."""
-    bc = bc or f.bc
-    if r == s:
-        return 0.0
-    probe_L = probe_L if probe_L is not None else f.grid.L / 2
-    mid = evolve(spec, f, s, r, dt, bc=bc)
-    two = evolve(spec, mid, r, t, dt, bc=bc)
-    one = evolve(spec, f, s, t, dt, bc=bc)
-    mask = f.grid.interior_mask(probe_L)
-    return float(np.max(np.abs(two.values[:, mask] - one.values[:, mask])))

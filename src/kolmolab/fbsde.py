@@ -13,7 +13,6 @@ Philox(key=[seed, p]) bit for bit without building one per path.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,8 +21,7 @@ from .semilinear import sqrtQ_at
 
 __all__ = ["FbsdeError", "DiffusionSpec", "PathBatch", "YZProcess",
            "horizon_steps", "simulate_forward", "identify_yz",
-           "bsde_residual", "girsanov_weights", "payoffs", "cost",
-           "write_kpb", "read_kpb"]
+           "bsde_residual", "girsanov_weights", "payoffs", "cost"]
 
 _EXPLODE = 1e9
 
@@ -285,58 +283,13 @@ def payoffs(ds: DiffusionSpec, batch: PathBatch, i):
     return batch.rho * (running + terminal)
 
 
-def cost(ds: DiffusionSpec, batch: PathBatch, i):
-    """Weighted Monte-Carlo estimate of player i's cost with its
-    standard error and an effective-sample-size degeneracy flag."""
+def cost(batch: PathBatch, payoff):
+    """Weighted Monte-Carlo estimate of a player's cost from its per-path
+    payoffs(ds, batch, i), with its standard error and an
+    effective-sample-size degeneracy flag."""
     N = batch.N
-    payoff = payoffs(ds, batch, i)
     est = float(np.mean(payoff))
     stderr = float(np.std(payoff, ddof=1) / np.sqrt(N)) if N > 1 else 0.0
     ess = float(np.sum(batch.rho) ** 2 / np.sum(batch.rho ** 2))
     return {"J": est, "stderr": stderr, "ess": ess,
             "degenerate": bool(ess < N / 100)}
-
-
-_KPB_HEADER = "<4siiiiddq"  # magic, d, N, steps, players, h_step, t0, seed
-
-
-def write_kpb(path, batch: PathBatch):
-    players = 0 if batch.controls is None else batch.controls.shape[2]
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(_KPB_HEADER, b"KPB1", batch.d, batch.N,
-                             batch.steps, players, batch.h_step, batch.t0,
-                             batch.seed))
-        fh.write(np.ascontiguousarray(batch.X, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(batch.dW, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(batch.rho, dtype="<f8").tobytes())
-        if players:
-            fh.write(np.ascontiguousarray(batch.controls,
-                                          dtype="<f8").tobytes())
-        ex = np.ascontiguousarray(batch.exploded, dtype="<i8")
-        fh.write(struct.pack("<q", len(ex)))
-        fh.write(ex.tobytes())
-
-
-def read_kpb(path):
-    with open(path, "rb") as fh:
-        raw = fh.read(struct.calcsize(_KPB_HEADER))
-        magic, d, N, steps, players, h_step, t0, seed = struct.unpack(
-            _KPB_HEADER, raw)
-        if magic != b"KPB1":
-            raise FbsdeError(f"not a path-batch file: magic {magic!r}")
-
-        def arr(shape):
-            n = int(np.prod(shape))
-            return np.frombuffer(fh.read(8 * n),
-                                 dtype="<f8").reshape(shape).copy()
-
-        X = arr((N, steps + 1, d))
-        dW = arr((N, steps, d))
-        rho = arr((N,))
-        controls = arr((N, steps, players)) if players else None
-        (n_ex,) = struct.unpack("<q", fh.read(8))
-        exploded = np.frombuffer(fh.read(8 * n_ex), dtype="<i8").copy()
-    times = t0 + h_step * np.arange(steps + 1)
-    return PathBatch(N=N, h_step=h_step, t0=t0, times=times, X=X, dW=dW,
-                     seed=seed, rho=rho, controls=controls,
-                     exploded=exploded)

@@ -12,14 +12,12 @@ lexicographically (first minimizer wins) so the table is deterministic.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .fbsde import cost, girsanov_weights, payoffs
 
 __all__ = ["GameError", "minimax_select", "equilibrium_strategy",
-           "nash_check", "write_nash_csv"]
+           "nash_check"]
 
 
 class GameError(RuntimeError):
@@ -125,8 +123,10 @@ def nash_check(ds, sol, base, deviations=None):
         deviations = [list(V) for V in ds.controls]
     rows = []
     verdict = True
+    J_eq = []
     for i in range(players):
         pay_eq = payoffs(ds, batch_eq, i)
+        J_eq.append(cost(batch_eq, pay_eq))
         for v in deviations[i]:
             batch_dev = girsanov_weights(
                 ds, base, _deviation_strategy(batch_eq, i, v))
@@ -139,15 +139,5 @@ def nash_check(ds, sol, base, deviations=None):
             verdict = verdict and ok
             rows.append({"player": i, "deviation": float(v), "dJ": dJ,
                          "stderr": stderr, "pass": ok})
-    J_eq = [cost(ds, batch_eq, i) for i in range(players)]
     return {"verdict": verdict, "rows": rows, "J_equilibrium": J_eq,
             "N": N, "seed": base.seed, "h_step": base.h_step}
-
-
-def write_nash_csv(path, report):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["player", "deviation", "dJ", "stderr"])
-        for row in report["rows"]:
-            writer.writerow([row["player"] + 1, f"{row['deviation']:.12g}",
-                             f"{row['dJ']:.15g}", f"{row['stderr']:.15g}"])

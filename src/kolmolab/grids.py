@@ -1,5 +1,5 @@
 """Uniform tensor grids on boxes [-L, L]^d and vector-valued grid
-functions, with second-order gradients and binary/CSV serialization.
+functions, with second-order gradients and multilinear interpolation.
 
 Flat storage convention: values have shape (m, n^d) with C-order
 flattening of the axes, axis 1 fastest.  For d=2 the flat index of node
@@ -8,16 +8,11 @@ flattening of the axes, axis 1 fastest.  For d=2 the flat index of node
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Grid", "GridFunction", "gradient", "weighted_gradient_sup",
-           "write_kgf", "read_kgf", "write_csv_1d"]
-
-_KGF_MAGIC = b"KGF1"
-_HEADER_SIZE = 64
+__all__ = ["Grid", "GridFunction", "gradient", "weighted_gradient_sup"]
 
 
 @dataclass(frozen=True)
@@ -64,15 +59,6 @@ class Grid:
         pts = self.points()
         return np.max(np.abs(pts), axis=0) >= self.L - 0.5 * self.h
 
-    def index_of(self, x):
-        """Flat index of the node nearest to x (length-d array)."""
-        idx = np.rint((np.asarray(x, dtype=float) + self.L) / self.h).astype(int)
-        idx = np.clip(idx, 0, self.n - 1)
-        flat = 0
-        for i in range(self.d):
-            flat = flat * self.n + idx[i]
-        return int(flat)
-
 
 @dataclass
 class GridFunction:
@@ -110,14 +96,6 @@ class GridFunction:
             return float(np.max(np.abs(self.values)))
         mask = self.grid.interior_mask(probe_L)
         return float(np.max(np.abs(self.values[:, mask])))
-
-    def copy(self):
-        return replace(self, values=self.values.copy())
-
-    def value_at(self, x):
-        """Multilinear interpolation at x, returns length-m array."""
-        return interp_multilinear(self.grid, self.values, np.asarray(
-            x, dtype=float).reshape(self.grid.d, 1))[:, 0]
 
 
 def _one_dim_gradient(vals, h, axis_len):
@@ -173,56 +151,3 @@ def interp_multilinear(grid, values, x):
            + v[:, i, j + 1] * (1 - wi) * wj
            + v[:, i + 1, j + 1] * wi * wj)
     return out
-
-
-def restrict(u: GridFunction, target: Grid):
-    """Restrict u to a smaller grid with the same spacing and nested
-    nodes; raises when the node sets do not nest."""
-    g = u.grid
-    if abs(g.h - target.h) > 1e-12 * g.h:
-        raise ValueError("grids do not share spacing")
-    off = (target.axis()[0] + g.L) / g.h
-    start = int(round(off))
-    if abs(off - start) > 1e-9:
-        raise ValueError("node sets do not nest")
-    sl = slice(start, start + target.n)
-    if g.d == 1:
-        vals = u.values[:, sl]
-    else:
-        vals = u.values.reshape(u.m, g.n, g.n)[:, sl, sl].reshape(u.m, -1)
-    return GridFunction(target, u.m, vals.copy(), bc=u.bc, t=u.t)
-
-
-# ---------------------------------------------------------------------------
-# Serialization: 64-byte header + row-major little-endian float64 payload
-
-def write_kgf(path, u: GridFunction):
-    header = struct.pack("<4siiidd", _KGF_MAGIC, u.grid.d, u.m, u.grid.n,
-                         u.grid.L, u.t)
-    header += bytes([1 if u.bc == "neumann" else 0])
-    header += b"\x00" * (_HEADER_SIZE - len(header))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(u.values, dtype="<f8").tobytes())
-
-
-def read_kgf(path):
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER_SIZE)
-        magic, d, m, n, L, t = struct.unpack("<4siiidd", header[:32])
-        if magic != _KGF_MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        bc = "neumann" if header[32] == 1 else "dirichlet"
-        grid = Grid(d, L, n)
-        payload = fh.read(8 * m * grid.n_nodes)
-        values = np.frombuffer(payload, dtype="<f8").reshape(m, grid.n_nodes)
-    return GridFunction(grid, m, values.copy(), bc=bc, t=t)
-
-
-def write_csv_1d(path, u: GridFunction):
-    if u.grid.d != 1:
-        raise ValueError("CSV export only for d=1")
-    cols = [u.grid.axis()] + [u.values[k] for k in range(u.m)]
-    header = "x," + ",".join(f"u{k + 1}" for k in range(u.m))
-    np.savetxt(path, np.column_stack(cols), delimiter=",", header=header,
-               comments="")

@@ -11,7 +11,6 @@ cell times a basis vector and reading the result at x.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +19,7 @@ from .evolve import _Stepper, _time_ladder
 from .grids import interp_multilinear
 from .operators import scalar_comparison
 
-__all__ = ["KernelRow", "kernel_row", "tightness_mass", "compactness_probe",
-           "reconstruct", "write_kernel_csv"]
+__all__ = ["KernelRow", "kernel_row", "tightness_mass", "compactness_probe"]
 
 
 @dataclass
@@ -103,12 +101,6 @@ def tightness_mass(row: KernelRow, R):
     return np.sum(np.abs(row.mass[:, :, outside]), axis=2)
 
 
-def reconstruct(row: KernelRow, f_cells):
-    """Apply the kernel row to a piecewise-constant f given by its cell
-    values (m, n_cells^d); returns the m components at the base point."""
-    return np.einsum("ijc,jc->i", row.mass, np.asarray(f_cells, dtype=float))
-
-
 def compactness_probe(spec, grid, t, s, x_list, R_list, n_cells, dt,
                       bc="dirichlet", threshold=0.05):
     """PASS iff the outside mass decays monotonically in R and falls
@@ -132,19 +124,3 @@ def scalar_compactness_probe(spec, grid, t, s, x_list, R_list, n_cells, dt,
     """Same probe for the scalar comparison operator."""
     return compactness_probe(scalar_comparison(spec), grid, t, s, x_list,
                              R_list, n_cells, dt, bc=bc, threshold=threshold)
-
-
-def write_kernel_csv(path, row: KernelRow):
-    d = row.centers.shape[0]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j"] + [f"center_x{k + 1}" for k in range(d)]
-                        + ["mass"])
-        m = row.mass.shape[0]
-        for i in range(m):
-            for j in range(m):
-                for c in range(row.mass.shape[2]):
-                    writer.writerow(
-                        [i + 1, j + 1]
-                        + [f"{row.centers[k, c]:.12g}" for k in range(d)]
-                        + [f"{row.mass[i, j, c]:.15g}"])

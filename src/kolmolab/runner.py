@@ -24,7 +24,7 @@ from .estimates import (max_principle_check, pointwise_check,
                         representation_residual, weighted_gradient_check)
 from .fbsde import (DiffusionSpec, FbsdeError, girsanov_weights,
                     horizon_steps, identify_yz, simulate_forward)
-from .game import nash_check, write_nash_csv
+from .game import nash_check
 from .grids import Grid, GridFunction
 from .kernels import compactness_probe, scalar_compactness_probe
 from .operators import FAMILIES, WeightSpec, example_family, matrix_of_consts
@@ -218,6 +218,10 @@ class _Runner:
                 w.writerow([f"{v:.15g}" if isinstance(v, float) else v
                             for v in row])
 
+    def _write_json(self, name, payload):
+        with open(self._path(name), "w") as fh:
+            json.dump(jsonable(payload), fh, indent=2, sort_keys=True)
+
     # stage implementations -------------------------------------------
     def stage_audit(self):
         report = full_audit(
@@ -226,10 +230,12 @@ class _Runner:
             kappa0=_acfg(self.cfg, "kappa0", 0.0),
             sigma=_acfg(self.cfg, "sigma", 0.5),
             n_samples=_acfg(self.cfg, "n_samples", 1024))
-        with open(self._path("audit.json"), "w") as fh:
-            fh.write(report.to_json(config_sha256=self.hash,
-                                    seed=self.seed, version=__version__))
         verdicts = report.verdicts()
+        self._write_json("audit.json", {
+            "spec": report.spec_name, "box": report.box,
+            "sections": report.sections, "verdicts": verdicts,
+            "config_sha256": self.hash, "seed": self.seed,
+            "version": __version__})
         return {"verdict": "PASS" if all(verdicts.values()) else "FAIL",
                 "sections": verdicts}
 
@@ -423,7 +429,9 @@ class _Runner:
         batch = self._batch(self._mc("N", 2000),
                             self._mc("h_step", (self.T - self.s) / 16))
         report = nash_check(ds, self.sol, batch)
-        write_nash_csv(self._path("nash.csv"), report)
+        self._write_csv("nash.csv", ["player", "deviation", "dJ", "stderr"],
+                        [(r["player"] + 1, f"{r['deviation']:.12g}",
+                          r["dJ"], r["stderr"]) for r in report["rows"]])
         return {"verdict": "PASS" if report["verdict"] else "FAIL",
                 "rows": report["rows"]}
 
@@ -458,8 +466,7 @@ def run(config_path, outdir=None):
     report = {"version": __version__, "config_sha256": runner.hash,
               "seed": runner.seed, "stages": jsonable(stages),
               "verdicts": verdicts, "exit_code": code}
-    with open(runner._path("report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+    runner._write_json("report.json", report)
     return code, report
 
 

@@ -15,15 +15,13 @@ gradient factor is singular.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import json
-import os
 
 import numpy as np
 
 from .dsl import parse_state_expr
 from .evolve import _Stepper
 from .grids import (GridFunction, gradient, interp_multilinear,
-                    weighted_gradient_sup, write_kgf)
+                    weighted_gradient_sup)
 
 __all__ = ["Nonlinearity", "nonlinearity_from_exprs", "mollify_nonlinearity",
            "mild_solve", "kt_norm", "MildSolution", "sqrtQ_at"]
@@ -151,20 +149,6 @@ class MildSolution:
         out = interp_multilinear(
             self.grid, g.reshape(self.m * self.grid.d, -1), x_pts)
         return out.reshape(self.m, self.grid.d, -1)
-
-    def export(self, outdir):
-        os.makedirs(outdir, exist_ok=True)
-        names = []
-        for i, (t, vals) in enumerate(zip(self.times, self.values)):
-            name = f"u_{i:04d}.kgf"
-            write_kgf(os.path.join(outdir, name),
-                      GridFunction(self.grid, self.m, vals, t=float(t)))
-            names.append(name)
-        manifest = {"times": [float(t) for t in self.times],
-                    "files": names, "kt_norm": self.kt_norm,
-                    "picard_history": self.picard_history, "T": self.T}
-        with open(os.path.join(outdir, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2)
 
 
 def _graded_ladder(T, dt, graded_steps=8):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from kolmolab.fbsde import (DiffusionSpec, FbsdeError, bsde_residual, cost,
-                            girsanov_weights, identify_yz, read_kpb,
-                            simulate_forward, write_kpb)
+                            girsanov_weights, identify_yz, payoffs,
+                            simulate_forward)
 from kolmolab.grids import Grid, GridFunction
 from kolmolab.operators import example_family
 from kolmolab.semilinear import mild_solve, nonlinearity_from_exprs
@@ -189,7 +189,7 @@ def test_cost_constant_and_running():
                        h=lambda p, u: np.ones((1, p.shape[1])))
     batch = simulate_forward(ds, 0.0, 0.0, tau, tau / 16, 4000, seed=19)
     batch = girsanov_weights(ds, batch, None)
-    out = cost(ds, batch, 0)
+    out = cost(batch, payoffs(ds, batch, 0))
     assert out["J"] == pytest.approx(tau + 1.5, abs=1e-10)
     assert out["stderr"] <= 1e-10
     assert not out["degenerate"]
@@ -203,38 +203,7 @@ def test_cost_two_seeds_agree():
     for seed in (23, 29):
         batch = simulate_forward(ds, 0.0, 0.0, 0.5, 1 / 64, 8000, seed=seed)
         batch = girsanov_weights(ds, batch, None)
-        ests.append(cost(ds, batch, 0))
+        ests.append(cost(batch, payoffs(ds, batch, 0)))
     gap = abs(ests[0]["J"] - ests[1]["J"])
     comb = np.hypot(ests[0]["stderr"], ests[1]["stderr"])
     assert gap <= 3 * comb
-
-
-def test_kpb_roundtrip(tmp_path):
-    spec = example_family("ou", {"d": 1})
-    ds = DiffusionSpec(op=spec, g=const_g([0.0]),
-                       controls=((0.0, 1.0),),
-                       r2=lambda p, u: 0.1 * u,
-                       h=lambda p, u: np.zeros((1, p.shape[1])))
-    batch = simulate_forward(ds, 0.0, 0.0, 0.25, 1 / 16, 32, seed=31)
-    batch = girsanov_weights(
-        ds, batch, lambda t, X, l: np.ones((32, 1)))
-    path = tmp_path / "batch.kpb"
-    write_kpb(path, batch)
-    back = read_kpb(path)
-    assert back.seed == 31 and back.N == 32
-    assert np.array_equal(back.X, batch.X)
-    assert np.array_equal(back.dW, batch.dW)
-    assert np.array_equal(back.rho, batch.rho)
-    assert np.array_equal(back.controls, batch.controls)
-    assert np.array_equal(back.times, batch.times)
-    # determinism across writes: byte-identical files
-    path2 = tmp_path / "batch2.kpb"
-    write_kpb(path2, batch)
-    assert path.read_bytes() == path2.read_bytes()
-
-
-def test_kpb_bad_magic(tmp_path):
-    p = tmp_path / "junk.kpb"
-    p.write_bytes(b"NOPE" + b"\0" * 64)
-    with pytest.raises(FbsdeError, match="magic"):
-        read_kpb(p)

@@ -3,7 +3,7 @@ import pytest
 
 from kolmolab.fbsde import DiffusionSpec, girsanov_weights, simulate_forward
 from kolmolab.game import (GameError, equilibrium_strategy, minimax_select,
-                           nash_check, write_nash_csv)
+                           nash_check)
 from kolmolab.operators import example_family
 
 
@@ -113,12 +113,12 @@ def test_nash_single_player_beats_constant_controls():
     # cross-check against exhaustive constant controls: u = 0 has the
     # smallest running cost and must match the equilibrium cost
     base = simulate_forward(ds, 0.0, 0.0, 0.5, 1 / 16, 2000, 6)
-    from kolmolab.fbsde import cost
+    from kolmolab.fbsde import cost, payoffs
     Js = []
     for v in V:
         b = girsanov_weights(ds, base,
                              lambda t, X, l, v=v: np.full((2000, 1), v))
-        Js.append(cost(ds, b, 0)["J"])
+        Js.append(cost(b, payoffs(ds, b, 0))["J"])
     assert np.argmin(Js) == V.index(0.0)
     assert report["J_equilibrium"][0]["J"] == pytest.approx(Js[1], abs=1e-12)
 
@@ -142,13 +142,20 @@ def test_nash_separable_strict_deviations():
 
 
 def test_nash_selects_equilibrium_once_per_step(monkeypatch):
-    calls = []
+    from kolmolab.fbsde import payoffs
+    calls, paid = [], []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return minimax_select(*args, **kwargs)
 
+    def counted_payoffs(*args, **kwargs):
+        paid.append(1)
+        return payoffs(*args, **kwargs)
+
     monkeypatch.setattr("kolmolab.game.minimax_select", counted)
+    monkeypatch.setattr("kolmolab.game.payoffs", counted_payoffs)
+    monkeypatch.setattr("kolmolab.fbsde.payoffs", counted_payoffs)
     spec = example_family("heat", {"d": 2})
     ds = DiffusionSpec(
         op=spec, g=const_g([0.0, 0.0]),
@@ -158,20 +165,9 @@ def test_nash_selects_equilibrium_once_per_step(monkeypatch):
     report = nash_check(ds, None, base)
     assert len(report["rows"]) == 6
     assert len(calls) == base.steps
-
-
-def test_nash_csv(tmp_path):
-    spec = example_family("heat", {"d": 1})
-    ds = DiffusionSpec(op=spec, g=const_g([0.5]),
-                       controls=((0.0, 1.0),),
-                       h=lambda p, u: u[:1] ** 2 * np.ones((1, p.shape[1])))
-    report = nash_check(
-        ds, None, simulate_forward(ds, 0.0, 0.0, 0.25, 1 / 8, 128, 12))
-    path = tmp_path / "nash.csv"
-    write_nash_csv(path, report)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "player,deviation,dJ,stderr"
-    assert len(lines) == 1 + len(report["rows"])
+    # one payoff evaluation per player and batch: the equilibrium one
+    # also gives J_equilibrium
+    assert len(paid) == 2 * (1 + 3)
 
 
 def test_equilibrium_strategy_uses_gradient():

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kolmolab.grids import (Grid, GridFunction, gradient, interp_multilinear,
-                            read_kgf, restrict, write_csv_1d, write_kgf)
+from kolmolab.grids import Grid, GridFunction, gradient, interp_multilinear
 
 
 def test_grid_nodes_exact():
@@ -47,37 +46,6 @@ def test_interp_at_nodes_and_midpoints():
     out = interp_multilinear(g, u.values, pts)
     # multilinear is exact on affine functions
     assert np.allclose(out[0], 1 + pts[0] + 2 * pts[1])
-
-
-def test_restrict_nested():
-    big = Grid(1, 4.0, 17)
-    small = Grid(1, 2.0, 9)
-    u = GridFunction.from_callable(big, 1, lambda p: p[0] ** 2)
-    v = restrict(u, small)
-    assert np.allclose(v.values[0], small.axis() ** 2)
-
-
-def test_kgf_round_trip(tmp_path):
-    g = Grid(2, 1.5, 7)
-    rng = np.random.default_rng(3)
-    u = GridFunction(g, 2, rng.normal(size=(2, g.n_nodes)), bc="neumann",
-                     t=0.25)
-    path = tmp_path / "u.kgf"
-    write_kgf(path, u)
-    v = read_kgf(path)
-    assert v.grid == g and v.m == 2 and v.bc == "neumann"
-    assert v.t == pytest.approx(0.25)
-    assert np.array_equal(v.values, u.values)
-
-
-def test_csv_export(tmp_path):
-    g = Grid(1, 1.0, 5)
-    u = GridFunction.from_callable(g, 1, lambda p: p[0])
-    path = tmp_path / "u.csv"
-    write_csv_1d(path, u)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.allclose(data[:, 0], g.axis())
-    assert np.allclose(data[:, 1], g.axis())
 
 
 @settings(max_examples=40, deadline=None)

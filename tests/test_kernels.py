@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from kolmolab.grids import Grid, GridFunction
+from kolmolab.grids import Grid, GridFunction, interp_multilinear
 from kolmolab.evolve import evolve
-from kolmolab.kernels import (compactness_probe, kernel_row, reconstruct,
+from kolmolab.kernels import (compactness_probe, kernel_row,
                               scalar_compactness_probe, tightness_mass,
-                              write_kernel_csv, _cell_weights)
+                              _cell_weights)
 from kolmolab.operators import example_family
 
 
@@ -54,13 +54,14 @@ def test_reconstruction_linearity():
     row = kernel_row(spec, grid, tau, 0.0, [0.1], nc, dt=5e-3, bc="neumann")
     rng = np.random.default_rng(7)
     f_cells = rng.uniform(-1, 1, (2, nc))
-    got = reconstruct(row, f_cells)
+    # apply the kernel row to the piecewise-constant cell values
+    got = np.einsum("ijc,jc->i", row.mass, f_cells)
     # evolve the matching mollified piecewise-constant data directly
     W = _cell_weights(grid, nc)
     f_vals = f_cells @ W
     f = GridFunction(grid, 2, f_vals, bc="neumann")
     u = evolve(spec, f, 0.0, tau, dt=5e-3)
-    expect = u.value_at([0.1])
+    expect = interp_multilinear(grid, u.values, np.array([[0.1]]))[:, 0]
     assert np.max(np.abs(got - expect)) <= 1e-6 * np.max(np.abs(f_cells))
 
 
@@ -134,14 +135,3 @@ def test_signed_masses_for_coupled_potential():
     # off-diagonal rows are genuinely nonzero here; diagonal stays positive
     assert np.max(np.abs(row.mass[0, 1])) > 1e-3
     assert np.min(row.mass[0, 0]) > -1e-9
-
-
-def test_kernel_csv(tmp_path):
-    spec = example_family("heat", {"d": 1})
-    grid = Grid(1, 4.0, 81)
-    row = kernel_row(spec, grid, 0.2, 0.0, [0.0], 8, dt=1e-2)
-    path = tmp_path / "row.csv"
-    write_kernel_csv(path, row)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "i,j,center_x1,mass"
-    assert len(lines) == 1 + 8

@@ -176,7 +176,26 @@ def test_cli_audit(tmp_path, capsys):
     assert main(["audit", str(p), "--output", str(tmp_path / "o")]) == 0
     out = capsys.readouterr().out
     assert "audit: PASS" in out
-    assert (tmp_path / "o" / "audit.json").exists()
+    audit = _assert_audit_json(tmp_path / "o", p)
+    # the CLI prints one line per audited section, then the audit verdict
+    printed = dict(line.split(": ") for line in out.strip().splitlines())
+    assert printed.pop("audit") == "PASS"
+    assert printed == {k: "PASS" if v else "FAIL"
+                       for k, v in audit["verdicts"].items()}
+
+
+def _assert_audit_json(outdir, config_path):
+    """audit.json carries the audit payload and the run's provenance."""
+    audit = json.loads((outdir / "audit.json").read_text())
+    assert set(audit) == {"spec", "box", "sections", "verdicts",
+                          "config_sha256", "seed", "version"}
+    with open(config_path, "rb") as fh:
+        assert audit["config_sha256"] == hashlib.sha256(fh.read()).hexdigest()
+    assert audit["version"] == __version__
+    assert audit["verdicts"] == {k: v["verdict"]
+                                 for k, v in audit["sections"].items()
+                                 if "verdict" in v}
+    return audit
 
 
 def test_golden_config_full_suite(tmp_path, monkeypatch):
@@ -200,6 +219,15 @@ def test_golden_config_full_suite(tmp_path, monkeypatch):
         golden = json.load(fh)
     fresh = json.loads((tmp_path / "golden" / "report.json").read_text())
     _assert_same_leaves(fresh, golden, "report")
+    audit = _assert_audit_json(tmp_path / "golden", GOLDEN_CONFIG)
+    assert audit["verdicts"] == report["stages"]["audit"]["sections"]
+    assert audit["seed"] == report["seed"]
+    rows = report["stages"]["nash"]["rows"]
+    lines = (tmp_path / "golden" / "nash.csv").read_text().splitlines()
+    assert lines[0] == "player,deviation,dJ,stderr"
+    assert len(lines) == 1 + len(rows)
+    assert [line.split(",")[0] for line in lines[1:]] == \
+        [str(r["player"] + 1) for r in rows]
 
 
 def _assert_same_leaves(got, want, where):

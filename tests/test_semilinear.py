@@ -151,21 +151,3 @@ def test_graded_ladder_clusters_near_terminal_time():
     steps = np.diff(sol.times)
     # the last steps (near t = T) shrink quadratically
     assert steps[-1] < steps[0] / 10
-
-
-def test_export_roundtrip(tmp_path):
-    import json
-
-    from kolmolab.grids import read_kgf
-    spec = example_family("ou", {"d": 1})
-    grid = Grid(1, 6.0, 61)
-    g = GridFunction.from_callable(grid, 1, lambda p: np.exp(-p[0] ** 2),
-                                   bc="neumann")
-    sol = mild_solve(spec, None, g, 0.2, 5e-2)
-    out = tmp_path / "run"
-    sol.export(out)
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["T"] == 0.2
-    assert len(manifest["files"]) == len(sol.times)
-    back = read_kgf(out / manifest["files"][-1])
-    assert np.array_equal(back.values, sol.values[-1])
