@@ -10,6 +10,7 @@ across nested annuli and reported as such.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,15 +41,18 @@ class HypothesisReport:
 
 def jsonable(obj):
     """obj with every numpy scalar and array inside it turned into the
-    plain Python value json can write."""
+    plain Python value strict json can write; a non-finite float becomes
+    None."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     if isinstance(obj, np.bool_):
         return bool(obj)
     return obj

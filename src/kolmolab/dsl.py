@@ -8,16 +8,18 @@ Grammar (EBNF):
     base   := number | 't' | 'x'i | 'normsq(x)' | 'exp(' expr ')'
             | '(' expr ')' | ident
 
-Identifiers resolve to named sub-expressions supplied as bindings (used
-for scalar functions of t such as damping profiles).  Expressions are
-evaluated with numpy broadcasting over (t, x) sample arrays, support
+Identifiers name sub-expressions supplied as bindings (used for scalar
+functions of t such as damping profiles); the parser substitutes each
+binding's tree where its name appears, so a parsed expression holds no
+names and evaluates, differentiates and prints on its own.  Expressions
+are evaluated with numpy broadcasting over (t, x) sample arrays, support
 symbolic differentiation in t and x_i, and round-trip through
 ``print`` / ``parse``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,11 +84,6 @@ class Exp:
     arg: object
 
 
-@dataclass(frozen=True)
-class Name:
-    ident: str
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 
@@ -130,11 +127,11 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, text, var_names):
-        self.text = text
+    def __init__(self, text, var_names, bindings):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.var_names = var_names
+        self.bindings = bindings
 
     def peek(self):
         return self.tokens[self.pos]
@@ -224,8 +221,9 @@ class _Parser:
                 return Exp(node)
             if value in self.var_names:
                 return Var(value)
-            # anything else resolves through the binding environment
-            return Name(value)
+            if value in self.bindings:
+                return self.bindings[value].ast
+            raise DslError(f"unknown identifier {value!r}", offset)
         raise DslError("expected a number, variable or parenthesis", offset)
 
 
@@ -245,15 +243,13 @@ def _print(node):
         return f"({_print(node.base)})^{node.exponent!r}"
     if isinstance(node, Exp):
         return f"exp({_print(node.arg)})"
-    if isinstance(node, Name):
-        return node.ident
     raise TypeError(node)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def _eval(node, t, x, bindings, z=None):
+def _eval(node, t, x, z=None):
     """Evaluate node at t and coordinates x; z maps extra state variable
     names (z11, z12, ...) to arrays, for nonlinearities."""
     if isinstance(node, Num):
@@ -269,8 +265,8 @@ def _eval(node, t, x, bindings, z=None):
     if isinstance(node, NormSq):
         return sum(x[i] * x[i] for i in range(len(x)))
     if isinstance(node, BinOp):
-        a = _eval(node.left, t, x, bindings, z)
-        b = _eval(node.right, t, x, bindings, z)
+        a = _eval(node.left, t, x, z)
+        b = _eval(node.right, t, x, z)
         if node.op == "+":
             return a + b
         if node.op == "-":
@@ -279,26 +275,21 @@ def _eval(node, t, x, bindings, z=None):
             return a * b
         return a / b
     if isinstance(node, Pow):
-        base = _eval(node.base, t, x, bindings, z)
+        base = _eval(node.base, t, x, z)
         e = node.exponent
         if e == int(e):
             return base ** int(e)
         return np.power(base, e)
     if isinstance(node, Exp):
-        return np.exp(_eval(node.arg, t, x, bindings, z))
-    if isinstance(node, Name):
-        if node.ident not in bindings:
-            raise DslError(f"unknown identifier {node.ident!r}")
-        bound = bindings[node.ident]
-        return _eval(bound.ast, t, x, bindings, z)
+        return np.exp(_eval(node.arg, t, x, z))
     raise TypeError(node)
 
 
 # ---------------------------------------------------------------------------
 # Differentiation (sum/product/quotient/chain rules over the listed ops)
 
-def _diff(node, var, bindings):
-    if isinstance(node, (Num,)):
+def _diff(node, var):
+    if isinstance(node, Num):
         return Num(0.0)
     if isinstance(node, Var):
         return Num(1.0) if node.name == var else Num(0.0)
@@ -307,8 +298,8 @@ def _diff(node, var, bindings):
             return _mul(Num(2.0), Var(var))
         return Num(0.0)
     if isinstance(node, BinOp):
-        da = _diff(node.left, var, bindings)
-        db = _diff(node.right, var, bindings)
+        da = _diff(node.left, var)
+        db = _diff(node.right, var)
         if node.op in "+-":
             return _add(da, db) if node.op == "+" else _sub(da, db)
         if node.op == "*":
@@ -317,14 +308,10 @@ def _diff(node, var, bindings):
         num = _sub(_mul(da, node.right), _mul(node.left, db))
         return BinOp("/", num, Pow(node.right, 2.0))
     if isinstance(node, Pow):
-        db = _diff(node.base, var, bindings)
+        db = _diff(node.base, var)
         return _mul(_mul(Num(node.exponent), Pow(node.base, node.exponent - 1.0)), db)
     if isinstance(node, Exp):
-        return _mul(node, _diff(node.arg, var, bindings))
-    if isinstance(node, Name):
-        if node.ident not in bindings:
-            raise DslError(f"unknown identifier {node.ident!r}")
-        return _diff(bindings[node.ident].ast, var, bindings)
+        return _mul(node, _diff(node.arg, var))
     raise TypeError(node)
 
 
@@ -389,18 +376,6 @@ def _collect_vars(node, acc):
         _collect_vars(node.arg, acc)
 
 
-def _collect_names(node, acc):
-    if isinstance(node, Name):
-        acc.add(node.ident)
-    elif isinstance(node, BinOp):
-        _collect_names(node.left, acc)
-        _collect_names(node.right, acc)
-    elif isinstance(node, Pow):
-        _collect_names(node.base, acc)
-    elif isinstance(node, Exp):
-        _collect_names(node.arg, acc)
-
-
 def _collect_guards(node, acc):
     """Collect sub-expressions that must stay away from zero."""
     if isinstance(node, BinOp):
@@ -428,55 +403,36 @@ class CoeffExpr:
 
     ast: object
     d: int
-    bindings: dict = field(default_factory=dict)
 
     def __call__(self, t, x):
         """Evaluate at time(s) t and points x of shape (d, ...)."""
         x = np.asarray(x, dtype=float)
         coords = [x[i] for i in range(self.d)] if x.ndim > 0 else [x]
-        out = _eval(self.ast, t, coords, self.bindings)
+        out = _eval(self.ast, t, coords)
         return np.asarray(out, dtype=float) + np.zeros(np.broadcast(
             np.asarray(t, dtype=float), *coords).shape)
 
     def eval_state(self, t, x, z):
         """Evaluate with extra named state variables (dict name -> array)."""
         coords = [np.asarray(x)[i] for i in range(self.d)]
-        return np.asarray(_eval(self.ast, t, coords, self.bindings, z),
-                          dtype=float)
+        return np.asarray(_eval(self.ast, t, coords, z), dtype=float)
 
     def diff(self, var):
         """Symbolic derivative with respect to 't' or 'x1'..'xd'."""
-        return CoeffExpr(_diff(self.ast, var, self.bindings), self.d,
-                         self.bindings)
+        return CoeffExpr(_diff(self.ast, var), self.d)
 
     def depends_on_t(self):
-        acc = set()
-        _collect_vars(self.ast, acc)
-        names = set()
-        _collect_names(self.ast, names)
-        for ident in names:
-            if ident in self.bindings and self.bindings[ident].depends_on_t():
-                return True
-        return "t" in acc
+        return "t" in self.free_variables()
 
     def free_variables(self):
         acc = set()
         _collect_vars(self.ast, acc)
-        names = set()
-        _collect_names(self.ast, names)
-        for ident in names:
-            if ident in self.bindings:
-                acc |= self.bindings[ident].free_variables()
         return acc
 
     def time_reversed(self, T):
-        """Substitute t -> T - t everywhere, including bindings."""
+        """Substitute t -> T - t everywhere."""
         repl = BinOp("-", Num(float(T)), Var("t"))
-        new_bindings = {k: CoeffExpr(_subst_t(v.ast, repl), v.d, {})
-                        for k, v in self.bindings.items()}
-        for v in new_bindings.values():
-            object.__setattr__(v, "bindings", new_bindings)
-        return CoeffExpr(_subst_t(self.ast, repl), self.d, new_bindings)
+        return CoeffExpr(_subst_t(self.ast, repl), self.d)
 
     def print(self):
         return _print(self.ast)
@@ -485,32 +441,21 @@ class CoeffExpr:
         return f"CoeffExpr({self.print()})"
 
 
+def _parse(text, d, extra_vars, bindings):
+    var_names = {"t"} | {f"x{i + 1}" for i in range(d)} | set(extra_vars)
+    return CoeffExpr(_Parser(text, var_names, bindings or {}).parse(), d)
+
+
 def parse_coeff_expr(text, d, bindings=None):
     """Parse an expression over t, x_1..x_d. See module docstring."""
-    var_names = {"t"} | {f"x{i + 1}" for i in range(d)}
-    ast = _Parser(text, var_names).parse()
-    expr = CoeffExpr(ast, d, dict(bindings or {}))
-    names = set()
-    _collect_names(ast, names)
-    unresolved = names - set(expr.bindings)
-    if unresolved:
-        raise DslError(f"unknown identifier {sorted(unresolved)[0]!r}")
-    return expr
+    return _parse(text, d, (), bindings)
 
 
 def parse_state_expr(text, d, m, bindings=None):
     """Parse a nonlinearity expression over t, x_i and z_{ik} (named
     z11..z<d><m>, spatial index first)."""
-    var_names = {"t"} | {f"x{i + 1}" for i in range(d)}
-    var_names |= {f"z{i + 1}{k + 1}" for i in range(d) for k in range(m)}
-    ast = _Parser(text, var_names).parse()
-    expr = CoeffExpr(ast, d, dict(bindings or {}))
-    names = set()
-    _collect_names(ast, names)
-    unresolved = names - set(expr.bindings)
-    if unresolved:
-        raise DslError(f"unknown identifier {sorted(unresolved)[0]!r}")
-    return expr
+    return _parse(text, d, (f"z{i + 1}{k + 1}" for i in range(d)
+                            for k in range(m)), bindings)
 
 
 def const_expr(value, d):
@@ -523,17 +468,6 @@ def check_guards(expr, box, time_interval, n_samples=512, floor=1e-8):
     """
     guards = []
     _collect_guards(expr.ast, guards)
-
-    def walk_names(node):
-        names = set()
-        _collect_names(node, names)
-        for ident in names:
-            if ident in expr.bindings:
-                sub = []
-                _collect_guards(expr.bindings[ident].ast, sub)
-                guards.extend(sub)
-
-    walk_names(expr.ast)
     if not guards:
         return
     rng = np.random.default_rng(0)
@@ -541,7 +475,7 @@ def check_guards(expr, box, time_interval, n_samples=512, floor=1e-8):
     ts = rng.uniform(lo, hi, n_samples)
     xs = rng.uniform(-box, box, (expr.d, n_samples))
     for kind, node in guards:
-        sub = CoeffExpr(node, expr.d, expr.bindings)
+        sub = CoeffExpr(node, expr.d)
         vals = sub(ts, xs)
         # a sign change implies a zero crossing somewhere on the box
         if np.min(np.abs(vals)) < floor or (np.min(vals) < 0 < np.max(vals)):

@@ -32,12 +32,6 @@ class KernelRow:
     centers: np.ndarray  # (d, n_cells^d)
     mass: np.ndarray  # (m, m, n_cells^d)
 
-    def total_mass(self):
-        return np.sum(self.mass, axis=2)
-
-    def total_variation(self):
-        return np.sum(np.abs(self.mass), axis=2)
-
 
 def _cell_weights(grid, n_cells):
     """Dual-cell volume fractions: weights (n_cells^d, N) with each

@@ -85,10 +85,7 @@ class OperatorSpec:
         return out
 
     def depends_on_t(self):
-        exprs = [e for row in self.Q for e in row] + list(self.b)
-        exprs += [e for Bj in self.Btilde for row in Bj for e in row]
-        exprs += [e for row in self.C for e in row]
-        return any(e.depends_on_t() for e in exprs)
+        return any(e.depends_on_t() for e in self._all_exprs())
 
     def check_guards(self, box, n_samples=512):
         for e in self._all_exprs():
@@ -141,56 +138,77 @@ class WeightSpec:
 # ---------------------------------------------------------------------------
 # Example families
 
-def _radial(prefix, exponent, d, extra="", bindings=None):
-    text = f"{prefix}(1+normsq(x))^{exponent!r}{extra}"
+# Default parameters of each family, read by both the inequality check and
+# the builder.  Matrix defaults that depend on d and m live in the builder.
+_DEFAULTS = {
+    "heat": {"m": 1},
+    "ou": {},
+    "const_coupling": {"C": [[1.0, 0.0], [0.0, -1.0]]},
+    "ex71i": {"r": 1.0, "p": 3.0, "m": 2, "g": "1", "h": "1"},
+    "ex71ii": {"k": 1.0, "r": 1.0, "p": 0.4, "gamma": 0.5, "sigma": 0.5,
+               "m": 2, "q": "1", "b": "1", "btilde": "1", "c": "1"},
+    "ex72": {"k": 0.0, "r": 0.0, "p": 2.0, "s": 0.5, "tau": 0.0, "m": 2,
+             "q": "1", "b": "1", "btilde": "1"},
+}
+
+
+def _with_defaults(name, params):
+    if name not in _DEFAULTS:
+        raise FamilyError(f"unknown family {name!r}")
+    return {"d": 1, "time_interval": (0.0, 1.0), **_DEFAULTS[name],
+            **(params or {})}
+
+
+def _radial(prefix, exponent, d, bindings=None):
+    text = f"{prefix}(1+normsq(x))^{exponent!r}"
     return parse_coeff_expr(text, d, bindings=bindings)
 
 
-def _family_inequalities(name, p):
-    g = lambda key, default=None: p.get(key, default)
+def _radial_matrix(coefs, template, exponent, d, bindings=None):
+    """Entries template.format(c) (1+|x|^2)^exponent for each coefficient
+    c of the matrix coefs; a zero coefficient gives the constant 0."""
+    zero = const_expr(0.0, d)
+    return tuple(
+        tuple(zero if c == 0.0 else
+              _radial(template.format(c), exponent, d, bindings)
+              for c in map(float, row))
+        for row in np.asarray(coefs, dtype=float))
+
+
+def check_family_params(name, params):
+    """Each inequality of the named family with verdict and slack."""
+    p = _with_defaults(name, params)
     if name == "ex71i":
-        r, pp = float(g("r", 1.0)), float(g("p", 3.0))
+        r, pp = float(p["r"]), float(p["p"])
         return [("p > 2r", pp > 2 * r, pp - 2 * r),
                 ("r >= 0", r >= 0, r)]
     if name == "ex71ii":
-        k = float(g("k", 1.0))
-        r = float(g("r", 1.0))
-        pp = float(g("p", 0.4))
-        gamma = float(g("gamma", 0.5))
-        sigma = float(g("sigma", 0.5))
+        k, r, pp = float(p["k"]), float(p["r"]), float(p["p"])
+        gamma, sigma = float(p["gamma"]), float(p["sigma"])
         return [("r > k-1", r > k - 1, r - (k - 1)),
                 ("p >= 0", pp >= 0, pp),
                 ("p <= k*sigma", pp <= k * sigma, k * sigma - pp),
                 ("gamma > k(2 sigma - 1)", gamma > k * (2 * sigma - 1),
                  gamma - k * (2 * sigma - 1))]
     if name == "ex72":
-        k = float(g("k", 0.0))
-        r = float(g("r", 0.0))
-        pp = float(g("p", 2.0))
-        s = float(g("s", 0.5))
-        tau = float(g("tau", 0.0))
+        k, r, pp = float(p["k"]), float(p["r"]), float(p["p"])
+        s, tau = float(p["s"]), float(p["tau"])
         a = pp if s < 0.5 else pp - 1.0
         return [("k >= 2r", k >= 2 * r, k - 2 * r),
                 ("2k-2 <= a", 2 * k - 2 <= a, a - (2 * k - 2)),
                 ("2s+2 tau <= a", 2 * s + 2 * tau <= a, a - 2 * s - 2 * tau),
                 ("2r < 2s+a", 2 * r < 2 * s + a, 2 * s + a - 2 * r),
                 ("k+s < p+1", k + s < pp + 1, pp + 1 - k - s)]
-    if name in ("heat", "ou", "const_coupling"):
-        return []
-    raise FamilyError(f"unknown family {name!r}")
+    return []
 
 
-def check_family_params(name, params):
-    """Each inequality of the named family with verdict and slack."""
-    return _family_inequalities(name, dict(params or {}))
-
-
-def _require_params(name, params):
-    report = check_family_params(name, params)
-    bad = [ineq for ineq, ok, _ in report if not ok]
-    if bad:
-        raise FamilyError(f"family {name!r}: inequality violated: "
-                          + "; ".join(bad))
+def _uncoupled(name, p, d, ti, Qmat, b, Cmat):
+    """A constant-coefficient preset with Btilde = 0."""
+    m = Cmat.shape[0]
+    return OperatorSpec(
+        d, m, matrix_of_consts(Qmat, d), tuple(b),
+        tuple(matrix_of_consts(np.zeros((m, m)), d) for _ in range(d)),
+        matrix_of_consts(Cmat, d), ti, name, p)
 
 
 def example_family(name, params=None):
@@ -199,175 +217,74 @@ def example_family(name, params=None):
     Returns OperatorSpec, or (OperatorSpec, WeightSpec) for ex72.
     """
     p = dict(params or {})
-    _require_params(name, p)
-    d = int(p.get("d", 1))
-    ti = tuple(p.get("time_interval", (0.0, 1.0)))
+    bad = [ineq for ineq, ok, _ in check_family_params(name, p) if not ok]
+    if bad:
+        raise FamilyError(f"family {name!r}: inequality violated: "
+                          + "; ".join(bad))
+    v = _with_defaults(name, p)
+    d = int(v["d"])
+    ti = tuple(v["time_interval"])
     zero = const_expr(0.0, d)
 
     if name == "heat":
-        m = int(p.get("m", 1))
-        Q = matrix_of_consts(0.5 * np.eye(d), d)
-        b = tuple(zero for _ in range(d))
-        Btl = tuple(matrix_of_consts(np.zeros((m, m)), d) for _ in range(d))
-        C = matrix_of_consts(np.zeros((m, m)), d)
-        return OperatorSpec(d, m, Q, b, Btl, C, ti, "heat", p)
-
+        m = int(v["m"])
+        return _uncoupled(name, p, d, ti, 0.5 * np.eye(d), [zero] * d,
+                          np.zeros((m, m)))
     if name == "ou":
-        m = 1
-        Q = matrix_of_consts(0.5 * np.eye(d), d)
-        b = tuple(parse_coeff_expr(f"-(x{j + 1})", d) for j in range(d))
-        Btl = tuple(matrix_of_consts(np.zeros((1, 1)), d) for _ in range(d))
-        C = matrix_of_consts(np.zeros((1, 1)), d)
-        return OperatorSpec(d, m, Q, b, Btl, C, ti, "ou", p)
-
+        return _uncoupled(name, p, d, ti, 0.5 * np.eye(d),
+                          [parse_coeff_expr(f"-(x{j + 1})", d)
+                           for j in range(d)], np.zeros((1, 1)))
     if name == "const_coupling":
-        Cmat = np.asarray(p.get("C", [[1.0, 0.0], [0.0, -1.0]]), dtype=float)
-        m = Cmat.shape[0]
-        Q = matrix_of_consts(np.eye(d), d)
-        b = tuple(zero for _ in range(d))
-        Btl = tuple(matrix_of_consts(np.zeros((m, m)), d) for _ in range(d))
-        C = matrix_of_consts(Cmat, d)
-        return OperatorSpec(d, m, Q, b, Btl, C, ti, "const_coupling", p)
+        return _uncoupled(name, p, d, ti, np.eye(d), [zero] * d,
+                          np.asarray(v["C"], dtype=float))
+
+    m, r, pp = int(v["m"]), float(v["r"]), float(v["p"])
+
+    def skew(a):
+        return [np.array([[0.0, a], [-a, 0.0]]) if m == 2
+                else np.zeros((m, m))] * d
 
     if name == "ex71i":
-        r = float(p.get("r", 1.0))
-        pp = float(p.get("p", 3.0))
-        m = int(p.get("m", 2))
         Bhat = [np.asarray(B, dtype=float)
-                for B in p.get("Bhat", [np.eye(m)] * d)]
-        Chat = np.asarray(p.get("Chat", np.eye(m)), dtype=float)
-        gtxt = p.get("g", "1")
-        htxt = p.get("h", "1")
-        bind = {"gfun": parse_coeff_expr(gtxt, d),
-                "hfun": parse_coeff_expr(htxt, d)}
-        Q = matrix_of_consts(np.eye(d), d)
-        b, Btl = [], []
-        for j in range(d):
-            mu = float(np.mean(np.diag(Bhat[j])))
-            b.append(_radial(f"-(x{j + 1})*({mu!r})*gfun*", r, d,
-                             bindings=bind))
-            rows = []
-            for h in range(m):
-                row = []
-                for k in range(m):
-                    coef = float(Bhat[j][h, k]) - (mu if h == k else 0.0)
-                    if coef == 0.0:
-                        row.append(zero)
-                    else:
-                        row.append(_radial(
-                            f"-(x{j + 1})*({coef!r})*gfun*", r, d,
-                            bindings=bind))
-                rows.append(tuple(row))
-            Btl.append(tuple(rows))
-        C = []
-        for h in range(m):
-            row = []
-            for k in range(m):
-                if float(Chat[h, k]) == 0.0:
-                    row.append(zero)
-                else:
-                    row.append(_radial(
-                        f"-(normsq(x))*({float(Chat[h, k])!r})*hfun*", pp, d,
-                        bindings=bind))
-            C.append(tuple(row))
-        return OperatorSpec(d, m, Q, tuple(b), tuple(Btl), tuple(C), ti,
-                            "ex71i", p)
+                for B in v.get("Bhat", [np.eye(m)] * d)]
+        mus = [float(np.mean(np.diag(B))) for B in Bhat]
+        bind = {"gfun": parse_coeff_expr(v["g"], d),
+                "hfun": parse_coeff_expr(v["h"], d)}
+        b = tuple(_radial(f"-(x{j + 1})*({mu!r})*gfun*", r, d, bind)
+                  for j, mu in enumerate(mus))
+        Btl = tuple(_radial_matrix(B - mu * np.eye(m),
+                                   f"-(x{j + 1})*({{!r}})*gfun*", r, d, bind)
+                    for j, (B, mu) in enumerate(zip(Bhat, mus)))
+        C = _radial_matrix(v.get("Chat", np.eye(m)),
+                           "-(normsq(x))*({!r})*hfun*", pp, d, bind)
+        return OperatorSpec(d, m, matrix_of_consts(np.eye(d), d), b, Btl, C,
+                            ti, name, p)
 
+    k = float(v["k"])
+    bind = {"qfun": parse_coeff_expr(v["q"], d),
+            "bfun": parse_coeff_expr(v["b"], d),
+            "btfun": parse_coeff_expr(v["btilde"], d)}
     if name == "ex71ii":
-        k = float(p.get("k", 1.0))
-        r = float(p.get("r", 1.0))
-        pp = float(p.get("p", 0.4))
-        gamma = float(p.get("gamma", 0.5))
-        m = int(p.get("m", 2))
-        Btl0 = [np.asarray(B, dtype=float) for B in
-                p.get("Btilde0", [np.array([[0.0, 1.0], [-1.0, 0.0]])
-                                  if m == 2 else np.zeros((m, m))] * d)]
-        Chat = np.asarray(p.get("Chat", np.eye(m)), dtype=float)
-        bind = {"qfun": parse_coeff_expr(p.get("q", "1"), d),
-                "bfun": parse_coeff_expr(p.get("b", "1"), d),
-                "btfun": parse_coeff_expr(p.get("btilde", "1"), d),
-                "cfun": parse_coeff_expr(p.get("c", "1"), d)}
-        Q = [[zero] * d for _ in range(d)]
-        for j in range(d):
-            Q[j][j] = _radial("qfun*", k, d, bindings=bind)
-        b = tuple(_radial(f"-(x{j + 1})*bfun*", r, d, bindings=bind)
+        bind["cfun"] = parse_coeff_expr(v["c"], d)
+        Q = _radial_matrix(np.eye(d), "qfun*", k, d, bind)
+        b = tuple(_radial(f"-(x{j + 1})*bfun*", r, d, bind)
                   for j in range(d))
-        Btl = []
-        for j in range(d):
-            rows = []
-            for h in range(m):
-                row = []
-                for kk in range(m):
-                    coef = float(Btl0[j][h, kk])
-                    row.append(zero if coef == 0.0 else _radial(
-                        f"({coef!r})*btfun*", pp, d, bindings=bind))
-                rows.append(tuple(row))
-            Btl.append(tuple(rows))
-        C = []
-        for h in range(m):
-            row = []
-            for kk in range(m):
-                coef = float(Chat[h, kk])
-                row.append(zero if coef == 0.0 else _radial(
-                    f"-({coef!r})*cfun*", gamma, d, bindings=bind))
-            C.append(tuple(row))
-        return OperatorSpec(d, m, tuple(tuple(rw) for rw in Q), b,
-                            tuple(Btl), tuple(C), ti, "ex71ii", p)
+        Btl = tuple(_radial_matrix(B, "({!r})*btfun*", pp, d, bind)
+                    for B in v.get("Btilde0", skew(1.0)))
+        C = _radial_matrix(v.get("Chat", np.eye(m)), "-({!r})*cfun*",
+                           float(v["gamma"]), d, bind)
+        return OperatorSpec(d, m, Q, b, Btl, C, ti, name, p)
 
-    if name == "ex72":
-        k = float(p.get("k", 0.0))
-        r = float(p.get("r", 0.0))
-        pp = float(p.get("p", 2.0))
-        s = float(p.get("s", 0.5))
-        tau = float(p.get("tau", 0.0))
-        m = int(p.get("m", 2))
-        Q0 = np.asarray(p.get("Q0", np.eye(d)), dtype=float)
-        Btl0 = [np.asarray(B, dtype=float) for B in
-                p.get("Btilde0", [np.array([[0.0, 0.5], [-0.5, 0.0]])
-                                  if m == 2 else np.zeros((m, m))] * d)]
-        Cmat = np.asarray(p.get("C0", -np.eye(m)), dtype=float)
-        bind = {"qfun": parse_coeff_expr(p.get("q", "1"), d),
-                "bfun": parse_coeff_expr(p.get("b", "1"), d),
-                "btfun": parse_coeff_expr(p.get("btilde", "1"), d)}
-        Q = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                row.append(zero if float(Q0[i, j]) == 0.0 else _radial(
-                    f"({float(Q0[i, j])!r})*qfun*", k, d, bindings=bind))
-            Q.append(tuple(row))
-        b = tuple(_radial(f"-(x{j + 1})*bfun*", pp, d, bindings=bind)
-                  for j in range(d))
-        Btl = []
-        for j in range(d):
-            rows = []
-            for h in range(m):
-                row = []
-                for kk in range(m):
-                    coef = float(Btl0[j][h, kk])
-                    row.append(zero if coef == 0.0 else _radial(
-                        f"({coef!r})*btfun*", r, d, bindings=bind))
-                rows.append(tuple(row))
-            Btl.append(tuple(rows))
-        C = []
-        for h in range(m):
-            row = []
-            for kk in range(m):
-                coef = float(Cmat[h, kk])
-                row.append(zero if coef == 0.0 else _radial(
-                    f"({coef!r})*", tau, d))
-            C.append(tuple(row))
-        spec = OperatorSpec(d, m, tuple(Q), b, tuple(Btl), tuple(C), ti,
-                            "ex72", p)
-        Mw = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                row.append(_radial("", s, d) if i == j else zero)
-            Mw.append(tuple(row))
-        return spec, WeightSpec(d, tuple(Mw))
-
-    raise FamilyError(f"unknown family {name!r}")
+    # ex72
+    Q = _radial_matrix(v.get("Q0", np.eye(d)), "({!r})*qfun*", k, d, bind)
+    b = tuple(_radial(f"-(x{j + 1})*bfun*", pp, d, bind) for j in range(d))
+    Btl = tuple(_radial_matrix(B, "({!r})*btfun*", r, d, bind)
+                for B in v.get("Btilde0", skew(0.5)))
+    C = _radial_matrix(v.get("C0", -np.eye(m)), "({!r})*", float(v["tau"]),
+                       d)
+    spec = OperatorSpec(d, m, Q, b, Btl, C, ti, name, p)
+    return spec, WeightSpec(d, _radial_matrix(np.eye(d), "", float(v["s"]),
+                                              d))
 
 
 FAMILIES = {

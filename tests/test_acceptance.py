@@ -7,7 +7,6 @@ import json
 import os
 
 import numpy as np
-import pytest
 from scipy.linalg import expm
 from scipy.special import erf
 
@@ -20,7 +19,7 @@ from kolmolab.fbsde import (DiffusionSpec, bsde_residual, girsanov_weights,
 from kolmolab.game import minimax_select, nash_check
 from kolmolab.grids import Grid, GridFunction, gradient
 from kolmolab.kernels import compactness_probe, scalar_compactness_probe
-from kolmolab.operators import WeightSpec, example_family, matrix_of_consts
+from kolmolab.operators import example_family
 from kolmolab.semilinear import (MildSolution, kt_norm, mild_solve,
                                  mollify_nonlinearity,
                                  nonlinearity_from_exprs)

@@ -3,10 +3,10 @@ import pytest
 
 from kolmolab.audit import (AuditError, check_ellipticity, check_coupling_nonnegativity,
                             check_coupling_growth, check_weight_conditions, eta_sphere, full_audit,
-                            lyapunov_probe, sample_points)
+                            lyapunov_probe)
 from kolmolab.dsl import const_expr, parse_coeff_expr
 from kolmolab.operators import (OperatorSpec, WeightSpec, example_family,
-                                matrix_of_consts, scalar_comparison)
+                                matrix_of_consts)
 
 
 def _const_spec(d, m, Q, C, b_exprs=None):

@@ -57,6 +57,19 @@ def test_named_binding_and_time_dependence():
     assert not parse_coeff_expr("x1", d=1).depends_on_t()
 
 
+def test_bindings_substituted_at_parse_time():
+    g = parse_coeff_expr("1/x1", d=1)
+    e = parse_coeff_expr("2 + g", d=1, bindings={"g": g})
+    assert e.print() == "(2.0 + (1.0 / x1))"
+    assert e.free_variables() == {"x1"}
+    # the guard sees the denominator inside the binding
+    with pytest.raises(DslError):
+        check_guards(e, box=1.0, time_interval=(0.0, 1.0))
+    with pytest.raises(DslError) as err:
+        parse_coeff_expr("2 + g", d=1)
+    assert err.value.offset == 4
+
+
 def test_diff_time_and_space():
     e = parse_coeff_expr("t*x1 + (1+normsq(x))^2", d=2)
     dt = e.diff("t")

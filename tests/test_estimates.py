@@ -8,8 +8,7 @@ from kolmolab.estimates import (max_principle_check, pointwise_check,
 from kolmolab.grids import Grid, GridFunction, gradient
 from kolmolab import evolve as evolve_module
 from kolmolab.evolve import evolve
-from kolmolab.operators import (WeightSpec, example_family, matrix_of_consts,
-                                scalar_comparison)
+from kolmolab.operators import WeightSpec, example_family, matrix_of_consts
 
 
 def test_max_principle_contraction_when_kappa_zero():

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kolmolab.evolve import (EvolveError, _Stepper, _time_ladder,
-                             assemble_operator, evolve)
-from kolmolab.grids import Grid, GridFunction, gradient
+from kolmolab.evolve import EvolveError, _Stepper, _time_ladder, evolve
+from kolmolab.grids import Grid, GridFunction
 from kolmolab.operators import example_family, matrix_of_consts, OperatorSpec
-from kolmolab.dsl import const_expr, parse_coeff_expr
+from kolmolab.dsl import const_expr
 
 
 def heat_oracle(x, tau):

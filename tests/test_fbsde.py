@@ -6,7 +6,7 @@ from kolmolab.fbsde import (DiffusionSpec, FbsdeError, bsde_residual, cost,
                             simulate_forward)
 from kolmolab.grids import Grid, GridFunction
 from kolmolab.operators import example_family
-from kolmolab.semilinear import mild_solve, nonlinearity_from_exprs
+from kolmolab.semilinear import mild_solve
 
 
 def const_g(c):

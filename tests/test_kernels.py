@@ -44,7 +44,7 @@ def test_total_mass_stochastic_kernel():
     grid = Grid(1, 6.0, 241)
     row = kernel_row(spec, grid, 0.5, 0.0, [0.2], n_cells=12, dt=5e-3,
                      bc="neumann")
-    assert row.total_mass()[0, 0] == pytest.approx(1.0, abs=1e-8)
+    assert np.sum(row.mass[0, 0]) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_reconstruction_linearity():
@@ -87,7 +87,7 @@ def test_tightness_heat_tail_bound():
     tail = erfc(R / np.sqrt(2 * tau))  # two-sided gaussian tail
     assert out <= tail + 1e-3
     assert tightness_mass(row, 0.0)[0, 0] == pytest.approx(
-        row.total_variation()[0, 0])
+        np.sum(np.abs(row.mass[0, 0])))
 
 
 def test_compactness_ex71ii_pass_and_scalar_agrees():
@@ -115,7 +115,7 @@ def test_compactness_heat_fails_for_spreading_points():
 
 def test_outward_drift_fails():
     # flip the ou drift sign: mass is pushed outward
-    from kolmolab.dsl import parse_coeff_expr, const_expr
+    from kolmolab.dsl import parse_coeff_expr
     from kolmolab.operators import OperatorSpec, matrix_of_consts
     spec = OperatorSpec(
         1, 1, matrix_of_consts([[0.5]], 1),

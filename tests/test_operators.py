@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kolmolab.operators import (FamilyError, OperatorSpec, check_family_params,
+from kolmolab.operators import (FamilyError, check_family_params,
                                 example_family, scalar_comparison)
 
 

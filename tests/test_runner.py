@@ -3,12 +3,14 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from kolmolab import __version__
 from kolmolab.cli import main
 from kolmolab.fbsde import simulate_forward
-from kolmolab.runner import ConfigError, list_presets, load_config, run
+from kolmolab.runner import (ConfigError, _setup, list_presets, load_config,
+                              run)
 
 GOLDEN_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
                              "ex71ii_full.run")
@@ -143,6 +145,51 @@ def test_exhausted_picard_fails_with_strict_json(tmp_path):
 
     json.loads((tmp_path / "r" / "report.json").read_text(),
                parse_constant=reject)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"operator": {"family": "ex71ii", "params": {"d": 1, "r": -1}}},
+    {"grid": {"L": 6.0, "n": 200}},
+    {"operator": {"family": "ex71ii", "params": {"d": 1, "q": "1/x1"}}},
+], ids=["family_inequality", "even_grid_n", "singular_coefficient"])
+def test_operator_and_grid_errors_exit_2(tmp_path, capsys, overrides):
+    p = tmp_path / "c.run"
+    write_cfg(p, **overrides)
+    assert main(["run", str(p), "--output", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+def test_fbsde_fails_when_its_picard_solve_does_not_converge(tmp_path):
+    with open(GOLDEN_CONFIG) as fh:
+        cfg = json.load(fh)
+    cfg["checks"] = ["fbsde"]
+    cfg["semilinear"]["max_iter"] = 1
+    cfg["mc"]["N"] = 200
+    p = tmp_path / "c.run"
+    p.write_text(json.dumps(cfg))
+    code, report = run(p, outdir=tmp_path / "r")
+    assert code == 1
+    assert report["verdicts"] == {"fbsde": "FAIL"}
+
+
+def test_report_writer_is_strict_json(tmp_path):
+    p = tmp_path / "c.run"
+    write_cfg(p)
+    runner = _setup(p, tmp_path / "o")
+    runner._write_json("x.json", {
+        "nan": float("nan"), "inf": np.float64(np.inf),
+        "annuli": np.array([[1.0, -np.inf], [np.nan, 2.0]]),
+        "finite": [0.5, np.int64(3), np.bool_(True)]})
+    text = (tmp_path / "o" / "x.json").read_text()
+
+    def reject(name):
+        raise ValueError(f"non-finite constant {name} in x.json")
+
+    assert json.loads(text, parse_constant=reject) == {
+        "nan": None, "inf": None, "annuli": [[1.0, None], [None, 2.0]],
+        "finite": [0.5, 3, True]}
 
 
 def test_presets_table():

@@ -4,8 +4,7 @@ import pytest
 from kolmolab.evolve import evolve
 from kolmolab.grids import Grid, GridFunction
 from kolmolab.operators import example_family
-from kolmolab.semilinear import (Nonlinearity, kt_norm, mild_solve,
-                                 mollify_nonlinearity,
+from kolmolab.semilinear import (Nonlinearity, mild_solve, mollify_nonlinearity,
                                  nonlinearity_from_exprs, sqrtQ_at)
 
 
