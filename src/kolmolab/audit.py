@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .dsl import parse_coeff_expr
 from .operators import _eval_matrix
@@ -58,11 +57,31 @@ def jsonable(obj):
     return obj
 
 
+def _halton(dim, n):
+    """First n points of the unscrambled Halton sequence in [0, 1)^dim,
+    index 0 first: per axis the radical inverse of the index in the
+    axis' prime base (Halton, Numer. Math. 2, 1960)."""
+    primes = []
+    c = 2
+    while len(primes) < dim:
+        if all(c % p for p in primes):
+            primes.append(c)
+        c += 1
+    out = np.zeros((n, dim))
+    for j, base in enumerate(primes):
+        q = np.arange(n)
+        scale = 1.0 / base
+        while q.any():
+            out[:, j] += q % base * scale
+            scale /= base
+            q //= base
+    return out
+
+
 def sample_points(d, box, n_samples, time_interval, corners=True):
     """Deterministic audit set: Halton points in (t, x) plus the box
     corners at both ends of the time window.  Returns (ts, pts)."""
-    sampler = qmc.Halton(d=d + 1, scramble=False, seed=None)
-    raw = sampler.random(n_samples)
+    raw = _halton(d + 1, n_samples)
     lo, hi = time_interval
     ts = lo + raw[:, 0] * (hi - lo)
     pts = (raw[:, 1:].T * 2 - 1) * box

@@ -182,27 +182,35 @@ def assemble_operator(spec, grid, t, bc):
 
 
 class _Stepper:
-    """Shared backward-Euler stepping engine with LU reuse."""
+    """Shared backward-Euler stepping engine with LU reuse.
+
+    A time-independent spec is assembled once and keeps one LU per step
+    size, so a ladder that alternates step sizes factorises each size
+    once.  A time-dependent spec keys its LU by (t, dt) and holds at
+    most one, as every step of its ladder needs a fresh one."""
 
     def __init__(self, spec, grid, bc):
         self.spec = spec
         self.grid = grid
         self.bc = bc
         self.time_dep = spec.depends_on_t()
-        self._lu = None
-        self._lu_key = None
+        self._lus = {}  # (t or None, dt) -> LU of I - dt*A
+        self._A = None  # the operator at the time of the last factor
         self.bnd = grid.boundary_mask()
 
     def factor(self, t_new, dt):
         key = (round(t_new, 12), round(dt, 12)) if self.time_dep \
             else (None, round(dt, 12))
-        if self._lu_key == key:
-            return self._lu
-        A = assemble_operator(self.spec, self.grid, t_new, self.bc)
-        M = (sp.identity(A.shape[0], format="csr") - dt * A).tocsc()
-        self._lu = spla.splu(M)
-        self._lu_key = key
-        return self._lu
+        if key in self._lus:
+            return self._lus[key]
+        if self.time_dep:
+            self._lus.clear()
+        if self.time_dep or self._A is None:
+            self._A = assemble_operator(self.spec, self.grid, t_new, self.bc)
+        M = (sp.identity(self._A.shape[0], format="csr")
+             - dt * self._A).tocsc()
+        self._lus[key] = spla.splu(M)
+        return self._lus[key]
 
     def step(self, values, t_new, dt):
         """values: (m, N, ...) -> one backward-Euler step."""

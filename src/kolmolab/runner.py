@@ -445,14 +445,15 @@ class _Runner:
 
 
 def _setup(config_path, outdir):
-    """Load and validate the config, make the output directory (outdir,
-    else the config's own) and build the stage runner writing into it."""
+    """Load and validate the config, build the stage runner and then make
+    its output directory (outdir, else the config's own), so that a
+    config error leaves no directory behind."""
     cfg = load_config(config_path)
     with open(config_path, "rb") as fh:
         cfg_bytes = fh.read()
-    out = outdir or cfg["output"]
-    os.makedirs(out, exist_ok=True)
-    return _Runner(cfg, cfg_bytes, out)
+    runner = _Runner(cfg, cfg_bytes, outdir or cfg["output"])
+    os.makedirs(runner.outdir, exist_ok=True)
+    return runner
 
 
 def run(config_path, outdir=None):

@@ -88,16 +88,22 @@ def mollify_nonlinearity(nl: Nonlinearity, n: int):
     def fn(x, z):
         zn = np.sqrt(np.sum(z ** 2, axis=(0, 1)))
         cut = _theta(zn / n)
-        acc = nl(x, z).copy()
-        count = 1
+        shifted = [z]
         for i in range(d):
             for k in range(m):
                 for sgn in (+1.0, -1.0):
                     dz = np.zeros_like(z)
                     dz[i, k] = sgn * width
-                    acc += nl(x, z + dz)
-                    count += 1
-        return cut * acc / count
+                    shifted.append(z + dz)
+        # one psi call on all stencil points, stacked along the sample
+        # axis; summing the slices one by one in stencil order rounds
+        # like one call per point
+        N = z.shape[-1]
+        vals = nl(np.tile(x, len(shifted)), np.concatenate(shifted, -1))
+        acc = vals[:, :N].copy()
+        for j in range(1, len(shifted)):
+            acc += vals[:, j * N:(j + 1) * N]
+        return cut * acc / len(shifted)
 
     out = Nonlinearity(d, m, fn, growth_c=None,
                        holder_alpha=nl.holder_alpha, cutoff_n=n)
@@ -127,6 +133,8 @@ class MildSolution:
     picard_history: list = field(default_factory=list)
     probe_L: float = None
     converged: bool = True  # False when Picard ran out of iterations
+    # sqrtQ_at(spec, t, grid points) aligned with times, when known
+    _sqrtQ: list = field(default=None, repr=False)
 
     def u_at(self, t):
         """(m, N) values linearly interpolated in time."""
@@ -170,12 +178,13 @@ def kt_norm(sol: MildSolution, probe_L=None):
     mask = grid.interior_mask(probe_L)
     sup_u = max(float(np.max(np.abs(v[:, mask]))) for v in sol.values)
     sup_g = 0.0
-    for t, v in zip(sol.times, sol.values):
+    roots = sol._sqrtQ or [sqrtQ_at(sol.spec, t, grid.points())
+                           for t in sol.times]
+    for t, v, R in zip(sol.times, sol.values, roots):
         if t >= sol.T - 1e-14:
             continue
         val = np.sqrt(sol.T - t) * weighted_gradient_sup(
-            sqrtQ_at(sol.spec, t, grid.points()),
-            gradient(GridFunction(grid, v.shape[0], v)), mask)
+            R, gradient(GridFunction(grid, v.shape[0], v)), mask)
         sup_g = max(sup_g, val)
     return sup_u + sup_g
 
@@ -195,6 +204,7 @@ def mild_solve(spec, nl, g: GridFunction, T, dt, picard_tol=1e-8,
     stepper = _Stepper(rev, grid, bc)
     taus = _graded_ladder(T, dt, graded_steps)
     L = len(taus)
+    roots = [sqrtQ_at(spec, T - tau, pts) for tau in taus]
 
     def sweep(source=None):
         return [g.values.copy(), *stepper.march(g.values, taus, source)]
@@ -205,8 +215,7 @@ def mild_solve(spec, nl, g: GridFunction, T, dt, picard_tol=1e-8,
         def source(l):
             u = GridFunction(grid, spec.m, levels[l], bc=bc)
             grad = gradient(u)  # (m, d, N)
-            R = sqrtQ_at(spec, T - taus[l], pts)
-            z = np.einsum("idN,mdN->imN", R, grad)  # (d, m, N)
+            z = np.einsum("idN,mdN->imN", roots[l], grad)  # (d, m, N)
             return -nl(pts, z)
         return source
 
@@ -223,8 +232,7 @@ def mild_solve(spec, nl, g: GridFunction, T, dt, picard_tol=1e-8,
                 if taus[l] <= 1e-14:
                     continue
                 diff = GridFunction(grid, spec.m, nxt[l] - current[l])
-                sup = weighted_gradient_sup(sqrtQ_at(spec, T - taus[l], pts),
-                                            gradient(diff), mask)
+                sup = weighted_gradient_sup(roots[l], gradient(diff), mask)
                 delta_g = max(delta_g, np.sqrt(taus[l]) * sup)
             delta = float(delta_u + delta_g)
             history.append(delta)
@@ -238,6 +246,6 @@ def mild_solve(spec, nl, g: GridFunction, T, dt, picard_tol=1e-8,
     sol = MildSolution(times=times_fwd, values=values_fwd, grid=grid,
                        m=spec.m, T=T, spec=spec,
                        picard_history=history, probe_L=probe_L,
-                       converged=converged)
+                       converged=converged, _sqrtQ=roots[::-1])
     sol.kt_norm = kt_norm(sol, probe_L)
     return sol

@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from kolmolab.audit import (AuditError, check_ellipticity, check_coupling_nonnegativity,
                             check_coupling_growth, check_weight_conditions, eta_sphere, full_audit,
-                            lyapunov_probe)
+                            lyapunov_probe, sample_points, _halton)
 from kolmolab.dsl import const_expr, parse_coeff_expr
 from kolmolab.operators import (OperatorSpec, WeightSpec, example_family,
                                 matrix_of_consts)
@@ -193,3 +197,24 @@ def test_eta_sphere_shapes():
     assert np.allclose(np.linalg.norm(e2, axis=1), 1.0)
     e3 = eta_sphere(3, 33)
     assert np.allclose(np.linalg.norm(e3, axis=1), 1.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [5, 512, 1024])
+def test_halton_points_equal_scipy_unscrambled_halton(dim, n):
+    from scipy.stats import qmc
+    want = qmc.Halton(d=dim, scramble=False).random(n)
+    assert np.array_equal(_halton(dim, n), want)
+    ts, pts = sample_points(dim - 1, 2.5, n, (0.5, 1.5), corners=False)
+    assert np.array_equal(ts, 0.5 + want[:, 0] * 1.0)
+    assert np.array_equal(pts, (want[:, 1:].T * 2 - 1) * 2.5)
+
+
+def test_runner_import_leaves_scipy_stats_out():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, kolmolab.runner; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -206,3 +206,33 @@ def test_dirichlet_boundary_exactly_zero():
     f = GridFunction.constant(grid, [1.0])
     u = evolve(spec, f, 0.0, 0.1, dt=1e-2, bc="dirichlet")
     assert np.max(np.abs(u.values[:, grid.boundary_mask()])) == 0.0
+
+
+def test_time_dependent_stepper_refactors_every_step(monkeypatch):
+    # a time-dependent spec needs a fresh LU at every step; two marches
+    # through one stepper must give the levels of fresh steppers bitwise
+    from kolmolab import evolve as evolve_mod
+    from kolmolab.semilinear import _graded_ladder
+    spec = example_family("ex71i", {"d": 1, "m": 1, "r": 0.0, "p": 1.0,
+                                    "g": "1+t"})
+    assert spec.depends_on_t()
+    grid = Grid(1, 4.0, 41)
+    times = _graded_ladder(0.2, 0.05)
+    data = [GridFunction.from_callable(grid, 1, fn).values
+            for fn in (lambda p: np.cos(p[0]), lambda p: np.tanh(p[0]))]
+    factors = []
+    real_splu = evolve_mod.spla.splu
+
+    def counted(M):
+        factors.append(M.shape)
+        return real_splu(M)
+
+    monkeypatch.setattr(evolve_mod.spla, "splu", counted)
+    shared = _Stepper(spec, grid, "neumann")
+    for values in data:
+        got = list(shared.march(values, times))
+        want = list(_Stepper(spec, grid, "neumann").march(values, times))
+        assert len(got) == len(times) - 1
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+    assert len(factors) == 4 * (len(times) - 1)

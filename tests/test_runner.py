@@ -295,3 +295,35 @@ def _assert_same_leaves(got, want, where):
             (math.isnan(got) and math.isnan(want)), (where, got, want)
     else:
         assert got == want and type(got) is type(want), (where, got, want)
+
+
+def test_golden_semilinear_factorises_each_step_size_once(tmp_path,
+                                                         monkeypatch):
+    # three mollified solves on a graded ladder of 8 graded step sizes
+    # plus the uniform one: one LU per step size and solve
+    with open(GOLDEN_CONFIG) as fh:
+        cfg = json.load(fh)
+    cfg["checks"] = ["semilinear"]
+    p = tmp_path / "c.run"
+    p.write_text(json.dumps(cfg))
+    from kolmolab import evolve
+    factors = []
+    real_splu = evolve.spla.splu
+
+    def counted(M):
+        factors.append(M.shape)
+        return real_splu(M)
+
+    monkeypatch.setattr(evolve.spla, "splu", counted)
+    code, report = run(p, outdir=tmp_path / "r")
+    assert code == 0 and report["verdicts"] == {"semilinear": "PASS"}
+    assert len(factors) == 3 * 9
+
+
+def test_config_error_leaves_no_output_directory(tmp_path, capsys):
+    p = tmp_path / "c.run"
+    out = tmp_path / "fresh"
+    write_cfg(p, grid={"L": 6.0, "n": 200}, output=str(out))
+    assert main(["run", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()

@@ -150,3 +150,38 @@ def test_graded_ladder_clusters_near_terminal_time():
     steps = np.diff(sol.times)
     # the last steps (near t = T) shrink quadratically
     assert steps[-1] < steps[0] / 10
+
+
+def test_mollifier_calls_psi_once_and_sums_like_the_stencil_loop():
+    d, m, n = 2, 2, 3
+    nl = nonlinearity_from_exprs(
+        ["(exp(2*(z11 - z22)) - 1) / (exp(2*(z11 - z22)) + 1) * x1"
+         " + z12^2 / (1 + z21^2)",
+         "exp(-x2^2) * (z11 + z21) - z12 * z22"], d, m)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-3.0, 3.0, (d, 257))
+    z = rng.uniform(-8.0, 8.0, (d, m, 257))
+
+    def stencil_loop(x, z):
+        # the mollifier as one psi call per stencil point
+        zn = np.sqrt(np.sum(z ** 2, axis=(0, 1)))
+        s = np.clip(zn / n - 1.0, 0.0, 1.0)
+        cut = 1.0 - s * s * (3.0 - 2.0 * s)
+        acc = nl(x, z).copy()
+        count = 1
+        for i in range(d):
+            for k in range(m):
+                for sgn in (+1.0, -1.0):
+                    dz = np.zeros_like(z)
+                    dz[i, k] = sgn * (1.0 / n)
+                    acc += nl(x, z + dz)
+                    count += 1
+        return cut * acc / count
+
+    want = stencil_loop(x, z)
+    calls = []
+    inner = nl.fn
+    nl.fn = lambda x, z: calls.append(x.shape) or inner(x, z)
+    got = mollify_nonlinearity(nl, n)(x, z)
+    assert calls == [(d, (1 + 2 * d * m) * 257)]
+    assert np.array_equal(got, want)
