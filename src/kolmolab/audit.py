@@ -23,6 +23,10 @@ __all__ = ["AuditError", "HypothesisReport", "sample_points", "eta_sphere",
            "lyapunov_probe", "check_weight_conditions", "full_audit"]
 
 
+_N_ANNULI = 6  # nested annuli on which check_weight_conditions decides trends
+_LIMIT_THRESHOLD = 1e-2  # outermost value a limit quantity must fall to
+
+
 class AuditError(RuntimeError):
     pass
 
@@ -223,7 +227,7 @@ def _scalar_apply(spec, phi, ts, pts):
     return out
 
 
-def lyapunov_probe(spec, box, phi=None, n_samples=2048, r_exponent=None):
+def lyapunov_probe(spec, box, phi=None, n_samples=2048):
     """Smallest sampled mu with (scalar op) phi <= mu phi, plus a
     compactness fit (scalar op) phi <= -b0 phi^(r+1) + K on the box."""
     phi = phi or _default_phi(spec.d)
@@ -244,11 +248,8 @@ def lyapunov_probe(spec, box, phi=None, n_samples=2048, r_exponent=None):
     if np.any(outer) and np.all(Aphi[outer] < 0):
         y = phiv[outer]
         z = -Aphi[outer]
-        if r_exponent is None:
-            slope, icpt = np.polyfit(np.log(y), np.log(z), 1)
-            r_fit = float(slope - 1.0)
-        else:
-            r_fit = float(r_exponent)
+        slope, icpt = np.polyfit(np.log(y), np.log(z), 1)
+        r_fit = float(slope - 1.0)
         # smallest b0 and matching offset with -A phi >= b0 y^{r+1} - K
         b0 = float(np.min(z / y ** (r_fit + 1)))
         K = float(np.max(np.maximum(b0 * phiv ** (r_fit + 1) + Aphi, 0.0)))
@@ -322,18 +323,17 @@ def _mathcal_m(spec, weight, ts, pts):
     return out
 
 
-def check_weight_conditions(spec, weight, box, n_samples=2048, n_annuli=6,
-                limit_threshold=1e-2, relax_identity=None):
-    """Audit the weighted-gradient hypothesis set on nested annuli.
+def check_weight_conditions(spec, weight, box, n_samples=2048):
+    """Audit the weighted-gradient hypothesis set on _N_ANNULI nested
+    annuli; each limit quantity must fall to _LIMIT_THRESHOLD.
 
-    relax_identity defaults to True when M is constant (the relaxed
-    condition set that drops the weight-derivative requirements).
+    A constant M takes the relaxed condition set that drops the
+    weight-derivative requirements.
     """
     d = spec.d
-    if relax_identity is None:
-        relax_identity = not any(
-            e.depends_on_t() or e.free_variables() - {"t"}
-            for row in weight.M for e in row)
+    relax_identity = not any(
+        e.depends_on_t() or e.free_variables() - {"t"}
+        for row in weight.M for e in row)
     ts, pts = sample_points(d, box, n_samples, spec.time_interval)
     lamM = weight.lambda_min(ts, pts)
     if np.min(lamM) <= 0:
@@ -377,7 +377,7 @@ def check_weight_conditions(spec, weight, box, n_samples=2048, n_annuli=6,
     }
     dropped = {"sup2a", "sup1b", "lim3c"} if relax_identity else set()
 
-    edges = np.linspace(0, box, n_annuli + 1)
+    edges = np.linspace(0, box, _N_ANNULI + 1)
     section = {"b0": b0, "relaxed": bool(relax_identity),
                "psi_sup": [float(np.max(psi[h])) for h in range(6)],
                "mathcalM_quadform_sup": float(np.max(LamMM)),
@@ -385,7 +385,7 @@ def check_weight_conditions(spec, weight, box, n_samples=2048, n_annuli=6,
     all_pass = True
     for name, vals in quantities.items():
         annuli = []
-        for a in range(n_annuli):
+        for a in range(_N_ANNULI):
             sel = (rads >= edges[a]) & (rads < edges[a + 1])
             annuli.append(float(np.max(vals[sel])) if np.any(sel)
                           else float("nan"))
@@ -402,7 +402,7 @@ def check_weight_conditions(spec, weight, box, n_samples=2048, n_annuli=6,
             decreasing = all(tail[i + 1] <= tail[i] * (1 + 1e-9)
                              for i in range(len(tail) - 1))
             entry["verdict"] = bool(decreasing
-                                    and tail[-1] <= limit_threshold)
+                                    and tail[-1] <= _LIMIT_THRESHOLD)
         if not entry["verdict"] and name not in dropped:
             all_pass = False
         section["quantities"][name] = entry
@@ -411,14 +411,14 @@ def check_weight_conditions(spec, weight, box, n_samples=2048, n_annuli=6,
 
 
 def full_audit(spec, box, weight=None, epsilon=1.0, kappa0=0.0, sigma=0.5,
-               n_samples=1024, n_eta=64):
+               n_samples=1024):
     """Run every applicable check and collect a HypothesisReport."""
     report = HypothesisReport(spec.name, box)
     lam0, wit = check_ellipticity(spec, box, n_samples)
     report.sections["ellipticity"] = {
         "lambda0": lam0, "witness": wit, "verdict": bool(lam0 > 0)}
     report.sections["nonnegativity"] = check_coupling_nonnegativity(
-        spec, box, epsilon, kappa0, n_eta=n_eta, n_samples=n_samples)
+        spec, box, epsilon, kappa0, n_samples=n_samples)
     report.sections["coupling_growth"] = check_coupling_growth(
         spec, box, sigma, n_samples=n_samples)
     report.sections["lyapunov"] = lyapunov_probe(

@@ -32,6 +32,8 @@ __all__ = [
     "check_guards",
 ]
 
+_GUARD_FLOOR = 1e-8  # smallest |value| check_guards accepts
+
 
 class DslError(ValueError):
     """Syntax or semantic error in a coefficient expression.
@@ -451,20 +453,21 @@ def parse_coeff_expr(text, d, bindings=None):
     return _parse(text, d, (), bindings)
 
 
-def parse_state_expr(text, d, m, bindings=None):
+def parse_state_expr(text, d, m):
     """Parse a nonlinearity expression over t, x_i and z_{ik} (named
     z11..z<d><m>, spatial index first)."""
     return _parse(text, d, (f"z{i + 1}{k + 1}" for i in range(d)
-                            for k in range(m)), bindings)
+                            for k in range(m)), None)
 
 
 def const_expr(value, d):
     return CoeffExpr(Num(float(value)), d)
 
 
-def check_guards(expr, box, time_interval, n_samples=512, floor=1e-8):
+def check_guards(expr, box, time_interval, n_samples=512):
     """Load-time guard: denominators and fractional-power bases must stay
-    bounded away from 0 on the sampled box x time window.  Raises DslError.
+    at least _GUARD_FLOOR away from 0 on the sampled box x time window.
+    Raises DslError.
     """
     guards = []
     _collect_guards(expr.ast, guards)
@@ -478,9 +481,10 @@ def check_guards(expr, box, time_interval, n_samples=512, floor=1e-8):
         sub = CoeffExpr(node, expr.d)
         vals = sub(ts, xs)
         # a sign change implies a zero crossing somewhere on the box
-        if np.min(np.abs(vals)) < floor or (np.min(vals) < 0 < np.max(vals)):
+        if np.min(np.abs(vals)) < _GUARD_FLOOR or \
+                np.min(vals) < 0 < np.max(vals):
             raise DslError(
                 f"{kind} {sub.print()!r} not bounded away from 0 on the box")
-        if kind == "power base" and np.min(vals) < floor:
+        if kind == "power base" and np.min(vals) < _GUARD_FLOOR:
             raise DslError(
                 f"{kind} {sub.print()!r} must stay positive on the box")

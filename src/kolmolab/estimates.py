@@ -2,9 +2,9 @@
 domination by the scalar operator, the weighted gradient bound, and the
 scalar-component representation formula.
 
-All sup norms are taken on an interior probe box (half the domain by
-default) to keep artificial-boundary pollution out of the constants;
-every result records that restriction.
+All sup norms are taken on the interior probe box |x| <= L/2 (half the
+domain) to keep artificial-boundary pollution out of the constants;
+max_principle_check and pointwise_check record that restriction.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ from .operators import scalar_comparison
 
 __all__ = ["EstimateResult", "max_principle_check", "pointwise_check",
            "weighted_gradient_check", "representation_residual"]
+
+# pointwise_check leaves out nodes whose scalar denominator is below this
+_FLOOR = 1e-14
 
 
 @dataclass
@@ -49,9 +52,9 @@ def _bound_verdict(measured, bound, trend):
 
 
 def max_principle_check(spec, f: GridFunction, s, t, epsilon, kappa0,
-                        dt_list=(4e-3, 2e-3), probe_L=None):
+                        dt_list=(4e-3, 2e-3)):
     """Measured growth of the sup norm against exp(eps kappa0 (t-s))."""
-    probe_L = probe_L if probe_L is not None else f.grid.L / 2
+    probe_L = f.grid.L / 2
     fnorm = f.sup_norm()
     trend = []
     for dt in dt_list:
@@ -65,11 +68,11 @@ def max_principle_check(spec, f: GridFunction, s, t, epsilon, kappa0,
         {"epsilon": epsilon, "kappa0": kappa0, "probe_L": probe_L})
 
 
-def pointwise_check(spec, f: GridFunction, s, T, HJ, n_t=4, dt=2e-3,
-                    probe_L=None, floor=1e-14):
+def pointwise_check(spec, f: GridFunction, s, T, HJ, n_t=4, dt=2e-3):
     """Sup over probe nodes and intermediate times of
-    |u(t,x)|^2 / (G(t,s)|f|^2)(x) against exp(2 H_J (T-s))."""
-    probe_L = probe_L if probe_L is not None else f.grid.L / 2
+    |u(t,x)|^2 / (G(t,s)|f|^2)(x) against exp(2 H_J (T-s)); nodes where
+    the denominator is below _FLOOR are left out and counted."""
+    probe_L = f.grid.L / 2
     mask = f.grid.interior_mask(probe_L)
     check_times = np.linspace(s, T, n_t + 1)[1:]
     measured = 0.0
@@ -85,9 +88,9 @@ def pointwise_check(spec, f: GridFunction, s, T, HJ, n_t=4, dt=2e-3,
         prev = tk
         num = np.sum(u ** 2, axis=0)[mask]
         den = g[0, mask]
-        floored = den < floor
+        floored = den < _FLOOR
         floored_frac = max(floored_frac, np.mean(floored))
-        ratio = num / np.maximum(den, floor)
+        ratio = num / np.maximum(den, _FLOOR)
         measured = max(measured, float(np.max(ratio[~floored]))
                        if np.any(~floored) else 0.0)
     bound = float(np.exp(2 * HJ * (T - s)))
@@ -101,14 +104,13 @@ def pointwise_check(spec, f: GridFunction, s, T, HJ, n_t=4, dt=2e-3,
 
 
 def weighted_gradient_check(spec, weight, f_fn, s, T, t_list, grid_pair,
-                            dt=2e-3, probe_L=None, bc="dirichlet"):
+                            dt=2e-3, bc="dirichlet"):
     """sqrt(t-s) * sup |M (J_x u)^T| / sup|f| measured on two grid
     resolutions; the theory asserts existence of the constant, so the
     acceptance is finiteness plus refinement stability (<= 5% drift)."""
     trend = []
     for grid in grid_pair:
-        probe = probe_L if probe_L is not None else grid.L / 2
-        mask = grid.interior_mask(probe)
+        mask = grid.interior_mask(grid.L / 2)
         f = GridFunction.from_callable(grid, spec.m, f_fn, bc=bc)
         fnorm = f.sup_norm()
         best = 0.0
@@ -134,8 +136,7 @@ def weighted_gradient_check(spec, weight, f_fn, s, T, t_list, grid_pair,
                           verdict, {"drift": drift, "t_list": list(t_list)})
 
 
-def representation_residual(spec, f: GridFunction, kbar, s, t, dt,
-                            probe_L=None):
+def representation_residual(spec, f: GridFunction, kbar, s, t, dt):
     """Defect of the scalar-component representation
 
         (G_vec(t,s)f)_kbar = G(t,s) f_kbar + int_s^t G(t,r) (S r) dr,
@@ -145,8 +146,7 @@ def representation_residual(spec, f: GridFunction, kbar, s, t, dt,
     with the r-integral realized by stepping the inhomogeneous scalar
     problem alongside the vector solve on the same ladder."""
     grid = f.grid
-    probe_L = probe_L if probe_L is not None else grid.L / 2
-    mask = grid.interior_mask(probe_L)
+    mask = grid.interior_mask(grid.L / 2)
     pts = grid.points()
     vec_step = _Stepper(spec, grid, f.bc)
     sca_step = _Stepper(scalar_comparison(spec), grid, f.bc)

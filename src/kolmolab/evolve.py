@@ -254,4 +254,4 @@ def evolve(spec, f: GridFunction, s, t, dt, bc=None):
     """Evolve initial data f from time s to t; returns u(t, .)."""
     bc = bc or f.bc
     vals = _Stepper(spec, f.grid, bc).final(f.values, _time_ladder(s, t, dt))
-    return GridFunction(f.grid, spec.m, vals, bc=bc, t=float(t))
+    return GridFunction(f.grid, spec.m, vals, bc=bc)

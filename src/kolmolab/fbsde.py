@@ -24,6 +24,7 @@ __all__ = ["FbsdeError", "DiffusionSpec", "PathBatch", "YZProcess",
            "bsde_residual", "girsanov_weights", "payoffs", "cost"]
 
 _EXPLODE = 1e9
+_MAX_ESCAPE_FRAC = 0.05  # identify_yz refuses more escaped paths
 
 
 class FbsdeError(RuntimeError):
@@ -34,20 +35,17 @@ class FbsdeError(RuntimeError):
 class DiffusionSpec:
     """Forward diffusion dX = b dtau + G dW tied to an operator spec.
 
-    G defaults to sqrt(2 Q) so that Q = G^2 / 2 holds by construction;
-    an explicit G_fn(t, pts) -> (d, d, N) may be supplied instead and is
-    then checked against Q.  r = r1(t, x) + r2(x, u) is the controlled
-    drift direction, h the running cost per player, g the terminal cost.
+    G = sqrt(2 Q), so that Q = G^2 / 2 holds by construction.
+    r = r1(t, x) + r2(x, u) is the controlled drift direction, h the
+    running cost per player, g the terminal cost.
     """
 
     op: object  # OperatorSpec supplying b, Q, Btilde
     g: object  # terminal cost callable pts (d,N) -> (m,N)
-    G_fn: object = None
     r1: tuple = None  # d CoeffExprs, state-feedback part of r
     r2: object = None  # callable (pts, u (players,N)) -> (d,N)
     controls: tuple = ()  # per-player finite sets of control values
     h: object = None  # running cost callable (pts, u) -> (players,N)
-    r_bound: float = None
 
     @property
     def d(self):
@@ -58,8 +56,6 @@ class DiffusionSpec:
         return len(self.controls)
 
     def G_at(self, t, pts):
-        if self.G_fn is not None:
-            return np.asarray(self.G_fn(t, pts), dtype=float)
         return np.sqrt(2.0) * sqrtQ_at(self.op, t, pts)
 
     def r_at(self, t, pts, u=None):
@@ -73,37 +69,17 @@ class DiffusionSpec:
             out += np.asarray(self.r2(pts, u), dtype=float)
         return out
 
-    def check_q(self, box, t_list=(0.0, 0.5), n_samples=64, tol=1e-10,
-                seed=0):
-        """Verify Q = G^2 / 2 entrywise at random samples."""
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(-box, box, (self.d, n_samples))
-        worst = 0.0
-        for t in t_list:
-            G = self.G_at(t, pts)
-            Q = self.op.Q_at(t, pts)
-            GG = 0.5 * np.einsum("abN,bcN->acN", G, G)
-            worst = max(worst, float(np.max(np.abs(GG - Q))))
-        if worst > tol:
-            raise FbsdeError(
-                f"G does not reproduce the diffusion matrix: |G^2/2 - Q| "
-                f"= {worst:.3e} > {tol:g}")
-        return worst
-
 
 @dataclass
 class PathBatch:
     N: int
     h_step: float
-    t0: float
     times: np.ndarray  # (steps + 1,)
     X: np.ndarray  # (N, steps + 1, d)
     dW: np.ndarray  # (N, steps, d)
-    seed: int
     rho: np.ndarray = None  # (N,)
     controls: np.ndarray = None  # (N, steps, players)
     exploded: np.ndarray = field(default_factory=lambda: np.zeros(0, int))
-    r_warning: str = None  # set when sup |r| exceeds DiffusionSpec.r_bound
 
     @property
     def steps(self):
@@ -118,7 +94,6 @@ class PathBatch:
 class YZProcess:
     Y: np.ndarray  # (N, steps + 1, m)
     Z: np.ndarray  # (N, steps + 1, m, d), Z[n,l,k,i] = (G (J_x u)^T)_{ik}
-    source: object  # the MildSolution sampled
     valid: np.ndarray  # (N,) bool, paths that stayed inside the box
     n_excluded: int = 0
 
@@ -169,14 +144,11 @@ def simulate_forward(ds: DiffusionSpec, x0, t, T, h_step, N, seed):
         # freeze exploded paths at their last finite state
         nxt[~alive] = X[~alive, l, :]
         X[:, l + 1, :] = nxt
-    return PathBatch(N=N, h_step=float(h_step), t0=float(t), times=times,
-                     X=X, dW=dW, seed=int(seed),
-                     rho=np.ones(N),
-                     exploded=np.flatnonzero(~alive))
+    return PathBatch(N=N, h_step=float(h_step), times=times, X=X, dW=dW,
+                     rho=np.ones(N), exploded=np.flatnonzero(~alive))
 
 
-def identify_yz(sol, ds: DiffusionSpec, batch: PathBatch,
-                max_escape_frac=0.05):
+def identify_yz(sol, ds: DiffusionSpec, batch: PathBatch):
     """Sample Y = u(tau, X_tau) and Z = G (J_x u)^T along the paths."""
     grid = sol.grid
     N, steps = batch.N, batch.steps
@@ -184,7 +156,7 @@ def identify_yz(sol, ds: DiffusionSpec, batch: PathBatch,
     inside = np.max(np.abs(batch.X), axis=(1, 2)) < grid.L
     inside &= np.isin(np.arange(N), batch.exploded, invert=True)
     n_excluded = int(N - np.sum(inside))
-    if n_excluded > max_escape_frac * N:
+    if n_excluded > _MAX_ESCAPE_FRAC * N:
         raise FbsdeError(
             f"{n_excluded}/{N} paths escaped the box [-{grid.L}, {grid.L}]"
             f"^d; enlarge L before identifying Y and Z")
@@ -199,8 +171,7 @@ def identify_yz(sol, ds: DiffusionSpec, batch: PathBatch,
         Z[:, l, :, :] = np.einsum("idN,mdN->Nmi", Gv, gr)
     # terminal condition holds exactly by construction
     Y[:, -1, :] = ds.g(batch.X[:, -1, :].T).T
-    return YZProcess(Y=Y, Z=Z, source=sol, valid=inside,
-                     n_excluded=n_excluded)
+    return YZProcess(Y=Y, Z=Z, valid=inside, n_excluded=n_excluded)
 
 
 def _hamiltonian_drift(ds: DiffusionSpec, nl, t, pts, Z_l):
@@ -249,7 +220,6 @@ def girsanov_weights(ds: DiffusionSpec, batch: PathBatch, strategy):
     log_rho = np.zeros(N)
     players = ds.n_players
     ctrl = np.zeros((N, steps, players)) if players else None
-    sup_r = 0.0
     for l in range(steps):
         pts = batch.X[:, l, :].T
         u = None
@@ -260,15 +230,9 @@ def girsanov_weights(ds: DiffusionSpec, batch: PathBatch, strategy):
                 ctrl[:, l, :] = u.reshape(N, players)
             u = u.reshape(N, players).T  # (players, N)
         r = ds.r_at(batch.times[l], pts, u)  # (d, N)
-        sup_r = max(sup_r, float(np.max(np.sqrt(np.sum(r ** 2, axis=0)))))
         log_rho += np.einsum("dN,Nd->N", r, batch.dW[:, l, :])
         log_rho -= 0.5 * batch.h_step * np.sum(r ** 2, axis=0)
-    warning = None
-    if ds.r_bound is not None and sup_r > ds.r_bound:
-        warning = (f"sup |r| = {sup_r:.3g} exceeds the audited bound "
-                   f"{ds.r_bound:g}")
-    return replace(batch, rho=np.exp(log_rho), controls=ctrl,
-                   r_warning=warning)
+    return replace(batch, rho=np.exp(log_rho), controls=ctrl)
 
 
 def payoffs(ds: DiffusionSpec, batch: PathBatch, i):

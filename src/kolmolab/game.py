@@ -19,6 +19,8 @@ from .fbsde import cost, girsanov_weights, payoffs
 __all__ = ["GameError", "minimax_select", "equilibrium_strategy",
            "nash_check"]
 
+_MAX_SWEEPS = 64  # best-response sweeps before a sample counts as cycling
+
 
 class GameError(RuntimeError):
     pass
@@ -33,7 +35,7 @@ def _htilde(ds, t, x, z, u_vals, i):
     return out
 
 
-def minimax_select(ds, t, x, z, max_sweeps=64):
+def minimax_select(ds, t, x, z):
     """Pure-strategy best-response fixed point at each sample.
 
     x is (d, K), z is (players, d, K).  Returns (players, K) control
@@ -48,7 +50,7 @@ def minimax_select(ds, t, x, z, max_sweeps=64):
     sets = [np.asarray(V, dtype=float) for V in ds.controls]
     idx = np.zeros((players, K), dtype=int)  # lexicographic start
     settled = np.zeros(K, dtype=bool)
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         changed = np.zeros(K, dtype=bool)
         for i in range(players):
             vals = np.stack([sets[j][idx[j]] for j in range(players)])
@@ -107,11 +109,12 @@ def _deviation_strategy(batch_eq, player, value):
     return strategy
 
 
-def nash_check(ds, sol, base, deviations=None):
+def nash_check(ds, sol, base):
     """Deviation test for the best-response strategy profile on the
     uncontrolled path batch base.
 
-    For every player and every constant deviation the cost difference
+    For every player and every constant deviation to one of its own
+    control values the cost difference
     dJ = J_i(deviation) - J_i(equilibrium) is estimated on paired paths;
     the profile passes when dJ >= -3 stderr throughout.  The equilibrium
     feedback is evaluated once per step; each deviation reuses it."""
@@ -119,15 +122,13 @@ def nash_check(ds, sol, base, deviations=None):
     eq = equilibrium_strategy(ds, sol)
     batch_eq = girsanov_weights(ds, base, eq)
     players = ds.n_players
-    if deviations is None:
-        deviations = [list(V) for V in ds.controls]
     rows = []
     verdict = True
     J_eq = []
     for i in range(players):
         pay_eq = payoffs(ds, batch_eq, i)
         J_eq.append(cost(batch_eq, pay_eq))
-        for v in deviations[i]:
+        for v in ds.controls[i]:
             batch_dev = girsanov_weights(
                 ds, base, _deviation_strategy(batch_eq, i, v))
             pay_dev = payoffs(ds, batch_dev, i)
@@ -139,5 +140,4 @@ def nash_check(ds, sol, base, deviations=None):
             verdict = verdict and ok
             rows.append({"player": i, "deviation": float(v), "dJ": dJ,
                          "stderr": stderr, "pass": ok})
-    return {"verdict": verdict, "rows": rows, "J_equilibrium": J_eq,
-            "N": N, "seed": base.seed, "h_step": base.h_step}
+    return {"verdict": verdict, "rows": rows, "J_equilibrium": J_eq}

@@ -66,7 +66,6 @@ class GridFunction:
     m: int
     values: np.ndarray  # (m, n^d)
     bc: str = "dirichlet"  # or "neumann"
-    t: float = 0.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -78,18 +77,18 @@ class GridFunction:
             raise ValueError(f"unknown bc {self.bc!r}")
 
     @classmethod
-    def from_callable(cls, grid, m, fn, bc="dirichlet", t=0.0):
+    def from_callable(cls, grid, m, fn, bc="dirichlet"):
         """fn maps points (d, N) to values (m, N) (or (N,) when m=1)."""
         vals = np.asarray(fn(grid.points()), dtype=float)
         if vals.ndim == 1:
             vals = vals.reshape(1, -1)
-        return cls(grid, m, vals, bc=bc, t=t)
+        return cls(grid, m, vals, bc=bc)
 
     @classmethod
-    def constant(cls, grid, vec, bc="dirichlet", t=0.0):
+    def constant(cls, grid, vec, bc="dirichlet"):
         vec = np.atleast_1d(np.asarray(vec, dtype=float))
         vals = np.repeat(vec.reshape(-1, 1), grid.n_nodes, axis=1)
-        return cls(grid, len(vec), vals, bc=bc, t=t)
+        return cls(grid, len(vec), vals, bc=bc)
 
     def sup_norm(self, probe_L=None):
         if probe_L is None:

@@ -17,18 +17,12 @@ import numpy as np
 
 from .evolve import _Stepper, _time_ladder
 from .grids import interp_multilinear
-from .operators import scalar_comparison
 
 __all__ = ["KernelRow", "kernel_row", "tightness_mass", "compactness_probe"]
 
 
 @dataclass
 class KernelRow:
-    t: float
-    s: float
-    x: np.ndarray  # (d,)
-    n_cells: int  # per axis
-    box_L: float
     centers: np.ndarray  # (d, n_cells^d)
     mass: np.ndarray  # (m, m, n_cells^d)
 
@@ -83,9 +77,7 @@ def kernel_row(spec, grid, t, s, x, n_cells, dt, bc="dirichlet"):
     mass = np.empty((m, m, nc))
     for j in range(m):
         mass[:, j, :] = vals[:, j * nc:(j + 1) * nc]
-    return KernelRow(t=float(t), s=float(s), x=x, n_cells=n_cells,
-                     box_L=grid.L, centers=cell_centers(spec.d, grid.L,
-                                                        n_cells),
+    return KernelRow(centers=cell_centers(spec.d, grid.L, n_cells),
                      mass=mass)
 
 
@@ -96,9 +88,9 @@ def tightness_mass(row: KernelRow, R):
 
 
 def compactness_probe(spec, grid, t, s, x_list, R_list, n_cells, dt,
-                      bc="dirichlet", threshold=0.05):
+                      bc="dirichlet"):
     """PASS iff the outside mass decays monotonically in R and falls
-    below the threshold at the largest R, for every probed base point."""
+    below 0.05 at the largest R, for every probed base point."""
     R_list = sorted(R_list)
     table = []
     verdict = True
@@ -106,15 +98,8 @@ def compactness_probe(spec, grid, t, s, x_list, R_list, n_cells, dt,
         row = kernel_row(spec, grid, t, s, x, n_cells, dt, bc=bc)
         outs = [float(np.max(tightness_mass(row, R))) for R in R_list]
         mono = all(outs[k + 1] <= outs[k] + 1e-12 for k in range(len(outs) - 1))
-        ok = mono and outs[-1] < threshold
+        ok = mono and outs[-1] < 0.05
         verdict = verdict and ok
         table.append({"x": list(np.atleast_1d(x)), "outside": outs,
                       "monotone": mono, "pass": ok})
     return {"verdict": verdict, "R_list": list(R_list), "table": table}
-
-
-def scalar_compactness_probe(spec, grid, t, s, x_list, R_list, n_cells, dt,
-                             bc="dirichlet", threshold=0.05):
-    """Same probe for the scalar comparison operator."""
-    return compactness_probe(scalar_comparison(spec), grid, t, s, x_list,
-                             R_list, n_cells, dt, bc=bc, threshold=threshold)

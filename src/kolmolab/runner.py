@@ -25,9 +25,10 @@ from .estimates import (max_principle_check, pointwise_check,
 from .fbsde import (DiffusionSpec, FbsdeError, girsanov_weights,
                     horizon_steps, identify_yz, simulate_forward)
 from .game import nash_check
-from .grids import Grid, GridFunction
-from .kernels import compactness_probe, scalar_compactness_probe
-from .operators import FAMILIES, WeightSpec, example_family, matrix_of_consts
+from .grids import Grid, GridFunction, interp_multilinear
+from .kernels import compactness_probe
+from .operators import (FAMILIES, WeightSpec, example_family,
+                        matrix_of_consts, scalar_comparison)
 from .semilinear import (mild_solve, mollify_nonlinearity,
                          nonlinearity_from_exprs)
 
@@ -97,6 +98,9 @@ def load_config(path):
                 raise ConfigError(f"section {key!r} must be an object")
             _check_keys(val, spec, f"section {key!r}")
     checks = cfg["checks"]
+    if not isinstance(checks, list):
+        raise ConfigError(
+            f"checks must be a list of check names, got {checks!r}")
     bad = [c for c in checks if c not in ALL_CHECKS]
     if bad:
         raise ConfigError(f"unknown check(s) {bad}; known: {ALL_CHECKS}")
@@ -108,6 +112,7 @@ def load_config(path):
             raise ConfigError(
                 f"unknown family {cfg['operator']['family']!r}; "
                 f"known: {sorted(FAMILIES)}")
+    _check_time(cfg["time"])
     _check_mc(cfg)
     return cfg
 
@@ -115,6 +120,16 @@ def load_config(path):
 def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool) \
         and math.isfinite(v)
+
+
+def _check_time(t):
+    """s, T and dt are finite numbers with T > s and dt > 0."""
+    for key in ("s", "T", "dt"):
+        if not _is_number(t.get(key)):
+            raise ConfigError(
+                f"time.{key} must be a finite number, got {t.get(key)!r}")
+    if not (t["T"] > t["s"] and t["dt"] > 0):
+        raise ConfigError(f"time needs T > s and dt > 0, got {t!r}")
 
 
 def _check_mc(cfg):
@@ -128,13 +143,12 @@ def _check_mc(cfg):
         h = mc["h_step"]
         if not _is_number(h) or h <= 0:
             raise ConfigError(f"mc.h_step must be a number > 0, got {h!r}")
-        T, s = cfg["time"].get("T"), cfg["time"].get("s")
-        if _is_number(T) and _is_number(s):
-            try:
-                horizon_steps(T - s, h)
-            except FbsdeError:
-                raise ConfigError(
-                    f"mc.h_step = {h!r} does not divide T - s = {T - s!r}")
+        T, s = cfg["time"]["T"], cfg["time"]["s"]
+        try:
+            horizon_steps(T - s, h)
+        except FbsdeError:
+            raise ConfigError(
+                f"mc.h_step = {h!r} does not divide T - s = {T - s!r}")
     if "x0" in mc:
         x0 = mc["x0"]
         d = (cfg["operator"].get("params") or {}).get("d", 1)
@@ -186,10 +200,6 @@ def _default_f(spec, grid, cfg):
     return GridFunction.from_callable(grid, spec.m, fn, bc=bc)
 
 
-def _acfg(cfg, key, default):
-    return cfg.get("audit", {}).get(key, default)
-
-
 class _Runner:
     def __init__(self, cfg, cfg_bytes, outdir):
         self.cfg = cfg
@@ -206,9 +216,13 @@ class _Runner:
             raise ConfigError(str(err)) from err
         self.s, self.T, self.dt = float(t["s"]), float(t["T"]), \
             float(t["dt"])
-        self.box = _acfg(cfg, "box", self.grid.L)
+        self.box = self._opt("audit", "box", self.grid.L)
         self.sol = None  # filled by the semilinear/fbsde stages
         self._batches = {}  # (N, h_step) -> uncontrolled path batch
+
+    def _opt(self, section, key, default):
+        """cfg[section][key], or default when either is absent."""
+        return self.cfg.get(section, {}).get(key, default)
 
     def _path(self, name):
         return os.path.join(self.outdir, name)
@@ -230,10 +244,10 @@ class _Runner:
     def stage_audit(self):
         report = full_audit(
             self.spec, self.box, weight=self.weight,
-            epsilon=_acfg(self.cfg, "epsilon", 1.0),
-            kappa0=_acfg(self.cfg, "kappa0", 0.0),
-            sigma=_acfg(self.cfg, "sigma", 0.5),
-            n_samples=_acfg(self.cfg, "n_samples", 1024))
+            epsilon=self._opt("audit", "epsilon", 1.0),
+            kappa0=self._opt("audit", "kappa0", 0.0),
+            sigma=self._opt("audit", "sigma", 0.5),
+            n_samples=self._opt("audit", "n_samples", 1024))
         verdicts = report.verdicts()
         self._write_json("audit.json", {
             "spec": report.spec_name, "box": report.box,
@@ -246,8 +260,8 @@ class _Runner:
     def stage_max_principle(self):
         res = max_principle_check(
             self.spec, self.f, self.s, self.T,
-            epsilon=_acfg(self.cfg, "epsilon", 1.0),
-            kappa0=_acfg(self.cfg, "kappa0", 1.0),
+            epsilon=self._opt("audit", "epsilon", 1.0),
+            kappa0=self._opt("audit", "kappa0", 1.0),
             dt_list=(2 * self.dt, self.dt))
         self._write_csv("max_principle.csv",
                         ["dt", "ratio"],
@@ -257,7 +271,7 @@ class _Runner:
 
     def stage_pointwise(self):
         HJ = check_coupling_growth(self.spec, self.box,
-                         _acfg(self.cfg, "sigma", 0.5))["HJ"]
+                                   self._opt("audit", "sigma", 0.5))["HJ"]
         res = pointwise_check(self.spec, self.f, self.s, self.T,
                               HJ=max(float(HJ), 0.0), dt=self.dt)
         return res.as_dict()
@@ -286,17 +300,14 @@ class _Runner:
                 "residuals": resids, "decoupled": bool(decoupled)}
 
     def stage_compactness(self):
-        kc = self.cfg.get("kernel", {})
-        n_cells = kc.get("n_cells", 24)
-        R_list = kc.get("R_list", [1.0, 2.0, 3.0])
-        x_list = kc.get("x_list", [[0.0] * self.spec.d,
-                                   [1.0] + [0.0] * (self.spec.d - 1)])
-        vec = compactness_probe(self.spec, self.grid, self.T, self.s,
-                                x_list, R_list, n_cells, 2 * self.dt,
-                                bc="neumann")
-        sca = scalar_compactness_probe(self.spec, self.grid, self.T,
-                                       self.s, x_list, R_list, n_cells,
-                                       2 * self.dt, bc="neumann")
+        n_cells = self._opt("kernel", "n_cells", 24)
+        R_list = self._opt("kernel", "R_list", [1.0, 2.0, 3.0])
+        x_list = self._opt("kernel", "x_list", [
+            [0.0] * self.spec.d, [1.0] + [0.0] * (self.spec.d - 1)])
+        vec, sca = [compactness_probe(spec, self.grid, self.T, self.s,
+                                      x_list, R_list, n_cells, 2 * self.dt,
+                                      bc="neumann")
+                    for spec in (self.spec, scalar_comparison(self.spec))]
         rows = [(str(e["x"]), *e["outside"]) for e in vec["table"]]
         self._write_csv("compactness.csv",
                         ["x"] + [f"outside_R{R:g}" for R in R_list], rows)
@@ -307,22 +318,21 @@ class _Runner:
     @functools.cached_property
     def nl(self):
         """The configured nonlinearity psi, or None for a linear run."""
-        sc = self.cfg.get("semilinear", {})
-        if "psi" not in sc:
+        psi = self._opt("semilinear", "psi", None)
+        if psi is None:
             return None
-        return nonlinearity_from_exprs(sc["psi"], self.spec.d, self.spec.m)
+        return nonlinearity_from_exprs(psi, self.spec.d, self.spec.m)
 
     def _mild_solve(self, nl):
         """mild_solve over [s, T] with the configured Picard settings."""
-        sc = self.cfg.get("semilinear", {})
         return mild_solve(self.spec, nl, self.f, self.T - self.s, self.dt,
-                          picard_tol=sc.get("picard_tol", 1e-8),
-                          max_iter=sc.get("max_iter", 40))
+                          picard_tol=self._opt("semilinear", "picard_tol",
+                                               1e-8),
+                          max_iter=self._opt("semilinear", "max_iter", 40))
 
     def stage_semilinear(self):
-        sc = self.cfg.get("semilinear", {})
         nl = self.nl
-        ladder = sc.get("mollify_ladder", [8, 16, 32])
+        ladder = self._opt("semilinear", "mollify_ladder", [8, 16, 32])
         sols, norms = [], []
         for n in ([None] if nl is None else ladder):
             sol = self._mild_solve(
@@ -345,19 +355,16 @@ class _Runner:
     def ds(self):
         """The controlled forward diffusion shared by the Monte-Carlo
         stages."""
-        gc = self.cfg.get("game", {})
-        controls = tuple(tuple(v) for v in gc.get("controls", []))
-        w = gc.get("running_weight", 1.0)
-        gain = gc.get("r_gain", 0.5)
-        r_const = gc.get("r_const", None)
+        controls = tuple(map(tuple, self._opt("game", "controls", [])))
+        w = self._opt("game", "running_weight", 1.0)
+        gain = self._opt("game", "r_gain", 0.5)
+        r_const = self._opt("game", "r_const", None)
         m = self.spec.m
         f = self.f
 
         def g_fn(pts):
-            from .grids import interp_multilinear
-            return interp_multilinear(self.grid, f.values,
-                                      np.clip(pts, -self.grid.L,
-                                              self.grid.L))
+            # interp_multilinear clamps the points to the box
+            return interp_multilinear(self.grid, f.values, pts)
 
         def r2(pts, u):
             out = np.zeros((self.spec.d, pts.shape[1]))
@@ -378,11 +385,8 @@ class _Runner:
                              r2=r2 if controls else None,
                              controls=controls, h=h if controls else None)
 
-    def _mc(self, key, default):
-        return self.cfg.get("mc", {}).get(key, default)
-
     def _x0(self):
-        return self._mc("x0", [0.0] * self.spec.d)
+        return self._opt("mc", "x0", [0.0] * self.spec.d)
 
     def _batch(self, N, h_step):
         """Uncontrolled path batch from x0 over [0, T - s], simulated once
@@ -398,9 +402,8 @@ class _Runner:
         if self.sol is None:
             self.sol = self._mild_solve(self.nl)
         ds = self.ds
-        ds.check_q(self.box)
-        batch = self._batch(self._mc("N", 4000),
-                            self._mc("h_step", (self.T - self.s) / 32))
+        batch = self._batch(self._opt("mc", "N", 4000),
+                            self._opt("mc", "h_step", (self.T - self.s) / 32))
         yz = identify_yz(self.sol, ds, batch)
         vals = yz.Y[yz.valid, -1, :]
         mc = np.mean(vals, axis=0)
@@ -417,8 +420,8 @@ class _Runner:
 
     def stage_girsanov(self):
         ds = self.ds
-        batch = self._batch(self._mc("N", 4000),
-                            self._mc("h_step", (self.T - self.s) / 32))
+        batch = self._batch(self._opt("mc", "N", 4000),
+                            self._opt("mc", "h_step", (self.T - self.s) / 32))
         zero = girsanov_weights(
             DiffusionSpec(op=self.spec, g=ds.g), batch, None)
         exact_one = bool(np.all(zero.rho == 1.0))
@@ -434,8 +437,8 @@ class _Runner:
         ds = self.ds
         if not ds.controls:
             raise StageError("nash check needs game.controls")
-        batch = self._batch(self._mc("N", 2000),
-                            self._mc("h_step", (self.T - self.s) / 16))
+        batch = self._batch(self._opt("mc", "N", 2000),
+                            self._opt("mc", "h_step", (self.T - self.s) / 16))
         report = nash_check(ds, self.sol, batch)
         self._write_csv("nash.csv", ["player", "deviation", "dJ", "stderr"],
                         [(r["player"] + 1, f"{r['deviation']:.12g}",

@@ -34,25 +34,12 @@ class Nonlinearity:
     d: int
     m: int
     fn: object  # callable (x_pts (d,N), z (d,m,N)) -> (m,N)
-    growth_c: float = None
-    holder_alpha: float = 0.5
-    exprs: tuple = None  # DSL sources when available
-    cutoff_n: int = None
 
     def __call__(self, x, z):
         return np.asarray(self.fn(x, z), dtype=float)
 
-    def audit_growth(self, box, n_samples=2048, z_scale=10.0, seed=0):
-        """Measured sup of |psi(x,z)| / (1 + |z|) on random samples."""
-        rng = np.random.default_rng(seed)
-        x = rng.uniform(-box, box, (self.d, n_samples))
-        z = rng.uniform(-z_scale, z_scale, (self.d, self.m, n_samples))
-        vals = self(x, z)
-        zn = np.sqrt(np.sum(z ** 2, axis=(0, 1)))
-        return float(np.max(np.sqrt(np.sum(vals ** 2, axis=0)) / (1 + zn)))
 
-
-def nonlinearity_from_exprs(texts, d, m, holder_alpha=0.5, box=5.0):
+def nonlinearity_from_exprs(texts, d, m):
     """Build a Nonlinearity from expression strings over x_i and z_ik
     (z11 .. z<d><m>, spatial index first)."""
     exprs = tuple(parse_state_expr(t, d, m) for t in texts)
@@ -66,9 +53,7 @@ def nonlinearity_from_exprs(texts, d, m, holder_alpha=0.5, box=5.0):
         return np.stack([np.broadcast_to(e.eval_state(0.0, x, zd), (N,))
                          for e in exprs])
 
-    nl = Nonlinearity(d, m, fn, holder_alpha=holder_alpha, exprs=exprs)
-    nl.growth_c = nl.audit_growth(box)
-    return nl
+    return Nonlinearity(d, m, fn)
 
 
 def _theta(r):
@@ -105,10 +90,7 @@ def mollify_nonlinearity(nl: Nonlinearity, n: int):
             acc += vals[:, j * N:(j + 1) * N]
         return cut * acc / len(shifted)
 
-    out = Nonlinearity(d, m, fn, growth_c=None,
-                       holder_alpha=nl.holder_alpha, cutoff_n=n)
-    out.growth_c = None if nl.growth_c is None else 2.0 * nl.growth_c
-    return out
+    return Nonlinearity(d, m, fn)
 
 
 def sqrtQ_at(spec, t, pts):
@@ -131,7 +113,6 @@ class MildSolution:
     spec: object
     kt_norm: float = None
     picard_history: list = field(default_factory=list)
-    probe_L: float = None
     converged: bool = True  # False when Picard ran out of iterations
     # sqrtQ_at(spec, t, grid points) aligned with times, when known
     _sqrtQ: list = field(default=None, repr=False)
@@ -170,12 +151,11 @@ def _graded_ladder(T, dt, graded_steps=8):
     return np.unique(np.concatenate([graded, uniform]))
 
 
-def kt_norm(sol: MildSolution, probe_L=None):
-    """sup|u| plus the sqrt(T-t)-weighted sqrtQ-gradient sup, excluding
-    the terminal time."""
-    probe_L = probe_L if probe_L is not None else sol.grid.L / 2
+def kt_norm(sol: MildSolution):
+    """sup|u| plus the sqrt(T-t)-weighted sqrtQ-gradient sup over the
+    interior probe box |x| <= L/2, excluding the terminal time."""
     grid = sol.grid
-    mask = grid.interior_mask(probe_L)
+    mask = grid.interior_mask(grid.L / 2)
     sup_u = max(float(np.max(np.abs(v[:, mask]))) for v in sol.values)
     sup_g = 0.0
     roots = sol._sqrtQ or [sqrtQ_at(sol.spec, t, grid.points())
@@ -190,18 +170,17 @@ def kt_norm(sol: MildSolution, probe_L=None):
 
 
 def mild_solve(spec, nl, g: GridFunction, T, dt, picard_tol=1e-8,
-               max_iter=40, bc=None, probe_L=None, graded_steps=8):
-    """Picard iteration for the backward semilinear problem.
+               max_iter=40, graded_steps=8):
+    """Picard iteration for the backward semilinear problem, with the
+    Picard deltas measured on the interior probe box |x| <= L/2.
 
     nl may be None (linear case).  Returns a MildSolution on the forward
     time ladder with the terminal data at t = T exactly."""
-    bc = bc or g.bc
     grid = g.grid
-    probe_L = probe_L if probe_L is not None else grid.L / 2
-    mask = grid.interior_mask(probe_L)
+    mask = grid.interior_mask(grid.L / 2)
     pts = grid.points()
     rev = spec.time_reversed(T)
-    stepper = _Stepper(rev, grid, bc)
+    stepper = _Stepper(rev, grid, g.bc)
     taus = _graded_ladder(T, dt, graded_steps)
     L = len(taus)
     roots = [sqrtQ_at(spec, T - tau, pts) for tau in taus]
@@ -213,7 +192,7 @@ def mild_solve(spec, nl, g: GridFunction, T, dt, picard_tol=1e-8,
         """Source -Psi(u) of the forward problem at ladder level l, with
         u the previous iterate."""
         def source(l):
-            u = GridFunction(grid, spec.m, levels[l], bc=bc)
+            u = GridFunction(grid, spec.m, levels[l], bc=g.bc)
             grad = gradient(u)  # (m, d, N)
             z = np.einsum("idN,mdN->imN", roots[l], grad)  # (d, m, N)
             return -nl(pts, z)
@@ -245,7 +224,7 @@ def mild_solve(spec, nl, g: GridFunction, T, dt, picard_tol=1e-8,
     values_fwd = current[::-1]
     sol = MildSolution(times=times_fwd, values=values_fwd, grid=grid,
                        m=spec.m, T=T, spec=spec,
-                       picard_history=history, probe_L=probe_L,
-                       converged=converged, _sqrtQ=roots[::-1])
-    sol.kt_norm = kt_norm(sol, probe_L)
+                       picard_history=history, converged=converged,
+                       _sqrtQ=roots[::-1])
+    sol.kt_norm = kt_norm(sol)
     return sol

@@ -18,8 +18,8 @@ from kolmolab.fbsde import (DiffusionSpec, bsde_residual, girsanov_weights,
                             identify_yz, simulate_forward)
 from kolmolab.game import minimax_select, nash_check
 from kolmolab.grids import Grid, GridFunction, gradient
-from kolmolab.kernels import compactness_probe, scalar_compactness_probe
-from kolmolab.operators import example_family
+from kolmolab.kernels import compactness_probe
+from kolmolab.operators import example_family, scalar_comparison
 from kolmolab.semilinear import (MildSolution, kt_norm, mild_solve,
                                  mollify_nonlinearity,
                                  nonlinearity_from_exprs)
@@ -183,8 +183,9 @@ def test_06_kernel_compactness():
                        ("ex71ii", spec, grid)):
         v = compactness_probe(s, g, 0.5, 0.0, [[0.0], [1.0]], Rs,
                               n_cells=24, dt=5e-3, bc="neumann")
-        sc = scalar_compactness_probe(s, g, 0.5, 0.0, [[0.0], [1.0]], Rs,
-                                      n_cells=24, dt=5e-3, bc="neumann")
+        sc = compactness_probe(scalar_comparison(s), g, 0.5, 0.0,
+                               [[0.0], [1.0]], Rs, n_cells=24, dt=5e-3,
+                               bc="neumann")
         agree = agree and (v["verdict"] == sc["verdict"])
     ok = vec["verdict"] and outs < 0.05 and not hp["verdict"] and agree
     report(6, "kernel tightness/compactness", ok,

@@ -155,8 +155,7 @@ def test_weight_conditions_superlinear_weight_fails():
     # squared weight against (1+|x|^2) must fail
     spec, _ = example_family("ex72", {"d": 1, "m": 2})
     weight = WeightSpec(1, ((parse_coeff_expr("(1+normsq(x))^1", 1),),))
-    sec = check_weight_conditions(spec, weight, box=8.0, n_samples=2048,
-                      relax_identity=False)
+    sec = check_weight_conditions(spec, weight, box=8.0, n_samples=2048)
     assert not sec["quantities"]["sup1b"]["verdict"] or \
         not sec["verdict"]
 

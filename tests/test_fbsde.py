@@ -66,12 +66,11 @@ def test_path_streams_are_per_path_philox(seed):
 def test_diffusion_matrix_consistency_check():
     spec = example_family("ex71ii", {"d": 2, "m": 2})
     ds = DiffusionSpec(op=spec, g=const_g([0.0, 0.0]))
-    assert ds.check_q(box=3.0) <= 1e-10
-    bad = DiffusionSpec(op=spec, g=const_g([0.0, 0.0]),
-                        G_fn=lambda t, p: np.broadcast_to(
-                            np.eye(2)[:, :, None], (2, 2, p.shape[1])))
-    with pytest.raises(FbsdeError, match="diffusion matrix"):
-        bad.check_q(box=3.0)
+    pts = np.random.default_rng(0).uniform(-3.0, 3.0, (2, 64))
+    for t in (0.0, 0.5):
+        G = ds.G_at(t, pts)
+        GG = 0.5 * np.einsum("abN,bcN->acN", G, G)
+        assert np.max(np.abs(GG - spec.Q_at(t, pts))) <= 1e-10
 
 
 def test_explosion_detection():

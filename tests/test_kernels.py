@@ -5,9 +5,8 @@ from scipy.special import erf
 from kolmolab.grids import Grid, GridFunction, interp_multilinear
 from kolmolab.evolve import evolve
 from kolmolab.kernels import (compactness_probe, kernel_row,
-                              scalar_compactness_probe, tightness_mass,
-                              _cell_weights)
-from kolmolab.operators import example_family
+                              tightness_mass, _cell_weights)
+from kolmolab.operators import example_family, scalar_comparison
 
 
 def gauss_cell_mass(lo, hi, mean, var):
@@ -97,8 +96,8 @@ def test_compactness_ex71ii_pass_and_scalar_agrees():
     Rs = [1.0, 2.0, 3.0]
     vec = compactness_probe(spec, grid, 0.5, 0.0, xs, Rs, n_cells=24,
                             dt=5e-3, bc="neumann")
-    sca = scalar_compactness_probe(spec, grid, 0.5, 0.0, xs, Rs, n_cells=24,
-                                   dt=5e-3, bc="neumann")
+    sca = compactness_probe(scalar_comparison(spec), grid, 0.5, 0.0, xs, Rs,
+                            n_cells=24, dt=5e-3, bc="neumann")
     assert vec["verdict"]
     assert sca["verdict"] == vec["verdict"]
 

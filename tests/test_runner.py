@@ -151,7 +151,15 @@ def test_exhausted_picard_fails_with_strict_json(tmp_path):
     {"operator": {"family": "ex71ii", "params": {"d": 1, "r": -1}}},
     {"grid": {"L": 6.0, "n": 200}},
     {"operator": {"family": "ex71ii", "params": {"d": 1, "q": "1/x1"}}},
-], ids=["family_inequality", "even_grid_n", "singular_coefficient"])
+    # without an mc section, whose h_step check would catch T <= s
+    {"time": {"s": 0.0, "T": 0.0, "dt": 0.0125}, "mc": {}},
+    {"time": {"s": 0.25, "T": 0.0, "dt": 0.0125}, "mc": {}},
+    {"time": {"s": 0.0, "T": 0.25, "dt": 0.0}, "mc": {}},
+    {"time": {"s": 0.0, "T": 0.25, "dt": -0.005}, "mc": {}},
+    {"checks": "audit"},
+], ids=["family_inequality", "even_grid_n", "singular_coefficient",
+        "T_equals_s", "T_before_s", "dt_zero", "dt_negative",
+        "checks_string"])
 def test_operator_and_grid_errors_exit_2(tmp_path, capsys, overrides):
     p = tmp_path / "c.run"
     write_cfg(p, **overrides)

@@ -24,8 +24,7 @@ def test_zero_nonlinearity_equals_linear():
     grid = Grid(1, 6.0, 121)
     g = GridFunction.from_callable(grid, 1, lambda p: np.sin(p[0]),
                                    bc="neumann")
-    nl = Nonlinearity(1, 1, lambda x, z: np.zeros((1, x.shape[1])),
-                      growth_c=0.0)
+    nl = Nonlinearity(1, 1, lambda x, z: np.zeros((1, x.shape[1])))
     a = mild_solve(spec, None, g, 0.3, 2e-2)
     b = mild_solve(spec, nl, g, 0.3, 2e-2)
     for va, vb in zip(a.values, b.values):
@@ -107,7 +106,7 @@ def test_mollify_proximity_bounded_nonlinearity():
     def tanh_fn(x, z):
         return np.tanh(z[0, 0])[None, :]
 
-    nl = Nonlinearity(1, 1, tanh_fn, growth_c=1.0)
+    nl = Nonlinearity(1, 1, tanh_fn)
     rng = np.random.default_rng(3)
     z = rng.uniform(-5, 5, (1, 1, 256))
     x = np.zeros((1, 256))

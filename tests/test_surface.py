@@ -1,5 +1,7 @@
 """Every public name of the package is reached by the package itself or
-by a script; a name only tests reach is surface to delete."""
+by a script; a name only tests reach is surface to delete.  Every keyword
+default of a public function is passed by some call; a default that no
+call passes is a setting nothing sets, so it should be a constant."""
 
 import ast
 from pathlib import Path
@@ -41,3 +43,64 @@ REFERENCED = _referenced()
 def test_every_public_name_is_reached(path):
     unreached = sorted(set(_exported(path)) - REFERENCED)
     assert not unreached, f"{path.stem}: only tests reach {unreached}"
+
+
+def _defaulted_params():
+    """(module, name, offset, defaulted parameter names and positions) of
+    every public function and public-class method in the package; offset
+    is 1 for a method, whose first parameter a call through an attribute
+    does not pass."""
+    out = []
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                defs, offset = [node], 0
+            elif isinstance(node, ast.ClassDef) \
+                    and not node.name.startswith("_"):
+                defs = [f for f in node.body
+                        if isinstance(f, ast.FunctionDef)]
+                offset = 1
+            else:
+                continue
+            for fn in defs:
+                if fn.name.startswith("_"):
+                    continue
+                args = fn.args.posonlyargs + fn.args.args
+                first = len(args) - len(fn.args.defaults)
+                params = [(a.arg, i) for i, a in enumerate(args)
+                          if i >= first]
+                params += [(a.arg, None) for a, v in zip(
+                    fn.args.kwonlyargs, fn.args.kw_defaults)
+                    if v is not None]
+                out.append((path.stem, fn.name, offset, params))
+    return out
+
+
+def _passed_params():
+    """name -> (most positional arguments, keyword names) over every call
+    of that name in src, scripts and tests.  A forwarded *args or
+    **kwargs passes nothing: a wrapper sets no value of its own."""
+    calls = {}
+    for path in SOURCES + sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            n_pos = next((i for i, a in enumerate(node.args)
+                          if isinstance(a, ast.Starred)), len(node.args))
+            most, kws = calls.get(name, (0, set()))
+            calls[name] = (max(most, n_pos),
+                           kws | {k.arg for k in node.keywords})
+    return calls
+
+
+def test_every_keyword_default_is_passed_somewhere():
+    calls = _passed_params()
+    unset = []
+    for module, name, offset, params in _defaulted_params():
+        n_pos, kws = calls.get(name, (0, set()))
+        for param, index in params:
+            positional = index is not None and n_pos > index - offset
+            if param not in kws and not positional:
+                unset.append(f"{module}.{name}({param}=)")
+    assert not unset, f"defaults no call passes: {unset}"
