@@ -11,14 +11,13 @@ across nested annuli and reported as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dsl import parse_coeff_expr
 from .operators import _eval_matrix
 
-__all__ = ["AuditError", "HypothesisReport", "sample_points", "eta_sphere",
+__all__ = ["AuditError", "sample_points", "eta_sphere",
            "check_ellipticity", "check_coupling_nonnegativity", "check_coupling_growth",
            "lyapunov_probe", "check_weight_conditions", "full_audit"]
 
@@ -29,17 +28,6 @@ _LIMIT_THRESHOLD = 1e-2  # outermost value a limit quantity must fall to
 
 class AuditError(RuntimeError):
     pass
-
-
-@dataclass
-class HypothesisReport:
-    spec_name: str
-    box: float
-    sections: dict = field(default_factory=dict)
-
-    def verdicts(self):
-        return {k: v.get("verdict") for k, v in self.sections.items()
-                if isinstance(v, dict) and "verdict" in v}
 
 
 def jsonable(obj):
@@ -148,7 +136,6 @@ def check_coupling_nonnegativity(spec, box, epsilon, kappa0, n_eta=64, n_samples
     if epsilon <= 0:
         raise AuditError("epsilon must be positive")
     ts, pts = sample_points(spec.d, box, n_samples, spec.time_interval)
-    K = pts.shape[1]
     Qv = np.moveaxis(spec.Q_at(ts, pts), 2, 0)  # (K, d, d)
     if np.min(np.abs(np.linalg.det(Qv))) < 1e-14:
         idx = int(np.argmin(np.abs(np.linalg.det(Qv))))
@@ -192,7 +179,7 @@ def check_coupling_growth(spec, box, sigma, n_samples=1024):
         idx = int(np.argmax(ratios))
         return float(ratios[idx]), ts, pts, lam, idx
 
-    xi, ts, pts, lam, idx_xi = xi_on(box)
+    xi, ts, pts, lam, _ = xi_on(box)
     xi2, *_ = xi_on(2 * box)
     diverging = xi2 > 1.05 * xi if xi > 0 else False
 
@@ -248,7 +235,7 @@ def lyapunov_probe(spec, box, phi=None, n_samples=2048):
     if np.any(outer) and np.all(Aphi[outer] < 0):
         y = phiv[outer]
         z = -Aphi[outer]
-        slope, icpt = np.polyfit(np.log(y), np.log(z), 1)
+        slope, _ = np.polyfit(np.log(y), np.log(z), 1)
         r_fit = float(slope - 1.0)
         # smallest b0 and matching offset with -A phi >= b0 y^{r+1} - K
         b0 = float(np.min(z / y ** (r_fit + 1)))
@@ -412,22 +399,22 @@ def check_weight_conditions(spec, weight, box, n_samples=2048):
 
 def full_audit(spec, box, weight=None, epsilon=1.0, kappa0=0.0, sigma=0.5,
                n_samples=1024):
-    """Run every applicable check and collect a HypothesisReport."""
-    report = HypothesisReport(spec.name, box)
+    """Run every applicable check; returns {section: result dict}, each
+    with its "verdict"."""
     lam0, wit = check_ellipticity(spec, box, n_samples)
-    report.sections["ellipticity"] = {
-        "lambda0": lam0, "witness": wit, "verdict": bool(lam0 > 0)}
-    report.sections["nonnegativity"] = check_coupling_nonnegativity(
-        spec, box, epsilon, kappa0, n_samples=n_samples)
-    report.sections["coupling_growth"] = check_coupling_growth(
-        spec, box, sigma, n_samples=n_samples)
-    report.sections["lyapunov"] = lyapunov_probe(
-        spec, box, n_samples=n_samples)
+    sections = {
+        "ellipticity": {"lambda0": lam0, "witness": wit,
+                        "verdict": bool(lam0 > 0)},
+        "nonnegativity": check_coupling_nonnegativity(
+            spec, box, epsilon, kappa0, n_samples=n_samples),
+        "coupling_growth": check_coupling_growth(
+            spec, box, sigma, n_samples=n_samples),
+        "lyapunov": lyapunov_probe(spec, box, n_samples=n_samples)}
     if weight is not None:
         try:
-            report.sections["weighted_gradient"] = check_weight_conditions(
+            sections["weighted_gradient"] = check_weight_conditions(
                 spec, weight, box, n_samples=n_samples)
         except AuditError as err:
-            report.sections["weighted_gradient"] = {
+            sections["weighted_gradient"] = {
                 "verdict": False, "error": str(err)}
-    return report
+    return sections

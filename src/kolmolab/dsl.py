@@ -444,6 +444,8 @@ class CoeffExpr:
 
 
 def _parse(text, d, extra_vars, bindings):
+    if not isinstance(text, str):
+        raise DslError(f"expression must be a string, got {text!r}")
     var_names = {"t"} | {f"x{i + 1}" for i in range(d)} | set(extra_vars)
     return CoeffExpr(_Parser(text, var_names, bindings or {}).parse(), d)
 
@@ -466,7 +468,8 @@ def const_expr(value, d):
 
 def check_guards(expr, box, time_interval, n_samples=512):
     """Load-time guard: denominators and fractional-power bases must stay
-    at least _GUARD_FLOOR away from 0 on the sampled box x time window.
+    at least _GUARD_FLOOR away from 0 on the sampled box x time window,
+    with each state variable z_ik of a nonlinearity drawn on [-box, box].
     Raises DslError.
     """
     guards = []
@@ -477,9 +480,11 @@ def check_guards(expr, box, time_interval, n_samples=512):
     lo, hi = time_interval
     ts = rng.uniform(lo, hi, n_samples)
     xs = rng.uniform(-box, box, (expr.d, n_samples))
+    zs = {name: rng.uniform(-box, box, n_samples)
+          for name in sorted(expr.free_variables()) if name[0] == "z"}
     for kind, node in guards:
         sub = CoeffExpr(node, expr.d)
-        vals = sub(ts, xs)
+        vals = sub.eval_state(ts, xs, zs)
         # a sign change implies a zero crossing somewhere on the box
         if np.min(np.abs(vals)) < _GUARD_FLOOR or \
                 np.min(vals) < 0 < np.max(vals):

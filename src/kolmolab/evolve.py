@@ -61,13 +61,6 @@ def assemble_operator(spec, grid, t, bc):
     Qeig = np.linalg.eigvalsh(np.moveaxis(Qv, 2, 0))[:, 0]
     lam = np.maximum(Qeig, 1e-300)
 
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
     all_nodes = np.arange(N)
 
     def reflect(i):

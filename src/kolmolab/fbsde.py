@@ -20,7 +20,7 @@ import numpy as np
 from .semilinear import sqrtQ_at
 
 __all__ = ["FbsdeError", "DiffusionSpec", "PathBatch", "YZProcess",
-           "horizon_steps", "simulate_forward", "identify_yz",
+           "horizon_steps", "simulate_forward", "path_z", "identify_yz",
            "bsde_residual", "girsanov_weights", "payoffs", "cost"]
 
 _EXPLODE = 1e9
@@ -148,6 +148,11 @@ def simulate_forward(ds: DiffusionSpec, x0, t, T, h_step, N, seed):
                      rho=np.ones(N), exploded=np.flatnonzero(~alive))
 
 
+def path_z(sol, ds: DiffusionSpec, t, pts):
+    """(m, d, N) gradient matrix z = G (J_x u)^T of sol at (t, pts)."""
+    return np.einsum("idN,mdN->miN", ds.G_at(t, pts), sol.grad_eval(t, pts))
+
+
 def identify_yz(sol, ds: DiffusionSpec, batch: PathBatch):
     """Sample Y = u(tau, X_tau) and Z = G (J_x u)^T along the paths."""
     grid = sol.grid
@@ -166,9 +171,7 @@ def identify_yz(sol, ds: DiffusionSpec, batch: PathBatch):
         tl = batch.times[l]
         pts = batch.X[:, l, :].T  # (d, N)
         Y[:, l, :] = sol.eval(tl, pts).T
-        gr = sol.grad_eval(tl, pts)  # (m, d, N)
-        Gv = ds.G_at(tl, pts)  # (d, d, N)
-        Z[:, l, :, :] = np.einsum("idN,mdN->Nmi", Gv, gr)
+        Z[:, l, :, :] = np.moveaxis(path_z(sol, ds, tl, pts), 2, 0)
     # terminal condition holds exactly by construction
     Y[:, -1, :] = ds.g(batch.X[:, -1, :].T).T
     return YZProcess(Y=Y, Z=Z, valid=inside, n_excluded=n_excluded)
@@ -178,8 +181,6 @@ def _hamiltonian_drift(ds: DiffusionSpec, nl, t, pts, Z_l):
     """H(t, x, z) for the backward drift: the coupling term
     sum_i Btilde_i (G^{-1} z)_i minus the semilinear source evaluated at
     the sqrt(Q)-scaled gradient z / sqrt(2)."""
-    N = pts.shape[1]
-    m = Z_l.shape[1]
     Gv = np.moveaxis(ds.G_at(t, pts), 2, 0)  # (N, d, d)
     Du = np.linalg.solve(Gv, np.moveaxis(Z_l, 1, 2))  # (N, d, m): D_i u_k
     Btv = ds.op.Btilde_at(t, pts)  # (d, m, m, N)
@@ -195,8 +196,7 @@ def _hamiltonian_drift(ds: DiffusionSpec, nl, t, pts, Z_l):
 def bsde_residual(yz: YZProcess, ds: DiffusionSpec, nl, batch: PathBatch):
     """L2 norm of R = Y_t + sum Z dW - g(X_T) - sum H h over valid paths,
     with the per-time partial-residual profile."""
-    N, steps = batch.N, batch.steps
-    m = yz.Y.shape[2]
+    steps = batch.steps
     R = yz.Y[:, 0, :] - yz.Y[:, -1, :]
     profile = np.zeros(steps)
     for l in range(steps):
@@ -210,46 +210,38 @@ def bsde_residual(yz: YZProcess, ds: DiffusionSpec, nl, batch: PathBatch):
     return resid, profile
 
 
-def girsanov_weights(ds: DiffusionSpec, batch: PathBatch, strategy):
+def girsanov_weights(ds: DiffusionSpec, batch: PathBatch, controls):
     """Attach exponential-martingale weights for the controlled drift.
 
-    strategy(t, X (N,d), step_index) -> (N, players) control values or
-    None for the uncontrolled base measure.  rho = exp(sum <r, dW>
+    controls is the (N, steps, players) array of control values, or None
+    for the uncontrolled base measure.  rho = exp(sum <r, dW>
     - 1/2 sum |r|^2 h)."""
-    N, steps = batch.N, batch.steps
-    log_rho = np.zeros(N)
-    players = ds.n_players
-    ctrl = np.zeros((N, steps, players)) if players else None
-    for l in range(steps):
-        pts = batch.X[:, l, :].T
-        u = None
-        if strategy is not None:
-            u = np.asarray(strategy(batch.times[l], batch.X[:, l, :], l),
-                           dtype=float)
-            if ctrl is not None:
-                ctrl[:, l, :] = u.reshape(N, players)
-            u = u.reshape(N, players).T  # (players, N)
-        r = ds.r_at(batch.times[l], pts, u)  # (d, N)
+    log_rho = np.zeros(batch.N)
+    for l in range(batch.steps):
+        u = None if controls is None else controls[:, l, :].T
+        r = ds.r_at(batch.times[l], batch.X[:, l, :].T, u)  # (d, N)
         log_rho += np.einsum("dN,Nd->N", r, batch.dW[:, l, :])
         log_rho -= 0.5 * batch.h_step * np.sum(r ** 2, axis=0)
-    return replace(batch, rho=np.exp(log_rho), controls=ctrl)
+    return replace(batch, rho=np.exp(log_rho), controls=controls)
 
 
-def payoffs(ds: DiffusionSpec, batch: PathBatch, i):
-    """Per-path weighted payoff of player i: rho (running + terminal)."""
-    running = np.zeros(batch.N)
+def payoffs(ds: DiffusionSpec, batch: PathBatch):
+    """Per-path weighted payoffs rho (running + terminal), one row per
+    player (per row of h; per row of g without h)."""
+    running = 0
+    terminal = np.asarray(ds.g(batch.X[:, -1, :].T))
     if ds.h is not None:
         for l in range(batch.steps):
-            pts = batch.X[:, l, :].T
             u = None if batch.controls is None else batch.controls[:, l, :].T
-            running += batch.h_step * np.asarray(ds.h(pts, u))[i]
-    terminal = np.asarray(ds.g(batch.X[:, -1, :].T))[i]
+            running = running + batch.h_step * np.asarray(
+                ds.h(batch.X[:, l, :].T, u))
+        terminal = terminal[:len(running)]
     return batch.rho * (running + terminal)
 
 
 def cost(batch: PathBatch, payoff):
     """Weighted Monte-Carlo estimate of a player's cost from its per-path
-    payoffs(ds, batch, i), with its standard error and an
+    payoffs(ds, batch)[i], with its standard error and an
     effective-sample-size degeneracy flag."""
     N = batch.N
     est = float(np.mean(payoff))

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fbsde import cost, girsanov_weights, payoffs
+from .fbsde import cost, girsanov_weights, path_z, payoffs
 
-__all__ = ["GameError", "minimax_select", "equilibrium_strategy",
-           "nash_check"]
+__all__ = ["GameError", "minimax_select", "nash_check"]
 
 _MAX_SWEEPS = 64  # best-response sweeps before a sample counts as cycling
 
@@ -76,68 +75,37 @@ def minimax_select(ds, t, x, z):
     return np.stack([sets[j][idx[j]] for j in range(players)])
 
 
-def equilibrium_strategy(ds, sol=None):
-    """Path strategy feeding minimax_select with z = G (J_x u)^T along
-    paths; sol=None plays the zero-gradient game (z = 0)."""
-    players = ds.n_players
-
-    def strategy(t, X, l):
-        pts = X.T  # (d, N)
-        N = pts.shape[1]
-        if sol is None:
-            z = np.zeros((players, ds.d, N))
-        else:
-            gr = sol.grad_eval(t, pts)  # (m, d, N)
-            Gv = ds.G_at(t, pts)
-            z = np.einsum("idN,mdN->miN", Gv, gr)
-            if z.shape[0] < players:
-                raise GameError("solution has fewer components than "
-                                "players")
-            z = z[:players]
-        return minimax_select(ds, t, pts, z).T  # (N, players)
-
-    return strategy
-
-
-def _deviation_strategy(batch_eq, player, value):
-    """Equilibrium controls recorded in batch_eq with the deviating
-    player's column replaced by a constant."""
-    def strategy(t, X, l):
-        u = batch_eq.controls[:, l, :].copy()
-        u[:, player] = value
-        return u
-    return strategy
-
-
 def nash_check(ds, sol, base):
     """Deviation test for the best-response strategy profile on the
     uncontrolled path batch base.
 
+    The equilibrium controls are picked once per step by minimax_select
+    at z = G (J_x u)^T of sol along the paths (z = 0 when sol is None).
     For every player and every constant deviation to one of its own
     control values the cost difference
     dJ = J_i(deviation) - J_i(equilibrium) is estimated on paired paths;
-    the profile passes when dJ >= -3 stderr throughout.  The equilibrium
-    feedback is evaluated once per step; each deviation reuses it."""
-    N = base.N
-    eq = equilibrium_strategy(ds, sol)
-    batch_eq = girsanov_weights(ds, base, eq)
+    the profile passes when dJ >= -3 stderr throughout."""
     players = ds.n_players
+    if sol is not None and sol.m < players:
+        raise GameError("solution has fewer components than players")
+    eq = np.empty((base.N, base.steps, players))
+    for l in range(base.steps):
+        t, pts = base.times[l], base.X[:, l, :].T
+        z = np.zeros((players, ds.d, base.N)) if sol is None \
+            else path_z(sol, ds, t, pts)[:players]
+        eq[:, l, :] = minimax_select(ds, t, pts, z).T
+    batch_eq = girsanov_weights(ds, base, eq)
+    pay_eq = payoffs(ds, batch_eq)
+    J_eq = [cost(batch_eq, pay_eq[i]) for i in range(players)]
     rows = []
-    verdict = True
-    J_eq = []
     for i in range(players):
-        pay_eq = payoffs(ds, batch_eq, i)
-        J_eq.append(cost(batch_eq, pay_eq))
         for v in ds.controls[i]:
-            batch_dev = girsanov_weights(
-                ds, base, _deviation_strategy(batch_eq, i, v))
-            pay_dev = payoffs(ds, batch_dev, i)
-            diff = pay_dev - pay_eq
-            dJ = float(np.mean(diff))
-            stderr = float(np.std(diff, ddof=1) / np.sqrt(N)) if N > 1 \
-                else 0.0
-            ok = dJ >= -3 * stderr
-            verdict = verdict and ok
-            rows.append({"player": i, "deviation": float(v), "dJ": dJ,
-                         "stderr": stderr, "pass": ok})
-    return {"verdict": verdict, "rows": rows, "J_equilibrium": J_eq}
+            dev = eq.copy()
+            dev[:, :, i] = v
+            batch_dev = girsanov_weights(ds, base, dev)
+            gap = cost(batch_dev, payoffs(ds, batch_dev)[i] - pay_eq[i])
+            rows.append({"player": i, "deviation": float(v), "dJ": gap["J"],
+                         "stderr": gap["stderr"],
+                         "pass": gap["J"] >= -3 * gap["stderr"]})
+    return {"verdict": all(r["pass"] for r in rows), "rows": rows,
+            "J_equilibrium": J_eq}

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import __version__
 from .audit import check_coupling_growth, full_audit, jsonable
-from .dsl import parse_coeff_expr, const_expr
+from .dsl import check_guards, const_expr, parse_coeff_expr, \
+    parse_state_expr
 from .estimates import (max_principle_check, pointwise_check,
                         representation_residual, weighted_gradient_check)
 from .fbsde import (DiffusionSpec, FbsdeError, girsanov_weights,
@@ -48,9 +49,9 @@ ALL_CHECKS = ("audit", "max_principle", "pointwise", "weighted_gradient",
               "representation", "compactness", "semilinear", "fbsde",
               "girsanov", "nash")
 
-# allowed keys per config section; None marks a required section
+# allowed keys and value types per config section
 _SCHEMA = {
-    "operator": {"family": None, "params": dict},
+    "operator": {"family": str, "params": dict},
     "grid": {"L": float, "n": int},
     "time": {"s": float, "T": float, "dt": float},
     "checks": list,
@@ -97,10 +98,11 @@ def load_config(path):
             if not isinstance(val, dict):
                 raise ConfigError(f"section {key!r} must be an object")
             _check_keys(val, spec, f"section {key!r}")
+            for sub, v in val.items():
+                _check_type(f"{key}.{sub}", v, spec[sub])
+        else:
+            _check_type(key, val, spec)
     checks = cfg["checks"]
-    if not isinstance(checks, list):
-        raise ConfigError(
-            f"checks must be a list of check names, got {checks!r}")
     bad = [c for c in checks if c not in ALL_CHECKS]
     if bad:
         raise ConfigError(f"unknown check(s) {bad}; known: {ALL_CHECKS}")
@@ -114,6 +116,7 @@ def load_config(path):
                 f"known: {sorted(FAMILIES)}")
     _check_time(cfg["time"])
     _check_mc(cfg)
+    _check_kernel(cfg)
     return cfg
 
 
@@ -122,26 +125,33 @@ def _is_number(v):
         and math.isfinite(v)
 
 
+def _check_type(name, val, typ):
+    """int is an int that is not a bool, float a finite int or float that
+    is not a bool; list, str, bool and dict are that Python type."""
+    ok = _is_number(val) if typ is float else isinstance(val, typ) and \
+        not (typ is int and isinstance(val, bool))
+    if not ok:
+        what = "a finite number" if typ is float else f"of type {typ.__name__}"
+        raise ConfigError(f"{name} must be {what}, got {val!r}")
+
+
 def _check_time(t):
-    """s, T and dt are finite numbers with T > s and dt > 0."""
+    """s, T and dt are given with T > s and dt > 0."""
     for key in ("s", "T", "dt"):
-        if not _is_number(t.get(key)):
-            raise ConfigError(
-                f"time.{key} must be a finite number, got {t.get(key)!r}")
+        if key not in t:
+            raise ConfigError(f"time.{key} is required")
     if not (t["T"] > t["s"] and t["dt"] > 0):
         raise ConfigError(f"time needs T > s and dt > 0, got {t!r}")
 
 
 def _check_mc(cfg):
-    """Types and ranges of the Monte-Carlo section."""
+    """Ranges of the Monte-Carlo section."""
     mc = cfg.get("mc", {})
-    if "N" in mc:
-        N = mc["N"]
-        if not isinstance(N, int) or isinstance(N, bool) or N < 2:
-            raise ConfigError(f"mc.N must be an integer >= 2, got {N!r}")
+    if mc.get("N", 2) < 2:
+        raise ConfigError(f"mc.N must be an integer >= 2, got {mc['N']!r}")
     if "h_step" in mc:
         h = mc["h_step"]
-        if not _is_number(h) or h <= 0:
+        if h <= 0:
             raise ConfigError(f"mc.h_step must be a number > 0, got {h!r}")
         T, s = cfg["time"]["T"], cfg["time"]["s"]
         try:
@@ -152,10 +162,39 @@ def _check_mc(cfg):
     if "x0" in mc:
         x0 = mc["x0"]
         d = (cfg["operator"].get("params") or {}).get("d", 1)
-        if not isinstance(x0, list) or len(x0) != d or \
-                not all(_is_number(v) for v in x0):
+        if len(x0) != d or not all(_is_number(v) for v in x0):
             raise ConfigError(
                 f"mc.x0 must be a list of d = {d} numbers, got {x0!r}")
+
+
+def _check_kernel(cfg):
+    """Ranges of the kernel probe and of the mollifier ladder."""
+    kern = cfg.get("kernel", {})
+    n = kern.get("n_cells", 1)
+    if not 1 <= n <= 64:
+        raise ConfigError(f"kernel.n_cells must be in [1, 64], got {n!r}")
+    R_list = kern.get("R_list", [1.0])
+    if not R_list or not all(_is_number(R) for R in R_list):
+        raise ConfigError(f"kernel.R_list must be a non-empty list of "
+                          f"numbers, got {R_list!r}")
+    if "x_list" in kern:
+        x_list = kern["x_list"]
+        d = (cfg["operator"].get("params") or {}).get("d", 1)
+        half = cfg["grid"].get("L", math.inf) / 2
+        if not x_list or not all(
+                isinstance(x, list) and len(x) == d
+                and all(_is_number(v) and abs(v) < half for v in x)
+                for x in x_list):
+            raise ConfigError(
+                f"kernel.x_list must be a non-empty list of points of "
+                f"d = {d} numbers with max |x| < L/2 = {half!r}, "
+                f"got {x_list!r}")
+    ladder = cfg.get("semilinear", {}).get("mollify_ladder", [1])
+    if not ladder or not all(isinstance(n, int) and not isinstance(n, bool)
+                             and n >= 1 for n in ladder):
+        raise ConfigError(
+            f"semilinear.mollify_ladder must be a non-empty list of "
+            f"integers >= 1, got {ladder!r}")
 
 
 def _build_operator(cfg):
@@ -186,6 +225,8 @@ def _default_f(spec, grid, cfg):
         exprs = [parse_coeff_expr(s, spec.d) for s in data["f"]]
         if len(exprs) != spec.m:
             raise ConfigError("data.f needs one expression per component")
+        for e in exprs:
+            check_guards(e, grid.L, spec.time_interval)
         vals = np.stack([np.broadcast_to(e(0.0, grid.points()),
                                          (grid.n_nodes,))
                          for e in exprs])
@@ -212,13 +253,20 @@ class _Runner:
             self.grid = Grid(self.spec.d, float(g["L"]), int(g["n"]))
             self.spec.check_guards(self.grid.L)
             self.f = _default_f(self.spec, self.grid, cfg)
+            psi = self._opt("semilinear", "psi", None)
+            d, m = self.spec.d, self.spec.m
+            for text in psi or []:
+                check_guards(parse_state_expr(text, d, m), self.grid.L,
+                             self.spec.time_interval)
+            # the configured nonlinearity, or None for a linear run
+            self.nl = None if psi is None else \
+                nonlinearity_from_exprs(psi, d, m)
         except ValueError as err:
             raise ConfigError(str(err)) from err
         self.s, self.T, self.dt = float(t["s"]), float(t["T"]), \
             float(t["dt"])
         self.box = self._opt("audit", "box", self.grid.L)
         self.sol = None  # filled by the semilinear/fbsde stages
-        self._batches = {}  # (N, h_step) -> uncontrolled path batch
 
     def _opt(self, section, key, default):
         """cfg[section][key], or default when either is absent."""
@@ -242,16 +290,16 @@ class _Runner:
 
     # stage implementations -------------------------------------------
     def stage_audit(self):
-        report = full_audit(
+        sections = full_audit(
             self.spec, self.box, weight=self.weight,
             epsilon=self._opt("audit", "epsilon", 1.0),
             kappa0=self._opt("audit", "kappa0", 0.0),
             sigma=self._opt("audit", "sigma", 0.5),
             n_samples=self._opt("audit", "n_samples", 1024))
-        verdicts = report.verdicts()
+        verdicts = {k: v["verdict"] for k, v in sections.items()}
         self._write_json("audit.json", {
-            "spec": report.spec_name, "box": report.box,
-            "sections": report.sections, "verdicts": verdicts,
+            "spec": self.spec.name, "box": self.box,
+            "sections": sections, "verdicts": verdicts,
             "config_sha256": self.hash, "seed": self.seed,
             "version": __version__})
         return {"verdict": "PASS" if all(verdicts.values()) else "FAIL",
@@ -315,14 +363,6 @@ class _Runner:
                 "scalar_agrees": bool(sca["verdict"] == vec["verdict"]),
                 "vector": vec, "scalar": sca}
 
-    @functools.cached_property
-    def nl(self):
-        """The configured nonlinearity psi, or None for a linear run."""
-        psi = self._opt("semilinear", "psi", None)
-        if psi is None:
-            return None
-        return nonlinearity_from_exprs(psi, self.spec.d, self.spec.m)
-
     def _mild_solve(self, nl):
         """mild_solve over [s, T] with the configured Picard settings."""
         return mild_solve(self.spec, nl, self.f, self.T - self.s, self.dt,
@@ -359,7 +399,6 @@ class _Runner:
         w = self._opt("game", "running_weight", 1.0)
         gain = self._opt("game", "r_gain", 0.5)
         r_const = self._opt("game", "r_const", None)
-        m = self.spec.m
         f = self.f
 
         def g_fn(pts):
@@ -373,8 +412,6 @@ class _Runner:
             return out
 
         def h(pts, u):
-            if u is None:
-                return np.zeros((max(m, len(controls)), pts.shape[1]))
             return np.stack([w * u[i] ** 2 for i in range(len(controls))])
 
         r1 = None
@@ -388,23 +425,19 @@ class _Runner:
     def _x0(self):
         return self._opt("mc", "x0", [0.0] * self.spec.d)
 
-    def _batch(self, N, h_step):
-        """Uncontrolled path batch from x0 over [0, T - s], simulated once
-        per (N, h_step) and shared by the stages asking for it."""
-        key = (N, h_step)
-        if key not in self._batches:
-            self._batches[key] = simulate_forward(
-                self.ds, self._x0(), 0.0, self.T - self.s, h_step, N,
-                self.seed)
-        return self._batches[key]
+    @functools.cached_property
+    def batch(self):
+        """The uncontrolled path batch from x0 over [0, T - s] that the
+        fbsde, girsanov and nash stages share."""
+        return simulate_forward(
+            self.ds, self._x0(), 0.0, self.T - self.s,
+            self._opt("mc", "h_step", (self.T - self.s) / 32),
+            self._opt("mc", "N", 4000), self.seed)
 
     def stage_fbsde(self):
         if self.sol is None:
             self.sol = self._mild_solve(self.nl)
-        ds = self.ds
-        batch = self._batch(self._opt("mc", "N", 4000),
-                            self._opt("mc", "h_step", (self.T - self.s) / 32))
-        yz = identify_yz(self.sol, ds, batch)
+        yz = identify_yz(self.sol, self.ds, self.batch)
         vals = yz.Y[yz.valid, -1, :]
         mc = np.mean(vals, axis=0)
         se = np.std(vals, axis=0, ddof=1) / np.sqrt(vals.shape[0])
@@ -419,9 +452,7 @@ class _Runner:
                 "n_excluded": yz.n_excluded, "linear": lin}
 
     def stage_girsanov(self):
-        ds = self.ds
-        batch = self._batch(self._opt("mc", "N", 4000),
-                            self._opt("mc", "h_step", (self.T - self.s) / 32))
+        ds, batch = self.ds, self.batch
         zero = girsanov_weights(
             DiffusionSpec(op=self.spec, g=ds.g), batch, None)
         exact_one = bool(np.all(zero.rho == 1.0))
@@ -437,9 +468,10 @@ class _Runner:
         ds = self.ds
         if not ds.controls:
             raise StageError("nash check needs game.controls")
-        batch = self._batch(self._opt("mc", "N", 2000),
-                            self._opt("mc", "h_step", (self.T - self.s) / 16))
-        report = nash_check(ds, self.sol, batch)
+        if len(ds.controls) > self.spec.m:
+            raise StageError("game.controls has more players than the "
+                             "operator has components")
+        report = nash_check(ds, self.sol, self.batch)
         self._write_csv("nash.csv", ["player", "deviation", "dJ", "stderr"],
                         [(r["player"] + 1, f"{r['deviation']:.12g}",
                           r["dJ"], r["stderr"]) for r in report["rows"]])

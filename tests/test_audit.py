@@ -186,7 +186,7 @@ def test_full_audit_report_json():
     spec, weight = example_family("ex72", {"d": 1, "m": 2})
     report = full_audit(spec, box=5.0, weight=weight, kappa0=5.0,
                         n_samples=512)
-    assert report.verdicts()["ellipticity"]
+    assert report["ellipticity"]["verdict"]
 
 
 def test_eta_sphere_shapes():

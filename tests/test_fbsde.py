@@ -188,7 +188,7 @@ def test_cost_constant_and_running():
                        h=lambda p, u: np.ones((1, p.shape[1])))
     batch = simulate_forward(ds, 0.0, 0.0, tau, tau / 16, 4000, seed=19)
     batch = girsanov_weights(ds, batch, None)
-    out = cost(batch, payoffs(ds, batch, 0))
+    out = cost(batch, payoffs(ds, batch)[0])
     assert out["J"] == pytest.approx(tau + 1.5, abs=1e-10)
     assert out["stderr"] <= 1e-10
     assert not out["degenerate"]
@@ -202,7 +202,7 @@ def test_cost_two_seeds_agree():
     for seed in (23, 29):
         batch = simulate_forward(ds, 0.0, 0.0, 0.5, 1 / 64, 8000, seed=seed)
         batch = girsanov_weights(ds, batch, None)
-        ests.append(cost(batch, payoffs(ds, batch, 0)))
+        ests.append(cost(batch, payoffs(ds, batch)[0]))
     gap = abs(ests[0]["J"] - ests[1]["J"])
     comb = np.hypot(ests[0]["stderr"], ests[1]["stderr"])
     assert gap <= 3 * comb

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from kolmolab.fbsde import DiffusionSpec, girsanov_weights, simulate_forward
-from kolmolab.game import (GameError, equilibrium_strategy, minimax_select,
-                           nash_check)
+from kolmolab.game import GameError, minimax_select, nash_check
 from kolmolab.operators import example_family
 
 
@@ -116,9 +115,8 @@ def test_nash_single_player_beats_constant_controls():
     from kolmolab.fbsde import cost, payoffs
     Js = []
     for v in V:
-        b = girsanov_weights(ds, base,
-                             lambda t, X, l, v=v: np.full((2000, 1), v))
-        Js.append(cost(b, payoffs(ds, b, 0))["J"])
+        b = girsanov_weights(ds, base, np.full((2000, base.steps, 1), v))
+        Js.append(cost(b, payoffs(ds, b)[0])["J"])
     assert np.argmin(Js) == V.index(0.0)
     assert report["J_equilibrium"][0]["J"] == pytest.approx(Js[1], abs=1e-12)
 
@@ -165,12 +163,12 @@ def test_nash_selects_equilibrium_once_per_step(monkeypatch):
     report = nash_check(ds, None, base)
     assert len(report["rows"]) == 6
     assert len(calls) == base.steps
-    # one payoff evaluation per player and batch: the equilibrium one
-    # also gives J_equilibrium
-    assert len(paid) == 2 * (1 + 3)
+    # one payoff pass per batch: the equilibrium one gives every
+    # player's J_equilibrium
+    assert len(paid) == 1 + 2 * 3
 
 
-def test_equilibrium_strategy_uses_gradient():
+def test_equilibrium_strategy_uses_gradient(monkeypatch):
     from kolmolab.grids import Grid, GridFunction
     from kolmolab.semilinear import mild_solve
     spec = example_family("heat", {"d": 1})
@@ -182,6 +180,14 @@ def test_equilibrium_strategy_uses_gradient():
     ds = DiffusionSpec(op=spec, g=lambda p: p[:1],
                        controls=((-1.0, 0.0, 1.0),),
                        r2=lambda p, u: u[:1] * np.ones((1, p.shape[1])))
-    strat = equilibrium_strategy(ds, sol)
-    u = strat(0.1, np.zeros((8, 1)), 0)
-    assert np.all(u == -1.0)
+    picks = []
+
+    def spy(*args):
+        picks.append(minimax_select(*args))
+        return picks[-1]
+
+    monkeypatch.setattr("kolmolab.game.minimax_select", spy)
+    base = simulate_forward(ds, 0.0, 0.0, 0.5, 0.5 / 8, 8, 5)
+    nash_check(ds, sol, base)
+    assert len(picks) == base.steps
+    assert all(np.all(u == -1.0) for u in picks)

@@ -157,9 +157,23 @@ def test_exhausted_picard_fails_with_strict_json(tmp_path):
     {"time": {"s": 0.0, "T": 0.25, "dt": 0.0}, "mc": {}},
     {"time": {"s": 0.0, "T": 0.25, "dt": -0.005}, "mc": {}},
     {"checks": "audit"},
+    {"seed": 11.7},
+    {"grid": {"L": 6.0, "n": "81"}},
+    {"audit": {"box": "4"}},
+    {"operator": {"family": "ou", "params": [1]}},
+    {"kernel": {"n_cells": 100}},
+    {"kernel": {"x_list": [[4.0]]}},
+    {"semilinear": {"mollify_ladder": [0]}},
+    {"data": {"f": ["1/x1"]}},
+    {"semilinear": {"psi": ["1/z11"]}},
+    {"data": {"f": [1]}},
+    {"kernel": {"x_list": []}},
 ], ids=["family_inequality", "even_grid_n", "singular_coefficient",
         "T_equals_s", "T_before_s", "dt_zero", "dt_negative",
-        "checks_string"])
+        "checks_string", "seed_float", "grid_n_string", "audit_box_string",
+        "params_list", "kernel_n_cells", "kernel_x_outside_probe_box",
+        "mollify_ladder_zero", "data_f_singular", "psi_singular",
+        "data_f_not_a_string", "kernel_x_list_empty"])
 def test_operator_and_grid_errors_exit_2(tmp_path, capsys, overrides):
     p = tmp_path / "c.run"
     write_cfg(p, **overrides)
@@ -167,6 +181,17 @@ def test_operator_and_grid_errors_exit_2(tmp_path, capsys, overrides):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_nash_needs_a_cost_component_per_player(tmp_path):
+    # ou has one component; a second player would have no terminal cost
+    p = tmp_path / "c.run"
+    write_cfg(p, checks=["nash"],
+              game={"controls": [[0.0, 1.0], [0.0, 1.0]]})
+    code, report = run(p, outdir=tmp_path / "r")
+    assert code == 1
+    assert "more players" in report["stages"]["nash"]["error"]
 
 
 def test_fbsde_fails_when_its_picard_solve_does_not_converge(tmp_path):

@@ -1,7 +1,9 @@
 """Every public name of the package is reached by the package itself or
 by a script; a name only tests reach is surface to delete.  Every keyword
 default of a public function is passed by some call; a default that no
-call passes is a setting nothing sets, so it should be a constant."""
+call passes is a setting nothing sets, so it should be a constant.  Every
+name a function binds is read in it; a name bound and never read is dead
+code."""
 
 import ast
 from pathlib import Path
@@ -104,3 +106,35 @@ def test_every_keyword_default_is_passed_somewhere():
             if param not in kws and not positional:
                 unset.append(f"{module}.{name}({param}=)")
     assert not unset, f"defaults no call passes: {unset}"
+
+
+def _outer_functions(body):
+    """Top-level functions and class methods; a nested function belongs
+    to the function around it."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+        elif isinstance(node, ast.ClassDef):
+            yield from _outer_functions(node.body)
+
+
+def _unread_locals(fn):
+    """Names that fn (nested functions included) binds by assignment, a
+    loop, def, class or except clause and never reads; _ is exempt."""
+    bound, read = set(), set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name):
+            (read if isinstance(node.ctx, ast.Load) else bound).add(node.id)
+        elif node is not fn and isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+    return sorted(bound - read - {"_"})
+
+
+def test_every_local_name_is_read():
+    unread = [f"{path.stem}.{fn.name}: {name}" for path in SOURCES
+              for fn in _outer_functions(ast.parse(path.read_text()).body)
+              for name in _unread_locals(fn)]
+    assert not unread, f"locals bound and never read: {unread}"
