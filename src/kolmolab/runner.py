@@ -8,6 +8,7 @@ package version; reruns of the same config are byte-identical.
 
 from __future__ import annotations
 
+import copy
 import csv
 import functools
 import hashlib
@@ -49,26 +50,94 @@ ALL_CHECKS = ("audit", "max_principle", "pointwise", "weighted_gradient",
               "representation", "compactness", "semilinear", "fbsde",
               "girsanov", "nash")
 
-# allowed keys and value types per config section
+_REQUIRED = object()  # the default of a key that every config must give
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and math.isfinite(v)
+
+
+def _numbers(v):
+    """v is a non-empty list of finite numbers."""
+    return isinstance(v, list) and len(v) > 0 and all(map(_is_number, v))
+
+
+def _dim(cfg):
+    return int(cfg["operator"]["params"].get("d", 1))
+
+
+def _divides_horizon(h, cfg):
+    """h > 0 divides T - s (horizon_steps raises unless it does)."""
+    T, s = cfg["time"]["T"], cfg["time"]["s"]
+    try:
+        return h > 0 and horizon_steps(T - s, h) >= 1
+    except FbsdeError:
+        return False
+
+
+def _probe_points(v, cfg):
+    """v is a non-empty list of points of d numbers with max |x| < L/2."""
+    return len(v) > 0 and all(
+        _numbers(x) and len(x) == _dim(cfg)
+        and max(map(abs, x)) < cfg["grid"]["L"] / 2 for x in v)
+
+
+# Each config key as (type, default) or (type, default, range check, what
+# the check asks).  A default is _REQUIRED, a value, or a function of the
+# config with the keys above it filled in; a range check is a predicate of
+# the given value and that config.  A default is not range-checked.
 _SCHEMA = {
-    "operator": {"family": str, "params": dict},
-    "grid": {"L": float, "n": int},
-    "time": {"s": float, "T": float, "dt": float},
-    "checks": list,
-    "data": {"f": list, "bc": str},
-    "weight": {"M": list, "from_family": bool},
-    "audit": {"box": float, "epsilon": float, "kappa0": float,
-              "sigma": float, "n_samples": int},
-    "kernel": {"n_cells": int, "R_list": list, "x_list": list},
-    "semilinear": {"psi": list, "mollify_ladder": list,
-                   "picard_tol": float, "max_iter": int},
-    "mc": {"N": int, "h_step": float, "x0": list},
-    "game": {"controls": list, "running_weight": float, "r_gain": float,
-             "r_const": float},
-    "seed": int,
-    "output": str,
+    "operator": {
+        "family": (str, _REQUIRED, lambda v, cfg: v in FAMILIES,
+                   f"a known family {sorted(FAMILIES)}"),
+        "params": (dict, {}, lambda v, cfg: v.get("d", 1) in (1, 2),
+                   "an object whose d, if given, is 1 or 2")},
+    "grid": {"L": (float, _REQUIRED), "n": (int, _REQUIRED)},
+    "time": {"s": (float, _REQUIRED),
+             "T": (float, _REQUIRED, lambda v, cfg: v > cfg["time"]["s"],
+                   "greater than time.s"),
+             "dt": (float, _REQUIRED, lambda v, cfg: v > 0, "> 0")},
+    "checks": (list, _REQUIRED,
+               lambda v, cfg: all(c in ALL_CHECKS for c in v),
+               f"a list of known checks {ALL_CHECKS}"),
+    "data": {"f": (list, None),
+             "bc": (str, "neumann",
+                    lambda v, cfg: v in ("neumann", "dirichlet"),
+                    "'neumann' or 'dirichlet'")},
+    "weight": {"M": (list, None), "from_family": (bool, False)},
+    "audit": {"box": (float, lambda cfg: float(cfg["grid"]["L"])),
+              "epsilon": (float, 1.0), "kappa0": (float, 0.0),
+              "sigma": (float, 0.5), "n_samples": (int, 1024)},
+    "kernel": {
+        "n_cells": (int, 24, lambda v, cfg: 1 <= v <= 64, "in [1, 64]"),
+        "R_list": (list, [1.0, 2.0, 3.0], lambda v, cfg: _numbers(v),
+                   "a non-empty list of numbers"),
+        "x_list": (list, lambda cfg: [[0.0] * _dim(cfg),
+                                      [1.0] + [0.0] * (_dim(cfg) - 1)],
+                   _probe_points, "a non-empty list of points of d "
+                   "numbers with max |x| < grid.L / 2")},
+    "semilinear": {
+        "psi": (list, None),
+        "mollify_ladder": (list, [8, 16, 32], lambda v, cfg: len(v) > 0
+                           and all(type(n) is int and n >= 1 for n in v),
+                           "a non-empty list of integers >= 1"),
+        "picard_tol": (float, 1e-8), "max_iter": (int, 40)},
+    "mc": {
+        "N": (int, 4000, lambda v, cfg: v >= 2, "an integer >= 2"),
+        "h_step": (float,
+                   lambda cfg: (cfg["time"]["T"] - cfg["time"]["s"]) / 32,
+                   _divides_horizon, "a number > 0 dividing time.T - time.s"),
+        "x0": (list, lambda cfg: [0.0] * _dim(cfg),
+               lambda v, cfg: _numbers(v) and len(v) == _dim(cfg),
+               "a list of d numbers")},
+    "game": {"controls": (list, [], lambda v, cfg: all(map(_numbers, v)),
+                          "a list of non-empty lists of numbers"),
+             "running_weight": (float, 1.0), "r_gain": (float, 0.5),
+             "r_const": (float, None)},
+    "seed": (int, _REQUIRED),
+    "output": (str, _REQUIRED),
 }
-_REQUIRED = ("operator", "grid", "time", "checks", "seed", "output")
 
 
 def _check_keys(section, allowed, where):
@@ -80,7 +149,8 @@ def _check_keys(section, allowed, where):
 
 
 def load_config(path):
-    """Parse and schema-validate a run configuration."""
+    """Parse a run configuration, check it against _SCHEMA and return it
+    with every missing key filled in with its default."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -89,40 +159,36 @@ def load_config(path):
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     _check_keys(cfg, _SCHEMA, "config root")
-    for key in _REQUIRED:
-        if key not in cfg:
-            raise ConfigError(f"missing required section {key!r}")
-    for key, val in cfg.items():
-        spec = _SCHEMA[key]
-        if isinstance(spec, dict):
-            if not isinstance(val, dict):
-                raise ConfigError(f"section {key!r} must be an object")
-            _check_keys(val, spec, f"section {key!r}")
-            for sub, v in val.items():
-                _check_type(f"{key}.{sub}", v, spec[sub])
-        else:
-            _check_type(key, val, spec)
-    checks = cfg["checks"]
-    bad = [c for c in checks if c not in ALL_CHECKS]
-    if bad:
-        raise ConfigError(f"unknown check(s) {bad}; known: {ALL_CHECKS}")
-    if "weighted_gradient" in checks and "weight" not in cfg:
-        raise ConfigError(
-            "check 'weighted_gradient' needs a 'weight' section")
-    if "operator" in cfg and "family" in cfg["operator"]:
-        if cfg["operator"]["family"] not in FAMILIES:
+    # (dotted name, dict that holds the key, key, table entry), in order
+    entries = []
+    for name, spec in _SCHEMA.items():
+        if not isinstance(spec, dict):
+            entries.append((name, cfg, name, spec))
+            continue
+        section = cfg.setdefault(name, {})  # an absent section is empty
+        if not isinstance(section, dict):
+            raise ConfigError(f"section {name!r} must be an object")
+        _check_keys(section, spec, f"section {name!r}")
+        entries += [(f"{name}.{key}", section, key, entry)
+                    for key, entry in spec.items()]
+    for name, holder, key, (typ, default, *_) in entries:
+        if key in holder:
+            _check_type(name, holder[key], typ)
+        elif default is _REQUIRED:
+            raise ConfigError(f"{name} is required")
+    # range checks and derived defaults read only keys above their own
+    for name, holder, key, (_, default, *check) in entries:
+        if key not in holder:
+            holder[key] = copy.deepcopy(
+                default(cfg) if callable(default) else default)
+        elif check and not check[0](holder[key], cfg):
             raise ConfigError(
-                f"unknown family {cfg['operator']['family']!r}; "
-                f"known: {sorted(FAMILIES)}")
-    _check_time(cfg["time"])
-    _check_mc(cfg)
-    _check_kernel(cfg)
+                f"{name} must be {check[1]}, got {holder[key]!r}")
+    if "weighted_gradient" in cfg["checks"] and \
+            cfg["weight"]["M"] is None and not cfg["weight"]["from_family"]:
+        raise ConfigError("check 'weighted_gradient' needs weight.M or "
+                          "weight.from_family")
     return cfg
-
-
-def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool) \
-        and math.isfinite(v)
 
 
 def _check_type(name, val, typ):
@@ -135,94 +201,26 @@ def _check_type(name, val, typ):
         raise ConfigError(f"{name} must be {what}, got {val!r}")
 
 
-def _check_time(t):
-    """s, T and dt are given with T > s and dt > 0."""
-    for key in ("s", "T", "dt"):
-        if key not in t:
-            raise ConfigError(f"time.{key} is required")
-    if not (t["T"] > t["s"] and t["dt"] > 0):
-        raise ConfigError(f"time needs T > s and dt > 0, got {t!r}")
-
-
-def _check_mc(cfg):
-    """Ranges of the Monte-Carlo section."""
-    mc = cfg.get("mc", {})
-    if mc.get("N", 2) < 2:
-        raise ConfigError(f"mc.N must be an integer >= 2, got {mc['N']!r}")
-    if "h_step" in mc:
-        h = mc["h_step"]
-        if h <= 0:
-            raise ConfigError(f"mc.h_step must be a number > 0, got {h!r}")
-        T, s = cfg["time"]["T"], cfg["time"]["s"]
-        try:
-            horizon_steps(T - s, h)
-        except FbsdeError:
-            raise ConfigError(
-                f"mc.h_step = {h!r} does not divide T - s = {T - s!r}")
-    if "x0" in mc:
-        x0 = mc["x0"]
-        d = (cfg["operator"].get("params") or {}).get("d", 1)
-        if len(x0) != d or not all(_is_number(v) for v in x0):
-            raise ConfigError(
-                f"mc.x0 must be a list of d = {d} numbers, got {x0!r}")
-
-
-def _check_kernel(cfg):
-    """Ranges of the kernel probe and of the mollifier ladder."""
-    kern = cfg.get("kernel", {})
-    n = kern.get("n_cells", 1)
-    if not 1 <= n <= 64:
-        raise ConfigError(f"kernel.n_cells must be in [1, 64], got {n!r}")
-    R_list = kern.get("R_list", [1.0])
-    if not R_list or not all(_is_number(R) for R in R_list):
-        raise ConfigError(f"kernel.R_list must be a non-empty list of "
-                          f"numbers, got {R_list!r}")
-    if "x_list" in kern:
-        x_list = kern["x_list"]
-        d = (cfg["operator"].get("params") or {}).get("d", 1)
-        half = cfg["grid"].get("L", math.inf) / 2
-        if not x_list or not all(
-                isinstance(x, list) and len(x) == d
-                and all(_is_number(v) and abs(v) < half for v in x)
-                for x in x_list):
-            raise ConfigError(
-                f"kernel.x_list must be a non-empty list of points of "
-                f"d = {d} numbers with max |x| < L/2 = {half!r}, "
-                f"got {x_list!r}")
-    ladder = cfg.get("semilinear", {}).get("mollify_ladder", [1])
-    if not ladder or not all(isinstance(n, int) and not isinstance(n, bool)
-                             and n >= 1 for n in ladder):
-        raise ConfigError(
-            f"semilinear.mollify_ladder must be a non-empty list of "
-            f"integers >= 1, got {ladder!r}")
-
-
 def _build_operator(cfg):
-    fam = cfg["operator"]["family"]
-    built = example_family(fam, cfg["operator"].get("params"))
-    if isinstance(built, tuple):
-        spec, weight = built
-    else:
-        spec, weight = built, None
-    wcfg = cfg.get("weight")
-    if wcfg is not None:
-        if wcfg.get("from_family"):
-            if weight is None:
-                raise ConfigError(
-                    f"family {fam!r} supplies no weight; give weight.M")
-        elif "M" in wcfg:
-            weight = WeightSpec(spec.d,
-                                matrix_of_consts(wcfg["M"], spec.d))
-        else:
-            raise ConfigError("weight section needs 'M' or 'from_family'")
+    """The operator and its weight: the family's own, or weight.M unless
+    weight.from_family is set."""
+    built = example_family(cfg["operator"]["family"],
+                           cfg["operator"]["params"])
+    spec, weight = built if isinstance(built, tuple) else (built, None)
+    if cfg["weight"]["from_family"]:
+        if weight is None:
+            raise ConfigError(f"family {cfg['operator']['family']!r} "
+                              f"supplies no weight; give weight.M")
+    elif cfg["weight"]["M"] is not None:
+        weight = WeightSpec(spec.d,
+                            matrix_of_consts(cfg["weight"]["M"], spec.d))
     return spec, weight
 
 
 def _default_f(spec, grid, cfg):
-    data = cfg.get("data", {})
-    bc = data.get("bc", "neumann")
-    if "f" in data:
-        exprs = [parse_coeff_expr(s, spec.d) for s in data["f"]]
+    bc = cfg["data"]["bc"]
+    if cfg["data"]["f"] is not None:
+        exprs = [parse_coeff_expr(s, spec.d) for s in cfg["data"]["f"]]
         if len(exprs) != spec.m:
             raise ConfigError("data.f needs one expression per component")
         for e in exprs:
@@ -246,14 +244,13 @@ class _Runner:
         self.cfg = cfg
         self.outdir = outdir
         self.hash = hashlib.sha256(cfg_bytes).hexdigest()
-        self.seed = int(cfg["seed"])
-        g, t = cfg["grid"], cfg["time"]
         try:  # FamilyError, DslError and Grid's checks are config errors
             self.spec, self.weight = _build_operator(cfg)
-            self.grid = Grid(self.spec.d, float(g["L"]), int(g["n"]))
+            self.grid = Grid(self.spec.d, float(cfg["grid"]["L"]),
+                             cfg["grid"]["n"])
             self.spec.check_guards(self.grid.L)
             self.f = _default_f(self.spec, self.grid, cfg)
-            psi = self._opt("semilinear", "psi", None)
+            psi = cfg["semilinear"]["psi"]
             d, m = self.spec.d, self.spec.m
             for text in psi or []:
                 check_guards(parse_state_expr(text, d, m), self.grid.L,
@@ -263,14 +260,9 @@ class _Runner:
                 nonlinearity_from_exprs(psi, d, m)
         except ValueError as err:
             raise ConfigError(str(err)) from err
-        self.s, self.T, self.dt = float(t["s"]), float(t["T"]), \
-            float(t["dt"])
-        self.box = self._opt("audit", "box", self.grid.L)
+        self.s, self.T, self.dt = float(cfg["time"]["s"]), \
+            float(cfg["time"]["T"]), float(cfg["time"]["dt"])
         self.sol = None  # filled by the semilinear/fbsde stages
-
-    def _opt(self, section, key, default):
-        """cfg[section][key], or default when either is absent."""
-        return self.cfg.get(section, {}).get(key, default)
 
     def _path(self, name):
         return os.path.join(self.outdir, name)
@@ -291,16 +283,16 @@ class _Runner:
     # stage implementations -------------------------------------------
     def stage_audit(self):
         sections = full_audit(
-            self.spec, self.box, weight=self.weight,
-            epsilon=self._opt("audit", "epsilon", 1.0),
-            kappa0=self._opt("audit", "kappa0", 0.0),
-            sigma=self._opt("audit", "sigma", 0.5),
-            n_samples=self._opt("audit", "n_samples", 1024))
+            self.spec, self.cfg["audit"]["box"], weight=self.weight,
+            epsilon=self.cfg["audit"]["epsilon"],
+            kappa0=self.cfg["audit"]["kappa0"],
+            sigma=self.cfg["audit"]["sigma"],
+            n_samples=self.cfg["audit"]["n_samples"])
         verdicts = {k: v["verdict"] for k, v in sections.items()}
         self._write_json("audit.json", {
-            "spec": self.spec.name, "box": self.box,
+            "spec": self.spec.name, "box": self.cfg["audit"]["box"],
             "sections": sections, "verdicts": verdicts,
-            "config_sha256": self.hash, "seed": self.seed,
+            "config_sha256": self.hash, "seed": self.cfg["seed"],
             "version": __version__})
         return {"verdict": "PASS" if all(verdicts.values()) else "FAIL",
                 "sections": verdicts}
@@ -308,8 +300,8 @@ class _Runner:
     def stage_max_principle(self):
         res = max_principle_check(
             self.spec, self.f, self.s, self.T,
-            epsilon=self._opt("audit", "epsilon", 1.0),
-            kappa0=self._opt("audit", "kappa0", 1.0),
+            epsilon=self.cfg["audit"]["epsilon"],
+            kappa0=self.cfg["audit"]["kappa0"],
             dt_list=(2 * self.dt, self.dt))
         self._write_csv("max_principle.csv",
                         ["dt", "ratio"],
@@ -318,8 +310,8 @@ class _Runner:
         return res.as_dict()
 
     def stage_pointwise(self):
-        HJ = check_coupling_growth(self.spec, self.box,
-                                   self._opt("audit", "sigma", 0.5))["HJ"]
+        HJ = check_coupling_growth(self.spec, self.cfg["audit"]["box"],
+                                   self.cfg["audit"]["sigma"])["HJ"]
         res = pointwise_check(self.spec, self.f, self.s, self.T,
                               HJ=max(float(HJ), 0.0), dt=self.dt)
         return res.as_dict()
@@ -348,13 +340,11 @@ class _Runner:
                 "residuals": resids, "decoupled": bool(decoupled)}
 
     def stage_compactness(self):
-        n_cells = self._opt("kernel", "n_cells", 24)
-        R_list = self._opt("kernel", "R_list", [1.0, 2.0, 3.0])
-        x_list = self._opt("kernel", "x_list", [
-            [0.0] * self.spec.d, [1.0] + [0.0] * (self.spec.d - 1)])
+        R_list = self.cfg["kernel"]["R_list"]
         vec, sca = [compactness_probe(spec, self.grid, self.T, self.s,
-                                      x_list, R_list, n_cells, 2 * self.dt,
-                                      bc="neumann")
+                                      self.cfg["kernel"]["x_list"], R_list,
+                                      self.cfg["kernel"]["n_cells"],
+                                      2 * self.dt, bc="neumann")
                     for spec in (self.spec, scalar_comparison(self.spec))]
         rows = [(str(e["x"]), *e["outside"]) for e in vec["table"]]
         self._write_csv("compactness.csv",
@@ -366,13 +356,12 @@ class _Runner:
     def _mild_solve(self, nl):
         """mild_solve over [s, T] with the configured Picard settings."""
         return mild_solve(self.spec, nl, self.f, self.T - self.s, self.dt,
-                          picard_tol=self._opt("semilinear", "picard_tol",
-                                               1e-8),
-                          max_iter=self._opt("semilinear", "max_iter", 40))
+                          picard_tol=self.cfg["semilinear"]["picard_tol"],
+                          max_iter=self.cfg["semilinear"]["max_iter"])
 
     def stage_semilinear(self):
         nl = self.nl
-        ladder = self._opt("semilinear", "mollify_ladder", [8, 16, 32])
+        ladder = self.cfg["semilinear"]["mollify_ladder"]
         sols, norms = [], []
         for n in ([None] if nl is None else ladder):
             sol = self._mild_solve(
@@ -395,10 +384,13 @@ class _Runner:
     def ds(self):
         """The controlled forward diffusion shared by the Monte-Carlo
         stages."""
-        controls = tuple(map(tuple, self._opt("game", "controls", [])))
-        w = self._opt("game", "running_weight", 1.0)
-        gain = self._opt("game", "r_gain", 0.5)
-        r_const = self._opt("game", "r_const", None)
+        controls = tuple(map(tuple, self.cfg["game"]["controls"]))
+        w = self.cfg["game"]["running_weight"]
+        gain = self.cfg["game"]["r_gain"]
+        r_const = self.cfg["game"]["r_const"]
+        r1 = None if r_const is None else tuple(
+            const_expr(float(r_const), self.spec.d)
+            for _ in range(self.spec.d))
         f = self.f
 
         def g_fn(pts):
@@ -414,25 +406,17 @@ class _Runner:
         def h(pts, u):
             return np.stack([w * u[i] ** 2 for i in range(len(controls))])
 
-        r1 = None
-        if r_const is not None:
-            r1 = tuple(const_expr(float(r_const), self.spec.d)
-                       for _ in range(self.spec.d))
         return DiffusionSpec(op=self.spec, g=g_fn, r1=r1,
                              r2=r2 if controls else None,
                              controls=controls, h=h if controls else None)
-
-    def _x0(self):
-        return self._opt("mc", "x0", [0.0] * self.spec.d)
 
     @functools.cached_property
     def batch(self):
         """The uncontrolled path batch from x0 over [0, T - s] that the
         fbsde, girsanov and nash stages share."""
         return simulate_forward(
-            self.ds, self._x0(), 0.0, self.T - self.s,
-            self._opt("mc", "h_step", (self.T - self.s) / 32),
-            self._opt("mc", "N", 4000), self.seed)
+            self.ds, self.cfg["mc"]["x0"], 0.0, self.T - self.s,
+            self.cfg["mc"]["h_step"], self.cfg["mc"]["N"], self.cfg["seed"])
 
     def stage_fbsde(self):
         if self.sol is None:
@@ -441,8 +425,8 @@ class _Runner:
         vals = yz.Y[yz.valid, -1, :]
         mc = np.mean(vals, axis=0)
         se = np.std(vals, axis=0, ddof=1) / np.sqrt(vals.shape[0])
-        pde = self.sol.eval(0.0, np.asarray(self._x0(), dtype=float)
-                            .reshape(-1, 1))[:, 0]
+        pde = self.sol.eval(0.0, np.asarray(self.cfg["mc"]["x0"],
+                                            dtype=float).reshape(-1, 1))[:, 0]
         lin = self.nl is None
         gap = np.abs(mc - pde)
         ok = self.sol.converged and (
@@ -508,7 +492,7 @@ def run(config_path, outdir=None):
     if any(v == "FAIL" for v in verdicts.values()):
         code = max(code, 1)
     report = {"version": __version__, "config_sha256": runner.hash,
-              "seed": runner.seed, "stages": jsonable(stages),
+              "seed": runner.cfg["seed"], "stages": jsonable(stages),
               "verdicts": verdicts, "exit_code": code}
     runner._write_json("report.json", report)
     return code, report

@@ -168,12 +168,20 @@ def test_exhausted_picard_fails_with_strict_json(tmp_path):
     {"semilinear": {"psi": ["1/z11"]}},
     {"data": {"f": [1]}},
     {"kernel": {"x_list": []}},
+    {"grid": {"n": 81}},
+    {"operator": {"params": {"d": 1}}},
+    {"game": {"controls": [1, 2]}},
+    {"game": {"controls": [["a"]]}},
+    {"game": {"controls": [[]]}},
+    {"data": {"bc": "periodic"}},
 ], ids=["family_inequality", "even_grid_n", "singular_coefficient",
         "T_equals_s", "T_before_s", "dt_zero", "dt_negative",
         "checks_string", "seed_float", "grid_n_string", "audit_box_string",
         "params_list", "kernel_n_cells", "kernel_x_outside_probe_box",
         "mollify_ladder_zero", "data_f_singular", "psi_singular",
-        "data_f_not_a_string", "kernel_x_list_empty"])
+        "data_f_not_a_string", "kernel_x_list_empty", "grid_without_L",
+        "operator_without_family", "controls_not_lists",
+        "controls_not_numbers", "controls_empty_set", "bc_unknown"])
 def test_operator_and_grid_errors_exit_2(tmp_path, capsys, overrides):
     p = tmp_path / "c.run"
     write_cfg(p, **overrides)
@@ -182,6 +190,43 @@ def test_operator_and_grid_errors_exit_2(tmp_path, capsys, overrides):
     assert err.startswith("config error:")
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_audit_and_max_principle_share_kappa0(tmp_path):
+    # without audit.kappa0 both stages use the one default, 0.0
+    p = tmp_path / "c.run"
+    write_cfg(p, checks=["audit", "max_principle"],
+              audit={"box": 4.0, "n_samples": 256})
+    _, report = run(p, outdir=tmp_path / "r")
+    audit = json.loads((tmp_path / "r" / "audit.json").read_text())
+    audited = audit["sections"]["nonnegativity"]["kappa0"]
+    assert audited == report["stages"]["max_principle"]["notes"]["kappa0"]
+    assert audited == 0.0
+
+
+def _weighted_gradient_stage(tmp_path, name, weight):
+    """The weighted_gradient stage of an ex72 run with that weight."""
+    p = tmp_path / f"{name}.run"
+    write_cfg(p, operator={"family": "ex72", "params": {"d": 1, "m": 2}},
+              checks=["audit", "weighted_gradient"], weight=weight)
+    _, report = run(p, outdir=tmp_path / name)
+    return report["stages"]["weighted_gradient"]
+
+
+def test_weighted_gradient_stage_reads_the_weight_section(tmp_path, capsys):
+    family = _weighted_gradient_stage(tmp_path, "fam", {"from_family": True})
+    assert family["verdict"] == "PASS"
+    m1, m2 = [_weighted_gradient_stage(tmp_path, f"m{c}",
+                                       {"M": [[float(c)]]})["measured"]
+              for c in (1, 2)]
+    assert math.isclose(m2, 2 * m1, rel_tol=1e-12)
+    # write_cfg's family, ou, has no weight of its own
+    p = tmp_path / "ou.run"
+    write_cfg(p, checks=["audit", "weighted_gradient"],
+              weight={"from_family": True})
+    assert main(["run", str(p), "--output", str(tmp_path / "ou")]) == 2
+    assert "supplies no weight" in capsys.readouterr().err
+    assert not (tmp_path / "ou").exists()
 
 
 def test_nash_needs_a_cost_component_per_player(tmp_path):

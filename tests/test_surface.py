@@ -3,7 +3,8 @@ by a script; a name only tests reach is surface to delete.  Every keyword
 default of a public function is passed by some call; a default that no
 call passes is a setting nothing sets, so it should be a constant.  Every
 name a function binds is read in it; a name bound and never read is dead
-code."""
+code.  Every key of the runner's config table is read by the runner, and
+every key the runner reads is in the table."""
 
 import ast
 from pathlib import Path
@@ -138,3 +139,38 @@ def test_every_local_name_is_read():
               for fn in _outer_functions(ast.parse(path.read_text()).body)
               for name in _unread_locals(fn)]
     assert not unread, f"locals bound and never read: {unread}"
+
+
+def _config_reads(tree):
+    """Top-level keys and (section, key) pairs read as constant-string
+    subscripts of a name or an attribute called cfg."""
+    def key(node):
+        s = node.slice
+        return s.value if isinstance(s, ast.Constant) \
+            and isinstance(s.value, str) else None
+
+    def is_cfg(node):
+        return getattr(node, "id", getattr(node, "attr", None)) == "cfg"
+
+    top, pairs = set(), set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Subscript) or key(node) is None:
+            continue
+        if is_cfg(node.value):
+            top.add(key(node))
+        elif isinstance(node.value, ast.Subscript) \
+                and is_cfg(node.value.value) and key(node.value) is not None:
+            pairs.add((key(node.value), key(node)))
+    return top, pairs
+
+
+def test_every_config_key_is_read():
+    from kolmolab.runner import _SCHEMA
+    path = ROOT / "src" / "kolmolab" / "runner.py"
+    top, pairs = _config_reads(ast.parse(path.read_text()))
+    table = {(section, k) for section, spec in _SCHEMA.items()
+             if isinstance(spec, dict) for k in spec}
+    assert not set(_SCHEMA) - top and not table - pairs, \
+        f"keys the runner never reads: {set(_SCHEMA) - top, table - pairs}"
+    assert not top - set(_SCHEMA) and not pairs - table, \
+        f"reads of keys not in the table: {top - set(_SCHEMA), pairs - table}"
