@@ -119,9 +119,9 @@ def weighted_gradient_check(spec, weight, f_fn, s, T, t_list, grid_pair,
         for t in sorted(t_list):
             u = stepper.final(u, _time_ladder(prev, t, dt))
             prev = t
-            grad = gradient(GridFunction(grid, spec.m, u))
             val = np.sqrt(t - s) * weighted_gradient_sup(
-                weight.M_at(t, grid.points()), grad, mask) / fnorm
+                weight.M_at(t, grid.points()), gradient(grid, u),
+                mask) / fnorm
             best = max(best, val)
         trend.append(best)
     measured = trend[-1]
@@ -144,31 +144,28 @@ def representation_residual(spec, f: GridFunction, kbar, s, t, dt):
               + <row_kbar C, G_vec(r,s)f>,
 
     with the r-integral realized by stepping the inhomogeneous scalar
-    problem alongside the vector solve on the same ladder."""
+    problem on the ladder of the vector solve."""
     grid = f.grid
     mask = grid.interior_mask(grid.L / 2)
     pts = grid.points()
-    vec_step = _Stepper(spec, grid, f.bc)
-    sca_step = _Stepper(scalar_comparison(spec), grid, f.bc)
     times = _time_ladder(s, t, dt)
     u = f.values
-
-    def source(l):
-        # left-endpoint quadrature: source from the previous level, so
-        # the defect is a genuine O(dt) time-integration error; u still
-        # holds level l-1 because the loop below rebinds it afterwards
-        ug = gradient(GridFunction(grid, spec.m, u, bc=f.bc))
-        Btv = spec.Btilde_at(times[l - 1], pts)  # (d, m, m, N)
-        Cv = spec.C_at(times[l - 1], pts)
-        src = np.einsum("ikN,kiN->N", Btv[:, kbar, :, :], ug) \
-            + np.einsum("kN,kN->N", Cv[kbar], u)
-        return src[None, :]
-
-    levels = zip(vec_step.march(u, times),
-                 # scalar transport of f_kbar, and the integral term
-                 sca_step.march(f.values[kbar:kbar + 1], times),
-                 sca_step.march(np.zeros((1, grid.n_nodes)), times, source))
-    for u, v, w in levels:
-        pass
-    resid = u[kbar] - v[0] - w[0]
+    vec = np.stack([u, *_Stepper(spec, grid, f.bc).march(u, times)])
+    # left-endpoint quadrature: the source of the step onto times[l] is
+    # built from level l-1 at times[l-1], so the defect is a genuine
+    # O(dt) time-integration error
+    Btv = np.stack([spec.Btilde_at(r, pts)[:, kbar] for r in times[:-1]])
+    Cv = np.stack([spec.C_at(r, pts)[kbar] for r in times[:-1]])
+    src = np.einsum("likN,lkiN->lN", Btv, gradient(grid, vec[:-1])) \
+        + np.einsum("lkN,lkN->lN", Cv, vec[:-1])
+    # one two-column march on one stepper, so that both columns share
+    # each (t, dt) LU: the scalar transport of f_kbar, and the integral
+    # term driven by src
+    start = np.zeros((1, grid.n_nodes, 2))
+    start[0, :, 0] = u[kbar]
+    source = np.zeros((len(times) - 1, 1, grid.n_nodes, 2))
+    source[:, 0, :, 1] = src
+    v, w = np.moveaxis(_Stepper(scalar_comparison(spec), grid, f.bc).final(
+        start, times, source), -1, 0)
+    resid = vec[-1, kbar] - v[0] - w[0]
     return float(np.max(np.abs(resid[mask])))

@@ -222,18 +222,19 @@ class _Stepper:
 
     def march(self, values, times, source=None):
         """Step values (m, N, ...) along the ladder times, yielding each
-        new level.  source(l), when given, adds step * source(l) to the
-        right-hand side of the step onto times[l]."""
+        new level.  source, when given, holds one array per step:
+        step * source[l - 1] is added to the right-hand side of the step
+        onto times[l]."""
         for l in range(1, len(times)):
             step = times[l] - times[l - 1]
-            rhs = values if source is None else values + step * source(l)
+            rhs = values if source is None else values + step * source[l - 1]
             values = self.step(rhs, times[l], step)
             yield values
 
-    def final(self, values, times):
-        """Last level of march(values, times); earlier levels are
-        dropped as soon as the next one exists."""
-        return deque(self.march(values, times), maxlen=1).pop()
+    def final(self, values, times, source=None):
+        """Last level of march(values, times, source); earlier levels
+        are dropped as soon as the next one exists."""
+        return deque(self.march(values, times, source), maxlen=1).pop()
 
 
 def _time_ladder(s, t, dt):

@@ -97,7 +97,7 @@ class GridFunction:
         return float(np.max(np.abs(self.values[:, mask])))
 
 
-def _one_dim_gradient(vals, h, axis_len):
+def _one_dim_gradient(vals, h):
     """Second-order differences along the last axis of vals."""
     g = np.empty_like(vals)
     g[..., 1:-1] = (vals[..., 2:] - vals[..., :-2]) / (2 * h)
@@ -106,27 +106,29 @@ def _one_dim_gradient(vals, h, axis_len):
     return g
 
 
-def gradient(u: GridFunction):
-    """Spatial gradient, shape (m, d, n^d); second-order central in the
-    interior, one-sided second-order on the faces."""
-    g = u.grid
-    n, h = g.n, g.h
-    if g.d == 1:
-        out = _one_dim_gradient(u.values, h, n)
-        return out.reshape(u.m, 1, n)
-    vals = u.values.reshape(u.m, n, n)
-    g1 = _one_dim_gradient(np.swapaxes(vals, 1, 2), h, n)
-    g1 = np.swapaxes(g1, 1, 2)  # derivative along axis 1 (x1)
-    g2 = _one_dim_gradient(vals, h, n)  # along axis 2 (x2)
-    return np.stack([g1.reshape(u.m, -1), g2.reshape(u.m, -1)], axis=1)
+def gradient(grid, values):
+    """Spatial gradient of values (..., n^d), shape (..., d, n^d);
+    second-order central in the interior, one-sided second-order on the
+    faces.  Leading axes (components, ladder levels) are carried along."""
+    n, h = grid.n, grid.h
+    if grid.d == 1:
+        return _one_dim_gradient(values, h)[..., None, :]
+    lead = values.shape[:-1]
+    vals = values.reshape(*lead, n, n)
+    g1 = _one_dim_gradient(np.swapaxes(vals, -1, -2), h)
+    g1 = np.swapaxes(g1, -1, -2)  # derivative along axis 1 (x1)
+    g2 = _one_dim_gradient(vals, h)  # along axis 2 (x2)
+    return np.stack([g1.reshape(*lead, -1), g2.reshape(*lead, -1)], axis=-2)
 
 
 def weighted_gradient_sup(weight, grad, mask):
     """sup over the masked nodes of the Frobenius norm of W (J_x u)^T,
-    for a weight field W (d, d, N) and a gradient (m, d, N)."""
+    for weight fields W (..., d, d, N) and gradients (..., m, d, N); one
+    sup per leading index."""
     # (W (J_x u)^T)_{a m} = sum_d W_{a d} D_d u_m
-    wg = np.einsum("adN,mdN->amN", weight, grad)
-    return float(np.max(np.sqrt(np.sum(wg[:, :, mask] ** 2, axis=(0, 1)))))
+    wg = np.einsum("...adN,...mdN->...amN", weight, grad)
+    return np.max(np.sqrt(np.sum(wg[..., mask] ** 2, axis=(-3, -2))),
+                  axis=-1)
 
 
 def interp_multilinear(grid, values, x):

@@ -138,13 +138,16 @@ class WeightSpec:
 # ---------------------------------------------------------------------------
 # Example families
 
-# Default parameters of each family, read by both the inequality check and
-# the builder.  Matrix defaults that depend on d and m live in the builder.
+# The parameters of each family with their defaults, read by both the
+# inequality check and the builder; a family takes these, d and
+# time_interval, and no other key.  None stands for a matrix default that
+# depends on d and m and lives in the builder.
 _DEFAULTS = {
     "heat": {"m": 1},
     "ou": {},
     "const_coupling": {"C": [[1.0, 0.0], [0.0, -1.0]]},
-    "ex71i": {"r": 1.0, "p": 3.0, "m": 2, "g": "1", "h": "1"},
+    "ex71i": {"r": 1.0, "p": 3.0, "m": 2, "g": "1", "h": "1",
+              "Bhat": None, "Chat": None},
     "ex71ii": {"k": 1.0, "r": 1.0, "p": 0.4, "gamma": 0.5, "sigma": 0.5,
                "m": 2, "q": "1", "b": "1", "btilde": "1", "c": "1"},
     "ex72": {"k": 0.0, "r": 0.0, "p": 2.0, "s": 0.5, "tau": 0.0, "m": 2,
@@ -155,8 +158,13 @@ _DEFAULTS = {
 def _with_defaults(name, params):
     if name not in _DEFAULTS:
         raise FamilyError(f"unknown family {name!r}")
-    return {"d": 1, "time_interval": (0.0, 1.0), **_DEFAULTS[name],
-            **(params or {})}
+    params = params or {}
+    allowed = {"d", "time_interval", *_DEFAULTS[name]}
+    unknown = sorted(set(params) - allowed)
+    if unknown:
+        raise FamilyError(f"family {name!r}: unknown parameter(s) {unknown}; "
+                          f"allowed: {sorted(allowed)}")
+    return {"d": 1, "time_interval": (0.0, 1.0), **_DEFAULTS[name], **params}
 
 
 def _radial(prefix, exponent, d, bindings=None):
@@ -245,8 +253,8 @@ def example_family(name, params=None):
                 else np.zeros((m, m))] * d
 
     if name == "ex71i":
-        Bhat = [np.asarray(B, dtype=float)
-                for B in v.get("Bhat", [np.eye(m)] * d)]
+        Bhat = [np.asarray(B, dtype=float) for B in
+                ([np.eye(m)] * d if v["Bhat"] is None else v["Bhat"])]
         mus = [float(np.mean(np.diag(B))) for B in Bhat]
         bind = {"gfun": parse_coeff_expr(v["g"], d),
                 "hfun": parse_coeff_expr(v["h"], d)}
@@ -255,8 +263,8 @@ def example_family(name, params=None):
         Btl = tuple(_radial_matrix(B - mu * np.eye(m),
                                    f"-(x{j + 1})*({{!r}})*gfun*", r, d, bind)
                     for j, (B, mu) in enumerate(zip(Bhat, mus)))
-        C = _radial_matrix(v.get("Chat", np.eye(m)),
-                           "-(normsq(x))*({!r})*hfun*", pp, d, bind)
+        Chat = np.eye(m) if v["Chat"] is None else v["Chat"]
+        C = _radial_matrix(Chat, "-(normsq(x))*({!r})*hfun*", pp, d, bind)
         return OperatorSpec(d, m, matrix_of_consts(np.eye(d), d), b, Btl, C,
                             ti, name, p)
 
@@ -270,18 +278,17 @@ def example_family(name, params=None):
         b = tuple(_radial(f"-(x{j + 1})*bfun*", r, d, bind)
                   for j in range(d))
         Btl = tuple(_radial_matrix(B, "({!r})*btfun*", pp, d, bind)
-                    for B in v.get("Btilde0", skew(1.0)))
-        C = _radial_matrix(v.get("Chat", np.eye(m)), "-({!r})*cfun*",
-                           float(v["gamma"]), d, bind)
+                    for B in skew(1.0))
+        C = _radial_matrix(np.eye(m), "-({!r})*cfun*", float(v["gamma"]), d,
+                           bind)
         return OperatorSpec(d, m, Q, b, Btl, C, ti, name, p)
 
     # ex72
-    Q = _radial_matrix(v.get("Q0", np.eye(d)), "({!r})*qfun*", k, d, bind)
+    Q = _radial_matrix(np.eye(d), "({!r})*qfun*", k, d, bind)
     b = tuple(_radial(f"-(x{j + 1})*bfun*", pp, d, bind) for j in range(d))
     Btl = tuple(_radial_matrix(B, "({!r})*btfun*", r, d, bind)
-                for B in v.get("Btilde0", skew(0.5)))
-    C = _radial_matrix(v.get("C0", -np.eye(m)), "({!r})*", float(v["tau"]),
-                       d)
+                for B in skew(0.5))
+    C = _radial_matrix(-np.eye(m), "({!r})*", float(v["tau"]), d)
     spec = OperatorSpec(d, m, Q, b, Btl, C, ti, name, p)
     return spec, WeightSpec(d, _radial_matrix(np.eye(d), "", float(v["s"]),
                                               d))

@@ -106,9 +106,13 @@ _SCHEMA = {
                     lambda v, cfg: v in ("neumann", "dirichlet"),
                     "'neumann' or 'dirichlet'")},
     "weight": {"M": (list, None), "from_family": (bool, False)},
-    "audit": {"box": (float, lambda cfg: float(cfg["grid"]["L"])),
-              "epsilon": (float, 1.0), "kappa0": (float, 0.0),
-              "sigma": (float, 0.5), "n_samples": (int, 1024)},
+    "audit": {"box": (float, lambda cfg: float(cfg["grid"]["L"]),
+                      lambda v, cfg: v > 0, "> 0"),
+              "epsilon": (float, 1.0, lambda v, cfg: v > 0, "> 0"),
+              "kappa0": (float, 0.0),
+              "sigma": (float, 0.5, lambda v, cfg: 0 < v < 1, "in (0, 1)"),
+              "n_samples": (int, 1024, lambda v, cfg: v >= 1,
+                            "an integer >= 1")},
     "kernel": {
         "n_cells": (int, 24, lambda v, cfg: 1 <= v <= 64, "in [1, 64]"),
         "R_list": (list, [1.0, 2.0, 3.0], lambda v, cfg: _numbers(v),

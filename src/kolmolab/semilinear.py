@@ -106,16 +106,14 @@ def sqrtQ_at(spec, t, pts):
 @dataclass
 class MildSolution:
     times: np.ndarray  # forward times ascending, last = T
-    values: list  # (m, N) arrays aligned with times
+    values: np.ndarray  # (levels, m, N) aligned with times
     grid: object
     m: int
     T: float
-    spec: object
+    sqrtQ: np.ndarray  # (levels, d, d, N): sqrtQ_at(spec, t, points)
     kt_norm: float = None
     picard_history: list = field(default_factory=list)
     converged: bool = True  # False when Picard ran out of iterations
-    # sqrtQ_at(spec, t, grid points) aligned with times, when known
-    _sqrtQ: list = field(default=None, repr=False)
 
     def u_at(self, t):
         """(m, N) values linearly interpolated in time."""
@@ -133,8 +131,7 @@ class MildSolution:
 
     def grad_eval(self, t, x_pts):
         """(m, d, K) spatial gradient along paths."""
-        u = GridFunction(self.grid, self.m, self.u_at(t))
-        g = gradient(u)  # (m, d, N)
+        g = gradient(self.grid, self.u_at(t))  # (m, d, N)
         out = interp_multilinear(
             self.grid, g.reshape(self.m * self.grid.d, -1), x_pts)
         return out.reshape(self.m, self.grid.d, -1)
@@ -156,17 +153,11 @@ def kt_norm(sol: MildSolution):
     interior probe box |x| <= L/2, excluding the terminal time."""
     grid = sol.grid
     mask = grid.interior_mask(grid.L / 2)
-    sup_u = max(float(np.max(np.abs(v[:, mask]))) for v in sol.values)
-    sup_g = 0.0
-    roots = sol._sqrtQ or [sqrtQ_at(sol.spec, t, grid.points())
-                           for t in sol.times]
-    for t, v, R in zip(sol.times, sol.values, roots):
-        if t >= sol.T - 1e-14:
-            continue
-        val = np.sqrt(sol.T - t) * weighted_gradient_sup(
-            R, gradient(GridFunction(grid, v.shape[0], v)), mask)
-        sup_g = max(sup_g, val)
-    return sup_u + sup_g
+    keep = sol.times < sol.T - 1e-14
+    sups = weighted_gradient_sup(sol.sqrtQ[keep],
+                                 gradient(grid, sol.values[keep]), mask)
+    sup_g = np.max(np.sqrt(sol.T - sol.times[keep]) * sups, initial=0.0)
+    return float(np.max(np.abs(sol.values[..., mask]))) + sup_g
 
 
 def mild_solve(spec, nl, g: GridFunction, T, dt, picard_tol=1e-8,
@@ -179,24 +170,25 @@ def mild_solve(spec, nl, g: GridFunction, T, dt, picard_tol=1e-8,
     grid = g.grid
     mask = grid.interior_mask(grid.L / 2)
     pts = grid.points()
-    rev = spec.time_reversed(T)
-    stepper = _Stepper(rev, grid, g.bc)
+    stepper = _Stepper(spec.time_reversed(T), grid, g.bc)
     taus = _graded_ladder(T, dt, graded_steps)
-    L = len(taus)
-    roots = [sqrtQ_at(spec, T - tau, pts) for tau in taus]
+    roots = np.stack([sqrtQ_at(spec, T - tau, pts) for tau in taus])
+    inner = taus > 1e-14  # the levels where the gradient weight is finite
 
     def sweep(source=None):
-        return [g.values.copy(), *stepper.march(g.values, taus, source)]
+        """Every ladder level of one implicit pass, (L, m, N)."""
+        return np.stack([g.values, *stepper.march(g.values, taus, source)])
 
     def forcing(levels):
-        """Source -Psi(u) of the forward problem at ladder level l, with
-        u the previous iterate."""
-        def source(l):
-            u = GridFunction(grid, spec.m, levels[l], bc=g.bc)
-            grad = gradient(u)  # (m, d, N)
-            z = np.einsum("idN,mdN->imN", roots[l], grad)  # (d, m, N)
-            return -nl(pts, z)
-        return source
+        """Source -Psi(u) of every step of the forward problem, with u
+        the previous iterate at the step's new level: one psi call on
+        the levels stacked along the sample axis."""
+        z = np.einsum("lidN,lmdN->limN", roots[1:],
+                      gradient(grid, levels[1:]))  # (L-1, d, m, N)
+        steps, d, m, N = z.shape
+        z = np.moveaxis(z, 0, 2).reshape(d, m, steps * N)
+        psi = nl(np.tile(pts, steps), z).reshape(m, steps, N)
+        return -np.moveaxis(psi, 1, 0)
 
     current = sweep()  # linear start
     history = []
@@ -204,15 +196,11 @@ def mild_solve(spec, nl, g: GridFunction, T, dt, picard_tol=1e-8,
     if nl is not None:
         for _ in range(max_iter):
             nxt = sweep(forcing(current))
-            delta_u = max(np.max(np.abs(a[:, mask] - b[:, mask]))
-                          for a, b in zip(nxt, current))
-            delta_g = 0.0
-            for l in range(L):
-                if taus[l] <= 1e-14:
-                    continue
-                diff = GridFunction(grid, spec.m, nxt[l] - current[l])
-                sup = weighted_gradient_sup(roots[l], gradient(diff), mask)
-                delta_g = max(delta_g, np.sqrt(taus[l]) * sup)
+            diff = nxt - current
+            delta_u = np.max(np.abs(diff[..., mask]))
+            sups = weighted_gradient_sup(
+                roots[inner], gradient(grid, diff[inner]), mask)
+            delta_g = np.max(np.sqrt(taus[inner]) * sups)
             delta = float(delta_u + delta_g)
             history.append(delta)
             current = nxt
@@ -220,11 +208,8 @@ def mild_solve(spec, nl, g: GridFunction, T, dt, picard_tol=1e-8,
                 break
         else:
             converged = False
-    times_fwd = (T - taus)[::-1]
-    values_fwd = current[::-1]
-    sol = MildSolution(times=times_fwd, values=values_fwd, grid=grid,
-                       m=spec.m, T=T, spec=spec,
-                       picard_history=history, converged=converged,
-                       _sqrtQ=roots[::-1])
+    sol = MildSolution(times=(T - taus)[::-1], values=current[::-1],
+                       grid=grid, m=spec.m, T=T, sqrtQ=roots[::-1],
+                       picard_history=history, converged=converged)
     sol.kt_norm = kt_norm(sol)
     return sol

@@ -132,7 +132,7 @@ def test_weighted_gradient_heat_gaussian_oracle():
     f = GridFunction.from_callable(grid, 1, lambda p: erf(p[0] / a))
     u = evolve(spec, f, 0.0, tau, dt=2e-3)
     # interior only: the dirichlet clamp at the faces fights the erf tails
-    grad_max = np.max(np.abs(gradient(u)[:, :, grid.interior_mask(2.0)]))
+    grad_max = np.max(np.abs(gradient(grid, u.values)[:, :, grid.interior_mask(2.0)]))
     oracle = 2 / (np.sqrt(np.pi) * np.sqrt(a ** 2 + 2 * tau))
     assert grad_max == pytest.approx(oracle, rel=0.10)
 
@@ -175,3 +175,27 @@ def test_representation_residual_at_t_equals_s():
     # one vanishing-width step: residual collapses with the window
     res = representation_residual(spec, f, 0, 0.0, 1e-6, dt=1e-6)
     assert res <= 1e-6
+
+
+def test_representation_time_dependent_factorises_twice_per_step(
+        monkeypatch):
+    # the vector march and the one two-column scalar march each need a
+    # fresh LU per step of a time-dependent spec, and no more
+    spec = example_family("ex71ii", {"d": 1, "m": 2, "q": "1+0.5*t",
+                                     "c": "1+t"})
+    assert spec.depends_on_t()
+    grid = Grid(1, 6.0, 101)
+    f = GridFunction.from_callable(
+        grid, 2, lambda p: np.stack([np.exp(-p[0] ** 2), np.cos(p[0])]),
+        bc="neumann")
+    factors = []
+    real_splu = evolve_module.spla.splu
+
+    def counted(M):
+        factors.append(M.shape)
+        return real_splu(M)
+
+    monkeypatch.setattr(evolve_module.spla, "splu", counted)
+    res = representation_residual(spec, f, 0, 0.0, 0.5, 0.01)
+    assert np.isfinite(res)
+    assert len(factors) == 100

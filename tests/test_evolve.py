@@ -180,13 +180,14 @@ def test_evolve_path_and_batch_agree():
 
 def test_march_source_adds_step_times_source():
     # A annihilates constants under neumann when C = 0, so each step
-    # of a constant datum adds exactly step * source(l)
+    # of a constant datum adds exactly step * source[l - 1]
     spec = example_family("const_coupling", {"d": 1, "C": [[0.0]]})
     grid = Grid(1, 2.0, 21)
     times = np.array([0.0, 0.1, 0.3])
     levels = list(_Stepper(spec, grid, "neumann").march(
         np.ones((1, grid.n_nodes)), times,
-        source=lambda l: np.full((1, grid.n_nodes), float(l))))
+        source=np.stack([np.full((1, grid.n_nodes), float(l))
+                         for l in (1, 2)])))
     assert np.allclose(levels[0], 1.0 + 0.1 * 1.0)
     assert np.allclose(levels[1], 1.1 + 0.2 * 2.0)
 

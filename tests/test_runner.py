@@ -174,6 +174,13 @@ def test_exhausted_picard_fails_with_strict_json(tmp_path):
     {"game": {"controls": [["a"]]}},
     {"game": {"controls": [[]]}},
     {"data": {"bc": "periodic"}},
+    {"operator": {"family": "ex71ii", "params": {"d": 1, "gama": 99.0}}},
+    {"operator": {"family": "ou", "params": {"d": 1, "m": 2}}},
+    {"audit": {"box": 0.0}},
+    {"audit": {"box": -1.0}},
+    {"audit": {"sigma": 1.5}},
+    {"audit": {"epsilon": 0.0}},
+    {"audit": {"n_samples": 0}},
 ], ids=["family_inequality", "even_grid_n", "singular_coefficient",
         "T_equals_s", "T_before_s", "dt_zero", "dt_negative",
         "checks_string", "seed_float", "grid_n_string", "audit_box_string",
@@ -181,7 +188,10 @@ def test_exhausted_picard_fails_with_strict_json(tmp_path):
         "mollify_ladder_zero", "data_f_singular", "psi_singular",
         "data_f_not_a_string", "kernel_x_list_empty", "grid_without_L",
         "operator_without_family", "controls_not_lists",
-        "controls_not_numbers", "controls_empty_set", "bc_unknown"])
+        "controls_not_numbers", "controls_empty_set", "bc_unknown",
+        "family_param_misspelt", "family_param_unknown", "audit_box_zero",
+        "audit_box_negative", "audit_sigma_above_1", "audit_epsilon_zero",
+        "audit_n_samples_zero"])
 def test_operator_and_grid_errors_exit_2(tmp_path, capsys, overrides):
     p = tmp_path / "c.run"
     write_cfg(p, **overrides)

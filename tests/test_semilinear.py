@@ -184,3 +184,23 @@ def test_mollifier_calls_psi_once_and_sums_like_the_stencil_loop():
     got = mollify_nonlinearity(nl, n)(x, z)
     assert calls == [(d, (1 + 2 * d * m) * 257)]
     assert np.array_equal(got, want)
+
+
+def test_mild_solve_calls_psi_once_per_picard_sweep():
+    # every level's source is known from the previous iterate, so one
+    # psi call on the stacked levels serves the whole sweep
+    spec = example_family("ou", {"d": 1})
+    grid = Grid(1, 6.0, 61)
+    g = GridFunction.from_callable(grid, 1, lambda p: np.sin(p[0]),
+                                   bc="neumann")
+    calls = []
+
+    def psi(x, z):
+        calls.append(x.shape)
+        return 0.5 * np.tanh(z[0])
+
+    sol = mild_solve(spec, Nonlinearity(1, 1, psi), g, 0.5, 5e-2)
+    assert sol.converged and len(sol.picard_history) > 1
+    assert len(calls) == len(sol.picard_history)
+    assert all(shape == (1, (len(sol.times) - 1) * grid.n_nodes)
+               for shape in calls)
