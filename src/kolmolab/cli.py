@@ -5,9 +5,9 @@ Subcommands:
   audit <config>   run only the hypothesis audit
   presets          list operator families and their parameter constraints
 
-Exit codes: 0 all verdicts acceptable, 1 failed check or stage error,
-2 configuration/schema error.  KOLMOLAB_THREADS caps the BLAS thread
-count when set.
+Exit codes: 0 every requested check passes, 1 a check that fails, is
+inconclusive or errors, 2 configuration/schema error.  KOLMOLAB_THREADS
+caps the BLAS thread count when set.
 """
 
 from __future__ import annotations

@@ -20,11 +20,12 @@ import numpy as np
 from .semilinear import sqrtQ_at
 
 __all__ = ["FbsdeError", "DiffusionSpec", "PathBatch", "YZProcess",
-           "horizon_steps", "simulate_forward", "path_z", "identify_yz",
-           "bsde_residual", "girsanov_weights", "payoffs", "cost"]
+           "horizon_steps", "simulate_forward", "path_z", "valid_paths",
+           "identify_yz", "bsde_residual", "girsanov_weights", "payoffs",
+           "cost"]
 
 _EXPLODE = 1e9
-_MAX_ESCAPE_FRAC = 0.05  # identify_yz refuses more escaped paths
+_MAX_ESCAPE_FRAC = 0.05  # valid_paths refuses more escaped paths
 
 
 class FbsdeError(RuntimeError):
@@ -153,11 +154,10 @@ def path_z(sol, ds: DiffusionSpec, t, pts):
     return np.einsum("idN,mdN->miN", ds.G_at(t, pts), sol.grad_eval(t, pts))
 
 
-def identify_yz(sol, ds: DiffusionSpec, batch: PathBatch):
-    """Sample Y = u(tau, X_tau) and Z = G (J_x u)^T along the paths."""
-    grid = sol.grid
-    N, steps = batch.N, batch.steps
-    m = sol.m
+def valid_paths(grid, batch: PathBatch):
+    """(N,) mask of the paths that stayed inside the box and did not
+    explode, and the number excluded; raises when too many escaped."""
+    N = batch.N
     inside = np.max(np.abs(batch.X), axis=(1, 2)) < grid.L
     inside &= np.isin(np.arange(N), batch.exploded, invert=True)
     n_excluded = int(N - np.sum(inside))
@@ -165,8 +165,15 @@ def identify_yz(sol, ds: DiffusionSpec, batch: PathBatch):
         raise FbsdeError(
             f"{n_excluded}/{N} paths escaped the box [-{grid.L}, {grid.L}]"
             f"^d; enlarge L before identifying Y and Z")
-    Y = np.zeros((N, steps + 1, m))
-    Z = np.zeros((N, steps + 1, m, ds.d))
+    return inside, n_excluded
+
+
+def identify_yz(sol, ds: DiffusionSpec, batch: PathBatch):
+    """Sample Y = u(tau, X_tau) and Z = G (J_x u)^T along the paths."""
+    N, steps = batch.N, batch.steps
+    inside, n_excluded = valid_paths(sol.grid, batch)
+    Y = np.zeros((N, steps + 1, sol.m))
+    Z = np.zeros((N, steps + 1, sol.m, ds.d))
     for l in range(steps + 1):
         tl = batch.times[l]
         pts = batch.X[:, l, :].T  # (d, N)

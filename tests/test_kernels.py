@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from kolmolab import kernels
 from kolmolab.grids import Grid, GridFunction, interp_multilinear
 from kolmolab.evolve import evolve
 from kolmolab.kernels import (compactness_probe, kernel_row,
@@ -33,7 +34,7 @@ def test_heat_kernel_matches_gaussian_cells():
     row = kernel_row(spec, grid, tau, 0.0, [x0], n_cells=16, dt=2e-3)
     edges = np.linspace(-8, 8, 17)
     expect = gauss_cell_mass(edges[:-1], edges[1:], x0, tau)
-    assert np.max(np.abs(row.mass[0, 0] - expect)) <= 1e-3
+    assert np.max(np.abs(row.mass[0, 0, 0] - expect)) <= 1e-3
 
 
 def test_total_mass_stochastic_kernel():
@@ -43,7 +44,7 @@ def test_total_mass_stochastic_kernel():
     grid = Grid(1, 6.0, 241)
     row = kernel_row(spec, grid, 0.5, 0.0, [0.2], n_cells=12, dt=5e-3,
                      bc="neumann")
-    assert np.sum(row.mass[0, 0]) == pytest.approx(1.0, abs=1e-8)
+    assert np.sum(row.mass[0, 0, 0]) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_reconstruction_linearity():
@@ -54,7 +55,7 @@ def test_reconstruction_linearity():
     rng = np.random.default_rng(7)
     f_cells = rng.uniform(-1, 1, (2, nc))
     # apply the kernel row to the piecewise-constant cell values
-    got = np.einsum("ijc,jc->i", row.mass, f_cells)
+    got = np.einsum("ijc,jc->i", row.mass[0], f_cells)
     # evolve the matching mollified piecewise-constant data directly
     W = _cell_weights(grid, nc)
     f_vals = f_cells @ W
@@ -71,7 +72,7 @@ def test_shrinking_cell_mass_vanishes():
     for nc in (8, 32):
         row = kernel_row(spec, grid, 0.4, 0.0, [0.0], nc, dt=5e-3)
         c = np.argmin(np.abs(row.centers[0] - 1.0))
-        masses.append(abs(row.mass[0, 0, c]))
+        masses.append(abs(row.mass[0, 0, 0, c]))
     assert masses[1] < masses[0] / 2  # 4x smaller cells, ~4x less mass
 
 
@@ -82,11 +83,11 @@ def test_tightness_heat_tail_bound():
     tau = 0.25
     row = kernel_row(spec, grid, tau, 0.0, [0.0], 32, dt=5e-3, bc="neumann")
     R = 3.0
-    out = tightness_mass(row, R)[0, 0]
+    out = tightness_mass(row, R)[0, 0, 0]
     tail = erfc(R / np.sqrt(2 * tau))  # two-sided gaussian tail
     assert out <= tail + 1e-3
-    assert tightness_mass(row, 0.0)[0, 0] == pytest.approx(
-        np.sum(np.abs(row.mass[0, 0])))
+    assert tightness_mass(row, 0.0)[0, 0, 0] == pytest.approx(
+        np.sum(np.abs(row.mass[0, 0, 0])))
 
 
 def test_compactness_ex71ii_pass_and_scalar_agrees():
@@ -132,5 +133,44 @@ def test_signed_masses_for_coupled_potential():
     grid = Grid(1, 6.0, 161)
     row = kernel_row(spec, grid, 0.5, 0.0, [0.0], 12, dt=5e-3, bc="neumann")
     # off-diagonal rows are genuinely nonzero here; diagonal stays positive
-    assert np.max(np.abs(row.mass[0, 1])) > 1e-3
-    assert np.min(row.mass[0, 0]) > -1e-9
+    assert np.max(np.abs(row.mass[0, 0, 1])) > 1e-3
+    assert np.min(row.mass[0, 0, 0]) > -1e-9
+
+
+@pytest.mark.parametrize("d, scalar", [(1, False), (1, True), (2, False)],
+                         ids=["ex71ii d1", "scalar d1", "ex71ii d2"])
+def test_row_over_points_equals_one_point_rows(d, scalar):
+    # one march serves every base point; each point's masses and tail
+    # masses equal those of a one-point row bitwise
+    spec = example_family("ex71ii", {"d": d, "m": 2})
+    spec = scalar_comparison(spec) if scalar else spec
+    grid = Grid(d, 6.0, 121 if d == 1 else 31)
+    nc = 24 if d == 1 else 6
+    xs = [[-1.0] * d, [0.0] * d, [1.0] + [-0.5] * (d - 1)]
+    row = kernel_row(spec, grid, 0.25, 0.0, xs, nc, dt=1.25e-2,
+                     bc="neumann")
+    assert row.mass.shape == (3, spec.m, spec.m, nc ** d)
+    for p, x in enumerate(xs):
+        one = kernel_row(spec, grid, 0.25, 0.0, [x], nc, dt=1.25e-2,
+                         bc="neumann")
+        assert np.array_equal(row.mass[p], one.mass[0])
+        for R in (1.0, 2.0, 3.0):
+            assert np.array_equal(tightness_mass(row, R)[p],
+                                  tightness_mass(one, R)[0])
+
+
+def test_compactness_probe_marches_once_for_all_points(monkeypatch):
+    made = []
+
+    class CountingStepper(kernels._Stepper):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(kernels, "_Stepper", CountingStepper)
+    spec = example_family("ex71ii", {"d": 1, "m": 2})
+    probe = compactness_probe(spec, Grid(1, 6.0, 121), 0.25, 0.0,
+                              [[-1.0], [0.0], [1.0]], [1.0, 2.0, 3.0],
+                              n_cells=12, dt=1.25e-2, bc="neumann")
+    assert len(probe["table"]) == 3
+    assert len(made) == 1

@@ -8,7 +8,7 @@ import pytest
 
 from kolmolab import __version__
 from kolmolab.cli import main
-from kolmolab.fbsde import simulate_forward
+from kolmolab.fbsde import identify_yz, simulate_forward
 from kolmolab.runner import (ConfigError, _setup, list_presets, load_config,
                               run)
 
@@ -260,6 +260,61 @@ def test_fbsde_fails_when_its_picard_solve_does_not_converge(tmp_path):
     code, report = run(p, outdir=tmp_path / "r")
     assert code == 1
     assert report["verdicts"] == {"fbsde": "FAIL"}
+
+
+def test_fbsde_stage_reads_terminal_values_without_a_yz_process(
+        tmp_path, monkeypatch):
+    # the stage reads only Y_T = g(X_T) on the valid paths: its numbers
+    # equal those of identify_yz's Y, which it no longer builds
+    with open(GOLDEN_CONFIG) as fh:
+        cfg = json.load(fh)
+    cfg["checks"] = ["fbsde"]
+    cfg["mc"]["N"] = 500
+    p = tmp_path / "c.run"
+    p.write_text(json.dumps(cfg))
+    runner = _setup(p, tmp_path / "r")
+    runner.sol = runner._mild_solve(runner.nl)
+    yz = identify_yz(runner.sol, runner.ds, runner.batch)
+    vals = yz.Y[yz.valid, -1, :]
+
+    def refuse(*args):
+        raise AssertionError("the fbsde stage built a Y/Z process")
+
+    # also under the name a runner import of it would bind
+    monkeypatch.setattr("kolmolab.fbsde.identify_yz", refuse)
+    monkeypatch.setattr("kolmolab.runner.identify_yz", refuse,
+                        raising=False)
+    stage = runner.stage_fbsde()
+    assert stage["verdict"] == "PASS"
+    assert stage["n_excluded"] == yz.n_excluded
+    assert stage["stderr"] == (np.std(vals, axis=0, ddof=1)
+                               / np.sqrt(vals.shape[0])).tolist()
+
+
+def test_weighted_gradient_stage_probes_times_after_s(tmp_path):
+    # with s > T/2 the probe times must still lie in (s, T]
+    p = tmp_path / "c.run"
+    write_cfg(p, operator={"family": "ex72", "params": {"d": 1}},
+              grid={"L": 6.0, "n": 61},
+              time={"s": 0.6, "T": 1.0, "dt": 0.01},
+              checks=["weighted_gradient"], weight={"from_family": True},
+              mc={})
+    code, report = run(p, outdir=tmp_path / "r")
+    stage = report["stages"]["weighted_gradient"]
+    assert stage["notes"]["t_list"] == [0.8, 1.0]
+    assert (code, stage["verdict"]) == (0, "PASS")
+
+
+def test_inconclusive_verdict_exits_1(tmp_path, capsys):
+    # f = 0 floors every denominator of the pointwise ratio: INCONCLUSIVE
+    with open(GOLDEN_CONFIG) as fh:
+        cfg = json.load(fh)
+    cfg["checks"] = ["pointwise"]
+    cfg["data"] = {"f": ["0", "0"]}
+    p = tmp_path / "c.run"
+    p.write_text(json.dumps(cfg))
+    assert main(["run", str(p), "--output", str(tmp_path / "r")]) == 1
+    assert "pointwise: INCONCLUSIVE" in capsys.readouterr().out
 
 
 def test_report_writer_is_strict_json(tmp_path):

@@ -4,16 +4,20 @@ default of a public function is passed by some call; a default that no
 call passes is a setting nothing sets, so it should be a constant.  Every
 name a function binds is read in it; a name bound and never read is dead
 code.  Every key of the runner's config table is read by the runner, and
-every key the runner reads is in the table."""
+every key the runner reads is in the table.  Every script imports and
+builds its argument parser."""
 
 import ast
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "kolmolab").glob("*.py"))
-SOURCES = MODULES + sorted((ROOT / "scripts").glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+SOURCES = MODULES + SCRIPTS
 
 
 def _exported(path):
@@ -174,3 +178,14 @@ def test_every_config_key_is_read():
         f"keys the runner never reads: {set(_SCHEMA) - top, table - pairs}"
     assert not top - set(_SCHEMA) and not pairs - table, \
         f"reads of keys not in the table: {top - set(_SCHEMA), pairs - table}"
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
+def test_every_script_runs_its_help(path, monkeypatch, capsys):
+    # in process, so that a broken import in a script fails here
+    monkeypatch.setattr(sys, "argv", [str(path), "--help"])
+    monkeypatch.setattr(sys, "path", list(sys.path))  # scripts prepend src
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(path), run_name="__main__")
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage:")
