@@ -38,7 +38,7 @@ def main():
     g = GridFunction.from_callable(grid, 1, lambda p: np.tanh(p[0]),
                                    bc="neumann")
     nl = nonlinearity_from_exprs(["(exp(2*z11)-1)/(exp(2*z11)+1)"], 1, 1)
-    sol = mild_solve(spec, nl, g, args.tau, dt=1e-3)
+    sol = mild_solve(spec, nl, g, 0.0, args.tau, dt=1e-3)
     ds = DiffusionSpec(op=spec, g=lambda p: np.tanh(p)[:1])
 
     rows = []

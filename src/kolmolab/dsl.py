@@ -1,12 +1,19 @@
 """Small expression DSL for coefficient fields.
 
-Grammar (EBNF):
+Grammar (EBNF), read by Python's own parser with '^' taken as '**', so
+precedence and associativity are Python's:
 
-    expr   := ['+'|'-'] term (('+'|'-') term)*
+    expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := base ('^' number)?
+    factor := ('+'|'-') factor | base ('^' exponent)?
+    exponent := ['+'|'-'] number    (parentheses around any part allowed)
     base   := number | 't' | 'x'i | 'normsq(x)' | 'exp(' expr ')'
             | '(' expr ')' | ident
+
+A number is a decimal literal such as 2, 0.5, .5 or 1e-3; a unary minus
+-e is read as 0 - e.  The text may hold ASCII letters, digits, '_', '.',
+'+-*/^()' and whitespace only, and '**' is rejected: the power is '^'.
+A parsed text nests at most _MAX_DEPTH levels.
 
 Identifiers name sub-expressions supplied as bindings (used for scalar
 functions of t such as damping profiles); the parser substitutes each
@@ -19,6 +26,8 @@ symbolic differentiation in t and x_i, and round-trip through
 
 from __future__ import annotations
 
+import ast
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +42,16 @@ __all__ = [
 ]
 
 _GUARD_FLOOR = 1e-8  # smallest |value| check_guards accepts
+# Deepest nesting a parsed text may have (a sum of n terms nests n
+# levels).  The presets and the golden psi nest at most 6; evaluating and
+# differentiating a tree costs a few interpreter frames per level, so
+# this stays far below Python's default recursion limit of 1000.
+_MAX_DEPTH = 100
+_SYMBOLS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                     "0123456789_.+-*/^()")
+_NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+_SIGNS = (ast.UAdd, ast.USub)
 
 
 class DslError(ValueError):
@@ -84,149 +103,6 @@ class Pow:
 @dataclass(frozen=True)
 class Exp:
     arg: object
-
-
-# ---------------------------------------------------------------------------
-# Tokenizer / parser
-
-_OPS = set("+-*/^()")
-
-
-def _tokenize(text):
-    tokens = []  # (kind, value, offset)
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _OPS:
-            tokens.append(("op", c, i))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] in ".eE" or
-                             (text[j] in "+-" and j > i and text[j - 1] in "eE")):
-                j += 1
-            try:
-                value = float(text[i:j])
-            except ValueError:
-                raise DslError(f"bad number {text[i:j]!r}", i)
-            tokens.append(("num", value, i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        raise DslError(f"unexpected character {c!r}", i)
-    tokens.append(("end", None, n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text, var_names, bindings):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.var_names = var_names
-        self.bindings = bindings
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, value, offset = self.peek()
-        if kind != "op" or value != op:
-            raise DslError(f"expected {op!r}", offset)
-        self.advance()
-
-    def parse(self):
-        node = self.expr()
-        kind, _, offset = self.peek()
-        if kind != "end":
-            raise DslError("trailing input", offset)
-        return node
-
-    def expr(self):
-        kind, value, _ = self.peek()
-        if kind == "op" and value in "+-":
-            self.advance()
-            node = self.term()
-            if value == "-":
-                node = BinOp("-", Num(0.0), node)
-        else:
-            node = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                node = BinOp(value, node, self.term())
-            else:
-                return node
-
-    def term(self):
-        node = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                node = BinOp(value, node, self.factor())
-            else:
-                return node
-
-    def factor(self):
-        node = self.base()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            kind, value, offset = self.peek()
-            sign = 1.0
-            if kind == "op" and value in "+-":
-                sign = -1.0 if value == "-" else 1.0
-                self.advance()
-                kind, value, offset = self.peek()
-            if kind != "num":
-                raise DslError("exponent must be a number", offset)
-            self.advance()
-            node = Pow(node, sign * value)
-        return node
-
-    def base(self):
-        kind, value, offset = self.advance()
-        if kind == "num":
-            return Num(value)
-        if kind == "op" and value == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        if kind == "ident":
-            if value == "normsq":
-                self.expect_op("(")
-                kind2, value2, offset2 = self.advance()
-                if kind2 != "ident" or value2 != "x":
-                    raise DslError("normsq takes the bare argument x", offset2)
-                self.expect_op(")")
-                return NormSq()
-            if value == "exp":
-                self.expect_op("(")
-                node = self.expr()
-                self.expect_op(")")
-                return Exp(node)
-            if value in self.var_names:
-                return Var(value)
-            if value in self.bindings:
-                return self.bindings[value].ast
-            raise DslError(f"unknown identifier {value!r}", offset)
-        raise DslError("expected a number, variable or parenthesis", offset)
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +322,77 @@ class CoeffExpr:
 def _parse(text, d, extra_vars, bindings):
     if not isinstance(text, str):
         raise DslError(f"expression must be a string, got {text!r}")
-    var_names = {"t"} | {f"x{i + 1}" for i in range(d)} | set(extra_vars)
-    return CoeffExpr(_Parser(text, var_names, bindings or {}).parse(), d)
+    for i, c in enumerate(text):
+        if c not in _SYMBOLS and not c.isspace():
+            raise DslError(f"unexpected character {c!r}", i)
+    if "**" in text:
+        raise DslError("unexpected '**' (the power is '^')", text.index("**"))
+    names = {"t"} | {f"x{i + 1}" for i in range(d)} | set(extra_vars)
+    bindings = bindings or {}
+    too_deep = f"expression nests more than {_MAX_DEPTH} levels"
+    # ast.parse reads one unindented line, with '**' for '^' and leading
+    # zeros blanked (Python refuses 007); pos[k] is the offset in text of
+    # character k of that line
+    line = "".join("**" if c == "^" else " " if c.isspace() else c
+                   for c in text)
+    line = re.sub(r"(?<![\w.])(?<![\d.][eE][+-])0+(?=\d)",
+                  lambda z: " " * len(z[0]), line)
+    pos = [i for i, c in enumerate(text) for _ in range(1 + (c == "^"))]
+    lead = len(line) - len(line.lstrip())
+    line, pos = line[lead:], pos[lead:] + [len(text)]
+    try:
+        tree = ast.parse(line, mode="eval").body
+    except SyntaxError as err:
+        k = (err.offset or 1) - 1
+        raise DslError(err.msg, pos[min(max(k, 0), len(line))]) from None
+    except (RecursionError, MemoryError):
+        # how CPython's parser reports a text nested past its own stack
+        raise DslError(too_deep) from None
+
+    def convert(node, depth):
+        where = pos[node.col_offset]
+        if depth > _MAX_DEPTH:
+            raise DslError(too_deep, where)
+        if isinstance(node, ast.Constant) and (lit := _NUMBER.fullmatch(
+                line, node.col_offset, node.end_col_offset)):
+            return Num(float(lit[0]))
+        if isinstance(node, ast.Name):
+            if node.id in names:
+                return Var(node.id)
+            if node.id in bindings:
+                return bindings[node.id].ast
+            raise DslError(f"unknown identifier {node.id!r}", where)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, _SIGNS):
+            arg = convert(node.operand, depth + 1)
+            return BinOp("-", Num(0.0), arg) \
+                if isinstance(node.op, ast.USub) else arg
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            e, sign = node.right, 1.0
+            if isinstance(e, ast.UnaryOp) and isinstance(e.op, _SIGNS):
+                e, sign = e.operand, -1.0 if isinstance(e.op, ast.USub) \
+                    else 1.0
+            if not isinstance(e, ast.Constant):
+                raise DslError("exponent must be a number",
+                               pos[node.right.col_offset])
+            return Pow(convert(node.left, depth + 1),
+                       sign * convert(e, depth + 1).value)
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            return BinOp(_BINOPS[type(node.op)], convert(node.left, depth + 1),
+                         convert(node.right, depth + 1))
+        # ',' and '=' are refused above, so a call has no keywords
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("exp", "normsq") and len(node.args) == 1:
+            arg = node.args[0]
+            if node.func.id == "exp":
+                return Exp(convert(arg, depth + 1))
+            if isinstance(arg, ast.Name) and arg.id == "x":
+                return NormSq()
+            raise DslError("normsq takes the bare argument x",
+                           pos[arg.col_offset])
+        raise DslError(
+            f"unexpected {text[where:pos[node.end_col_offset]]!r}", where)
+
+    return CoeffExpr(convert(tree, 1), d)
 
 
 def parse_coeff_expr(text, d, bindings=None):

@@ -153,9 +153,12 @@ def representation_residual(spec, f: GridFunction, kbar, s, t, dt):
     vec = np.stack([u, *_Stepper(spec, grid, f.bc).march(u, times)])
     # left-endpoint quadrature: the source of the step onto times[l] is
     # built from level l-1 at times[l-1], so the defect is a genuine
-    # O(dt) time-integration error
-    Btv = np.stack([spec.Btilde_at(r, pts)[:, kbar] for r in times[:-1]])
-    Cv = np.stack([spec.C_at(r, pts)[kbar] for r in times[:-1]])
+    # O(dt) time-integration error; every left endpoint is evaluated in
+    # one call, then laid out (and summed) as one call per level was
+    r, x = times[:-1, None], pts[:, None, :]
+    Btv = np.ascontiguousarray(
+        np.moveaxis(spec.Btilde_at(r, x)[:, kbar], 2, 0))  # (L, d, m, N)
+    Cv = np.ascontiguousarray(np.moveaxis(spec.C_at(r, x)[kbar], 1, 0))
     src = np.einsum("likN,lkiN->lN", Btv, gradient(grid, vec[:-1])) \
         + np.einsum("lkN,lkN->lN", Cv, vec[:-1])
     # one two-column march on one stepper, so that both columns share

@@ -29,10 +29,9 @@ def matrix_of_consts(mat, d):
 
 
 def _eval_matrix(exprs, t, pts):
-    rows = []
-    for row in exprs:
-        rows.append([np.broadcast_to(e(t, pts), pts.shape[1:]) for e in row])
-    return np.array(rows)
+    """(rows, cols, ...) values; each entry has the broadcast shape of t
+    and a coordinate row of pts."""
+    return np.array([[e(t, pts) for e in row] for row in exprs])
 
 
 @dataclass(frozen=True)
@@ -66,8 +65,7 @@ class OperatorSpec:
         return _eval_matrix(self.Q, t, pts)
 
     def b_at(self, t, pts):
-        return np.array([np.broadcast_to(e(t, pts), pts.shape[1:])
-                         for e in self.b])
+        return np.array([e(t, pts) for e in self.b])
 
     def Btilde_at(self, t, pts):
         return np.array([_eval_matrix(Bj, t, pts) for Bj in self.Btilde])

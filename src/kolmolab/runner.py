@@ -19,7 +19,7 @@ import os
 import numpy as np
 
 from . import __version__
-from .audit import check_coupling_growth, full_audit, jsonable
+from .audit import full_audit, jsonable
 from .dsl import check_guards, const_expr, parse_coeff_expr, \
     parse_state_expr
 from .estimates import (max_principle_check, pointwise_check,
@@ -284,14 +284,20 @@ class _Runner:
             json.dump(jsonable(payload), fh, indent=2, sort_keys=True,
                       allow_nan=False)
 
-    # stage implementations -------------------------------------------
-    def stage_audit(self):
-        sections = full_audit(
+    @functools.cached_property
+    def audit(self):
+        """The hypothesis audit's sections, which the audit and pointwise
+        stages share."""
+        return full_audit(
             self.spec, self.cfg["audit"]["box"], weight=self.weight,
             epsilon=self.cfg["audit"]["epsilon"],
             kappa0=self.cfg["audit"]["kappa0"],
             sigma=self.cfg["audit"]["sigma"],
             n_samples=self.cfg["audit"]["n_samples"])
+
+    # stage implementations -------------------------------------------
+    def stage_audit(self):
+        sections = self.audit
         verdicts = {k: v["verdict"] for k, v in sections.items()}
         self._write_json("audit.json", {
             "spec": self.spec.name, "box": self.cfg["audit"]["box"],
@@ -314,8 +320,7 @@ class _Runner:
         return res.as_dict()
 
     def stage_pointwise(self):
-        HJ = check_coupling_growth(self.spec, self.cfg["audit"]["box"],
-                                   self.cfg["audit"]["sigma"])["HJ"]
+        HJ = self.audit["coupling_growth"]["HJ"]
         res = pointwise_check(self.spec, self.f, self.s, self.T,
                               HJ=max(float(HJ), 0.0), dt=self.dt)
         return res.as_dict()
@@ -359,7 +364,7 @@ class _Runner:
 
     def _mild_solve(self, nl):
         """mild_solve over [s, T] with the configured Picard settings."""
-        return mild_solve(self.spec, nl, self.f, self.T - self.s, self.dt,
+        return mild_solve(self.spec, nl, self.f, self.s, self.T, self.dt,
                           picard_tol=self.cfg["semilinear"]["picard_tol"],
                           max_iter=self.cfg["semilinear"]["max_iter"])
 
@@ -416,10 +421,10 @@ class _Runner:
 
     @functools.cached_property
     def batch(self):
-        """The uncontrolled path batch from x0 over [0, T - s] that the
+        """The uncontrolled path batch from x0 over [s, T] that the
         fbsde, girsanov and nash stages share."""
         return simulate_forward(
-            self.ds, self.cfg["mc"]["x0"], 0.0, self.T - self.s,
+            self.ds, self.cfg["mc"]["x0"], self.s, self.T,
             self.cfg["mc"]["h_step"], self.cfg["mc"]["N"], self.cfg["seed"])
 
     def stage_fbsde(self):
@@ -430,7 +435,7 @@ class _Runner:
         vals = np.ascontiguousarray(self.ds.g(self.batch.X[valid, -1].T).T)
         mc = np.mean(vals, axis=0)
         se = np.std(vals, axis=0, ddof=1) / np.sqrt(vals.shape[0])
-        pde = self.sol.eval(0.0, np.asarray(self.cfg["mc"]["x0"],
+        pde = self.sol.eval(self.s, np.asarray(self.cfg["mc"]["x0"],
                                             dtype=float).reshape(-1, 1))[:, 0]
         lin = self.nl is None
         gap = np.abs(mc - pde)

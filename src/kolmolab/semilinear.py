@@ -94,13 +94,14 @@ def mollify_nonlinearity(nl: Nonlinearity, n: int):
 
 
 def sqrtQ_at(spec, t, pts):
-    """Symmetric square root of Q(t, x) at the points, (d, d, N)."""
-    Qv = np.moveaxis(spec.Q_at(t, pts), 2, 0)  # (N, d, d)
+    """Symmetric square root of Q(t, x), (..., d, d, N) for t and each
+    coordinate row of pts broadcasting to (..., N)."""
+    Qv = np.moveaxis(spec.Q_at(t, pts), (0, 1), (-2, -1))  # (..., N, d, d)
     if spec.d == 1:
-        return np.sqrt(Qv).reshape(1, 1, -1)
+        return np.moveaxis(np.sqrt(Qv), -3, -1)
     w, V = np.linalg.eigh(Qv)
-    root = (V * np.sqrt(w)[:, None, :]) @ np.swapaxes(V, 1, 2)
-    return np.moveaxis(root, 0, 2)
+    root = (V * np.sqrt(w)[..., None, :]) @ np.swapaxes(V, -1, -2)
+    return np.moveaxis(root, -3, -1)
 
 
 @dataclass
@@ -160,19 +161,19 @@ def kt_norm(sol: MildSolution):
     return float(np.max(np.abs(sol.values[..., mask]))) + sup_g
 
 
-def mild_solve(spec, nl, g: GridFunction, T, dt, picard_tol=1e-8,
+def mild_solve(spec, nl, g: GridFunction, s, T, dt, picard_tol=1e-8,
                max_iter=40, graded_steps=8):
-    """Picard iteration for the backward semilinear problem, with the
-    Picard deltas measured on the interior probe box |x| <= L/2.
+    """Picard iteration for the backward semilinear problem on [s, T],
+    with the Picard deltas measured on the interior probe box |x| <= L/2.
 
     nl may be None (linear case).  Returns a MildSolution on the forward
-    time ladder with the terminal data at t = T exactly."""
+    time ladder over [s, T] with the terminal data at t = T exactly."""
     grid = g.grid
     mask = grid.interior_mask(grid.L / 2)
     pts = grid.points()
     stepper = _Stepper(spec.time_reversed(T), grid, g.bc)
-    taus = _graded_ladder(T, dt, graded_steps)
-    roots = np.stack([sqrtQ_at(spec, T - tau, pts) for tau in taus])
+    taus = _graded_ladder(T - s, dt, graded_steps)
+    roots = sqrtQ_at(spec, (T - taus)[:, None], pts[:, None, :])
     inner = taus > 1e-14  # the levels where the gradient weight is finite
 
     def sweep(source=None):

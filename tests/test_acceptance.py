@@ -207,7 +207,7 @@ def test_07_semilinear_mollifier_ladder():
     nl = nonlinearity_from_exprs(
         ["((exp(2*z11)-1)/(exp(2*z11)+1))/2"], 1, 1)
     ns = [8, 16, 32, 64]
-    sols = [mild_solve(spec, mollify_nonlinearity(nl, n), g, T, dt,
+    sols = [mild_solve(spec, mollify_nonlinearity(nl, n), g, 0.0, T, dt,
                        picard_tol=1e-11) for n in ns]
     deltas = [_kt_distance(sols[k], sols[k + 1]) for k in range(3)]
     logs = np.log(deltas)
@@ -218,7 +218,7 @@ def test_07_semilinear_mollifier_ladder():
     spread = (max(norms) - min(norms)) / max(norms)
     ok1 = stable and alpha > 0 and spread <= 0.10
 
-    lin = mild_solve(spec, None, g, T, dt, graded_steps=1)
+    lin = mild_solve(spec, None, g, 0.0, T, dt, graded_steps=1)
     ref = evolve(spec.time_reversed(T), g, 0.0, T, dt)
     e_lin = float(np.max(np.abs(lin.values[0] - ref.values)))
     ok2 = e_lin <= 1e-6
@@ -236,7 +236,7 @@ def test_08_fbsde_identification():
     g = GridFunction.from_callable(grid, 1, lambda p: np.tanh(p[0]),
                                    bc="neumann")
     tau = 0.5
-    sol = mild_solve(heat, None, g, tau, dt=1e-3)
+    sol = mild_solve(heat, None, g, 0.0, tau, dt=1e-3)
     ds = DiffusionSpec(op=heat, g=lambda p: np.tanh(p)[:1])
     N = 100000
     batch = simulate_forward(ds, 0.3, 0.0, tau, tau / 64, N, seed=101)
@@ -254,7 +254,7 @@ def test_08_fbsde_identification():
                                     bc="neumann")
     taub = 1.0
     nl = nonlinearity_from_exprs(["(exp(2*z11)-1)/(exp(2*z11)+1)"], 1, 1)
-    solb = mild_solve(ou, nl, gb, taub, dt=1e-3)
+    solb = mild_solve(ou, nl, gb, 0.0, taub, dt=1e-3)
     dsb = DiffusionSpec(op=ou, g=lambda p: np.tanh(p)[:1])
     resids = []
     for steps in (8, 16, 32):

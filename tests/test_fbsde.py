@@ -93,7 +93,7 @@ def test_feynman_kac_cross_check():
     g = GridFunction.from_callable(grid, 1, lambda p: np.sin(p[0]),
                                    bc="neumann")
     tau = 0.5
-    sol = mild_solve(spec, None, g, tau, dt=5e-3)
+    sol = mild_solve(spec, None, g, 0.0, tau, dt=5e-3)
     ds = DiffusionSpec(op=spec, g=lambda p: np.sin(p)[:1])
     N = 20000
     batch = simulate_forward(ds, 0.3, 0.0, tau, 1 / 128, N, seed=5)
@@ -108,7 +108,7 @@ def test_constant_terminal_data():
     spec = example_family("ou", {"d": 1})
     grid = Grid(1, 6.0, 121)
     g = GridFunction.constant(grid, [2.5], bc="neumann")
-    sol = mild_solve(spec, None, g, 0.4, dt=1e-2)
+    sol = mild_solve(spec, None, g, 0.0, 0.4, dt=1e-2)
     ds = DiffusionSpec(op=spec, g=const_g([2.5]))
     batch = simulate_forward(ds, 0.0, 0.0, 0.4, 0.4 / 16, 64, seed=2)
     yz = identify_yz(sol, ds, batch)
@@ -122,7 +122,7 @@ def test_escaping_paths_abort():
     spec = example_family("heat", {"d": 1})
     grid = Grid(1, 1.0, 21)  # tiny box: nearly every path leaves
     g = GridFunction.from_callable(grid, 1, lambda p: p[0], bc="neumann")
-    sol = mild_solve(spec, None, g, 1.0, dt=5e-2)
+    sol = mild_solve(spec, None, g, 0.0, 1.0, dt=5e-2)
     ds = DiffusionSpec(op=spec, g=lambda p: p[:1])
     batch = simulate_forward(ds, 0.0, 0.0, 1.0, 1 / 16, 128, seed=7)
     with pytest.raises(FbsdeError, match="escaped"):
@@ -135,7 +135,7 @@ def test_bsde_residual_decays_linear_case():
     g = GridFunction.from_callable(grid, 1, lambda p: np.tanh(p[0]),
                                    bc="neumann")
     tau = 0.5
-    sol = mild_solve(spec, None, g, tau, dt=2e-3)
+    sol = mild_solve(spec, None, g, 0.0, tau, dt=2e-3)
     ds = DiffusionSpec(op=spec, g=lambda p: np.tanh(p)[:1])
     resids = []
     for steps in (16, 32, 64):

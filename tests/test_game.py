@@ -174,7 +174,7 @@ def test_equilibrium_strategy_uses_gradient(monkeypatch):
     spec = example_family("heat", {"d": 1})
     grid = Grid(1, 6.0, 121)
     g = GridFunction.from_callable(grid, 1, lambda p: p[0], bc="neumann")
-    sol = mild_solve(spec, None, g, 0.5, dt=1e-2)
+    sol = mild_solve(spec, None, g, 0.0, 0.5, dt=1e-2)
     # H~ = z * u with z = G du/dx ~ 1 > 0: minimizer is the most
     # negative control
     ds = DiffusionSpec(op=spec, g=lambda p: p[:1],

@@ -181,6 +181,8 @@ def test_exhausted_picard_fails_with_strict_json(tmp_path):
     {"audit": {"sigma": 1.5}},
     {"audit": {"epsilon": 0.0}},
     {"audit": {"n_samples": 0}},
+    {"operator": {"family": "ex71ii",
+                  "params": {"d": 1, "q": "+".join(["1"] * 1500)}}},
 ], ids=["family_inequality", "even_grid_n", "singular_coefficient",
         "T_equals_s", "T_before_s", "dt_zero", "dt_negative",
         "checks_string", "seed_float", "grid_n_string", "audit_box_string",
@@ -191,7 +193,7 @@ def test_exhausted_picard_fails_with_strict_json(tmp_path):
         "controls_not_numbers", "controls_empty_set", "bc_unknown",
         "family_param_misspelt", "family_param_unknown", "audit_box_zero",
         "audit_box_negative", "audit_sigma_above_1", "audit_epsilon_zero",
-        "audit_n_samples_zero"])
+        "audit_n_samples_zero", "deep_expression"])
 def test_operator_and_grid_errors_exit_2(tmp_path, capsys, overrides):
     p = tmp_path / "c.run"
     write_cfg(p, **overrides)
@@ -289,6 +291,57 @@ def test_fbsde_stage_reads_terminal_values_without_a_yz_process(
     assert stage["n_excluded"] == yz.n_excluded
     assert stage["stderr"] == (np.std(vals, axis=0, ddof=1)
                                / np.sqrt(vals.shape[0])).tolist()
+
+
+@pytest.mark.parametrize("params, same", [
+    ({}, True), ({"q": "1+0.5*t", "c": "1+t"}, False)],
+    ids=["autonomous", "time_dependent"])
+def test_semilinear_and_fbsde_stages_run_on_s_to_T(tmp_path, params, same):
+    # the windows [0, 1/4] and [1/4, 1/2] agree only when nothing
+    # depends on t
+    with open(GOLDEN_CONFIG) as fh:
+        cfg = json.load(fh)
+    cfg["operator"]["params"].update(params)
+    cfg["grid"]["n"] = 101
+    cfg["checks"] = ["semilinear", "fbsde"]
+    cfg["semilinear"]["mollify_ladder"] = [8]
+    cfg["mc"]["N"] = 500
+    stages = []
+    for s in (0.0, 0.25):
+        cfg["time"] = {"s": s, "T": s + 0.25, "dt": 0.0125}
+        p = tmp_path / f"c{s}.run"
+        p.write_text(json.dumps(cfg))
+        stages.append(run(p, outdir=tmp_path / f"r{s}")[1]["stages"])
+    early, late = stages
+    if same:
+        _assert_same_leaves(late, early, "stages")
+    else:
+        assert late["semilinear"]["kt_norms"] != early["semilinear"]["kt_norms"]
+        assert late["fbsde"]["feynman_kac_gap"] != \
+            early["fbsde"]["feynman_kac_gap"]
+
+
+def test_audit_and_pointwise_share_one_audit(tmp_path, monkeypatch):
+    from kolmolab import audit
+    calls = []
+    real = audit.check_coupling_growth
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(audit, "check_coupling_growth", counted)
+    # also under the name a runner import of it would bind
+    monkeypatch.setattr("kolmolab.runner.check_coupling_growth", counted,
+                        raising=False)
+    p = tmp_path / "c.run"
+    write_cfg(p, operator={"family": "ex71ii", "params": {"d": 1}},
+              checks=["audit", "pointwise"])
+    _, report = run(p, outdir=tmp_path / "r")
+    assert len(calls) == 1
+    audited = json.loads((tmp_path / "r" / "audit.json").read_text())
+    HJ = audited["sections"]["coupling_growth"]["HJ"]
+    assert report["stages"]["pointwise"]["notes"]["HJ"] == max(HJ, 0.0)
 
 
 def test_weighted_gradient_stage_probes_times_after_s(tmp_path):

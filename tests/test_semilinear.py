@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from kolmolab.dsl import const_expr, parse_coeff_expr
 from kolmolab.evolve import evolve
 from kolmolab.grids import Grid, GridFunction
-from kolmolab.operators import example_family
+from kolmolab.operators import OperatorSpec, example_family
 from kolmolab.semilinear import (Nonlinearity, mild_solve, mollify_nonlinearity,
                                  nonlinearity_from_exprs, sqrtQ_at)
 
@@ -14,7 +15,7 @@ def test_linear_case_matches_time_reversed_evolve():
     grid = Grid(1, 6.0, 121)
     g = GridFunction.from_callable(grid, 1, lambda p: np.cos(p[0]),
                                    bc="neumann")
-    sol = mild_solve(spec, None, g, T, dt, graded_steps=1)
+    sol = mild_solve(spec, None, g, 0.0, T, dt, graded_steps=1)
     ref = evolve(spec.time_reversed(T), g, 0.0, T, dt)
     assert np.max(np.abs(sol.values[0] - ref.values)) <= 1e-12
 
@@ -25,8 +26,8 @@ def test_zero_nonlinearity_equals_linear():
     g = GridFunction.from_callable(grid, 1, lambda p: np.sin(p[0]),
                                    bc="neumann")
     nl = Nonlinearity(1, 1, lambda x, z: np.zeros((1, x.shape[1])))
-    a = mild_solve(spec, None, g, 0.3, 2e-2)
-    b = mild_solve(spec, nl, g, 0.3, 2e-2)
+    a = mild_solve(spec, None, g, 0.0, 0.3, 2e-2)
+    b = mild_solve(spec, nl, g, 0.0, 0.3, 2e-2)
     for va, vb in zip(a.values, b.values):
         assert np.max(np.abs(va - vb)) <= 1e-12
     assert b.picard_history[-1] <= 1e-12
@@ -41,7 +42,7 @@ def test_constant_source_oracle():
     c = 0.7
     nl = nonlinearity_from_exprs(["0.7"], 1, 1)
     T = 0.5
-    sol = mild_solve(spec, nl, g, T, dt=2.5e-2)
+    sol = mild_solve(spec, nl, g, 0.0, T, dt=2.5e-2)
     for t, v in zip(sol.times, sol.values):
         expect = 2.0 - (T - t) * c
         assert np.max(np.abs(v - expect)) <= 1e-10
@@ -53,7 +54,7 @@ def test_terminal_condition_exact():
     g = GridFunction.from_callable(grid, 1, lambda p: np.tanh(p[0]),
                                    bc="neumann")
     nl = nonlinearity_from_exprs(["z11/4"], 1, 1)
-    sol = mild_solve(spec, nl, g, 0.3, 2e-2)
+    sol = mild_solve(spec, nl, g, 0.0, 0.3, 2e-2)
     assert sol.times[-1] == 0.3
     assert np.array_equal(sol.values[-1], g.values)
 
@@ -66,7 +67,7 @@ def test_picard_contraction_tanh_gradient_coupling():
     # psi(x, z) = tanh(z11) / 2, written with exp only
     nl = nonlinearity_from_exprs(
         ["((exp(2*z11)-1)/(exp(2*z11)+1))/2"], 1, 1)
-    sol = mild_solve(spec, nl, g, 0.5, 2e-2, picard_tol=1e-10)
+    sol = mild_solve(spec, nl, g, 0.0, 0.5, 2e-2, picard_tol=1e-10)
     h = sol.picard_history
     assert len(h) >= 2
     assert sol.converged and not np.isnan(h[-1])
@@ -120,14 +121,14 @@ def test_kt_norm_constant_and_homogeneity():
     spec = example_family("heat", {"d": 1})
     grid = Grid(1, 5.0, 81)
     g = GridFunction.constant(grid, [3.0], bc="neumann")
-    sol = mild_solve(spec, None, g, 0.4, 2e-2)
+    sol = mild_solve(spec, None, g, 0.0, 0.4, 2e-2)
     assert sol.kt_norm == pytest.approx(3.0, abs=1e-10)
     # linear problem: doubling the data doubles the graded norm
     g1 = GridFunction.from_callable(grid, 1, lambda p: np.sin(p[0]),
                                     bc="neumann")
     g2 = GridFunction(grid, 1, 2 * g1.values, bc="neumann")
-    s1 = mild_solve(spec, None, g1, 0.4, 2e-2)
-    s2 = mild_solve(spec, None, g2, 0.4, 2e-2)
+    s1 = mild_solve(spec, None, g1, 0.0, 0.4, 2e-2)
+    s2 = mild_solve(spec, None, g2, 0.0, 0.4, 2e-2)
     assert s2.kt_norm == pytest.approx(2 * s1.kt_norm, rel=1e-10)
 
 
@@ -140,12 +141,44 @@ def test_sqrtQ_consistency():
     assert np.max(np.abs(RR - Q)) <= 1e-12
 
 
+def test_sqrtQ_over_leading_axes_equals_one_call_per_time():
+    spec = example_family("ex71ii", {"d": 2, "m": 2, "q": "1+t"})
+    pts = np.array([[0.3, -1.0, 2.0], [0.1, 0.5, -1.5]])
+    ts = np.array([0.2, 0.7])
+    stacked = sqrtQ_at(spec, ts[:, None], pts[:, None, :])
+    assert stacked.shape == (2, 2, 2, 3)
+    for k, t in enumerate(ts):
+        assert np.array_equal(stacked[k], sqrtQ_at(spec, t, pts))
+
+
+def test_time_dependent_solve_on_a_window_matches_closed_form():
+    # Q = (1 + t)/2, g = exp(-x^2/2): u(s, x) is the Gaussian of variance
+    # 1 + 2A with A the integral of Q over [s, T]
+    zero = const_expr(0.0, 1)
+    spec = OperatorSpec(1, 1, ((parse_coeff_expr("0.5*(1+t)", 1),),),
+                        (zero,), (((zero,),),), ((zero,),), (0.0, 1.0))
+    grid = Grid(1, 8.0, 161)
+    g = GridFunction.from_callable(grid, 1, lambda p: np.exp(-p[0] ** 2 / 2),
+                                   bc="neumann")
+    s, T = 0.5, 1.0
+    sol = mild_solve(spec, None, g, s, T, 1e-2)
+    assert sol.times[0] == s and sol.times[-1] == T
+    A = 0.5 * ((T - s) + (T ** 2 - s ** 2) / 2)
+    x = grid.points()[0]
+    exact = np.exp(-x ** 2 / (2 * (1 + 2 * A))) / np.sqrt(1 + 2 * A)
+    mask = grid.interior_mask(grid.L / 2)
+    err = np.abs(sol.eval(s, grid.points())[0] - exact)[mask]
+    # backward Euler at dt = 1e-2 gives 1.9e-3; the solve on [0, T - s]
+    # would be off by 5.6e-2
+    assert np.max(err) <= 5e-3
+
+
 def test_graded_ladder_clusters_near_terminal_time():
     spec = example_family("ou", {"d": 1})
     grid = Grid(1, 6.0, 61)
     g = GridFunction.from_callable(grid, 1, lambda p: np.cos(p[0]),
                                    bc="neumann")
-    sol = mild_solve(spec, None, g, 0.5, 5e-2, graded_steps=8)
+    sol = mild_solve(spec, None, g, 0.0, 0.5, 5e-2, graded_steps=8)
     steps = np.diff(sol.times)
     # the last steps (near t = T) shrink quadratically
     assert steps[-1] < steps[0] / 10
@@ -199,7 +232,7 @@ def test_mild_solve_calls_psi_once_per_picard_sweep():
         calls.append(x.shape)
         return 0.5 * np.tanh(z[0])
 
-    sol = mild_solve(spec, Nonlinearity(1, 1, psi), g, 0.5, 5e-2)
+    sol = mild_solve(spec, Nonlinearity(1, 1, psi), g, 0.0, 0.5, 5e-2)
     assert sol.converged and len(sol.picard_history) > 1
     assert len(calls) == len(sol.picard_history)
     assert all(shape == (1, (len(sol.times) - 1) * grid.n_nodes)

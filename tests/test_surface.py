@@ -5,10 +5,14 @@ call passes is a setting nothing sets, so it should be a constant.  Every
 name a function binds is read in it; a name bound and never read is dead
 code.  Every key of the runner's config table is read by the runner, and
 every key the runner reads is in the table.  Every script imports and
-builds its argument parser."""
+builds its argument parser.  Every per-layer metric of BENCHMARK.json
+comes from an entry point that the benchmark's tracer can wrap."""
 
 import ast
+import json
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -189,3 +193,17 @@ def test_every_script_runs_its_help(path, monkeypatch, capsys):
         runpy.run_path(str(path), run_name="__main__")
     assert stop.value.code == 0
     assert capsys.readouterr().out.startswith("usage:")
+
+
+def test_every_traced_layer_metric_exists():
+    # in a child process, because install() patches the package for good
+    code = ("import json, kolmolab.runner, tracer; t = tracer.Tracer(); "
+            "tracer.install(t); print(json.dumps(list(tracer.layer_metrics(t))))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "perfbench")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    with open(ROOT / "BENCHMARK.json") as fh:
+        wanted = {m["name"] for m in json.load(fh)["per_layer"]
+                  if not m["name"].startswith("trace.")}
+    assert not wanted - set(json.loads(out))
