@@ -21,12 +21,19 @@ binding's tree where its name appears, so a parsed expression holds no
 names and evaluates, differentiates and prints on its own.  Expressions
 are evaluated with numpy broadcasting over (t, x) sample arrays, support
 symbolic differentiation in t and x_i, and round-trip through
-``print`` / ``parse``.
+``print`` / ``parse``.  A nonlinearity psi(x, z) reads x_i and z_ik only.
+
+The tree is Python's own ``ast`` nodes of five kinds: a float Constant, a
+Name (t, x_i or z_ik), a BinOp with + - * /, a BinOp ** whose right side
+is a float Constant, and a Call of exp(e) or normsq(x).  Subtrees may be
+shared, are never mutated, and are never compiled or run by Python.
 """
 
 from __future__ import annotations
 
 import ast
+import copy
+import operator
 import re
 from dataclasses import dataclass
 
@@ -51,6 +58,8 @@ _SYMBOLS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
                      "0123456789_.+-*/^()")
 _NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 _BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+_APPLY = {ast.Add: operator.add, ast.Sub: operator.sub,
+          ast.Mult: operator.mul, ast.Div: operator.truediv}
 _SIGNS = (ast.UAdd, ast.USub)
 
 
@@ -67,134 +76,85 @@ class DslError(ValueError):
         super().__init__(message)
 
 
-# ---------------------------------------------------------------------------
-# AST nodes
+def _num(value):
+    return ast.Constant(float(value))
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+def _pow(base, exponent):
+    return ast.BinOp(base, ast.Pow(), _num(exponent))
 
-
-@dataclass(frozen=True)
-class Var:
-    # 't', 'x1'..'xd', or an extra state variable like 'z11'
-    name: str
-
-
-@dataclass(frozen=True)
-class NormSq:
-    pass
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # '+', '-', '*', '/'
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: float
-
-
-@dataclass(frozen=True)
-class Exp:
-    arg: object
-
-
-# ---------------------------------------------------------------------------
-# Printing
 
 def _print(node):
-    if isinstance(node, Num):
+    kind = type(node)
+    if kind is ast.Constant:
         return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, NormSq):
-        return "normsq(x)"
-    if isinstance(node, BinOp):
-        return f"({_print(node.left)} {node.op} {_print(node.right)})"
-    if isinstance(node, Pow):
-        return f"({_print(node.base)})^{node.exponent!r}"
-    if isinstance(node, Exp):
-        return f"exp({_print(node.arg)})"
-    raise TypeError(node)
+    if kind is ast.Name:
+        return node.id
+    if kind is ast.Call:  # exp(e) or normsq(x)
+        return f"{node.func.id}({_print(node.args[0])})"
+    if type(node.op) is ast.Pow:
+        return f"({_print(node.left)})^{node.right.value!r}"
+    return f"({_print(node.left)} {_BINOPS[type(node.op)]} " \
+        f"{_print(node.right)})"
 
-
-# ---------------------------------------------------------------------------
-# Evaluation
 
 def _eval(node, t, x, z=None):
     """Evaluate node at t and coordinates x; z maps extra state variable
     names (z11, z12, ...) to arrays, for nonlinearities."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        if node.name == "t":
-            return t
-        if node.name.startswith("x"):
-            return x[int(node.name[1:]) - 1]
-        if z is not None and node.name in z:
-            return z[node.name]
-        raise DslError(f"unbound state variable {node.name!r}")
-    if isinstance(node, NormSq):
-        return sum(x[i] * x[i] for i in range(len(x)))
-    if isinstance(node, BinOp):
+    kind = type(node)
+    if kind is ast.BinOp:
         a = _eval(node.left, t, x, z)
-        b = _eval(node.right, t, x, z)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return a / b
-    if isinstance(node, Pow):
-        base = _eval(node.base, t, x, z)
-        e = node.exponent
-        if e == int(e):
-            return base ** int(e)
-        return np.power(base, e)
-    if isinstance(node, Exp):
-        return np.exp(_eval(node.arg, t, x, z))
-    raise TypeError(node)
+        op = type(node.op)
+        if op is ast.Pow:
+            e = node.right.value
+            return a ** int(e) if e == int(e) else np.power(a, e)
+        return _APPLY[op](a, _eval(node.right, t, x, z))
+    if kind is ast.Constant:
+        return node.value
+    if kind is ast.Name:
+        if node.id == "t":
+            return t
+        if node.id.startswith("x"):
+            return x[int(node.id[1:]) - 1]
+        if z is not None and node.id in z:
+            return z[node.id]
+        raise DslError(f"unbound state variable {node.id!r}")
+    if node.func.id == "exp":
+        return np.exp(_eval(node.args[0], t, x, z))
+    return sum(x[i] * x[i] for i in range(len(x)))  # normsq(x)
 
-
-# ---------------------------------------------------------------------------
-# Differentiation (sum/product/quotient/chain rules over the listed ops)
 
 def _diff(node, var):
-    if isinstance(node, Num):
-        return Num(0.0)
-    if isinstance(node, Var):
-        return Num(1.0) if node.name == var else Num(0.0)
-    if isinstance(node, NormSq):
-        if var.startswith("x"):
-            return _mul(Num(2.0), Var(var))
-        return Num(0.0)
-    if isinstance(node, BinOp):
-        da = _diff(node.left, var)
-        db = _diff(node.right, var)
-        if node.op in "+-":
-            return _add(da, db) if node.op == "+" else _sub(da, db)
-        if node.op == "*":
-            return _add(_mul(da, node.right), _mul(node.left, db))
-        # quotient rule
-        num = _sub(_mul(da, node.right), _mul(node.left, db))
-        return BinOp("/", num, Pow(node.right, 2.0))
-    if isinstance(node, Pow):
-        db = _diff(node.base, var)
-        return _mul(_mul(Num(node.exponent), Pow(node.base, node.exponent - 1.0)), db)
-    if isinstance(node, Exp):
-        return _mul(node, _diff(node.arg, var))
-    raise TypeError(node)
+    """Derivative in var by the sum, product, quotient and chain rules."""
+    kind = type(node)
+    if kind is ast.Constant:
+        return _num(0.0)
+    if kind is ast.Name:
+        return _num(1.0 if node.id == var else 0.0)
+    if kind is ast.Call:  # exp(e) or normsq(x)
+        if node.func.id == "exp":
+            return _mul(node, _diff(node.args[0], var))
+        return _mul(_num(2.0), ast.Name(var)) if var.startswith("x") \
+            else _num(0.0)
+    op = type(node.op)
+    if op is ast.Pow:
+        e = node.right.value
+        return _mul(_mul(_num(e), _pow(node.left, e - 1.0)),
+                    _diff(node.left, var))
+    da, db = _diff(node.left, var), _diff(node.right, var)
+    if op is ast.Add:
+        return _add(da, db)
+    if op is ast.Sub:
+        return _sub(da, db)
+    if op is ast.Mult:
+        return _add(_mul(da, node.right), _mul(node.left, db))
+    # quotient rule
+    num = _sub(_mul(da, node.right), _mul(node.left, db))
+    return ast.BinOp(num, ast.Div(), _pow(node.right, 2.0))
 
 
 def _is_num(node, value=None):
-    return isinstance(node, Num) and (value is None or node.value == value)
+    return type(node) is ast.Constant and value in (None, node.value)
 
 
 def _add(a, b):
@@ -203,75 +163,56 @@ def _add(a, b):
     if _is_num(b, 0.0):
         return a
     if _is_num(a) and _is_num(b):
-        return Num(a.value + b.value)
-    return BinOp("+", a, b)
+        return _num(a.value + b.value)
+    return ast.BinOp(a, ast.Add(), b)
 
 
 def _sub(a, b):
     if _is_num(b, 0.0):
         return a
     if _is_num(a) and _is_num(b):
-        return Num(a.value - b.value)
-    return BinOp("-", a, b)
+        return _num(a.value - b.value)
+    return ast.BinOp(a, ast.Sub(), b)
 
 
 def _mul(a, b):
     if _is_num(a, 0.0) or _is_num(b, 0.0):
-        return Num(0.0)
+        return _num(0.0)
     if _is_num(a, 1.0):
         return b
     if _is_num(b, 1.0):
         return a
     if _is_num(a) and _is_num(b):
-        return Num(a.value * b.value)
-    return BinOp("*", a, b)
+        return _num(a.value * b.value)
+    return ast.BinOp(a, ast.Mult(), b)
 
 
-def _subst_t(node, repl):
-    if isinstance(node, Var):
-        return repl if node.name == "t" else node
-    if isinstance(node, BinOp):
-        return BinOp(node.op, _subst_t(node.left, repl),
-                     _subst_t(node.right, repl))
-    if isinstance(node, Pow):
-        return Pow(_subst_t(node.base, repl), node.exponent)
-    if isinstance(node, Exp):
-        return Exp(_subst_t(node.arg, repl))
-    return node
+def _guards(node):
+    """Sub-expressions that must stay away from zero, operands' first."""
+    for child in ast.iter_child_nodes(node):
+        yield from _guards(child)
+    op = type(getattr(node, "op", None))
+    if op is ast.Div:
+        yield "denominator", node.right
+    elif op is ast.Pow and ((e := node.right.value) != int(e) or e < 0):
+        yield "power base", node.left
 
 
-def _collect_vars(node, acc):
-    if isinstance(node, Var):
-        acc.add(node.name)
-    elif isinstance(node, NormSq):
-        acc.add("normsq")
-    elif isinstance(node, BinOp):
-        _collect_vars(node.left, acc)
-        _collect_vars(node.right, acc)
-    elif isinstance(node, Pow):
-        _collect_vars(node.base, acc)
-    elif isinstance(node, Exp):
-        _collect_vars(node.arg, acc)
+class _TimeReversal(ast.NodeTransformer):
+    """t -> T - t in place; a node that several parents share (a binding
+    named twice, a derivative's reused operands) is visited once."""
 
+    def __init__(self, T):
+        self.T, self.done = float(T), {}
 
-def _collect_guards(node, acc):
-    """Collect sub-expressions that must stay away from zero."""
-    if isinstance(node, BinOp):
-        _collect_guards(node.left, acc)
-        _collect_guards(node.right, acc)
-        if node.op == "/":
-            acc.append(("denominator", node.right))
-    elif isinstance(node, Pow):
-        _collect_guards(node.base, acc)
-        e = node.exponent
-        if e != int(e) or e < 0:
-            acc.append(("power base", node.base))
-    elif isinstance(node, Exp):
-        _collect_guards(node.arg, acc)
+    def visit(self, node):
+        if id(node) not in self.done:
+            self.done[id(node)] = super().visit(node)
+        return self.done[id(node)]
 
-
-# ---------------------------------------------------------------------------
-# Public wrapper
+    def visit_Name(self, node):
+        return node if node.id != "t" else \
+            ast.BinOp(ast.Constant(self.T), ast.Sub(), node)
 
 
 @dataclass(frozen=True)
@@ -279,7 +220,7 @@ class CoeffExpr:
     """A parsed coefficient expression over t, x_1..x_d (and optional
     extra state variables for nonlinearities)."""
 
-    ast: object
+    ast: object  # the tree, of the five node kinds in the module docstring
     d: int
 
     def __call__(self, t, x):
@@ -303,14 +244,15 @@ class CoeffExpr:
         return "t" in self.free_variables()
 
     def free_variables(self):
-        acc = set()
-        _collect_vars(self.ast, acc)
-        return acc
+        """The names read: t, x_i, z_ik and 'normsq' (the function names
+        and normsq's bare argument x are not variables)."""
+        return {node.id for node in ast.walk(self.ast)
+                if type(node) is ast.Name} - {"exp", "x"}
 
     def time_reversed(self, T):
         """Substitute t -> T - t everywhere."""
-        repl = BinOp("-", Num(float(T)), Var("t"))
-        return CoeffExpr(_subst_t(self.ast, repl), self.d)
+        return CoeffExpr(_TimeReversal(T).visit(copy.deepcopy(self.ast)),
+                         self.d)
 
     def print(self):
         return _print(self.ast)
@@ -319,7 +261,7 @@ class CoeffExpr:
         return f"CoeffExpr({self.print()})"
 
 
-def _parse(text, d, extra_vars, bindings):
+def _parse(text, d, names, bindings):
     if not isinstance(text, str):
         raise DslError(f"expression must be a string, got {text!r}")
     for i, c in enumerate(text):
@@ -327,8 +269,7 @@ def _parse(text, d, extra_vars, bindings):
             raise DslError(f"unexpected character {c!r}", i)
     if "**" in text:
         raise DslError("unexpected '**' (the power is '^')", text.index("**"))
-    names = {"t"} | {f"x{i + 1}" for i in range(d)} | set(extra_vars)
-    bindings = bindings or {}
+    names = set(names) | {f"x{i + 1}" for i in range(d)}
     too_deep = f"expression nests more than {_MAX_DEPTH} levels"
     # ast.parse reads one unindented line, with '**' for '^' and leading
     # zeros blanked (Python refuses 007); pos[k] is the offset in text of
@@ -355,16 +296,16 @@ def _parse(text, d, extra_vars, bindings):
             raise DslError(too_deep, where)
         if isinstance(node, ast.Constant) and (lit := _NUMBER.fullmatch(
                 line, node.col_offset, node.end_col_offset)):
-            return Num(float(lit[0]))
+            return _num(lit[0])
         if isinstance(node, ast.Name):
             if node.id in names:
-                return Var(node.id)
+                return ast.Name(node.id)
             if node.id in bindings:
                 return bindings[node.id].ast
             raise DslError(f"unknown identifier {node.id!r}", where)
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, _SIGNS):
             arg = convert(node.operand, depth + 1)
-            return BinOp("-", Num(0.0), arg) \
+            return ast.BinOp(_num(0.0), ast.Sub(), arg) \
                 if isinstance(node.op, ast.USub) else arg
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
             e, sign = node.right, 1.0
@@ -374,19 +315,19 @@ def _parse(text, d, extra_vars, bindings):
             if not isinstance(e, ast.Constant):
                 raise DslError("exponent must be a number",
                                pos[node.right.col_offset])
-            return Pow(convert(node.left, depth + 1),
-                       sign * convert(e, depth + 1).value)
+            return _pow(convert(node.left, depth + 1),
+                        sign * convert(e, depth + 1).value)
         if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-            return BinOp(_BINOPS[type(node.op)], convert(node.left, depth + 1),
-                         convert(node.right, depth + 1))
+            return ast.BinOp(convert(node.left, depth + 1), node.op,
+                             convert(node.right, depth + 1))
         # ',' and '=' are refused above, so a call has no keywords
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
                 and node.func.id in ("exp", "normsq") and len(node.args) == 1:
             arg = node.args[0]
             if node.func.id == "exp":
-                return Exp(convert(arg, depth + 1))
+                return ast.Call(node.func, [convert(arg, depth + 1)], [])
             if isinstance(arg, ast.Name) and arg.id == "x":
-                return NormSq()
+                return ast.Call(node.func, [arg], [])
             raise DslError("normsq takes the bare argument x",
                            pos[arg.col_offset])
         raise DslError(
@@ -397,18 +338,18 @@ def _parse(text, d, extra_vars, bindings):
 
 def parse_coeff_expr(text, d, bindings=None):
     """Parse an expression over t, x_1..x_d. See module docstring."""
-    return _parse(text, d, (), bindings)
+    return _parse(text, d, {"t"}, bindings or {})
 
 
 def parse_state_expr(text, d, m):
-    """Parse a nonlinearity expression over t, x_i and z_{ik} (named
-    z11..z<d><m>, spatial index first)."""
+    """Parse a nonlinearity expression psi(x, z) over x_i and z_{ik}
+    (named z11..z<d><m>, spatial index first); it names no t."""
     return _parse(text, d, (f"z{i + 1}{k + 1}" for i in range(d)
-                            for k in range(m)), None)
+                            for k in range(m)), {})
 
 
 def const_expr(value, d):
-    return CoeffExpr(Num(float(value)), d)
+    return CoeffExpr(_num(value), d)
 
 
 def check_guards(expr, box, time_interval, n_samples=512):
@@ -417,8 +358,7 @@ def check_guards(expr, box, time_interval, n_samples=512):
     with each state variable z_ik of a nonlinearity drawn on [-box, box].
     Raises DslError.
     """
-    guards = []
-    _collect_guards(expr.ast, guards)
+    guards = list(_guards(expr.ast))
     if not guards:
         return
     rng = np.random.default_rng(0)

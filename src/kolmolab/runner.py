@@ -91,8 +91,10 @@ _SCHEMA = {
     "operator": {
         "family": (str, _REQUIRED, lambda v, cfg: v in FAMILIES,
                    f"a known family {sorted(FAMILIES)}"),
-        "params": (dict, {}, lambda v, cfg: v.get("d", 1) in (1, 2),
-                   "an object whose d, if given, is 1 or 2")},
+        "params": (dict, {}, lambda v, cfg: v.get("d", 1) in (1, 2) and
+                   _numbers(ti := v.get("time_interval", [0, 1]))
+                   and len(ti) == 2, "an object whose d, if given, is 1 or "
+                   "2 and whose time_interval, if given, is two numbers")},
     "grid": {"L": (float, _REQUIRED), "n": (int, _REQUIRED)},
     "time": {"s": (float, _REQUIRED),
              "T": (float, _REQUIRED, lambda v, cfg: v > cfg["time"]["s"],
@@ -229,8 +231,8 @@ def _default_f(spec, grid, cfg):
             raise ConfigError("data.f needs one expression per component")
         for e in exprs:
             check_guards(e, grid.L, spec.time_interval)
-        vals = np.stack([np.broadcast_to(e(0.0, grid.points()),
-                                         (grid.n_nodes,))
+        s = cfg["time"]["s"]  # f is the datum at the initial time
+        vals = np.stack([np.broadcast_to(e(s, grid.points()), (grid.n_nodes,))
                          for e in exprs])
         return GridFunction(grid, spec.m, vals, bc=bc)
 
@@ -248,8 +250,14 @@ class _Runner:
         self.cfg = cfg
         self.outdir = outdir
         self.hash = hashlib.sha256(cfg_bytes).hexdigest()
+        self.s, self.T, self.dt = float(cfg["time"]["s"]), \
+            float(cfg["time"]["T"]), float(cfg["time"]["dt"])
         try:  # FamilyError, DslError and Grid's checks are config errors
             self.spec, self.weight = _build_operator(cfg)
+            lo, hi = self.spec.time_interval  # the guards' and audit's t
+            if not (lo <= self.s and self.T <= hi):
+                raise ConfigError(f"time [s, T] must lie in the family's "
+                                  f"time_interval [{lo!r}, {hi!r}]")
             self.grid = Grid(self.spec.d, float(cfg["grid"]["L"]),
                              cfg["grid"]["n"])
             self.spec.check_guards(self.grid.L)
@@ -264,9 +272,7 @@ class _Runner:
                 nonlinearity_from_exprs(psi, d, m)
         except ValueError as err:
             raise ConfigError(str(err)) from err
-        self.s, self.T, self.dt = float(cfg["time"]["s"]), \
-            float(cfg["time"]["T"]), float(cfg["time"]["dt"])
-        self.sol = None  # filled by the semilinear/fbsde stages
+        self.sol = None  # filled by the semilinear stage or _solution
 
     def _path(self, name):
         return os.path.join(self.outdir, name)
@@ -427,19 +433,25 @@ class _Runner:
             self.ds, self.cfg["mc"]["x0"], self.s, self.T,
             self.cfg["mc"]["h_step"], self.cfg["mc"]["N"], self.cfg["seed"])
 
-    def stage_fbsde(self):
+    def _solution(self):
+        """The u that fbsde and nash read: the semilinear stage's when it
+        ran, else one unmollified solve."""
         if self.sol is None:
             self.sol = self._mild_solve(self.nl)
+        return self.sol
+
+    def stage_fbsde(self):
+        sol = self._solution()
         valid, n_excluded = valid_paths(self.grid, self.batch)
         # Y_T = g(X_T) on the valid paths, C order (mean/std round by layout)
         vals = np.ascontiguousarray(self.ds.g(self.batch.X[valid, -1].T).T)
         mc = np.mean(vals, axis=0)
         se = np.std(vals, axis=0, ddof=1) / np.sqrt(vals.shape[0])
-        pde = self.sol.eval(self.s, np.asarray(self.cfg["mc"]["x0"],
-                                            dtype=float).reshape(-1, 1))[:, 0]
+        pde = sol.eval(self.s, np.asarray(self.cfg["mc"]["x0"],
+                                       dtype=float).reshape(-1, 1))[:, 0]
         lin = self.nl is None
         gap = np.abs(mc - pde)
-        ok = self.sol.converged and (
+        ok = sol.converged and (
             not lin or bool(np.all(gap <= 3 * se + 5e-3)))
         return {"verdict": "PASS" if ok else "FAIL",
                 "feynman_kac_gap": gap.tolist(), "stderr": se.tolist(),
@@ -465,7 +477,7 @@ class _Runner:
         if len(ds.controls) > self.spec.m:
             raise StageError("game.controls has more players than the "
                              "operator has components")
-        report = nash_check(ds, self.sol, self.batch)
+        report = nash_check(ds, self._solution(), self.batch)
         self._write_csv("nash.csv", ["player", "deviation", "dJ", "stderr"],
                         [(r["player"] + 1, f"{r['deviation']:.12g}",
                           r["dJ"], r["stderr"]) for r in report["rows"]])

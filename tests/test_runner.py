@@ -523,3 +523,74 @@ def test_config_error_leaves_no_output_directory(tmp_path, capsys):
     assert main(["run", str(p)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not out.exists()
+
+
+# Inputs read on the run's own window [s, T]: the initial datum at s, a
+# psi that cannot name t, the family's time_interval holding [s, T], and
+# one solution that fbsde and nash both read.
+
+def _golden(**changes):
+    with open(GOLDEN_CONFIG) as fh:
+        cfg = json.load(fh)
+    for section, values in changes.items():
+        if isinstance(values, dict) and section in cfg:
+            cfg[section].update(values)
+        else:
+            cfg[section] = values
+    return cfg
+
+
+def test_data_f_is_read_at_the_initial_time(tmp_path):
+    p = tmp_path / "c.run"
+    write_cfg(p, time={"s": 0.5, "T": 0.75, "dt": 0.0125},
+              data={"f": ["1+t"]})
+    runner = _setup(p, tmp_path / "o")
+    assert np.all(runner.f.values == 1.5)
+
+
+def test_psi_naming_t_is_a_config_error(tmp_path, capsys):
+    p = tmp_path / "c.run"
+    cfg = _golden(checks=["semilinear"],
+                 semilinear={"psi": ["t*z11", "0"]})
+    p.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError, match="unknown identifier 't'"):
+        _setup(p, tmp_path / "o")
+    assert main(["run", str(p), "--output", str(tmp_path / "o")]) == 2
+    assert "(at byte 0)" in capsys.readouterr().err
+
+
+def test_window_outside_time_interval_exits_2(tmp_path, capsys):
+    # q = 1/(1.5 - t) is guarded on the default time_interval [0, 1];
+    # a run on [0, 2] would step through its pole at t = 1.5
+    p = tmp_path / "c.run"
+    cfg = _golden(operator={"family": "ex71ii",
+                           "params": {"d": 1, "m": 2, "q": "1/(1.5-t)"}},
+                 grid={"L": 6.0, "n": 101},
+                 time={"s": 0.0, "T": 2.0, "dt": 0.01},
+                 checks=["audit", "max_principle", "pointwise"])
+    p.write_text(json.dumps(cfg))
+    assert main(["run", str(p), "--output", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "time_interval" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("time_interval", [[0.0], "01", [0.0, "1"]])
+def test_time_interval_must_be_two_numbers(tmp_path, time_interval):
+    p = tmp_path / "c.run"
+    write_cfg(p, operator={"family": "ou",
+                           "params": {"d": 1, "time_interval": time_interval}})
+    assert main(["run", str(p), "--output", str(tmp_path / "o")]) == 2
+
+
+def test_nash_reads_the_same_solution_alone_and_after_fbsde(tmp_path):
+    cfg = _golden(grid={"n": 101}, time={"dt": 0.01},
+                 game={"r_gain": 3.0}, mc={"N": 1000})
+    rows = []
+    for checks in (["nash"], ["fbsde", "nash"]):
+        cfg["checks"] = checks
+        p = tmp_path / f"{len(checks)}.run"
+        p.write_text(json.dumps(cfg))
+        rows.append(run(p, outdir=tmp_path / f"r{len(checks)}")[1]
+                    ["stages"]["nash"]["rows"])
+    assert rows[0] == rows[1]

@@ -207,3 +207,15 @@ def test_every_traced_layer_metric_exists():
         wanted = {m["name"] for m in json.load(fh)["per_layer"]
                   if not m["name"].startswith("trace.")}
     assert not wanted - set(json.loads(out))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_source_calls_pythons_evaluator(path):
+    # coefficient text is parsed into a tree and walked; it must never
+    # reach eval, exec or compile (attribute calls such as sol.eval or
+    # re.compile are other functions)
+    calls = [f"{node.func.id} at line {node.lineno}"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("eval", "exec", "compile")]
+    assert not calls, f"{path.stem}: {calls}"

@@ -1,0 +1,137 @@
+"""Mutation gate: each row breaks one function and runs only the stages
+it targets on the golden operator at reduced size; the stage must FAIL.
+A row that cannot flip today is a strict xfail naming the ROADMAP item
+that will make it flip.  The assertion message of each row carries the
+stage's measured margin under the mutation."""
+
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from kolmolab import evolve, game, runner
+from kolmolab.dsl import const_expr, parse_coeff_expr
+
+GOLDEN_CONFIG = Path(__file__).resolve().parents[1] / "configs" / \
+    "ex71ii_full.run"
+
+SMALL = {"grid": {"n": 61}, "time": {"dt": 0.02}}
+
+
+def _zeros(spec):
+    return tuple(tuple(const_expr(0.0, spec.d) for _ in range(spec.m))
+                 for _ in range(spec.m))
+
+
+def pde_side(change):
+    """The PDE stepper assembles change(spec); the Monte-Carlo paths keep
+    the exact spec."""
+    def patch(monkeypatch):
+        real = evolve.assemble_operator
+        monkeypatch.setattr(evolve, "assemble_operator",
+                            lambda spec, grid, t, bc:
+                            real(change(spec), grid, t, bc))
+    return patch
+
+
+C_ZERO = pde_side(lambda spec: replace(spec, C=_zeros(spec)))
+BTILDE_ZERO = pde_side(lambda spec: replace(
+    spec, Btilde=tuple(_zeros(spec) for _ in range(spec.d))))
+B_HALVED = pde_side(lambda spec: replace(spec, b=tuple(
+    parse_coeff_expr("0.5*b", spec.d, bindings={"b": e}) for e in spec.b)))
+
+
+def rho_one(monkeypatch):
+    """The girsanov stage ignores its weights: rho = 1 on every path."""
+    monkeypatch.setattr(runner, "girsanov_weights",
+                        lambda ds, batch, controls: replace(
+                            batch, rho=np.ones(batch.N), controls=controls))
+
+
+def z_zero(monkeypatch):
+    """The equilibrium is selected at z = 0 instead of G (J_x u)^T."""
+    monkeypatch.setattr(game, "path_z", lambda sol, ds, t, pts: np.zeros(
+        (sol.m, ds.d, pts.shape[1])))
+
+
+def representation_margin(stage):
+    r = stage["residuals"]
+    return f"residuals {r}, ratios {[b / a for a, b in zip(r, r[1:])]}" \
+        " against 0.65"
+
+
+def bound_margin(stage):
+    return f"measured {stage['measured']:.4g} against bound " \
+        f"{stage['bound']:.4g} (margin {stage['margin']:.4g}); " \
+        f"trend {stage['refinement_trend']}"
+
+
+def fbsde_margin(stage):
+    return f"gap {stage['feynman_kac_gap']} against stderr {stage['stderr']}"
+
+
+def girsanov_margin(stage):
+    return f"mean rho gap {stage['mean_rho_gap']} against stderr " \
+        f"{stage['stderr']}"
+
+
+def nash_margin(stage):
+    return "smallest dJ + 3 stderr " + str(min(
+        r["dJ"] + 3 * r["stderr"] for r in stage["rows"]))
+
+
+def xfail(item):
+    return pytest.mark.xfail(strict=True, raises=AssertionError,
+                             reason=f"ROADMAP item {item}")
+
+
+ROWS = [
+    # (stage, checks run, mutation, config changes, margin reader)
+    pytest.param("representation", ["representation"], C_ZERO, SMALL,
+                 representation_margin, id="representation-C_zero"),
+    # fails on the refinement trend only: the bound itself keeps a wide
+    # margin (measured ~0.85 against 1.65)
+    pytest.param("max_principle", ["max_principle"], C_ZERO, SMALL,
+                 bound_margin, id="max_principle-C_zero"),
+    pytest.param("representation", ["representation"], BTILDE_ZERO, SMALL,
+                 representation_margin, id="representation-Btilde_zero"),
+    pytest.param("fbsde", ["fbsde"], B_HALVED,
+                 {"grid": {"n": 101}, "time": {"dt": 0.02},
+                  "mc": {"N": 2000}}, fbsde_margin,
+                 id="fbsde-b_halved", marks=xfail(1)),
+    pytest.param("girsanov", ["girsanov"], rho_one, SMALL, girsanov_margin,
+                 id="girsanov-rho_one", marks=xfail(2)),
+    pytest.param("nash", ["fbsde", "nash"], z_zero, SMALL, nash_margin,
+                 id="nash-z_zero", marks=xfail(4)),
+]
+
+
+def run_stage(outdir, stage, checks, changes):
+    with open(GOLDEN_CONFIG) as fh:
+        cfg = json.load(fh)
+    for section, values in changes.items():
+        cfg[section].update(values)
+    cfg["checks"] = checks
+    outdir.mkdir()
+    p = outdir / "c.run"
+    p.write_text(json.dumps(cfg))
+    result = runner.run(p, outdir=outdir)[1]["stages"][stage]
+    if result["verdict"] == "ERROR":  # not a verdict: no xfail covers it
+        raise RuntimeError(result["error"])
+    return result
+
+
+@pytest.mark.parametrize("stage, checks, mutate, changes, margin", ROWS)
+def test_mutation_fails_its_stage(tmp_path, monkeypatch, stage, checks,
+                                  mutate, changes, margin):
+    exact = run_stage(tmp_path / "exact", stage, checks, changes)
+    if exact["verdict"] != "PASS":  # the row would show nothing
+        raise RuntimeError(f"{stage} {exact['verdict']} unmutated: "
+                           f"{margin(exact)}")
+    mutate(monkeypatch)
+    result = run_stage(tmp_path / "mutated", stage, checks, changes)
+    print(f"{stage} {result['verdict']}: {margin(result)}")
+    assert result["verdict"] == "FAIL", \
+        f"{stage} still {result['verdict']}: {margin(result)}"
