@@ -189,7 +189,9 @@ class _Stepper:
         self.time_dep = spec.depends_on_t()
         self._lus = {}  # (t or None, dt) -> LU of I - dt*A
         self._A = None  # the operator at the time of the last factor
-        self.bnd = grid.boundary_mask()
+        # Dirichlet rows of the flat (m*N) unknowns; none for neumann
+        self.mask = np.tile(grid.boundary_mask() & (bc == "dirichlet"),
+                            spec.m)
 
     def factor(self, t_new, dt):
         key = (round(t_new, 12), round(dt, 12)) if self.time_dep \
@@ -205,17 +207,19 @@ class _Stepper:
         self._lus[key] = spla.splu(M)
         return self._lus[key]
 
-    def step(self, values, t_new, dt):
-        """values: (m, N, ...) -> one backward-Euler step."""
-        m = self.spec.m
-        N = self.grid.n_nodes
+    def step(self, values, t_new, dt, adjoint=False):
+        """values: (m, N, ...) -> one backward-Euler step
+        out = M^{-1} P values, where M = I - dt*A and P zeroes the
+        Dirichlet boundary rows (none for neumann); with adjoint, its
+        transpose out = P M^{-T} values."""
         lu = self.factor(t_new, dt)
         shape = values.shape
-        rhs = values.reshape(m * N, -1).copy()
-        if self.bc == "dirichlet":
-            mask = np.tile(self.bnd, m)
-            rhs[mask] = 0.0
-        out = lu.solve(rhs)
+        rhs = values.reshape(self.mask.size, -1)
+        if adjoint:
+            out = lu.solve(rhs, trans="T")
+            out[self.mask] = 0.0
+        else:
+            out = lu.solve(np.where(self.mask[:, None], 0.0, rhs))
         if not np.all(np.isfinite(out)) or np.max(np.abs(out)) > BLOWUP_GUARD:
             raise EvolveError(f"blow-up detected at t={t_new}")
         return out.reshape(shape)

@@ -8,6 +8,7 @@ flattening of the axes, axis 1 fastest.  For d=2 the flat index of node
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,24 +132,38 @@ def weighted_gradient_sup(weight, grad, mask):
                   axis=-1)
 
 
-def interp_multilinear(grid, values, x):
-    """Multilinear interpolation of values (m, n^d) at points x (d, K).
-
-    Points are clamped to the box.  Returns (m, K).
-    """
+def interp_corners(grid, x):
+    """Cell corners of points x (d, K), clamped to the box: a list of
+    2^d flat node indices (K,) and a list of 2^d per-axis weight factors
+    [(K,)] * d, corners ordered with the first axis fastest.  A corner's
+    interpolation weight is the product of its d factors."""
     n, h, L = grid.n, grid.h, grid.L
     x = np.clip(x, -L, L)
     s = (x + L) / h
     i0 = np.clip(np.floor(s).astype(int), 0, n - 2)
     w = s - i0
-    if grid.d == 1:
-        v = values  # (m, n)
-        return v[:, i0[0]] * (1 - w[0]) + v[:, i0[0] + 1] * w[0]
-    v = values.reshape(-1, n, n)
-    i, j = i0[0], i0[1]
-    wi, wj = w[0], w[1]
-    out = (v[:, i, j] * (1 - wi) * (1 - wj)
-           + v[:, i + 1, j] * wi * (1 - wj)
-           + v[:, i, j + 1] * (1 - wi) * wj
-           + v[:, i + 1, j + 1] * wi * wj)
-    return out
+    lower = i0[0]  # flat index of the lower corner, by Horner's rule
+    for a in range(1, grid.d):
+        lower = lower * n + i0[a]
+    sides = (1 - w, w)  # weights of the lower and of the upper nodes
+    strides = [n ** (grid.d - 1 - a) for a in range(grid.d)]
+    idx, fac = [], []
+    for corner in range(2 ** grid.d):
+        up = [(corner >> a) & 1 for a in range(grid.d)]
+        offset = sum(u * stride for u, stride in zip(up, strides))
+        idx.append(lower + offset if offset else lower)
+        fac.append([sides[u][a] for a, u in enumerate(up)])
+    return idx, fac
+
+
+def interp_multilinear(grid, values, x):
+    """Multilinear interpolation of values (m, n^d) at points x (d, K).
+
+    Points are clamped to the box.  Returns (m, K).
+    """
+    idx, fac = interp_corners(grid, x)
+    v = values.reshape(-1, grid.n_nodes)
+    # each term multiplied axis by axis, summed corner by corner
+    terms = [functools.reduce(np.multiply, factors, v[:, corner])
+             for corner, factors in zip(idx, fac)]
+    return functools.reduce(np.add, terms)

@@ -237,3 +237,32 @@ def test_time_dependent_stepper_refactors_every_step(monkeypatch):
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
     assert len(factors) == 4 * (len(times) - 1)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_adjoint_step_is_the_transpose(d):
+    # <step(u), v> = <u, step(v, adjoint)>: the mask sits before the
+    # solve forward and after the transposed solve
+    spec = example_family("ex71ii", {"d": d, "m": 2})
+    grid = Grid(d, 3.0, 21 if d == 1 else 9)
+    stepper = _Stepper(spec, grid, "dirichlet")
+    rng = np.random.default_rng(5)
+    u, v = rng.standard_normal((2, 2, grid.n_nodes, 3))
+    Gu = stepper.step(u, 0.1, 0.05)
+    Gtv = stepper.step(v, 0.1, 0.05, adjoint=True)
+    assert Gu.shape == Gtv.shape == u.shape
+    lhs = np.einsum("mnk,mnk->k", Gu, v)
+    rhs = np.einsum("mnk,mnk->k", u, Gtv)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))
+    bnd = np.tile(grid.boundary_mask(), 2)
+    assert np.all(Gtv.reshape(-1, 3)[bnd] == 0.0)
+
+
+@pytest.mark.parametrize("bad", [1e13, np.inf, np.nan])
+def test_blowup_guard_on_the_adjoint_step(bad):
+    spec = example_family("heat", {"d": 1})
+    grid = Grid(1, 2.0, 21)
+    values = np.ones((1, grid.n_nodes, 2))
+    values[0, 10, 1] = bad
+    with pytest.raises(EvolveError):
+        _Stepper(spec, grid, "neumann").step(values, 0.1, 0.05, adjoint=True)

@@ -4,7 +4,7 @@ from scipy.special import erf
 
 from kolmolab import kernels
 from kolmolab.grids import Grid, GridFunction, interp_multilinear
-from kolmolab.evolve import evolve
+from kolmolab.evolve import _Stepper, _time_ladder, evolve
 from kolmolab.kernels import (compactness_probe, kernel_row,
                               tightness_mass, _cell_weights)
 from kolmolab.operators import example_family, scalar_comparison
@@ -174,3 +174,73 @@ def test_compactness_probe_marches_once_for_all_points(monkeypatch):
                               n_cells=12, dt=1.25e-2, bc="neumann")
     assert len(probe["table"]) == 3
     assert len(made) == 1
+
+
+# The adjoint march against the forward one it replaced: the (m, N,
+# m*cells) indicator batch marched forward once, read at each base point.
+
+def _forward_masses(spec, grid, t, s, xs, n_cells, dt, bc):
+    m, N = spec.m, grid.n_nodes
+    x = np.asarray(xs, dtype=float).reshape(-1, spec.d).T
+    W = _cell_weights(grid, n_cells)
+    nc = W.shape[0]
+    F = np.kron(np.eye(m), W.T).reshape(m, N, m * nc)
+    out = _Stepper(spec, grid, bc).final(F, _time_ladder(s, t, dt))
+    vals = interp_multilinear(grid, np.moveaxis(out, 1, 2).reshape(-1, N), x)
+    return np.moveaxis(vals.reshape(m, m, nc, -1), 3, 0)
+
+
+_EX71II_T = {"q": "1+0.5*t", "c": "1+t"}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("kind", ["vector", "scalar", "time_dependent"])
+def test_adjoint_masses_match_forward_march(d, bc, kind):
+    params = {"d": d, "m": 2, **(_EX71II_T if kind == "time_dependent"
+                                 else {})}
+    spec = example_family("ex71ii", params)
+    spec = scalar_comparison(spec) if kind == "scalar" else spec
+    assert spec.depends_on_t() == (kind == "time_dependent")
+    s, t = (0.1, 0.5) if kind == "time_dependent" else (0.0, 0.25)
+    grid = Grid(d, 6.0, 121 if d == 1 else 25)
+    nc = 12 if d == 1 else 4
+    xs = [[-1.0] * d, [0.5] * d, [1.2] + [-0.7] * (d - 1)]
+    row = kernel_row(spec, grid, t, s, xs, nc, dt=2.5e-2, bc=bc)
+    want = _forward_masses(spec, grid, t, s, xs, nc, 2.5e-2, bc)
+    assert row.mass.shape == want.shape == (3, spec.m, spec.m, nc ** d)
+    scale = np.max(np.abs(want))
+    assert scale > 0.1
+    assert np.max(np.abs(row.mass - want)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("time_dependent", [False, True])
+@pytest.mark.parametrize("n_cells", [4, 24])
+def test_adjoint_march_carries_m_columns_per_point(monkeypatch, n_cells,
+                                                   time_dependent):
+    # every step carries m*points columns, whatever the number of cells;
+    # one step per ladder step, in descending t, and the usual LU count
+    from kolmolab import evolve as evolve_mod
+    steps, factors = [], []
+    real_step, real_splu = kernels._Stepper.step, evolve_mod.spla.splu
+
+    def recorded(self, values, t_new, dt, adjoint=False):
+        steps.append((values.shape[-1], t_new, adjoint))
+        return real_step(self, values, t_new, dt, adjoint=adjoint)
+
+    def counted(M):
+        factors.append(M.shape)
+        return real_splu(M)
+
+    monkeypatch.setattr(kernels._Stepper, "step", recorded)
+    monkeypatch.setattr(evolve_mod.spla, "splu", counted)
+    spec = example_family("ex71ii", {"d": 1, "m": 2, **(
+        _EX71II_T if time_dependent else {})})
+    xs = [[-1.0], [0.0], [1.0]]
+    kernel_row(spec, Grid(1, 6.0, 61), 0.5, 0.1, xs, n_cells, dt=0.05,
+               bc="neumann")
+    times = _time_ladder(0.1, 0.5, 0.05)
+    assert [c for c, _, _ in steps] == [2 * len(xs)] * (len(times) - 1)
+    assert [t for _, t, _ in steps] == list(times[:0:-1])
+    assert all(adjoint for _, _, adjoint in steps)
+    assert len(factors) == (len(times) - 1 if time_dependent else 1)

@@ -594,3 +594,15 @@ def test_nash_reads_the_same_solution_alone_and_after_fbsde(tmp_path):
         rows.append(run(p, outdir=tmp_path / f"r{len(checks)}")[1]
                     ["stages"]["nash"]["rows"])
     assert rows[0] == rows[1]
+
+
+def test_golden_compactness_csv_prints_plain_floats(tmp_path):
+    # base points are written as float lists, not numpy scalar reprs
+    p = tmp_path / "c.run"
+    p.write_text(json.dumps(_golden(checks=["compactness"])))
+    code, report = run(p, outdir=tmp_path / "r")
+    assert code == 0 and report["verdicts"] == {"compactness": "PASS"}
+    text = (tmp_path / "r" / "compactness.csv").read_text()
+    assert "np." not in text
+    assert [line.split(",")[0] for line in text.splitlines()[1:]] == \
+        ['[-1.0]', '[0.0]', '[1.0]']
