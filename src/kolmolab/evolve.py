@@ -249,7 +249,10 @@ def _time_ladder(s, t, dt):
 
 
 def evolve(spec, f: GridFunction, s, t, dt, bc=None):
-    """Evolve initial data f from time s to t; returns u(t, .)."""
+    """Evolve initial data f from time s to t on _time_ladder(s, t, dt);
+    returns (times, levels), levels[l] = u(times[l], .) from f to u(t, .)."""
     bc = bc or f.bc
-    vals = _Stepper(spec, f.grid, bc).final(f.values, _time_ladder(s, t, dt))
-    return GridFunction(f.grid, spec.m, vals, bc=bc)
+    times = _time_ladder(s, t, dt)
+    march = _Stepper(spec, f.grid, bc).march(f.values, times)
+    return times, [GridFunction(f.grid, spec.m, v, bc=bc)
+                   for v in [f.values, *march]]

@@ -24,6 +24,7 @@ from .dsl import check_guards, const_expr, parse_coeff_expr, \
     parse_state_expr
 from .estimates import (max_principle_check, pointwise_check,
                         representation_residual, weighted_gradient_check)
+from .evolve import evolve
 from .fbsde import (DiffusionSpec, FbsdeError, girsanov_weights,
                     horizon_steps, simulate_forward, valid_paths)
 from .game import nash_check
@@ -273,6 +274,10 @@ class _Runner:
         except ValueError as err:
             raise ConfigError(str(err)) from err
         self.sol = None  # filled by the semilinear stage or _solution
+        # the solves (times, levels) of G(., s) f over [s, T], one per
+        # step size, that max_principle, pointwise and representation share
+        self.levels = functools.cache(
+            lambda dt: evolve(self.spec, self.f, self.s, self.T, dt))
 
     def _path(self, name):
         return os.path.join(self.outdir, name)
@@ -314,21 +319,19 @@ class _Runner:
                 "sections": verdicts}
 
     def stage_max_principle(self):
+        dts = (2 * self.dt, self.dt)
         res = max_principle_check(
-            self.spec, self.f, self.s, self.T,
+            [self.levels(dt) for dt in dts],
             epsilon=self.cfg["audit"]["epsilon"],
-            kappa0=self.cfg["audit"]["kappa0"],
-            dt_list=(2 * self.dt, self.dt))
-        self._write_csv("max_principle.csv",
-                        ["dt", "ratio"],
-                        [(d, r) for d, r in zip((2 * self.dt, self.dt),
-                                                res.refinement_trend)])
+            kappa0=self.cfg["audit"]["kappa0"])
+        self._write_csv("max_principle.csv", ["dt", "ratio"],
+                        list(zip(dts, res.refinement_trend)))
         return res.as_dict()
 
     def stage_pointwise(self):
         HJ = self.audit["coupling_growth"]["HJ"]
-        res = pointwise_check(self.spec, self.f, self.s, self.T,
-                              HJ=max(float(HJ), 0.0), dt=self.dt)
+        res = pointwise_check(self.spec, *self.levels(self.dt),
+                              HJ=max(float(HJ), 0.0))
         return res.as_dict()
 
     def stage_weighted_gradient(self):
@@ -344,8 +347,8 @@ class _Runner:
 
     def stage_representation(self):
         dts = (4 * self.dt, 2 * self.dt, self.dt)
-        resids = [representation_residual(self.spec, self.f, 0, self.s,
-                                          self.T, dt) for dt in dts]
+        resids = [representation_residual(self.spec, *self.levels(dt), 0)
+                  for dt in dts]
         self._write_csv("representation.csv", ["dt", "residual"],
                         list(zip(dts, resids)))
         decoupled = resids[0] <= 1e-12

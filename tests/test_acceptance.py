@@ -39,7 +39,7 @@ def test_01_linear_oracles():
     f = GridFunction.from_callable(grid, 1,
                                    lambda p: np.exp(-p[0] ** 2 / 2))
     tau = 0.5
-    u = evolve(spec, f, 0.0, tau, dt=1e-3)
+    u = evolve(spec, f, 0.0, tau, dt=1e-3)[1][-1]
     x = grid.axis()
     oracle = np.exp(-x ** 2 / (2 * (1 + tau))) / np.sqrt(1 + tau)
     mask = grid.interior_mask(4.0)
@@ -48,7 +48,7 @@ def test_01_linear_oracles():
     # first moment of the mean-reverting flow
     spec = example_family("ou", {"d": 1})
     g = GridFunction.from_callable(grid, 1, lambda p: p[0], bc="neumann")
-    v = evolve(spec, g, 0.0, tau, dt=1e-3)
+    v = evolve(spec, g, 0.0, tau, dt=1e-3)[1][-1]
     e_ou = float(np.max(np.abs(v.values[0] - np.exp(-tau) * x)[mask]))
 
     # constant-coefficient coupling against the matrix exponential
@@ -58,8 +58,8 @@ def test_01_linear_oracles():
     h = GridFunction.constant(gridc, [1.0, 0.0], bc="neumann")
     tauc = 0.3
     # first-order stepping: extrapolate two step sizes to reach 1e-6
-    w1 = evolve(spec, h, 0.0, tauc, dt=4e-5)
-    w2 = evolve(spec, h, 0.0, tauc, dt=2e-5)
+    w1 = evolve(spec, h, 0.0, tauc, dt=4e-5)[1][-1]
+    w2 = evolve(spec, h, 0.0, tauc, dt=2e-5)[1][-1]
     wex = 2 * w2.values - w1.values
     expect = expm(tauc * C) @ np.array([1.0, 0.0])
     e_mat = float(np.max(np.abs(wex[:, gridc.n_nodes // 2] - expect)))
@@ -75,7 +75,9 @@ def test_02_maximum_principle():
     grid = Grid(1, 5.0, 201)
     f = GridFunction.from_callable(
         grid, 2, lambda p: np.stack([np.sin(p[0]), np.exp(-p[0] ** 2)]))
-    res = max_principle_check(spec, f, 0.0, 0.4, epsilon=1.0, kappa0=1.0)
+    res = max_principle_check(
+        [evolve(spec, f, 0.0, 0.4, dt) for dt in (4e-3, 2e-3)],
+        epsilon=1.0, kappa0=1.0)
     ok1 = res.measured <= res.bound * 1.01
 
     # tight case: C = diag(1, -1), growth exactly e^t; Richardson
@@ -87,7 +89,7 @@ def test_02_maximum_principle():
     bound = float(np.exp(tau))
     ratios = []
     for dt in (2e-4, 1e-4):
-        u = evolve(spec, fc, 0.0, tau, dt)
+        u = evolve(spec, fc, 0.0, tau, dt)[1][-1]
         ratios.append(u.sup_norm() / fc.sup_norm())
     extrap = 2 * ratios[1] - ratios[0]
     gap = abs(extrap - bound)
@@ -117,7 +119,8 @@ def test_03_pointwise_domination():
             f = GridFunction.from_callable(
                 grid, 2,
                 lambda p: np.stack([np.cos(p[0]), np.sin(2 * p[0])]))
-            res = pointwise_check(spec, f, 0.0, 0.5, HJ=HJ, n_t=3, dt=2e-3)
+            res = pointwise_check(spec, *evolve(spec, f, 0.0, 0.5, 2e-3),
+                                  HJ=HJ, n_t=3)
             worst = max(worst, res.measured / res.bound)
             ok = ok and res.measured <= res.bound * 1.01
         lines.append(f"{name} ratio/bound {worst:.3f}")
@@ -136,7 +139,7 @@ def test_04_weighted_gradient():
     a, tau = 1.0, 0.5
     grid = Grid(1, 8.0, 321)
     f = GridFunction.from_callable(grid, 1, lambda p: erf(p[0] / a))
-    u = evolve(heat, f, 0.0, tau, dt=2e-3)
+    u = evolve(heat, f, 0.0, tau, dt=2e-3)[1][-1]
     grad_max = float(np.max(np.abs(
         gradient(grid, u.values)[:, :, grid.interior_mask(2.0)])))
     oracle = 2 / (np.sqrt(np.pi) * np.sqrt(a ** 2 + 2 * tau))
@@ -153,14 +156,14 @@ def test_05_representation_formula():
     grid = Grid(1, 6.0, 161)
     f = GridFunction.from_callable(
         grid, 2, lambda p: np.stack([np.exp(-p[0] ** 2), np.cos(p[0])]))
-    resids = [representation_residual(spec, f, 0, 0.0, 0.4, dt)
+    resids = [representation_residual(spec, *evolve(spec, f, 0.0, 0.4, dt), 0)
               for dt in (8e-3, 4e-3, 2e-3)]
     decays = [1 - resids[k + 1] / resids[k] for k in range(2)]
     ok1 = all(d >= 0.35 for d in decays)
 
     ou = example_family("ou", {"d": 1})
     g = GridFunction.from_callable(grid, 1, lambda p: np.sin(p[0]))
-    r0 = representation_residual(ou, g, 0, 0.0, 0.4, dt=5e-3)
+    r0 = representation_residual(ou, *evolve(ou, g, 0.0, 0.4, 5e-3), 0)
     ok2 = r0 == 0.0
     report(5, "representation formula", ok1 and ok2,
            f"decays {decays[0]:.1%}, {decays[1]:.1%} >= 35%; "
@@ -219,7 +222,7 @@ def test_07_semilinear_mollifier_ladder():
     ok1 = stable and alpha > 0 and spread <= 0.10
 
     lin = mild_solve(spec, None, g, 0.0, T, dt, graded_steps=1)
-    ref = evolve(spec.time_reversed(T), g, 0.0, T, dt)
+    ref = evolve(spec.time_reversed(T), g, 0.0, T, dt)[1][-1]
     e_lin = float(np.max(np.abs(lin.values[0] - ref.values)))
     ok2 = e_lin <= 1e-6
     report(7, "semilinear mollifier ladder", ok1 and ok2,

@@ -15,7 +15,9 @@ def test_max_principle_contraction_when_kappa_zero():
     spec = example_family("ou", {"d": 1})
     grid = Grid(1, 6.0, 241)
     f = GridFunction.from_callable(grid, 1, lambda p: np.cos(2 * p[0]))
-    res = max_principle_check(spec, f, 0.0, 0.5, epsilon=1.0, kappa0=0.0)
+    res = max_principle_check(
+        [evolve(spec, f, 0.0, 0.5, dt) for dt in (4e-3, 2e-3)],
+        epsilon=1.0, kappa0=0.0)
     assert res.measured <= 1.0 + 1e-8
     assert res.verdict == "PASS"
 
@@ -25,8 +27,9 @@ def test_max_principle_tight_matrix_exponential():
     grid = Grid(1, 4.0, 81)
     f = GridFunction.constant(grid, [1.0, 0.0], bc="neumann")
     tau = 0.3
-    res = max_principle_check(spec, f, 0.0, tau, epsilon=1.0, kappa0=1.0,
-                              dt_list=(1e-4, 0.5e-4))
+    res = max_principle_check(
+        [evolve(spec, f, 0.0, tau, dt) for dt in (1e-4, 0.5e-4)],
+        epsilon=1.0, kappa0=1.0)
     # the first component grows like e^t exactly; bound is tight
     assert res.measured == pytest.approx(np.exp(tau), rel=1e-4)
     assert res.verdict == "PASS"
@@ -39,7 +42,9 @@ def test_max_principle_ex71i():
     grid = Grid(1, 5.0, 201)
     f = GridFunction.from_callable(
         grid, 2, lambda p: np.stack([np.sin(p[0]), np.exp(-p[0] ** 2)]))
-    res = max_principle_check(spec, f, 0.0, 0.4, epsilon=1.0, kappa0=1.0)
+    res = max_principle_check(
+        [evolve(spec, f, 0.0, 0.4, dt) for dt in (4e-3, 2e-3)],
+        epsilon=1.0, kappa0=1.0)
     assert res.verdict == "PASS"
     assert res.margin > 0
 
@@ -49,8 +54,8 @@ def test_max_principle_scaling_invariance():
     grid = Grid(1, 6.0, 161)
     f = GridFunction.from_callable(grid, 1, lambda p: np.tanh(p[0]))
     f2 = GridFunction(grid, 1, 2 * f.values)
-    r1 = max_principle_check(spec, f, 0.0, 0.3, 1.0, 0.0, dt_list=(4e-3,))
-    r2 = max_principle_check(spec, f2, 0.0, 0.3, 1.0, 0.0, dt_list=(4e-3,))
+    r1 = max_principle_check([evolve(spec, f, 0.0, 0.3, 4e-3)], 1.0, 0.0)
+    r2 = max_principle_check([evolve(spec, f2, 0.0, 0.3, 4e-3)], 1.0, 0.0)
     assert abs(r1.measured - r2.measured) <= 1e-10
 
 
@@ -59,7 +64,8 @@ def test_pointwise_jensen_case():
     spec = example_family("ou", {"d": 1})
     grid = Grid(1, 6.0, 241)
     f = GridFunction.from_callable(grid, 1, lambda p: np.sin(3 * p[0]))
-    res = pointwise_check(spec, f, 0.0, 0.5, HJ=0.0, n_t=3, dt=2e-3)
+    res = pointwise_check(spec, *evolve(spec, f, 0.0, 0.5, 2e-3), HJ=0.0,
+                          n_t=3)
     assert res.measured <= 1.0 + 1e-6
     assert res.verdict == "PASS"
 
@@ -71,12 +77,14 @@ def test_pointwise_ex71ii():
     grid = Grid(1, 5.0, 201)
     f = GridFunction.from_callable(
         grid, 2, lambda p: np.stack([np.cos(p[0]), np.sin(2 * p[0])]))
-    res = pointwise_check(spec, f, 0.0, 0.5, HJ=max(HJ, 0.0), n_t=4, dt=2e-3)
+    res = pointwise_check(spec, *evolve(spec, f, 0.0, 0.5, 2e-3),
+                          HJ=max(HJ, 0.0), n_t=4)
     assert res.verdict == "PASS", res.as_dict()
 
 
 def test_pointwise_factorises_once_per_operator(monkeypatch):
-    # one stepper per operator carries its LU across the check times
+    # one LU per operator: the vector one in evolve's solve, the scalar
+    # one in pointwise's single march over every check time
     calls = []
     splu = evolve_module.spla.splu
 
@@ -91,7 +99,8 @@ def test_pointwise_factorises_once_per_operator(monkeypatch):
     f = GridFunction.from_callable(
         grid, 2, lambda p: np.stack([np.exp(-p[0] ** 2), np.cos(2 * p[0])]),
         bc="neumann")
-    res = pointwise_check(spec, f, 0.0, 0.2, HJ=1.0, n_t=4, dt=0.01)
+    res = pointwise_check(spec, *evolve(spec, f, 0.0, 0.2, 0.01), HJ=1.0,
+                          n_t=4)
     assert len(calls) == 2
     assert res.measured == 0.8649752824184967
 
@@ -107,7 +116,8 @@ def test_pointwise_coupled_bounded_C():
         vals[:, 1:-1] = (vals[:, :-2] + 2 * vals[:, 1:-1] + vals[:, 2:]) / 4
     f = GridFunction(grid, 2, vals, bc="neumann")
     # Lambda_C = 0.5, xi = 0 on the diagonal-drift side: HJ = 0.5
-    res = pointwise_check(spec, f, 0.0, 0.4, HJ=0.5, n_t=3, dt=2e-3)
+    res = pointwise_check(spec, *evolve(spec, f, 0.0, 0.4, 2e-3), HJ=0.5,
+                          n_t=3)
     assert res.verdict == "PASS"
 
 
@@ -130,7 +140,7 @@ def test_weighted_gradient_heat_gaussian_oracle():
     a, tau = 1.0, 0.5
     grid = Grid(1, 8.0, 321)
     f = GridFunction.from_callable(grid, 1, lambda p: erf(p[0] / a))
-    u = evolve(spec, f, 0.0, tau, dt=2e-3)
+    u = evolve(spec, f, 0.0, tau, dt=2e-3)[1][-1]
     # interior only: the dirichlet clamp at the faces fights the erf tails
     grad_max = np.max(np.abs(gradient(grid, u.values)[:, :, grid.interior_mask(2.0)]))
     oracle = 2 / (np.sqrt(np.pi) * np.sqrt(a ** 2 + 2 * tau))
@@ -151,7 +161,7 @@ def test_representation_decoupled_zero():
     spec = example_family("ou", {"d": 1})
     grid = Grid(1, 6.0, 161)
     f = GridFunction.from_callable(grid, 1, lambda p: np.sin(p[0]))
-    res = representation_residual(spec, f, 0, 0.0, 0.4, dt=5e-3)
+    res = representation_residual(spec, *evolve(spec, f, 0.0, 0.4, 5e-3), 0)
     assert res <= 1e-12
 
 
@@ -161,7 +171,7 @@ def test_representation_residual_decays():
     grid = Grid(1, 6.0, 161)
     f = GridFunction.from_callable(
         grid, 2, lambda p: np.stack([np.exp(-p[0] ** 2), np.cos(p[0])]))
-    resids = [representation_residual(spec, f, 0, 0.0, 0.4, dt)
+    resids = [representation_residual(spec, *evolve(spec, f, 0.0, 0.4, dt), 0)
               for dt in (8e-3, 4e-3, 2e-3)]
     assert resids[1] <= 0.65 * resids[0]
     assert resids[2] <= 0.65 * resids[1]
@@ -173,7 +183,7 @@ def test_representation_residual_at_t_equals_s():
     f = GridFunction.from_callable(
         grid, 2, lambda p: np.stack([np.cos(p[0]), np.sin(p[0])]))
     # one vanishing-width step: residual collapses with the window
-    res = representation_residual(spec, f, 0, 0.0, 1e-6, dt=1e-6)
+    res = representation_residual(spec, *evolve(spec, f, 0.0, 1e-6, 1e-6), 0)
     assert res <= 1e-6
 
 
@@ -196,6 +206,6 @@ def test_representation_time_dependent_factorises_twice_per_step(
         return real_splu(M)
 
     monkeypatch.setattr(evolve_module.spla, "splu", counted)
-    res = representation_residual(spec, f, 0, 0.0, 0.5, 0.01)
+    res = representation_residual(spec, *evolve(spec, f, 0.0, 0.5, 0.01), 0)
     assert np.isfinite(res)
     assert len(factors) == 100

@@ -18,7 +18,7 @@ def test_heat_matches_gaussian_oracle():
     spec = example_family("heat", {"d": 1})
     grid = Grid(1, 8.0, 321)
     f = GridFunction.from_callable(grid, 1, lambda p: np.exp(-p[0] ** 2 / 2))
-    u = evolve(spec, f, 0.0, 0.5, dt=2e-3, bc="dirichlet")
+    u = evolve(spec, f, 0.0, 0.5, dt=2e-3, bc="dirichlet")[1][-1]
     mask = grid.interior_mask(2.0)
     err = np.max(np.abs(u.values[0, mask] - heat_oracle(grid.points()[0, mask],
                                                         0.5)))
@@ -30,7 +30,7 @@ def test_constant_preserved_neumann():
                                     "Chat": np.zeros((2, 2))})
     grid = Grid(1, 4.0, 161)
     f = GridFunction.constant(grid, [1.0, 1.0], bc="neumann")
-    u = evolve(spec, f, 0.0, 0.3, dt=5e-3)
+    u = evolve(spec, f, 0.0, 0.3, dt=5e-3)[1][-1]
     assert np.max(np.abs(u.values - 1.0)) <= 1e-8
 
 
@@ -41,7 +41,7 @@ def test_matrix_exponential_oracle():
     v = np.array([1.0, 2.0])
     f = GridFunction.constant(grid, v, bc="neumann")
     tau = 0.4
-    u = evolve(spec, f, 0.0, tau, dt=1e-4)
+    u = evolve(spec, f, 0.0, tau, dt=1e-4)[1][-1]
     expect = scipy.linalg.expm(tau * C) @ v
     mask = grid.interior_mask(2.0)
     err = np.max(np.abs(u.values[:, mask] - expect[:, None]))
@@ -54,7 +54,7 @@ def test_ou_first_moment():
     grid = Grid(1, 8.0, 321)
     f = GridFunction.from_callable(grid, 1, lambda p: p[0])
     tau = 0.5
-    u = evolve(spec, f, 0.0, tau, dt=2e-3, bc="dirichlet")
+    u = evolve(spec, f, 0.0, tau, dt=2e-3, bc="dirichlet")[1][-1]
     mask = grid.interior_mask(2.0)
     expect = np.exp(-tau) * grid.points()[0, mask]
     assert np.max(np.abs(u.values[0, mask] - expect)) <= 1e-3
@@ -65,7 +65,7 @@ def test_ou_gaussian_variance():
     grid = Grid(1, 8.0, 321)
     f = GridFunction.from_callable(grid, 1, lambda p: p[0] ** 2)
     tau = 0.4
-    u = evolve(spec, f, 0.0, tau, dt=1e-3, bc="dirichlet")
+    u = evolve(spec, f, 0.0, tau, dt=1e-3, bc="dirichlet")[1][-1]
     x = grid.points()[0]
     mask = grid.interior_mask(1.5)
     var = (1 - np.exp(-2 * tau)) / 2
@@ -79,7 +79,7 @@ def test_positivity_scalar():
     rng = np.random.default_rng(5)
     f = GridFunction.from_callable(
         grid, 1, lambda p: np.maximum(np.sin(3 * p[0]), 0.0))
-    u = evolve(spec, f, 0.0, 0.2, dt=5e-3, bc="dirichlet")
+    u = evolve(spec, f, 0.0, 0.2, dt=5e-3, bc="dirichlet")[1][-1]
     assert np.min(u.values) >= -1e-9
 
 
@@ -88,7 +88,7 @@ def test_2d_heat_against_1d_product():
     grid = Grid(2, 6.0, 121)
     f = GridFunction.from_callable(
         grid, 1, lambda p: np.exp(-(p[0] ** 2 + p[1] ** 2) / 2))
-    u = evolve(spec, f, 0.0, 0.3, dt=5e-3, bc="dirichlet")
+    u = evolve(spec, f, 0.0, 0.3, dt=5e-3, bc="dirichlet")[1][-1]
     pts = grid.points()
     mask = grid.interior_mask(1.5)
     expect = heat_oracle(pts[0], 0.3) * heat_oracle(pts[1], 0.3)
@@ -111,7 +111,7 @@ def test_cross_diffusion_term():
     f = GridFunction.from_callable(
         grid, 1, lambda p: np.exp(-(p[0] ** 2 + p[1] ** 2) / 2))
     tau = 0.4
-    u = evolve(spec, f, 0.0, tau, dt=5e-3, bc="dirichlet")
+    u = evolve(spec, f, 0.0, tau, dt=5e-3, bc="dirichlet")[1][-1]
     S = np.eye(2) + 2 * tau * Q
     Sinv = np.linalg.inv(S)
     pts = grid.points()
@@ -124,8 +124,8 @@ def test_cross_diffusion_term():
 
 def _composition_gap(spec, f, s, r, t, dt, probe_L):
     """Sup of G(t,r)G(r,s)f - G(t,s)f on the probe box (evolution law)."""
-    two = evolve(spec, evolve(spec, f, s, r, dt), r, t, dt)
-    one = evolve(spec, f, s, t, dt)
+    two = evolve(spec, evolve(spec, f, s, r, dt)[1][-1], r, t, dt)[1][-1]
+    one = evolve(spec, f, s, t, dt)[1][-1]
     mask = f.grid.interior_mask(probe_L)
     return float(np.max(np.abs(two.values[:, mask] - one.values[:, mask])))
 
@@ -163,15 +163,20 @@ def test_blowup_guard():
 
 
 def test_evolve_path_and_batch_agree():
-    # the path is every level of one march, the batch two columns at once
+    # evolve's levels are f and every level of one march, the batch two
+    # columns at once
     spec = example_family("ou", {"d": 1})
     grid = Grid(1, 6.0, 121)
     f = GridFunction.from_callable(grid, 1, lambda p: np.tanh(p[0]))
     times = _time_ladder(0.0, 0.3, 5e-2)
     path = list(_Stepper(spec, grid, "dirichlet").march(f.values, times))
-    u = evolve(spec, f, 0.0, 0.3, dt=5e-2)
-    assert len(path) == len(times) - 1
-    assert np.allclose(path[-1], u.values)
+    got, levels = evolve(spec, f, 0.0, 0.3, dt=5e-2)
+    assert np.array_equal(got, times)
+    assert len(path) == len(levels) - 1 == len(times) - 1
+    assert np.array_equal(levels[0].values, f.values)
+    assert all(np.array_equal(level.values, want)
+               for level, want in zip(levels[1:], path))
+    u = levels[-1]
     F = np.stack([f.values, 2 * f.values], axis=2).reshape(1, grid.n_nodes, 2)
     out = _Stepper(spec, grid, "dirichlet").final(F, times)
     assert np.allclose(out[..., 0] * 2, out[..., 1], atol=1e-12)
@@ -197,7 +202,7 @@ def test_upwind_strong_drift_stable():
     spec = example_family("ex71i", {"d": 1, "m": 1, "r": 1.0, "p": 3.0})
     grid = Grid(1, 4.0, 81)  # h = 0.1, peclet >> 2 near the edge
     f = GridFunction.from_callable(grid, 1, lambda p: np.cos(p[0]))
-    u = evolve(spec, f, 0.0, 0.5, dt=1e-2, bc="dirichlet")
+    u = evolve(spec, f, 0.0, 0.5, dt=1e-2, bc="dirichlet")[1][-1]
     assert np.max(np.abs(u.values)) <= 1.0 + 1e-6  # no oscillation overshoot
 
 
@@ -205,7 +210,7 @@ def test_dirichlet_boundary_exactly_zero():
     spec = example_family("heat", {"d": 2})
     grid = Grid(2, 3.0, 41)
     f = GridFunction.constant(grid, [1.0])
-    u = evolve(spec, f, 0.0, 0.1, dt=1e-2, bc="dirichlet")
+    u = evolve(spec, f, 0.0, 0.1, dt=1e-2, bc="dirichlet")[1][-1]
     assert np.max(np.abs(u.values[:, grid.boundary_mask()])) == 0.0
 
 

@@ -60,7 +60,7 @@ def test_reconstruction_linearity():
     W = _cell_weights(grid, nc)
     f_vals = f_cells @ W
     f = GridFunction(grid, 2, f_vals, bc="neumann")
-    u = evolve(spec, f, 0.0, tau, dt=5e-3)
+    u = evolve(spec, f, 0.0, tau, dt=5e-3)[1][-1]
     expect = interp_multilinear(grid, u.values, np.array([[0.1]]))[:, 0]
     assert np.max(np.abs(got - expect)) <= 1e-6 * np.max(np.abs(f_cells))
 

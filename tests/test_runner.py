@@ -606,3 +606,28 @@ def test_golden_compactness_csv_prints_plain_floats(tmp_path):
     assert "np." not in text
     assert [line.split(",")[0] for line in text.splitlines()[1:]] == \
         ['[-1.0]', '[0.0]', '[1.0]']
+
+
+def test_estimate_stages_share_one_vector_solve_per_step_size(
+        tmp_path, monkeypatch):
+    # max_principle (2dt, dt), pointwise (dt) and representation (4dt,
+    # 2dt, dt) read one vector solve per step size; the scalar marches
+    # of pointwise (dt) and representation (each size) are their own
+    n = 61
+    cfg = _golden(grid={"n": n}, time={"dt": 0.02},
+                  checks=["max_principle", "pointwise", "representation"])
+    p = tmp_path / "c.run"
+    p.write_text(json.dumps(cfg))
+    from kolmolab import evolve
+    sizes = []
+    real_splu = evolve.spla.splu
+
+    def counted(M):
+        sizes.append(M.shape[0])
+        return real_splu(M)
+
+    monkeypatch.setattr(evolve.spla, "splu", counted)
+    code, report = run(p, outdir=tmp_path / "r")
+    assert code == 0, report["verdicts"]
+    # the golden operator has m = 2 components
+    assert (sizes.count(2 * n), sizes.count(n)) == (3, 4)

@@ -39,6 +39,9 @@ def pde_side(change):
 C_ZERO = pde_side(lambda spec: replace(spec, C=_zeros(spec)))
 BTILDE_ZERO = pde_side(lambda spec: replace(
     spec, Btilde=tuple(_zeros(spec) for _ in range(spec.d))))
+C_NEGATED = pde_side(lambda spec: replace(spec, C=tuple(
+    tuple(parse_coeff_expr("-c", spec.d, bindings={"c": e}) for e in row)
+    for row in spec.C)))
 B_HALVED = pde_side(lambda spec: replace(spec, b=tuple(
     parse_coeff_expr("0.5*b", spec.d, bindings={"b": e}) for e in spec.b)))
 
@@ -97,6 +100,10 @@ ROWS = [
                  bound_margin, id="max_principle-C_zero"),
     pytest.param("representation", ["representation"], BTILDE_ZERO, SMALL,
                  representation_margin, id="representation-Btilde_zero"),
+    # C = 0 keeps the ratio under its bound (0.875 against 1.0): only a
+    # potential that grows the vector solution flips it
+    pytest.param("pointwise", ["pointwise"], C_NEGATED, SMALL,
+                 bound_margin, id="pointwise-C_negated"),
     pytest.param("fbsde", ["fbsde"], B_HALVED,
                  {"grid": {"n": 101}, "time": {"dt": 0.02},
                   "mc": {"N": 2000}}, fbsde_margin,
