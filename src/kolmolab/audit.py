@@ -10,8 +10,6 @@ across nested annuli and reported as such.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .dsl import parse_coeff_expr
@@ -28,25 +26,6 @@ _LIMIT_THRESHOLD = 1e-2  # outermost value a limit quantity must fall to
 
 class AuditError(RuntimeError):
     pass
-
-
-def jsonable(obj):
-    """obj with every numpy scalar and array inside it turned into the
-    plain Python value strict json can write; a non-finite float becomes
-    None."""
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
 
 
 def _halton(dim, n):

@@ -3,8 +3,12 @@
 Backward Euler in time with coefficients frozen at the new time level,
 centered second-order differences in space, and second-order upwinding
 of the diagonal drift where the cell Peclet number |b_j| h / lambda_Q
-exceeds 2.  Dirichlet boundary rows are identity rows with zero data;
-Neumann is realized by ghost-node reflection in the stencils.
+exceeds 2.  Every stencil is a table of (offset, integer weight) pairs
+(D2, D2_FACE, CROSS, D1, D1_UP below); the scalar part Tr(Q D^2) +
+<b, grad> is built once from them and copied onto each diagonal block,
+and D1 also serves the Btilde coupling.  Dirichlet boundary rows are
+identity rows with zero data; Neumann is realized by ghost-node
+reflection in the stencils.
 """
 
 from __future__ import annotations
@@ -26,33 +30,33 @@ class EvolveError(RuntimeError):
     pass
 
 
-def _axis_indices(grid):
-    """Per-axis index arrays of every flat node, shape (d, N)."""
-    n = grid.n
-    if grid.d == 1:
-        return np.arange(n).reshape(1, -1)
-    i1 = np.repeat(np.arange(n), n)
-    i2 = np.tile(np.arange(n), n)
-    return np.stack([i1, i2])
-
-
-def _strides(grid):
-    return [grid.n ** (grid.d - 1 - j) for j in range(grid.d)]
+# Scalar stencils as (offset in cells, integer weight); an entry is
+# weight * coeff / scale.  A table mirrored (offsets negated) serves the
+# other face, or, on the negated coefficient, the other upwind direction.
+# The order of the entries is the order in which coo -> csr sums them.
+D2 = ((-1, 1), (0, -2), (1, 1))  # Q_jj D_jj at interior nodes, on h^2
+D2_FACE = ((0, -2), (1, 2))  # the same at a Neumann face, ghost folded in
+CROSS = (((1, 1), 2), ((1, -1), -2), ((-1, 1), -2),
+         ((-1, -1), 2))  # 2 Q_12 D_12 over both axes, on 4 h^2
+D1 = ((1, 1), (-1, -1))  # b_j D_j centered, on 2h
+D1_UP = ((0, -3), (1, 4), (2, -1))  # one-sided second order, on 2h
 
 
 def assemble_operator(spec, grid, t, bc):
     """Sparse matrix realizing the full operator on flat (m*N) vectors.
 
     Component-block layout: row k*N + p is the equation for component k
-    at node p.  Dirichlet boundary rows are zeroed (the stepper installs
-    identity rows in I - dt*A).
+    at node p.  The scalar stencils of Tr(Q D^2) + <b, grad> fill each
+    diagonal block; Btilde (centered) and C fill block (k, l).  Dirichlet
+    boundary rows are left empty (the stepper installs identity rows in
+    I - dt*A).
     """
     d, m, n, h = spec.d, spec.m, grid.n, grid.h
     N = grid.n_nodes
     pts = grid.points()
-    ax_idx = _axis_indices(grid)
-    strides = _strides(grid)
-    bnd = grid.boundary_mask()
+    ax_idx = np.indices((n,) * d).reshape(d, N)  # axis indices of nodes
+    strides = [n ** (d - 1 - j) for j in range(d)]
+    live = ~(grid.boundary_mask() & (bc == "dirichlet"))
 
     Qv = spec.Q_at(t, pts)  # (d, d, N)
     bv = spec.b_at(t, pts)  # (d, N)
@@ -61,115 +65,53 @@ def assemble_operator(spec, grid, t, bc):
     Qeig = np.linalg.eigvalsh(np.moveaxis(Qv, 2, 0))[:, 0]
     lam = np.maximum(Qeig, 1e-300)
 
-    all_nodes = np.arange(N)
+    def entries(where, stencil, coeff, scale, axes, mirror=1, k=0, l=0):
+        """(row, col, value) arrays of block (k, l), one triple per
+        stencil entry at every live node of where; a column past a face
+        is reflected back into the box."""
+        p = np.flatnonzero(where & live)
+        row, c, at = k * N + p, coeff[p], [ax_idx[j, p] for j in axes]
+        for offset, weight in stencil:
+            col = l * N + p
+            for i, j, delta in zip(at, axes, np.atleast_1d(offset)):
+                moved = n - 1 - np.abs(n - 1 - np.abs(i + mirror * delta))
+                col = col + (moved - i) * strides[j]  # mirrored at faces
+            yield row, col, weight * c / scale
 
-    def reflect(i):
-        # mirror an out-of-range axis index back into [0, n-1]
-        return np.where(i < 0, -i, np.where(i > n - 1, 2 * (n - 1) - i, i))
-
-    def shifted(p, j, delta):
-        """Flat indices of nodes shifted by delta cells along axis j,
-        with reflection at the faces."""
-        i = ax_idx[j, p] + delta
-        return p + (reflect(i) - ax_idx[j, p]) * strides[j]
-
-    # ---- scalar part: sum_j Q_jj D2_jj + cross + sum_j b_j D1_j
-    s_rows, s_cols, s_vals = [], [], []
-
-    def sadd(r, c, v):
-        s_rows.append(r)
-        s_cols.append(c)
-        s_vals.append(v)
-
+    scalar = []
     for j in range(d):
-        ij = ax_idx[j]
-        qjj = Qv[j, j]
-        interior = (ij > 0) & (ij < n - 1)
-        p = all_nodes[interior]
-        sadd(p, p - strides[j], qjj[p] / h ** 2)
-        sadd(p, p, -2 * qjj[p] / h ** 2)
-        sadd(p, p + strides[j], qjj[p] / h ** 2)
+        ij, qjj = ax_idx[j], Qv[j, j]
+        scalar += entries((ij > 0) & (ij < n - 1), D2, qjj, h ** 2, [j])
         if bc == "neumann":
-            for face, sgn in ((0, 1), (n - 1, -1)):
-                p = all_nodes[ij == face]
-                sadd(p, p, -2 * qjj[p] / h ** 2)
-                sadd(p, p + sgn * strides[j], 2 * qjj[p] / h ** 2)
-
+            scalar += entries(ij == 0, D2_FACE, qjj, h ** 2, [j])
+            scalar += entries(ij == n - 1, D2_FACE, qjj, h ** 2, [j], -1)
     if d == 2:
         q12 = Qv[0, 1]
-        nz = np.abs(q12) > 0
-        if np.any(nz):
-            p = all_nodes[nz]
-            for d1 in (+1, -1):
-                for d2 in (+1, -1):
-                    tgt = shifted(shifted(p, 0, d1), 1, d2)
-                    # 2 Q12 D2_12 with the 4-point cross stencil
-                    sadd(p, tgt, 2 * q12[p] * d1 * d2 / (4 * h ** 2))
-
+        scalar += entries(np.abs(q12) > 0, CROSS, q12, 4 * h ** 2, [0, 1])
+    # drift; at a Neumann face reflection makes the odd derivative vanish
     for j in range(d):
-        ij = ax_idx[j]
-        bj = bv[j]
-        peclet = np.abs(bj) * h / lam
-        up = peclet > 2.0
+        ij, bj = ax_idx[j], bv[j]
+        up = np.abs(bj) * h / lam > 2.0  # cell Peclet number
         fwd = up & (bj > 0) & (ij <= n - 3)
         bwd = up & (bj < 0) & (ij >= 2)
         cen = ~(fwd | bwd) & (ij > 0) & (ij < n - 1)
-        p = all_nodes[cen]
-        sadd(p, p + strides[j], bj[p] / (2 * h))
-        sadd(p, p - strides[j], -bj[p] / (2 * h))
-        p = all_nodes[fwd]
-        sadd(p, p, -3 * bj[p] / (2 * h))
-        sadd(p, p + strides[j], 4 * bj[p] / (2 * h))
-        sadd(p, p + 2 * strides[j], -bj[p] / (2 * h))
-        p = all_nodes[bwd]
-        sadd(p, p, 3 * bj[p] / (2 * h))
-        sadd(p, p - strides[j], -4 * bj[p] / (2 * h))
-        sadd(p, p - 2 * strides[j], bj[p] / (2 * h))
-        # faces: reflection makes the odd derivative vanish (neumann);
-        # dirichlet rows are replaced later, nothing to add
+        scalar += entries(cen, D1, bj, 2 * h, [j])
+        scalar += entries(fwd, D1_UP, bj, 2 * h, [j])
+        scalar += entries(bwd, D1_UP, -bj, 2 * h, [j], -1)
 
-    s_rows = np.concatenate(s_rows) if s_rows else np.empty(0, int)
-    s_cols = np.concatenate(s_cols) if s_cols else np.empty(0, int)
-    s_vals = np.concatenate(s_vals) if s_vals else np.empty(0)
-
-    # ---- coupling: first-order Btilde terms (centered) and potential C
-    c_rows, c_cols, c_vals = [], [], []
+    # the scalar part on each diagonal block, then the coupling
+    rows, cols, vals = map(np.concatenate, zip(*scalar))
+    triplets = [(rows + k * N, cols + k * N, vals) for k in range(m)]
     for j in range(d):
-        ij = ax_idx[j]
-        interior = (ij > 0) & (ij < n - 1)
-        p = all_nodes[interior]
-        for k in range(m):
-            for l in range(m):
-                coeff = Btv[j, k, l]
-                if not np.any(coeff):
-                    continue
-                c_rows.append(k * N + p)
-                c_cols.append(l * N + p + strides[j])
-                c_vals.append(coeff[p] / (2 * h))
-                c_rows.append(k * N + p)
-                c_cols.append(l * N + p - strides[j])
-                c_vals.append(-coeff[p] / (2 * h))
-    for k in range(m):
-        for l in range(m):
-            coeff = Cv[k, l]
-            if not np.any(coeff):
-                continue
-            c_rows.append(k * N + all_nodes)
-            c_cols.append(l * N + all_nodes)
-            c_vals.append(coeff)
-
-    # replicate the scalar part on each diagonal block
-    rows = [s_rows + k * N for k in range(m)] + c_rows
-    cols = [s_cols + k * N for k in range(m)] + c_cols
-    vals = [s_vals] * m + c_vals
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-
-    if bc == "dirichlet":
-        keep = ~bnd[rows % N]
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-
+        interior = (ax_idx[j] > 0) & (ax_idx[j] < n - 1)
+        for k, l in np.ndindex(m, m):
+            if np.any(Btv[j, k, l]):
+                triplets += entries(interior, D1, Btv[j, k, l], 2 * h, [j],
+                                    k=k, l=l)
+    for k, l in np.ndindex(m, m):
+        if np.any(Cv[k, l]):
+            triplets += entries(True, [(0, 1)], Cv[k, l], 1, [0], k=k, l=l)
+    rows, cols, vals = map(np.concatenate, zip(*triplets))
     A = sp.coo_matrix((vals, (rows, cols)), shape=(m * N, m * N))
     return A.tocsr()
 
@@ -224,21 +166,24 @@ class _Stepper:
             raise EvolveError(f"blow-up detected at t={t_new}")
         return out.reshape(shape)
 
-    def march(self, values, times, source=None):
+    def march(self, values, times, source=None, adjoint=False):
         """Step values (m, N, ...) along the ladder times, yielding each
         new level.  source, when given, holds one array per step:
         step * source[l - 1] is added to the right-hand side of the step
-        onto times[l]."""
-        for l in range(1, len(times)):
+        onto times[l].  With adjoint the ladder is walked down from
+        times[-1], each step transposed."""
+        steps = range(1, len(times))
+        for l in reversed(steps) if adjoint else steps:
             step = times[l] - times[l - 1]
             rhs = values if source is None else values + step * source[l - 1]
-            values = self.step(rhs, times[l], step)
+            values = self.step(rhs, times[l], step, adjoint)
             yield values
 
-    def final(self, values, times, source=None):
-        """Last level of march(values, times, source); earlier levels
-        are dropped as soon as the next one exists."""
-        return deque(self.march(values, times, source), maxlen=1).pop()
+    def final(self, values, times, source=None, adjoint=False):
+        """Last level of march(values, times, source, adjoint); earlier
+        levels are dropped as soon as the next one exists."""
+        return deque(self.march(values, times, source, adjoint),
+                     maxlen=1).pop()
 
 
 def _time_ladder(s, t, dt):
@@ -248,11 +193,11 @@ def _time_ladder(s, t, dt):
     return np.linspace(s, t, n_steps + 1)
 
 
-def evolve(spec, f: GridFunction, s, t, dt, bc=None):
-    """Evolve initial data f from time s to t on _time_ladder(s, t, dt);
-    returns (times, levels), levels[l] = u(times[l], .) from f to u(t, .)."""
-    bc = bc or f.bc
+def evolve(spec, f: GridFunction, s, t, dt):
+    """Evolve initial data f from time s to t on _time_ladder(s, t, dt)
+    under f's boundary condition; returns (times, levels), levels[l] =
+    u(times[l], .) from f to u(t, .)."""
     times = _time_ladder(s, t, dt)
-    march = _Stepper(spec, f.grid, bc).march(f.values, times)
-    return times, [GridFunction(f.grid, spec.m, v, bc=bc)
+    march = _Stepper(spec, f.grid, f.bc).march(f.values, times)
+    return times, [GridFunction(f.grid, spec.m, v, bc=f.bc)
                    for v in [f.values, *march]]

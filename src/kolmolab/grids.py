@@ -85,12 +85,6 @@ class GridFunction:
             vals = vals.reshape(1, -1)
         return cls(grid, m, vals, bc=bc)
 
-    @classmethod
-    def constant(cls, grid, vec, bc="dirichlet"):
-        vec = np.atleast_1d(np.asarray(vec, dtype=float))
-        vals = np.repeat(vec.reshape(-1, 1), grid.n_nodes, axis=1)
-        return cls(grid, len(vec), vals, bc=bc)
-
     def sup_norm(self, probe_L=None):
         if probe_L is None:
             return float(np.max(np.abs(self.values)))

@@ -73,10 +73,8 @@ def kernel_row(spec, grid, t, s, x_list, n_cells, dt, bc="dirichlet"):
         w[corner, np.arange(P)] = np.prod(factors, axis=0)
     # column (p, i) holds w_p in component i
     Y = np.einsum("ik,np->inpk", np.eye(m), w).reshape(m, N, P * m)
-    stepper = _Stepper(spec, grid, bc)
-    times = _time_ladder(s, t, dt)
-    for l in range(len(times) - 1, 0, -1):
-        Y = stepper.step(Y, times[l], times[l] - times[l - 1], adjoint=True)
+    Y = _Stepper(spec, grid, bc).final(Y, _time_ladder(s, t, dt),
+                                       adjoint=True)
     mass = np.einsum("jnpi,cn->pijc", Y.reshape(m, N, P, m),
                      _cell_weights(grid, n_cells))
     return KernelRow(centers=cell_centers(spec.d, grid.L, n_cells),

@@ -19,7 +19,7 @@ import os
 import numpy as np
 
 from . import __version__
-from .audit import full_audit, jsonable
+from .audit import full_audit
 from .dsl import check_guards, const_expr, parse_coeff_expr, \
     parse_state_expr
 from .estimates import (max_principle_check, pointwise_check,
@@ -244,6 +244,25 @@ def _default_f(spec, grid, cfg):
         return np.stack(rows)
 
     return GridFunction.from_callable(grid, spec.m, fn, bc=bc)
+
+
+def jsonable(obj):
+    """obj with every numpy scalar and array inside it turned into the
+    plain Python value strict json can write; a non-finite float becomes
+    None."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    return obj
 
 
 class _Runner:

@@ -19,6 +19,7 @@ from kolmolab.fbsde import (DiffusionSpec, bsde_residual, girsanov_weights,
                             identify_yz, simulate_forward)
 from kolmolab.game import minimax_select, nash_check
 from kolmolab.grids import Grid, GridFunction, gradient
+from helpers import constant
 from kolmolab.kernels import compactness_probe
 from kolmolab.operators import example_family, scalar_comparison
 from kolmolab.semilinear import (MildSolution, kt_norm, mild_solve,
@@ -55,7 +56,7 @@ def test_01_linear_oracles():
     C = np.array([[0.0, 1.0], [-1.0, 0.0]])
     spec = example_family("const_coupling", {"d": 1, "C": C.tolist()})
     gridc = Grid(1, 2.0, 21)
-    h = GridFunction.constant(gridc, [1.0, 0.0], bc="neumann")
+    h = constant(gridc, [1.0, 0.0], bc="neumann")
     tauc = 0.3
     # first-order stepping: extrapolate two step sizes to reach 1e-6
     w1 = evolve(spec, h, 0.0, tauc, dt=4e-5)[1][-1]
@@ -84,7 +85,7 @@ def test_02_maximum_principle():
     # extrapolation in dt removes the first-order stepping error
     spec = example_family("const_coupling", {"d": 1})
     gridc = Grid(1, 2.0, 21)
-    fc = GridFunction.constant(gridc, [1.0, 0.0], bc="neumann")
+    fc = constant(gridc, [1.0, 0.0], bc="neumann")
     tau = 0.3
     bound = float(np.exp(tau))
     ratios = []

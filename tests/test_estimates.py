@@ -6,6 +6,7 @@ from kolmolab.estimates import (max_principle_check, pointwise_check,
                                 representation_residual,
                                 weighted_gradient_check)
 from kolmolab.grids import Grid, GridFunction, gradient
+from helpers import constant
 from kolmolab import evolve as evolve_module
 from kolmolab.evolve import evolve
 from kolmolab.operators import WeightSpec, example_family, matrix_of_consts
@@ -25,7 +26,7 @@ def test_max_principle_contraction_when_kappa_zero():
 def test_max_principle_tight_matrix_exponential():
     spec = example_family("const_coupling", {"d": 1})  # C = diag(1, -1)
     grid = Grid(1, 4.0, 81)
-    f = GridFunction.constant(grid, [1.0, 0.0], bc="neumann")
+    f = constant(grid, [1.0, 0.0], bc="neumann")
     tau = 0.3
     res = max_principle_check(
         [evolve(spec, f, 0.0, tau, dt) for dt in (1e-4, 0.5e-4)],

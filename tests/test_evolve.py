@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
-from kolmolab.evolve import EvolveError, _Stepper, _time_ladder, evolve
+from kolmolab.evolve import (EvolveError, _Stepper, _time_ladder,
+                             assemble_operator, evolve)
 from kolmolab.grids import Grid, GridFunction
-from kolmolab.operators import example_family, matrix_of_consts, OperatorSpec
-from kolmolab.dsl import const_expr
+from kolmolab.operators import (example_family, matrix_of_consts,
+                                OperatorSpec, scalar_comparison)
+from kolmolab.dsl import const_expr, parse_coeff_expr
+from helpers import constant
 
 
 def heat_oracle(x, tau):
@@ -18,7 +22,7 @@ def test_heat_matches_gaussian_oracle():
     spec = example_family("heat", {"d": 1})
     grid = Grid(1, 8.0, 321)
     f = GridFunction.from_callable(grid, 1, lambda p: np.exp(-p[0] ** 2 / 2))
-    u = evolve(spec, f, 0.0, 0.5, dt=2e-3, bc="dirichlet")[1][-1]
+    u = evolve(spec, f, 0.0, 0.5, dt=2e-3)[1][-1]
     mask = grid.interior_mask(2.0)
     err = np.max(np.abs(u.values[0, mask] - heat_oracle(grid.points()[0, mask],
                                                         0.5)))
@@ -29,7 +33,7 @@ def test_constant_preserved_neumann():
     spec = example_family("ex71i", {"d": 1, "m": 2, "r": 0.0, "p": 1.0,
                                     "Chat": np.zeros((2, 2))})
     grid = Grid(1, 4.0, 161)
-    f = GridFunction.constant(grid, [1.0, 1.0], bc="neumann")
+    f = constant(grid, [1.0, 1.0], bc="neumann")
     u = evolve(spec, f, 0.0, 0.3, dt=5e-3)[1][-1]
     assert np.max(np.abs(u.values - 1.0)) <= 1e-8
 
@@ -39,7 +43,7 @@ def test_matrix_exponential_oracle():
     spec = example_family("const_coupling", {"d": 1, "C": C})
     grid = Grid(1, 4.0, 81)
     v = np.array([1.0, 2.0])
-    f = GridFunction.constant(grid, v, bc="neumann")
+    f = constant(grid, v, bc="neumann")
     tau = 0.4
     u = evolve(spec, f, 0.0, tau, dt=1e-4)[1][-1]
     expect = scipy.linalg.expm(tau * C) @ v
@@ -54,7 +58,7 @@ def test_ou_first_moment():
     grid = Grid(1, 8.0, 321)
     f = GridFunction.from_callable(grid, 1, lambda p: p[0])
     tau = 0.5
-    u = evolve(spec, f, 0.0, tau, dt=2e-3, bc="dirichlet")[1][-1]
+    u = evolve(spec, f, 0.0, tau, dt=2e-3)[1][-1]
     mask = grid.interior_mask(2.0)
     expect = np.exp(-tau) * grid.points()[0, mask]
     assert np.max(np.abs(u.values[0, mask] - expect)) <= 1e-3
@@ -65,7 +69,7 @@ def test_ou_gaussian_variance():
     grid = Grid(1, 8.0, 321)
     f = GridFunction.from_callable(grid, 1, lambda p: p[0] ** 2)
     tau = 0.4
-    u = evolve(spec, f, 0.0, tau, dt=1e-3, bc="dirichlet")[1][-1]
+    u = evolve(spec, f, 0.0, tau, dt=1e-3)[1][-1]
     x = grid.points()[0]
     mask = grid.interior_mask(1.5)
     var = (1 - np.exp(-2 * tau)) / 2
@@ -79,7 +83,7 @@ def test_positivity_scalar():
     rng = np.random.default_rng(5)
     f = GridFunction.from_callable(
         grid, 1, lambda p: np.maximum(np.sin(3 * p[0]), 0.0))
-    u = evolve(spec, f, 0.0, 0.2, dt=5e-3, bc="dirichlet")[1][-1]
+    u = evolve(spec, f, 0.0, 0.2, dt=5e-3)[1][-1]
     assert np.min(u.values) >= -1e-9
 
 
@@ -88,7 +92,7 @@ def test_2d_heat_against_1d_product():
     grid = Grid(2, 6.0, 121)
     f = GridFunction.from_callable(
         grid, 1, lambda p: np.exp(-(p[0] ** 2 + p[1] ** 2) / 2))
-    u = evolve(spec, f, 0.0, 0.3, dt=5e-3, bc="dirichlet")[1][-1]
+    u = evolve(spec, f, 0.0, 0.3, dt=5e-3)[1][-1]
     pts = grid.points()
     mask = grid.interior_mask(1.5)
     expect = heat_oracle(pts[0], 0.3) * heat_oracle(pts[1], 0.3)
@@ -111,7 +115,7 @@ def test_cross_diffusion_term():
     f = GridFunction.from_callable(
         grid, 1, lambda p: np.exp(-(p[0] ** 2 + p[1] ** 2) / 2))
     tau = 0.4
-    u = evolve(spec, f, 0.0, tau, dt=5e-3, bc="dirichlet")[1][-1]
+    u = evolve(spec, f, 0.0, tau, dt=5e-3)[1][-1]
     S = np.eye(2) + 2 * tau * Q
     Sinv = np.linalg.inv(S)
     pts = grid.points()
@@ -155,7 +159,7 @@ def test_blowup_guard():
     # huge; check the guard trips rather than returning garbage
     spec = example_family("const_coupling", {"d": 1, "C": [[1e9, 0], [0, 1e9]]})
     grid = Grid(1, 2.0, 21)
-    f = GridFunction.constant(grid, [1.0, 1.0], bc="neumann")
+    f = constant(grid, [1.0, 1.0], bc="neumann")
     with pytest.raises(EvolveError):
         # dt*C = 1.5 makes each implicit step multiply by -2; the
         # iteration diverges geometrically and must trip the guard
@@ -202,15 +206,15 @@ def test_upwind_strong_drift_stable():
     spec = example_family("ex71i", {"d": 1, "m": 1, "r": 1.0, "p": 3.0})
     grid = Grid(1, 4.0, 81)  # h = 0.1, peclet >> 2 near the edge
     f = GridFunction.from_callable(grid, 1, lambda p: np.cos(p[0]))
-    u = evolve(spec, f, 0.0, 0.5, dt=1e-2, bc="dirichlet")[1][-1]
+    u = evolve(spec, f, 0.0, 0.5, dt=1e-2)[1][-1]
     assert np.max(np.abs(u.values)) <= 1.0 + 1e-6  # no oscillation overshoot
 
 
 def test_dirichlet_boundary_exactly_zero():
     spec = example_family("heat", {"d": 2})
     grid = Grid(2, 3.0, 41)
-    f = GridFunction.constant(grid, [1.0])
-    u = evolve(spec, f, 0.0, 0.1, dt=1e-2, bc="dirichlet")[1][-1]
+    f = constant(grid, [1.0])
+    u = evolve(spec, f, 0.0, 0.1, dt=1e-2)[1][-1]
     assert np.max(np.abs(u.values[:, grid.boundary_mask()])) == 0.0
 
 
@@ -263,6 +267,22 @@ def test_adjoint_step_is_the_transpose(d):
     assert np.all(Gtv.reshape(-1, 3)[bnd] == 0.0)
 
 
+def test_adjoint_march_is_the_transpose_of_the_march():
+    # <G u, v> = <u, G^T v> over a ladder of unequal steps of a
+    # time-dependent operator holds only if the adjoint march takes the
+    # last step first
+    spec = example_family("ex71ii", {"d": 1, "m": 2, "c": "1+t"})
+    grid = Grid(1, 3.0, 21)
+    times = np.array([0.0, 0.05, 0.15, 0.3])
+    stepper = _Stepper(spec, grid, "dirichlet")
+    u, v = np.random.default_rng(7).standard_normal((2, 2, grid.n_nodes, 3))
+    Gu = stepper.final(u, times)
+    Gtv = stepper.final(v, times, adjoint=True)
+    lhs = np.einsum("mnk,mnk->k", Gu, v)
+    rhs = np.einsum("mnk,mnk->k", u, Gtv)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))
+
+
 @pytest.mark.parametrize("bad", [1e13, np.inf, np.nan])
 def test_blowup_guard_on_the_adjoint_step(bad):
     spec = example_family("heat", {"d": 1})
@@ -271,3 +291,165 @@ def test_blowup_guard_on_the_adjoint_step(bad):
     values[0, 10, 1] = bad
     with pytest.raises(EvolveError):
         _Stepper(spec, grid, "neumann").step(values, 0.1, 0.05, adjoint=True)
+
+
+def _reference_assemble(spec, grid, t, bc):
+    """The operator from hand-written triplet lists, one append per
+    stencil entry, in the order assemble_operator must keep: coo -> csr
+    sums duplicate entries in emission order."""
+    d, m, n, h = spec.d, spec.m, grid.n, grid.h
+    N = grid.n_nodes
+    pts = grid.points()
+    ax_idx = np.indices((n,) * d).reshape(d, N)
+    strides = [n ** (d - 1 - j) for j in range(d)]
+    bnd = grid.boundary_mask()
+
+    Qv = spec.Q_at(t, pts)
+    bv = spec.b_at(t, pts)
+    Btv = spec.Btilde_at(t, pts)
+    Cv = spec.C_at(t, pts)
+    Qeig = np.linalg.eigvalsh(np.moveaxis(Qv, 2, 0))[:, 0]
+    lam = np.maximum(Qeig, 1e-300)
+
+    all_nodes = np.arange(N)
+
+    def reflect(i):
+        return np.where(i < 0, -i, np.where(i > n - 1, 2 * (n - 1) - i, i))
+
+    def shifted(p, j, delta):
+        i = ax_idx[j, p] + delta
+        return p + (reflect(i) - ax_idx[j, p]) * strides[j]
+
+    s_rows, s_cols, s_vals = [], [], []
+
+    def sadd(r, c, v):
+        s_rows.append(r)
+        s_cols.append(c)
+        s_vals.append(v)
+
+    for j in range(d):
+        ij = ax_idx[j]
+        qjj = Qv[j, j]
+        interior = (ij > 0) & (ij < n - 1)
+        p = all_nodes[interior]
+        sadd(p, p - strides[j], qjj[p] / h ** 2)
+        sadd(p, p, -2 * qjj[p] / h ** 2)
+        sadd(p, p + strides[j], qjj[p] / h ** 2)
+        if bc == "neumann":
+            for face, sgn in ((0, 1), (n - 1, -1)):
+                p = all_nodes[ij == face]
+                sadd(p, p, -2 * qjj[p] / h ** 2)
+                sadd(p, p + sgn * strides[j], 2 * qjj[p] / h ** 2)
+
+    if d == 2:
+        q12 = Qv[0, 1]
+        nz = np.abs(q12) > 0
+        if np.any(nz):
+            p = all_nodes[nz]
+            for d1 in (+1, -1):
+                for d2 in (+1, -1):
+                    tgt = shifted(shifted(p, 0, d1), 1, d2)
+                    sadd(p, tgt, 2 * q12[p] * d1 * d2 / (4 * h ** 2))
+
+    for j in range(d):
+        ij = ax_idx[j]
+        bj = bv[j]
+        peclet = np.abs(bj) * h / lam
+        up = peclet > 2.0
+        fwd = up & (bj > 0) & (ij <= n - 3)
+        bwd = up & (bj < 0) & (ij >= 2)
+        cen = ~(fwd | bwd) & (ij > 0) & (ij < n - 1)
+        p = all_nodes[cen]
+        sadd(p, p + strides[j], bj[p] / (2 * h))
+        sadd(p, p - strides[j], -bj[p] / (2 * h))
+        p = all_nodes[fwd]
+        sadd(p, p, -3 * bj[p] / (2 * h))
+        sadd(p, p + strides[j], 4 * bj[p] / (2 * h))
+        sadd(p, p + 2 * strides[j], -bj[p] / (2 * h))
+        p = all_nodes[bwd]
+        sadd(p, p, 3 * bj[p] / (2 * h))
+        sadd(p, p - strides[j], -4 * bj[p] / (2 * h))
+        sadd(p, p - 2 * strides[j], bj[p] / (2 * h))
+
+    s_rows = np.concatenate(s_rows)
+    s_cols = np.concatenate(s_cols)
+    s_vals = np.concatenate(s_vals)
+
+    c_rows, c_cols, c_vals = [], [], []
+    for j in range(d):
+        ij = ax_idx[j]
+        interior = (ij > 0) & (ij < n - 1)
+        p = all_nodes[interior]
+        for k in range(m):
+            for l in range(m):
+                coeff = Btv[j, k, l]
+                if not np.any(coeff):
+                    continue
+                c_rows.append(k * N + p)
+                c_cols.append(l * N + p + strides[j])
+                c_vals.append(coeff[p] / (2 * h))
+                c_rows.append(k * N + p)
+                c_cols.append(l * N + p - strides[j])
+                c_vals.append(-coeff[p] / (2 * h))
+    for k in range(m):
+        for l in range(m):
+            coeff = Cv[k, l]
+            if not np.any(coeff):
+                continue
+            c_rows.append(k * N + all_nodes)
+            c_cols.append(l * N + all_nodes)
+            c_vals.append(coeff)
+
+    rows = np.concatenate([s_rows + k * N for k in range(m)] + c_rows)
+    cols = np.concatenate([s_cols + k * N for k in range(m)] + c_cols)
+    vals = np.concatenate([s_vals] * m + c_vals)
+    if bc == "dirichlet":
+        keep = ~bnd[rows % N]
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    return sp.coo_matrix((vals, (rows, cols)), shape=(m * N, m * N)).tocsr()
+
+
+def _cross_spec():
+    """d = 2, m = 2 with Q12 = 0.2 x2 (zero on the row x2 = 0), drift
+    strong enough to upwind both ways, and partly zero Btilde and C."""
+    e = lambda text: parse_coeff_expr(text, 2)
+    q12 = e("0.2*x2")
+    return OperatorSpec(
+        2, 2, ((e("1"), q12), (q12, e("1+0.1*x1"))),
+        (e("-3*x1"), e("5*x2")),
+        tuple(matrix_of_consts(np.array([[0.0, 1.0], [0.0, 0.0]]), 2)
+              for _ in range(2)),
+        matrix_of_consts(np.array([[1.0, 0.0], [0.5, 0.0]]), 2))
+
+
+def _assembly_cases():
+    """Each preset with its scalar comparison and time reversal, the
+    time-dependent ex71ii, at d = 1, 2; then the Q12 spec."""
+    for d in (1, 2):
+        grid = Grid(d, 4.0, 9 if d == 1 else 5)
+        for name in ("heat", "ou", "const_coupling", "ex71i", "ex71ii",
+                     "ex72"):
+            spec = example_family(name, {"d": d})
+            spec = spec[0] if isinstance(spec, tuple) else spec
+            for variant in (spec, scalar_comparison(spec),
+                            spec.time_reversed(0.7)):
+                yield variant, grid
+        yield example_family("ex71ii", {"d": d, "q": "1+0.5*t",
+                                        "c": "1+t"}), grid
+    yield _cross_spec(), Grid(2, 2.0, 5)
+
+
+def test_assembly_byte_equal_to_the_triplet_reference():
+    # byte-equal CSR arrays: same entries, summed in the same order
+    n_cases = 0
+    for spec, grid in _assembly_cases():
+        for bc in ("dirichlet", "neumann"):
+            for t in (0.0, 0.3):
+                got = assemble_operator(spec, grid, t, bc)
+                want = _reference_assemble(spec, grid, t, bc)
+                for attr in ("indptr", "indices", "data"):
+                    a, b = getattr(got, attr), getattr(want, attr)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), \
+                        (spec.name, grid.d, bc, t, attr)
+                n_cases += 1
+    assert n_cases == 4 * (2 * (6 * 3 + 1) + 1)

@@ -5,6 +5,7 @@ from kolmolab.fbsde import (DiffusionSpec, FbsdeError, bsde_residual, cost,
                             girsanov_weights, identify_yz, payoffs,
                             simulate_forward)
 from kolmolab.grids import Grid, GridFunction
+from helpers import constant
 from kolmolab.operators import example_family
 from kolmolab.semilinear import mild_solve
 
@@ -107,7 +108,7 @@ def test_feynman_kac_cross_check():
 def test_constant_terminal_data():
     spec = example_family("ou", {"d": 1})
     grid = Grid(1, 6.0, 121)
-    g = GridFunction.constant(grid, [2.5], bc="neumann")
+    g = constant(grid, [2.5], bc="neumann")
     sol = mild_solve(spec, None, g, 0.0, 0.4, dt=1e-2)
     ds = DiffusionSpec(op=spec, g=const_g([2.5]))
     batch = simulate_forward(ds, 0.0, 0.0, 0.4, 0.4 / 16, 64, seed=2)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kolmolab.grids import Grid, GridFunction, gradient, interp_multilinear
+from helpers import constant
 
 
 def test_grid_nodes_exact():
@@ -35,7 +36,7 @@ def test_gradient_sin_second_order():
 
 def test_gradient_constant_zero():
     g = Grid(2, 1.0, 7)
-    u = GridFunction.constant(g, [2.0, -1.0])
+    u = constant(g, [2.0, -1.0])
     assert np.max(np.abs(gradient(g, u.values))) == 0.0
 
 

@@ -4,6 +4,7 @@ import pytest
 from kolmolab.dsl import const_expr, parse_coeff_expr
 from kolmolab.evolve import evolve
 from kolmolab.grids import Grid, GridFunction
+from helpers import constant
 from kolmolab.operators import OperatorSpec, example_family
 from kolmolab.semilinear import (Nonlinearity, mild_solve, mollify_nonlinearity,
                                  nonlinearity_from_exprs, sqrtQ_at)
@@ -38,7 +39,7 @@ def test_constant_source_oracle():
     # constant under neumann walls, so u(t) = g - (T - t) c exactly
     spec = example_family("heat", {"d": 1})
     grid = Grid(1, 5.0, 81)
-    g = GridFunction.constant(grid, [2.0], bc="neumann")
+    g = constant(grid, [2.0], bc="neumann")
     c = 0.7
     nl = nonlinearity_from_exprs(["0.7"], 1, 1)
     T = 0.5
@@ -120,7 +121,7 @@ def test_mollify_proximity_bounded_nonlinearity():
 def test_kt_norm_constant_and_homogeneity():
     spec = example_family("heat", {"d": 1})
     grid = Grid(1, 5.0, 81)
-    g = GridFunction.constant(grid, [3.0], bc="neumann")
+    g = constant(grid, [3.0], bc="neumann")
     sol = mild_solve(spec, None, g, 0.0, 0.4, 2e-2)
     assert sol.kt_norm == pytest.approx(3.0, abs=1e-10)
     # linear problem: doubling the data doubles the graded norm

@@ -1,12 +1,14 @@
-"""Every public name of the package is reached by the package itself or
-by a script; a name only tests reach is surface to delete.  Every keyword
-default of a public function is passed by some call; a default that no
-call passes is a setting nothing sets, so it should be a constant.  Every
-name a function binds is read in it; a name bound and never read is dead
-code.  Every key of the runner's config table is read by the runner, and
-every key the runner reads is in the table.  Every script imports and
-builds its argument parser.  Every per-layer metric of BENCHMARK.json
-comes from an entry point that the benchmark's tracer can wrap."""
+"""Every public name of the package, and every public method of a public
+class, is reached by the package itself or by a script; a name only
+tests reach is surface to delete.  Every step of the scheme is taken by
+the one stepping loop, _Stepper.march.  Every keyword default of a
+public function is passed by some call; a default that no call passes is
+a setting nothing sets, so it should be a constant.  Every name a
+function binds is read in it; a name bound and never read is dead code.
+Every key of the runner's config table is read by the runner, and every
+key the runner reads is in the table.  Every script imports and builds
+its argument parser.  Every per-layer metric of BENCHMARK.json comes
+from an entry point that the benchmark's tracer can wrap."""
 
 import ast
 import json
@@ -25,13 +27,20 @@ SOURCES = MODULES + SCRIPTS
 
 
 def _exported(path):
-    """The names listed in the module's __all__ (empty without one)."""
-    for node in ast.parse(path.read_text()).body:
+    """The names listed in the module's __all__ (empty without one) and
+    the public methods of the classes among them."""
+    body = ast.parse(path.read_text()).body
+    names = []
+    for node in body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__"
                 for t in node.targets):
-            return ast.literal_eval(node.value)
-    return []
+            names = ast.literal_eval(node.value)
+    methods = [fn.name for node in body
+               if isinstance(node, ast.ClassDef) and node.name in names
+               for fn in node.body if isinstance(fn, ast.FunctionDef)
+               and not fn.name.startswith("_")]
+    return names + methods
 
 
 def _referenced():
@@ -103,6 +112,28 @@ def _passed_params():
             calls[name] = (max(most, n_pos),
                            kws | {k.arg for k in node.keywords})
     return calls
+
+
+def test_one_stepping_loop():
+    # a .step( call outside _Stepper.march is a second stepping loop
+    inside, outside = 0, []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        march = {id(node) for cls in tree.body
+                 if isinstance(cls, ast.ClassDef) and cls.name == "_Stepper"
+                 for fn in cls.body
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "march"
+                 for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "step":
+                if id(node) in march:
+                    inside += 1
+                else:
+                    outside.append(f"{path.stem} line {node.lineno}")
+    assert inside == 1, "_Stepper.march must take every step"
+    assert not outside, f"steps taken outside _Stepper.march: {outside}"
 
 
 def test_every_keyword_default_is_passed_somewhere():
