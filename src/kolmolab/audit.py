@@ -20,6 +20,7 @@ __all__ = ["AuditError", "sample_points", "eta_sphere",
            "lyapunov_probe", "check_weight_conditions", "full_audit"]
 
 
+_N_ETA = 64  # directions eta_sphere samples on the sphere of R^2 or R^3
 _N_ANNULI = 6  # nested annuli on which check_weight_conditions decides trends
 _LIMIT_THRESHOLD = 1e-2  # outermost value a limit quantity must fall to
 
@@ -49,34 +50,33 @@ def _halton(dim, n):
     return out
 
 
-def sample_points(d, box, n_samples, time_interval, corners=True):
+def sample_points(d, box, n_samples, time_interval):
     """Deterministic audit set: Halton points in (t, x) plus the box
     corners at both ends of the time window.  Returns (ts, pts)."""
     raw = _halton(d + 1, n_samples)
     lo, hi = time_interval
     ts = lo + raw[:, 0] * (hi - lo)
     pts = (raw[:, 1:].T * 2 - 1) * box
-    if corners:
-        corner_x = np.array(np.meshgrid(*[[-box, box]] * d)).reshape(d, -1)
-        corner_x = np.concatenate([corner_x, np.zeros((d, 1))], axis=1)
-        for tc in (lo, hi):
-            ts = np.concatenate([ts, np.full(corner_x.shape[1], tc)])
-            pts = np.concatenate([pts, corner_x], axis=1)
+    corner_x = np.array(np.meshgrid(*[[-box, box]] * d)).reshape(d, -1)
+    corner_x = np.concatenate([corner_x, np.zeros((d, 1))], axis=1)
+    for tc in (lo, hi):
+        ts = np.concatenate([ts, np.full(corner_x.shape[1], tc)])
+        pts = np.concatenate([pts, corner_x], axis=1)
     return ts, pts
 
 
-def eta_sphere(m, n_eta=64):
+def eta_sphere(m):
     """Quasi-uniform directions on the unit sphere of R^m, fixed order."""
     if m == 1:
         return np.array([[1.0], [-1.0]])
     if m == 2:
-        ang = 2 * np.pi * np.arange(n_eta) / n_eta
+        ang = 2 * np.pi * np.arange(_N_ETA) / _N_ETA
         return np.stack([np.cos(ang), np.sin(ang)], axis=1)
     # Fibonacci sphere for m = 3; higher m is out of desk scale
     if m != 3:
         raise AuditError("eta sampling supports m <= 3")
-    i = np.arange(n_eta) + 0.5
-    phi = np.arccos(1 - 2 * i / n_eta)
+    i = np.arange(_N_ETA) + 0.5
+    phi = np.arccos(1 - 2 * i / _N_ETA)
     golden = np.pi * (1 + 5 ** 0.5)
     theta = golden * i
     return np.stack([np.cos(theta) * np.sin(phi),
@@ -97,7 +97,7 @@ def _sym_lmax(Ms):
     return np.linalg.eigvalsh(S)[:, -1]
 
 
-def check_ellipticity(spec, box, n_samples=2048):
+def check_ellipticity(spec, box, n_samples):
     """Sampled inf of the smallest eigenvalue of Q."""
     ts, pts = sample_points(spec.d, box, n_samples, spec.time_interval)
     Qv = np.moveaxis(spec.Q_at(ts, pts), 2, 0)
@@ -106,7 +106,7 @@ def check_ellipticity(spec, box, n_samples=2048):
     return float(lam[idx]), _witness(ts, pts, idx)
 
 
-def check_coupling_nonnegativity(spec, box, epsilon, kappa0, n_eta=64, n_samples=1024):
+def check_coupling_nonnegativity(spec, box, epsilon, kappa0, n_samples):
     """Minimum over sampled (t, x, eta) of the nonnegativity functional
 
         sum_ij (Q^-1)_ij [<B_i eta, eta><B_j eta, eta> - <B_i^T eta, B_j^T eta>]
@@ -122,7 +122,7 @@ def check_coupling_nonnegativity(spec, box, epsilon, kappa0, n_eta=64, n_samples
     Qinv = np.linalg.inv(Qv)
     Bv = np.moveaxis(spec.B_full_at(ts, pts), 3, 1)  # (d, K, m, m)
     Cv = np.moveaxis(spec.C_at(ts, pts), 2, 0)  # (K, m, m)
-    etas = eta_sphere(spec.m, n_eta)
+    etas = eta_sphere(spec.m)
 
     best = np.inf
     best_w = None
@@ -143,7 +143,7 @@ def check_coupling_nonnegativity(spec, box, epsilon, kappa0, n_eta=64, n_samples
             "witness": best_w, "verdict": bool(best >= -1e-9)}
 
 
-def check_coupling_growth(spec, box, sigma, n_samples=1024):
+def check_coupling_growth(spec, box, sigma, n_samples):
     """Smallest xi with |(Btilde_i)_jk| <= xi lambda_Q^sigma on samples,
     the constant H_J, and a box-doubling divergence flag for xi."""
     if not 0 < sigma < 1:
@@ -174,10 +174,6 @@ def check_coupling_growth(spec, box, sigma, n_samples=1024):
                             and not diverging)}
 
 
-def _default_phi(d):
-    return parse_coeff_expr("1+normsq(x)", d)
-
-
 def _scalar_apply(spec, phi, ts, pts):
     """(Tr(Q D^2) + <b, grad>) phi at the sample points, symbolically."""
     d = spec.d
@@ -193,15 +189,13 @@ def _scalar_apply(spec, phi, ts, pts):
     return out
 
 
-def lyapunov_probe(spec, box, phi=None, n_samples=2048):
+def lyapunov_probe(spec, box, n_samples):
     """Smallest sampled mu with (scalar op) phi <= mu phi, plus a
-    compactness fit (scalar op) phi <= -b0 phi^(r+1) + K on the box."""
-    phi = phi or _default_phi(spec.d)
+    compactness fit (scalar op) phi <= -b0 phi^(r+1) + K on the box, for
+    phi = 1 + |x|^2."""
+    phi = parse_coeff_expr("1+normsq(x)", spec.d)
     ts, pts = sample_points(spec.d, box, n_samples, spec.time_interval)
     phiv = phi(ts, pts)
-    if np.min(phiv) <= 0:
-        idx = int(np.argmin(phiv))
-        raise AuditError(f"phi not positive at {_witness(ts, pts, idx)}")
     Aphi = _scalar_apply(spec, phi, ts, pts)
     mu = float(np.max(Aphi / phiv))
     sup_res = float(np.max(Aphi - mu * phiv))  # <= 0 by construction
@@ -224,84 +218,40 @@ def lyapunov_probe(spec, box, phi=None, n_samples=2048):
             "verdict": bool(np.isfinite(mu))}
 
 
-def _matrix_diff(exprs, var):
+def _diff(exprs, var):
     return tuple(tuple(e.diff(var) for e in row) for row in exprs)
 
 
-def _psi_envelopes(spec, weight, ts, pts):
-    """Pointwise envelopes psi_1..psi_6 (spectral norms over the index
-    ranges), shape (6, K)."""
-    d = spec.d
-    K = pts.shape[1]
-
-    def norm2(exprs):
-        # spectral norm per sample of the (a, b, K) coefficient field
-        return np.linalg.norm(np.moveaxis(_eval_matrix(exprs, ts, pts), 2, 0),
-                              ord=2, axis=(1, 2))
-
-    psi1 = np.zeros(K)
-    psi2 = np.zeros(K)
-    for i in range(d):
-        Bt = spec.Btilde[i]
-        psi1 = np.maximum(psi1, norm2(Bt))
-        for k in range(d):
-            dBt = _matrix_diff(Bt, f"x{k + 1}")
-            psi2 = np.maximum(psi2, norm2(dBt))
-    psi3 = np.zeros(K)
-    for k in range(d):
-        dC = _matrix_diff(spec.C, f"x{k + 1}")
-        psi3 = np.maximum(psi3, norm2(dC))
-    psi4 = norm2(_matrix_diff(weight.M, "t"))
-    psi5 = np.zeros(K)
-    psi6 = np.zeros(K)
-    for k in range(d):
-        dM = _matrix_diff(weight.M, f"x{k + 1}")
-        psi5 = np.maximum(psi5, norm2(dM))
-        dQ = _matrix_diff(spec.Q, f"x{k + 1}")
-        psi6 = np.maximum(psi6, norm2(dQ))
-    return np.stack([psi1, psi2, psi3, psi4, psi5, psi6])
+def _envelope(fields):
+    """Pointwise largest spectral norm over (K, a, b) matrix fields."""
+    return np.max([np.linalg.norm(f, ord=2, axis=(1, 2)) for f in fields],
+                  axis=0)
 
 
-def _mathcal_m(spec, weight, ts, pts):
-    """M (J_x b)^T M^-1 - sum_j b_j (D_j M) M^-1 - sum_ij Q_ij (D_ij M) M^-1,
-    shape (K, d, d)."""
-    d = spec.d
-    Mv = weight.M_at(ts, pts)  # (d, d, K)
-    Mk = np.moveaxis(Mv, 2, 0)
-    Minv = np.linalg.inv(Mk)
-    Jb = np.zeros((pts.shape[1], d, d))  # (K, j, k) = D_k b_j
-    for j in range(d):
-        for k in range(d):
-            Jb[:, j, k] = np.broadcast_to(
-                spec.b[j].diff(f"x{k + 1}")(ts, pts), pts.shape[1:])
-    out = Mk @ np.swapaxes(Jb, 1, 2) @ Minv
-    bv = spec.b_at(ts, pts)
-    Qv = spec.Q_at(ts, pts)
-    for j in range(d):
-        DjM = np.moveaxis(_eval_matrix(
-            _matrix_diff(weight.M, f"x{j + 1}"), ts, pts), 2, 0)
-        out -= bv[j][:, None, None] * (DjM @ Minv)
-        for i in range(d):
-            DiM = _matrix_diff(weight.M, f"x{i + 1}")
-            DijM = np.moveaxis(_eval_matrix(
-                _matrix_diff(DiM, f"x{j + 1}"), ts, pts), 2, 0)
-            out -= Qv[i, j][:, None, None] * (DijM @ Minv)
-    return out
-
-
-def check_weight_conditions(spec, weight, box, n_samples=2048):
+def check_weight_conditions(spec, weight, box, n_samples):
     """Audit the weighted-gradient hypothesis set on _N_ANNULI nested
     annuli; each limit quantity must fall to _LIMIT_THRESHOLD.
 
+    The set reads the envelopes psi_1..psi_6 (pointwise spectral norms of
+    Btilde_i, D_k Btilde_i, D_k C, D_t M, D_k M and D_k Q, largest over
+    the indices) and the matrix
+    M (J_x b)^T M^-1 - sum_j b_j (D_j M) M^-1 - sum_ij Q_ij (D_ij M) M^-1.
     A constant M takes the relaxed condition set that drops the
     weight-derivative requirements.
     """
     d = spec.d
+    xs = [f"x{k + 1}" for k in range(d)]
     relax_identity = not any(
         e.depends_on_t() or e.free_variables() - {"t"}
         for row in weight.M for e in row)
     ts, pts = sample_points(d, box, n_samples, spec.time_interval)
-    lamM = weight.lambda_min(ts, pts)
+
+    def at(exprs):  # (K, a, b) values of a matrix of expressions
+        return np.moveaxis(_eval_matrix(exprs, ts, pts), 2, 0)
+
+    Mk = at(weight.M)
+    eigM = np.linalg.eigvalsh(Mk)
+    lamM, LamM = eigM[:, 0], eigM[:, -1]
     if np.min(lamM) <= 0:
         raise AuditError("weight not positive definite on the box")
 
@@ -316,17 +266,27 @@ def check_weight_conditions(spec, weight, box, n_samples=2048):
                          f"{_witness(ts, pts, idx_global)}")
     b0 = float(np.max(b0_out))
 
-    Qk = np.moveaxis(spec.Q_at(ts, pts), 2, 0)
-    lamQ = np.linalg.eigvalsh(Qk)[:, 0]
-    LamQ = np.linalg.eigvalsh(Qk)[:, -1]
-    Mk = np.moveaxis(weight.M_at(ts, pts), 2, 0)
-    LamM = np.linalg.eigvalsh(Mk)[:, -1]
+    Qk = at(spec.Q)
+    eigQ = np.linalg.eigvalsh(Qk)
+    lamQ, LamQ = eigQ[:, 0], eigQ[:, -1]
     LamM2 = np.linalg.eigvalsh(Mk @ Mk)[:, -1]
-    Cv = np.moveaxis(spec.C_at(ts, pts), 2, 0)
-    LamC = _sym_lmax(Cv)
-    psi = _psi_envelopes(spec, weight, ts, pts)
-    MM = _mathcal_m(spec, weight, ts, pts)
-    LamMM = _sym_lmax(2 * 0.5 * (MM + np.swapaxes(MM, 1, 2)))
+    LamC = _sym_lmax(at(spec.C))
+    DM = [at(_diff(weight.M, x)) for x in xs]
+    psi = [_envelope([at(B) for B in spec.Btilde]),
+           _envelope([at(_diff(B, x)) for B in spec.Btilde for x in xs]),
+           _envelope([at(_diff(spec.C, x)) for x in xs]),
+           _envelope([at(_diff(weight.M, "t"))]),
+           _envelope(DM),
+           _envelope([at(_diff(spec.Q, x)) for x in xs])]
+
+    Minv = np.linalg.inv(Mk)
+    MM = Mk @ at([[bj.diff(x) for bj in spec.b] for x in xs]) @ Minv
+    for j in range(d):
+        MM -= bv[j][:, None, None] * (DM[j] @ Minv)
+        for i in range(d):
+            MM -= Qk[:, i, j][:, None, None] * (
+                at(_diff(_diff(weight.M, xs[i]), xs[j])) @ Minv)
+    LamMM = _sym_lmax(MM + np.swapaxes(MM, 1, 2))
     denomC = 2 * LamC + LamMM
     denom_floor = np.where(np.abs(denomC) < 1e-12, 1e-12, np.abs(denomC))
     r2 = np.sum(pts ** 2, axis=0)
@@ -345,7 +305,7 @@ def check_weight_conditions(spec, weight, box, n_samples=2048):
 
     edges = np.linspace(0, box, _N_ANNULI + 1)
     section = {"b0": b0, "relaxed": bool(relax_identity),
-               "psi_sup": [float(np.max(psi[h])) for h in range(6)],
+               "psi_sup": [float(np.max(p)) for p in psi],
                "mathcalM_quadform_sup": float(np.max(LamMM)),
                "quantities": {}}
     all_pass = True
@@ -376,8 +336,7 @@ def check_weight_conditions(spec, weight, box, n_samples=2048):
     return section
 
 
-def full_audit(spec, box, weight=None, epsilon=1.0, kappa0=0.0, sigma=0.5,
-               n_samples=1024):
+def full_audit(spec, box, weight, epsilon, kappa0, sigma, n_samples):
     """Run every applicable check; returns {section: result dict}, each
     with its "verdict"."""
     lam0, wit = check_ellipticity(spec, box, n_samples)
@@ -385,14 +344,13 @@ def full_audit(spec, box, weight=None, epsilon=1.0, kappa0=0.0, sigma=0.5,
         "ellipticity": {"lambda0": lam0, "witness": wit,
                         "verdict": bool(lam0 > 0)},
         "nonnegativity": check_coupling_nonnegativity(
-            spec, box, epsilon, kappa0, n_samples=n_samples),
-        "coupling_growth": check_coupling_growth(
-            spec, box, sigma, n_samples=n_samples),
-        "lyapunov": lyapunov_probe(spec, box, n_samples=n_samples)}
+            spec, box, epsilon, kappa0, n_samples),
+        "coupling_growth": check_coupling_growth(spec, box, sigma, n_samples),
+        "lyapunov": lyapunov_probe(spec, box, n_samples)}
     if weight is not None:
         try:
             sections["weighted_gradient"] = check_weight_conditions(
-                spec, weight, box, n_samples=n_samples)
+                spec, weight, box, n_samples)
         except AuditError as err:
             sections["weighted_gradient"] = {
                 "verdict": False, "error": str(err)}

@@ -128,10 +128,6 @@ class WeightSpec:
     def M_at(self, t, pts):
         return _eval_matrix(self.M, t, pts)
 
-    def lambda_min(self, t, pts):
-        Mv = np.moveaxis(self.M_at(t, pts), 2, 0)
-        return np.linalg.eigvalsh(Mv)[:, 0]
-
 
 # ---------------------------------------------------------------------------
 # Example families

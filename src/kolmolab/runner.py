@@ -292,7 +292,6 @@ class _Runner:
                 nonlinearity_from_exprs(psi, d, m)
         except ValueError as err:
             raise ConfigError(str(err)) from err
-        self.sol = None  # filled by the semilinear stage or _solution
         # the solves (times, levels) of G(., s) f over [s, T], one per
         # step size, that max_principle, pointwise and representation share
         self.levels = functools.cache(
@@ -396,22 +395,28 @@ class _Runner:
                           picard_tol=self.cfg["semilinear"]["picard_tol"],
                           max_iter=self.cfg["semilinear"]["max_iter"])
 
-    def stage_semilinear(self):
+    @functools.cached_property
+    def sol(self):
+        """The u that the fbsde and nash stages read and the semilinear
+        stage's last rung: psi mollified at the ladder's last n, or the
+        linear solve when there is no psi."""
         nl = self.nl
-        ladder = self.cfg["semilinear"]["mollify_ladder"]
-        sols, norms = [], []
-        for n in ([None] if nl is None else ladder):
-            sol = self._mild_solve(
-                nl if n is None else mollify_nonlinearity(nl, n))
-            sols.append(sol)
-            norms.append(sol.kt_norm)
-        self.sol = sols[-1]
+        if nl is not None:
+            nl = mollify_nonlinearity(
+                nl, self.cfg["semilinear"]["mollify_ladder"][-1])
+        return self._mild_solve(nl)
+
+    def stage_semilinear(self):
+        ladder = [None] if self.nl is None else \
+            self.cfg["semilinear"]["mollify_ladder"]
+        sols = [self._mild_solve(mollify_nonlinearity(self.nl, n))
+                for n in ladder[:-1]] + [self.sol]
+        norms = [sol.kt_norm for sol in sols]
         spread = (max(norms) - min(norms)) / max(max(norms), 1e-300)
         converged = all(sol.converged for sol in sols)
         self._write_csv("semilinear.csv", ["mollify_n", "kt_norm"],
                         [(0 if n is None else n, v)
-                         for n, v in zip([None] if nl is None else ladder,
-                                         norms)])
+                         for n, v in zip(ladder, norms)])
         ok = converged and spread <= 0.10
         return {"verdict": "PASS" if ok else "FAIL",
                 "kt_norms": norms, "spread": float(spread),
@@ -436,12 +441,12 @@ class _Runner:
 
         def r2(pts, u):
             out = np.zeros((self.spec.d, pts.shape[1]))
-            for i in range(min(len(controls), self.spec.d)):
-                out[i] = gain * u[i]
+            k = min(len(controls), self.spec.d)
+            out[:k] = gain * u[:k]
             return out
 
         def h(pts, u):
-            return np.stack([w * u[i] ** 2 for i in range(len(controls))])
+            return w * u ** 2
 
         return DiffusionSpec(op=self.spec, g=g_fn, r1=r1,
                              r2=r2 if controls else None,
@@ -455,15 +460,8 @@ class _Runner:
             self.ds, self.cfg["mc"]["x0"], self.s, self.T,
             self.cfg["mc"]["h_step"], self.cfg["mc"]["N"], self.cfg["seed"])
 
-    def _solution(self):
-        """The u that fbsde and nash read: the semilinear stage's when it
-        ran, else one unmollified solve."""
-        if self.sol is None:
-            self.sol = self._mild_solve(self.nl)
-        return self.sol
-
     def stage_fbsde(self):
-        sol = self._solution()
+        sol = self.sol
         valid, n_excluded = valid_paths(self.grid, self.batch)
         # Y_T = g(X_T) on the valid paths, C order (mean/std round by layout)
         vals = np.ascontiguousarray(self.ds.g(self.batch.X[valid, -1].T).T)
@@ -499,7 +497,7 @@ class _Runner:
         if len(ds.controls) > self.spec.m:
             raise StageError("game.controls has more players than the "
                              "operator has components")
-        report = nash_check(ds, self._solution(), self.batch)
+        report = nash_check(ds, self.sol, self.batch)
         self._write_csv("nash.csv", ["player", "deviation", "dJ", "stderr"],
                         [(r["player"] + 1, f"{r['deviation']:.12g}",
                           r["dJ"], r["stderr"]) for r in report["rows"]])

@@ -58,7 +58,8 @@ def test_ex72_default_params_pass_and_weight():
     pts = np.array([[2.0]])
     # M = (1+|x|^2)^0.5 I
     assert weight.M_at(0.0, pts)[0, 0, 0] == pytest.approx(np.sqrt(5.0))
-    assert np.all(weight.lambda_min(0.0, pts) > 0)
+    Mv = np.moveaxis(weight.M_at(0.0, pts), 2, 0)
+    assert np.all(np.linalg.eigvalsh(Mv)[:, 0] > 0)
     # b = -x(1+|x|^2)^2
     assert spec.b_at(0.0, pts)[0, 0] == pytest.approx(-50.0)
 

@@ -584,16 +584,18 @@ def test_time_interval_must_be_two_numbers(tmp_path, time_interval):
 
 
 def test_nash_reads_the_same_solution_alone_and_after_fbsde(tmp_path):
+    # and after semilinear, whose last rung is the solution nash reads
     cfg = _golden(grid={"n": 101}, time={"dt": 0.01},
                  game={"r_gain": 3.0}, mc={"N": 1000})
     rows = []
-    for checks in (["nash"], ["fbsde", "nash"]):
+    for k, checks in enumerate((["nash"], ["fbsde", "nash"],
+                                ["semilinear", "nash"])):
         cfg["checks"] = checks
-        p = tmp_path / f"{len(checks)}.run"
+        p = tmp_path / f"{k}.run"
         p.write_text(json.dumps(cfg))
-        rows.append(run(p, outdir=tmp_path / f"r{len(checks)}")[1]
+        rows.append(run(p, outdir=tmp_path / f"r{k}")[1]
                     ["stages"]["nash"]["rows"])
-    assert rows[0] == rows[1]
+    assert rows[0] == rows[1] == rows[2]
 
 
 def test_golden_compactness_csv_prints_plain_floats(tmp_path):

@@ -3,7 +3,8 @@ class, is reached by the package itself or by a script; a name only
 tests reach is surface to delete.  Every step of the scheme is taken by
 the one stepping loop, _Stepper.march.  Every keyword default of a
 public function is passed by some call; a default that no call passes is
-a setting nothing sets, so it should be a constant.  Every name a
+a setting nothing sets, so it should be a constant, and a default that
+only tests pass is a knob unless it is listed with its reason.  Every name a
 function binds is read in it; a name bound and never read is dead code.
 Every key of the runner's config table is read by the runner, and every
 key the runner reads is in the table.  Every script imports and builds
@@ -96,12 +97,12 @@ def _defaulted_params():
     return out
 
 
-def _passed_params():
+def _passed_params(paths):
     """name -> (most positional arguments, keyword names) over every call
-    of that name in src, scripts and tests.  A forwarded *args or
-    **kwargs passes nothing: a wrapper sets no value of its own."""
+    of that name in paths.  A forwarded *args or **kwargs passes nothing:
+    a wrapper sets no value of its own."""
     calls = {}
-    for path in SOURCES + sorted((ROOT / "tests").glob("*.py")):
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
                 continue
@@ -136,8 +137,10 @@ def test_one_stepping_loop():
     assert not outside, f"steps taken outside _Stepper.march: {outside}"
 
 
-def test_every_keyword_default_is_passed_somewhere():
-    calls = _passed_params()
+def _unpassed_defaults(paths):
+    """module.name(param=) of every default that no call in paths
+    passes."""
+    calls = _passed_params(paths)
     unset = []
     for module, name, offset, params in _defaulted_params():
         n_pos, kws = calls.get(name, (0, set()))
@@ -145,7 +148,38 @@ def test_every_keyword_default_is_passed_somewhere():
             positional = index is not None and n_pos > index - offset
             if param not in kws and not positional:
                 unset.append(f"{module}.{name}({param}=)")
+    return unset
+
+
+def test_every_keyword_default_is_passed_somewhere():
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    unset = _unpassed_defaults(SOURCES + tests)
     assert not unset, f"defaults no call passes: {unset}"
+
+
+# The defaults that no package or script call passes, each with the
+# reason it stays a parameter rather than a constant.
+TEST_ONLY_DEFAULTS = {
+    "cli.main(argv=)": "the console entry point reads sys.argv; tests "
+                       "pass the argument list",
+    "estimates.pointwise_check(n_t=)": "test oracles probe fewer times "
+                                       "than the runner's four",
+    "semilinear.mild_solve(graded_steps=)": "the linear oracle takes the "
+                                            "uniform ladder (1) to match "
+                                            "evolve step for step",
+    "estimates.weighted_gradient_check(bc=)": "the Neumann oracles of "
+                                              "constant and heat data; the "
+                                              "runner measures under "
+                                              "Dirichlet",
+}
+
+
+def test_no_default_is_set_only_by_tests():
+    unset = _unpassed_defaults(SOURCES)
+    knobs = sorted(set(unset) - set(TEST_ONLY_DEFAULTS))
+    assert not knobs, f"defaults only tests pass: {knobs}"
+    stale = sorted(set(TEST_ONLY_DEFAULTS) - set(unset))
+    assert not stale, f"listed defaults the package now passes: {stale}"
 
 
 def _outer_functions(body):

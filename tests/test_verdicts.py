@@ -36,12 +36,28 @@ def pde_side(change):
     return patch
 
 
+def audit_side(change):
+    """The hypothesis audit samples change(spec); every solve keeps the
+    exact spec."""
+    def patch(monkeypatch):
+        real = runner.full_audit
+        monkeypatch.setattr(runner, "full_audit",
+                            lambda spec, *args, **kwargs:
+                            real(change(spec), *args, **kwargs))
+    return patch
+
+
+def _c_negated(spec):
+    return replace(spec, C=tuple(
+        tuple(parse_coeff_expr("-c", spec.d, bindings={"c": e}) for e in row)
+        for row in spec.C))
+
+
 C_ZERO = pde_side(lambda spec: replace(spec, C=_zeros(spec)))
 BTILDE_ZERO = pde_side(lambda spec: replace(
     spec, Btilde=tuple(_zeros(spec) for _ in range(spec.d))))
-C_NEGATED = pde_side(lambda spec: replace(spec, C=tuple(
-    tuple(parse_coeff_expr("-c", spec.d, bindings={"c": e}) for e in row)
-    for row in spec.C)))
+C_NEGATED = pde_side(_c_negated)
+AUDIT_C_NEGATED = audit_side(_c_negated)
 B_HALVED = pde_side(lambda spec: replace(spec, b=tuple(
     parse_coeff_expr("0.5*b", spec.d, bindings={"b": e}) for e in spec.b)))
 
@@ -57,6 +73,10 @@ def z_zero(monkeypatch):
     """The equilibrium is selected at z = 0 instead of G (J_x u)^T."""
     monkeypatch.setattr(game, "path_z", lambda sol, ds, t, pts: np.zeros(
         (sol.m, ds.d, pts.shape[1])))
+
+
+def audit_margin(stage):
+    return f"section verdicts {stage['sections']}"
 
 
 def representation_margin(stage):
@@ -92,6 +112,10 @@ def xfail(item):
 
 ROWS = [
     # (stage, checks run, mutation, config changes, margin reader)
+    # -C outgrows the coupling terms and kappa0: the nonnegativity minimum
+    # falls from 7.0 to -16.9 at the golden audit size
+    pytest.param("audit", ["audit"], AUDIT_C_NEGATED, {}, audit_margin,
+                 id="audit-C_negated"),
     pytest.param("representation", ["representation"], C_ZERO, SMALL,
                  representation_margin, id="representation-C_zero"),
     # fails on the refinement trend only: the bound itself keeps a wide
