@@ -25,6 +25,24 @@ from kolmolab.semilinear import (mild_solve,  # noqa: E402
                                  nonlinearity_from_exprs)
 
 
+def residual_ladder(N, tau, seed):
+    """(steps, residual) of the backward residual of the tanh gradient
+    coupling for each path step count, on N paths from x0 = 0.2."""
+    spec = example_family("ou", {"d": 1})
+    grid = Grid(1, 8.0, 401)
+    g = GridFunction.from_callable(grid, 1, lambda p: np.tanh(p[0]),
+                                   bc="neumann")
+    nl = nonlinearity_from_exprs(["(exp(2*z11)-1)/(exp(2*z11)+1)"], 1, 1)
+    sol = mild_solve(spec, nl, g, 0.0, tau, dt=1e-3)
+    ds = DiffusionSpec(op=spec, g=lambda p: np.tanh(p)[:1])
+    rungs = []
+    for steps in (8, 16, 32, 64, 128):
+        batch = simulate_forward(ds, 0.2, 0.0, tau, tau / steps, N, seed)
+        yz = identify_yz(sol, ds, batch)
+        rungs.append((steps, bsde_residual(yz, ds, nl, batch)[0]))
+    return rungs
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--N", type=int, default=4000)
@@ -33,21 +51,9 @@ def main():
     ap.add_argument("--out", default="bsde_ladder.csv")
     args = ap.parse_args()
 
-    spec = example_family("ou", {"d": 1})
-    grid = Grid(1, 8.0, 401)
-    g = GridFunction.from_callable(grid, 1, lambda p: np.tanh(p[0]),
-                                   bc="neumann")
-    nl = nonlinearity_from_exprs(["(exp(2*z11)-1)/(exp(2*z11)+1)"], 1, 1)
-    sol = mild_solve(spec, nl, g, 0.0, args.tau, dt=1e-3)
-    ds = DiffusionSpec(op=spec, g=lambda p: np.tanh(p)[:1])
-
     rows = []
     prev = None
-    for steps in (8, 16, 32, 64, 128):
-        batch = simulate_forward(ds, 0.2, 0.0, args.tau,
-                                 args.tau / steps, args.N, args.seed)
-        yz = identify_yz(sol, ds, batch)
-        resid, _ = bsde_residual(yz, ds, nl, batch)
+    for steps, resid in residual_ladder(args.N, args.tau, args.seed):
         red = "" if prev is None else f"{1 - resid / prev:.4f}"
         print(f"steps={steps:4d}  residual={resid:.6f}  reduction={red}")
         rows.append([steps, args.tau / steps, f"{resid:.8e}", red])

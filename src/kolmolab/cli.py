@@ -6,27 +6,16 @@ Subcommands:
   presets          list operator families and their parameter constraints
 
 Exit codes: 0 every requested check passes, 1 a check that fails, is
-inconclusive or errors, 2 configuration/schema error.  KOLMOLAB_THREADS
-caps the BLAS thread count when set.
+inconclusive or errors, 2 configuration/schema error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 
-def _apply_thread_env():
-    n = os.environ.get("KOLMOLAB_THREADS")
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, n)
-
-
 def main(argv=None):
-    _apply_thread_env()
     parser = argparse.ArgumentParser(
         prog="kolmolab",
         description="Desk-scale checks for coupled Kolmogorov evolution "

@@ -13,7 +13,7 @@ Philox(key=[seed, p]) bit for bit without building one per path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,44 +73,41 @@ class DiffusionSpec:
 
 @dataclass
 class PathBatch:
+    """Paths stored time first and samples last, as each step reads
+    them: X[l] and dW[l] are (d, N)."""
+
     N: int
     h_step: float
     times: np.ndarray  # (steps + 1,)
-    X: np.ndarray  # (N, steps + 1, d)
-    dW: np.ndarray  # (N, steps, d)
-    rho: np.ndarray = None  # (N,)
-    controls: np.ndarray = None  # (N, steps, players)
-    exploded: np.ndarray = field(default_factory=lambda: np.zeros(0, int))
+    X: np.ndarray  # (steps + 1, d, N)
+    dW: np.ndarray  # (steps, d, N)
+    exploded: np.ndarray  # indices of the paths that blew up
 
     @property
     def steps(self):
-        return self.dW.shape[1]
-
-    @property
-    def d(self):
-        return self.X.shape[2]
+        return self.dW.shape[0]
 
 
 @dataclass
 class YZProcess:
-    Y: np.ndarray  # (N, steps + 1, m)
-    Z: np.ndarray  # (N, steps + 1, m, d), Z[n,l,k,i] = (G (J_x u)^T)_{ik}
+    Y: np.ndarray  # (steps + 1, m, N)
+    Z: np.ndarray  # (steps + 1, m, d, N), Z[l,k,i,n] = (G (J_x u)^T)_{ik}
     valid: np.ndarray  # (N,) bool, paths that stayed inside the box
     n_excluded: int = 0
 
 
 def _path_normals(seed, N, steps, d):
-    """(N, steps, d) standard normals; path p is drawn from the stream
-    Philox(key=[seed, p]) by re-keying one generator."""
+    """(steps, d, N) standard normals; path p, column p, is drawn from
+    the stream Philox(key=[seed, p]) by re-keying one generator."""
     bits = np.random.Philox(key=[seed, 0])
     gen = np.random.Generator(bits)
     fresh = bits.state  # counter 0, empty buffer
     key = fresh["state"]["key"]  # keeps Philox's own conversion of seed
-    out = np.empty((N, steps, d))
+    out = np.empty((steps, d, N))
     for p in range(N):
         key[1] = p
         bits.state = fresh
-        out[p] = gen.standard_normal((steps, d))
+        out[:, :, p] = gen.standard_normal((steps, d))
     return out
 
 
@@ -131,22 +128,19 @@ def simulate_forward(ds: DiffusionSpec, x0, t, T, h_step, N, seed):
     x0 = np.broadcast_to(np.asarray(x0, dtype=float).reshape(-1), (d,))
     times = t + h_step * np.arange(steps + 1)
     dW = np.sqrt(h_step) * _path_normals(seed, N, steps, d)
-    X = np.empty((N, steps + 1, d))
-    X[:, 0, :] = x0
+    X = np.empty((steps + 1, d, N))
+    X[0] = x0[:, None]
     alive = np.ones(N, dtype=bool)
     for l in range(steps):
-        pts = X[:, l, :].T  # (d, N)
-        bv = ds.op.b_at(times[l], pts)  # (d, N)
-        Gv = ds.G_at(times[l], pts)  # (d, d, N)
-        noise = np.einsum("abN,Nb->Na", Gv, dW[:, l, :])
-        nxt = X[:, l, :] + h_step * bv.T + noise
-        blown = np.max(np.abs(nxt), axis=1) > _EXPLODE
-        alive &= ~blown
+        bv = ds.op.b_at(times[l], X[l])  # (d, N)
+        Gv = ds.G_at(times[l], X[l])  # (d, d, N)
+        nxt = X[l] + h_step * bv + np.einsum("abN,bN->aN", Gv, dW[l])
+        alive &= ~(np.max(np.abs(nxt), axis=0) > _EXPLODE)
         # freeze exploded paths at their last finite state
-        nxt[~alive] = X[~alive, l, :]
-        X[:, l + 1, :] = nxt
+        nxt[:, ~alive] = X[l][:, ~alive]
+        X[l + 1] = nxt
     return PathBatch(N=N, h_step=float(h_step), times=times, X=X, dW=dW,
-                     rho=np.ones(N), exploded=np.flatnonzero(~alive))
+                     exploded=np.flatnonzero(~alive))
 
 
 def path_z(sol, ds: DiffusionSpec, t, pts):
@@ -158,7 +152,7 @@ def valid_paths(grid, batch: PathBatch):
     """(N,) mask of the paths that stayed inside the box and did not
     explode, and the number excluded; raises when too many escaped."""
     N = batch.N
-    inside = np.max(np.abs(batch.X), axis=(1, 2)) < grid.L
+    inside = np.max(np.abs(batch.X), axis=(0, 1)) < grid.L
     inside &= np.isin(np.arange(N), batch.exploded, invert=True)
     n_excluded = int(N - np.sum(inside))
     if n_excluded > _MAX_ESCAPE_FRAC * N:
@@ -170,17 +164,14 @@ def valid_paths(grid, batch: PathBatch):
 
 def identify_yz(sol, ds: DiffusionSpec, batch: PathBatch):
     """Sample Y = u(tau, X_tau) and Z = G (J_x u)^T along the paths."""
-    N, steps = batch.N, batch.steps
     inside, n_excluded = valid_paths(sol.grid, batch)
-    Y = np.zeros((N, steps + 1, sol.m))
-    Z = np.zeros((N, steps + 1, sol.m, ds.d))
-    for l in range(steps + 1):
-        tl = batch.times[l]
-        pts = batch.X[:, l, :].T  # (d, N)
-        Y[:, l, :] = sol.eval(tl, pts).T
-        Z[:, l, :, :] = np.moveaxis(path_z(sol, ds, tl, pts), 2, 0)
+    Y = np.empty((batch.steps + 1, sol.m, batch.N))
+    Z = np.empty((batch.steps + 1, sol.m, ds.d, batch.N))
+    for l, (t, x) in enumerate(zip(batch.times, batch.X)):
+        Y[l] = sol.eval(t, x)
+        Z[l] = path_z(sol, ds, t, x)
     # terminal condition holds exactly by construction
-    Y[:, -1, :] = ds.g(batch.X[:, -1, :].T).T
+    Y[-1] = ds.g(batch.X[-1])
     return YZProcess(Y=Y, Z=Z, valid=inside, n_excluded=n_excluded)
 
 
@@ -189,70 +180,65 @@ def _hamiltonian_drift(ds: DiffusionSpec, nl, t, pts, Z_l):
     sum_i Btilde_i (G^{-1} z)_i minus the semilinear source evaluated at
     the sqrt(Q)-scaled gradient z / sqrt(2)."""
     Gv = np.moveaxis(ds.G_at(t, pts), 2, 0)  # (N, d, d)
-    Du = np.linalg.solve(Gv, np.moveaxis(Z_l, 1, 2))  # (N, d, m): D_i u_k
+    Du = np.linalg.solve(Gv, Z_l.T)  # (N, d, m): D_i u_k
     Btv = ds.op.Btilde_at(t, pts)  # (d, m, m, N)
-    H = np.einsum("ijkN,Nik->Nj", Btv, Du)
+    H = np.einsum("ijkN,Nik->jN", Btv, Du)
     if nl is not None:
         # spatial-first layout z[i, k, N] expected by the source, scaled
         # down to the sqrt(Q)-weighted gradient since Q = G^2 / 2
-        z_semi = Z_l.transpose(2, 1, 0) / np.sqrt(2.0)
-        H -= nl(pts, z_semi).T
-    return H  # (N, m)
+        H -= nl(pts, Z_l.transpose(1, 0, 2) / np.sqrt(2.0))
+    return H  # (m, N)
 
 
 def bsde_residual(yz: YZProcess, ds: DiffusionSpec, nl, batch: PathBatch):
     """L2 norm of R = Y_t + sum Z dW - g(X_T) - sum H h over valid paths,
     with the per-time partial-residual profile."""
-    steps = batch.steps
-    R = yz.Y[:, 0, :] - yz.Y[:, -1, :]
-    profile = np.zeros(steps)
-    for l in range(steps):
-        pts = batch.X[:, l, :].T
-        H = _hamiltonian_drift(ds, nl, batch.times[l], pts, yz.Z[:, l])
-        R += np.einsum("Nmi,Ni->Nm", yz.Z[:, l], batch.dW[:, l, :])
+    R = yz.Y[0] - yz.Y[-1]
+    profile = np.zeros(batch.steps)
+    for l in range(batch.steps):
+        H = _hamiltonian_drift(ds, nl, batch.times[l], batch.X[l], yz.Z[l])
+        R += np.einsum("miN,iN->mN", yz.Z[l], batch.dW[l])
         R -= batch.h_step * H
-        profile[l] = float(np.sqrt(np.mean(
-            np.sum(R[yz.valid] ** 2, axis=1))))
-    resid = float(np.sqrt(np.mean(np.sum(R[yz.valid] ** 2, axis=1))))
-    return resid, profile
+        profile[l] = np.sqrt(np.mean(np.sum(R[:, yz.valid] ** 2, axis=0)))
+    return float(profile[-1]), profile
 
 
 def girsanov_weights(ds: DiffusionSpec, batch: PathBatch, controls):
-    """Attach exponential-martingale weights for the controlled drift.
+    """(N,) exponential-martingale weights rho = exp(sum <r, dW>
+    - 1/2 sum |r|^2 h) of the controlled drift.
 
-    controls is the (N, steps, players) array of control values, or None
-    for the uncontrolled base measure.  rho = exp(sum <r, dW>
-    - 1/2 sum |r|^2 h)."""
+    controls is the (steps, players, N) array of control values, or None
+    for the uncontrolled base measure."""
     log_rho = np.zeros(batch.N)
     for l in range(batch.steps):
-        u = None if controls is None else controls[:, l, :].T
-        r = ds.r_at(batch.times[l], batch.X[:, l, :].T, u)  # (d, N)
-        log_rho += np.einsum("dN,Nd->N", r, batch.dW[:, l, :])
+        u = None if controls is None else controls[l]  # (players, N)
+        r = ds.r_at(batch.times[l], batch.X[l], u)  # (d, N)
+        log_rho += np.einsum("dN,dN->N", r, batch.dW[l])
         log_rho -= 0.5 * batch.h_step * np.sum(r ** 2, axis=0)
-    return replace(batch, rho=np.exp(log_rho), controls=controls)
+    return np.exp(log_rho)
 
 
-def payoffs(ds: DiffusionSpec, batch: PathBatch):
-    """Per-path weighted payoffs rho (running + terminal), one row per
-    player (per row of h; per row of g without h)."""
+def payoffs(ds: DiffusionSpec, batch: PathBatch, controls, rho):
+    """Per-path weighted payoffs rho (running + terminal) under the
+    (steps, players, N) controls (or None), one row per player (per row
+    of h; per row of g without h)."""
     running = 0
-    terminal = np.asarray(ds.g(batch.X[:, -1, :].T))
+    terminal = np.asarray(ds.g(batch.X[-1]))
     if ds.h is not None:
         for l in range(batch.steps):
-            u = None if batch.controls is None else batch.controls[:, l, :].T
-            running = running + batch.h_step * np.asarray(
-                ds.h(batch.X[:, l, :].T, u))
+            u = None if controls is None else controls[l]
+            running = running + batch.h_step * np.asarray(ds.h(batch.X[l], u))
         terminal = terminal[:len(running)]
-    return batch.rho * (running + terminal)
+    return rho * (running + terminal)
 
 
-def cost(batch: PathBatch, payoff):
+def cost(payoff, rho):
     """Weighted Monte-Carlo estimate of a player's cost from its per-path
-    payoffs(ds, batch)[i], with its standard error and an
-    effective-sample-size degeneracy flag."""
-    N = batch.N
+    payoffs(ds, batch, controls, rho)[i], with its standard error and an
+    effective-sample-size degeneracy flag from the weights rho."""
+    N = len(rho)
     est = float(np.mean(payoff))
     stderr = float(np.std(payoff, ddof=1) / np.sqrt(N)) if N > 1 else 0.0
-    ess = float(np.sum(batch.rho) ** 2 / np.sum(batch.rho ** 2))
+    ess = float(np.sum(rho) ** 2 / np.sum(rho ** 2))
     return {"J": est, "stderr": stderr, "ess": ess,
             "degenerate": bool(ess < N / 100)}

@@ -88,22 +88,22 @@ def nash_check(ds, sol, base):
     players = ds.n_players
     if sol is not None and sol.m < players:
         raise GameError("solution has fewer components than players")
-    eq = np.empty((base.N, base.steps, players))
+    eq = np.empty((base.steps, players, base.N))
     for l in range(base.steps):
-        t, pts = base.times[l], base.X[:, l, :].T
+        t, pts = base.times[l], base.X[l]
         z = np.zeros((players, ds.d, base.N)) if sol is None \
             else path_z(sol, ds, t, pts)[:players]
-        eq[:, l, :] = minimax_select(ds, t, pts, z).T
-    batch_eq = girsanov_weights(ds, base, eq)
-    pay_eq = payoffs(ds, batch_eq)
-    J_eq = [cost(batch_eq, pay_eq[i]) for i in range(players)]
+        eq[l] = minimax_select(ds, t, pts, z)
+    rho_eq = girsanov_weights(ds, base, eq)
+    pay_eq = payoffs(ds, base, eq, rho_eq)
+    J_eq = [cost(pay_eq[i], rho_eq) for i in range(players)]
     rows = []
     for i in range(players):
         for v in ds.controls[i]:
             dev = eq.copy()
-            dev[:, :, i] = v
-            batch_dev = girsanov_weights(ds, base, dev)
-            gap = cost(batch_dev, payoffs(ds, batch_dev)[i] - pay_eq[i])
+            dev[:, i] = v
+            rho = girsanov_weights(ds, base, dev)
+            gap = cost(payoffs(ds, base, dev, rho)[i] - pay_eq[i], rho)
             rows.append({"player": i, "deviation": float(v), "dJ": gap["J"],
                          "stderr": gap["stderr"],
                          "pass": gap["J"] >= -3 * gap["stderr"]})

@@ -245,7 +245,7 @@ def test_08_fbsde_identification():
     N = 100000
     batch = simulate_forward(ds, 0.3, 0.0, tau, tau / 64, N, seed=101)
     yz = identify_yz(sol, ds, batch)
-    vals = yz.Y[yz.valid, -1, 0]
+    vals = yz.Y[-1, 0, yz.valid]
     mc = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
     pde = float(sol.eval(0.0, np.array([[0.3]]))[0, 0])
@@ -280,14 +280,14 @@ def test_09_girsanov_sanity():
     base = DiffusionSpec(op=heat, g=lambda p: np.zeros((1, p.shape[1])))
     tau, N = 0.5, 20000
     batch = simulate_forward(base, 0.0, 0.0, tau, 1 / 64, N, seed=77)
-    w0 = girsanov_weights(base, batch, None)
-    exact = bool(np.all(w0.rho == 1.0))
+    rho0 = girsanov_weights(base, batch, None)
+    exact = bool(np.all(rho0 == 1.0))
     gaps = []
     for r1 in ((const_expr(0.8, 1),), (parse_coeff_expr("0-x1/2", 1),)):
         ds = DiffusionSpec(op=heat, g=base.g, r1=r1)
-        w = girsanov_weights(ds, batch, None)
-        se = float(np.std(w.rho, ddof=1) / np.sqrt(N))
-        gaps.append((abs(float(np.mean(w.rho)) - 1.0), 3 * se))
+        rho = girsanov_weights(ds, batch, None)
+        se = float(np.std(rho, ddof=1) / np.sqrt(N))
+        gaps.append((abs(float(np.mean(rho)) - 1.0), 3 * se))
     ok = exact and all(g <= lim for g, lim in gaps)
     report(9, "girsanov reweighting", ok,
            f"r=0 exact: {exact}; |E rho - 1| = "

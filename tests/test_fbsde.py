@@ -21,10 +21,10 @@ def test_brownian_moments():
     ds = DiffusionSpec(op=spec, g=const_g([0.0]))
     tau = 0.5
     batch = simulate_forward(ds, [0.0, 0.0], 0.0, tau, 1 / 64, 20000, seed=1)
-    XT = batch.X[:, -1, :]
+    XT = batch.X[-1]  # (d, N)
     sigma = np.sqrt(tau)
-    assert np.max(np.abs(np.mean(XT, axis=0))) <= 3 * sigma / np.sqrt(20000)
-    cov = np.cov(XT.T)
+    assert np.max(np.abs(np.mean(XT, axis=1))) <= 3 * sigma / np.sqrt(20000)
+    cov = np.cov(XT)
     assert np.allclose(cov, tau * np.eye(2), atol=0.05 * tau)
 
 
@@ -33,7 +33,7 @@ def test_ou_variance_oracle():
     ds = DiffusionSpec(op=spec, g=const_g([0.0]))
     tau, N = 0.5, 20000
     batch = simulate_forward(ds, 0.0, 0.0, tau, 1 / 256, N, seed=3)
-    v = np.var(batch.X[:, -1, 0], ddof=1)
+    v = np.var(batch.X[-1, 0], ddof=1)
     expect = (1 - np.exp(-2 * tau)) / 2
     stderr = expect * np.sqrt(2 / (N - 1))
     assert abs(v - expect) <= 3 * stderr + 2e-3  # 2e-3 Euler bias budget
@@ -45,7 +45,7 @@ def test_paths_schedule_independent():
     small = simulate_forward(ds, 0.1, 0.0, 0.25, 1 / 32, 4, seed=9)
     large = simulate_forward(ds, 0.1, 0.0, 0.25, 1 / 32, 16, seed=9)
     # keyed streams: path p is the same regardless of the batch size
-    assert np.array_equal(small.X, large.X[:4])
+    assert np.array_equal(small.X, large.X[..., :4])
     again = simulate_forward(ds, 0.1, 0.0, 0.25, 1 / 32, 4, seed=9)
     assert np.array_equal(small.X, again.X)
     other = simulate_forward(ds, 0.1, 0.0, 0.25, 1 / 32, 4, seed=10)
@@ -60,7 +60,7 @@ def test_path_streams_are_per_path_philox(seed):
     batch = simulate_forward(ds, [0.0, 0.0], 0.0, steps * h, h, 5, seed)
     for p in range(5):
         gen = np.random.Generator(np.random.Philox(key=[seed, p]))
-        assert np.array_equal(batch.dW[p],
+        assert np.array_equal(batch.dW[..., p],
                               np.sqrt(h) * gen.standard_normal((steps, 2)))
 
 
@@ -99,8 +99,8 @@ def test_feynman_kac_cross_check():
     N = 20000
     batch = simulate_forward(ds, 0.3, 0.0, tau, 1 / 128, N, seed=5)
     yz = identify_yz(sol, ds, batch)
-    mc = np.mean(yz.Y[yz.valid, -1, 0])
-    se = np.std(yz.Y[yz.valid, -1, 0], ddof=1) / np.sqrt(np.sum(yz.valid))
+    mc = np.mean(yz.Y[-1, 0, yz.valid])
+    se = np.std(yz.Y[-1, 0, yz.valid], ddof=1) / np.sqrt(np.sum(yz.valid))
     pde = sol.eval(0.0, np.array([[0.3]]))[0, 0]
     assert abs(mc - pde) <= 3 * se + 2e-3  # MC band + scheme-bias budget
 
@@ -155,19 +155,19 @@ def test_girsanov_trivial_and_lognormal():
     ds0 = DiffusionSpec(op=spec, g=const_g([0.0]))
     tau, N = 0.5, 20000
     batch = simulate_forward(ds0, 0.0, 0.0, tau, 1 / 64, N, seed=13)
-    w0 = girsanov_weights(ds0, batch, None)
-    assert np.all(w0.rho == 1.0)  # r = 0 gives the base measure exactly
+    rho0 = girsanov_weights(ds0, batch, None)
+    assert np.all(rho0 == 1.0)  # r = 0 gives the base measure exactly
 
     from kolmolab.dsl import const_expr
     c = 0.8
     ds = DiffusionSpec(op=spec, g=const_g([0.0]), r1=(const_expr(c, 1),))
-    w = girsanov_weights(ds, batch, None)
-    logr = np.log(w.rho)
+    rho = girsanov_weights(ds, batch, None)
+    logr = np.log(rho)
     mu, var = -0.5 * c ** 2 * tau, c ** 2 * tau
     assert abs(np.mean(logr) - mu) <= 3 * np.sqrt(var / N)
     assert abs(np.var(logr, ddof=1) - var) <= 3 * var * np.sqrt(2 / N)
-    se_rho = np.std(w.rho, ddof=1) / np.sqrt(N)
-    assert abs(np.mean(w.rho) - 1.0) <= 3 * se_rho
+    se_rho = np.std(rho, ddof=1) / np.sqrt(N)
+    assert abs(np.mean(rho) - 1.0) <= 3 * se_rho
 
 
 def test_girsanov_state_feedback_mean_one():
@@ -177,9 +177,9 @@ def test_girsanov_state_feedback_mean_one():
                        r1=(parse_coeff_expr("0-x1/2", 1),))
     N = 20000
     batch = simulate_forward(ds, 0.0, 0.0, 0.5, 1 / 64, N, seed=17)
-    w = girsanov_weights(ds, batch, None)
-    se = np.std(w.rho, ddof=1) / np.sqrt(N)
-    assert abs(np.mean(w.rho) - 1.0) <= 3 * se
+    rho = girsanov_weights(ds, batch, None)
+    se = np.std(rho, ddof=1) / np.sqrt(N)
+    assert abs(np.mean(rho) - 1.0) <= 3 * se
 
 
 def test_cost_constant_and_running():
@@ -188,8 +188,8 @@ def test_cost_constant_and_running():
     ds = DiffusionSpec(op=spec, g=const_g([1.5]),
                        h=lambda p, u: np.ones((1, p.shape[1])))
     batch = simulate_forward(ds, 0.0, 0.0, tau, tau / 16, 4000, seed=19)
-    batch = girsanov_weights(ds, batch, None)
-    out = cost(batch, payoffs(ds, batch)[0])
+    rho = girsanov_weights(ds, batch, None)
+    out = cost(payoffs(ds, batch, None, rho)[0], rho)
     assert out["J"] == pytest.approx(tau + 1.5, abs=1e-10)
     assert out["stderr"] <= 1e-10
     assert not out["degenerate"]
@@ -202,8 +202,8 @@ def test_cost_two_seeds_agree():
     ests = []
     for seed in (23, 29):
         batch = simulate_forward(ds, 0.0, 0.0, 0.5, 1 / 64, 8000, seed=seed)
-        batch = girsanov_weights(ds, batch, None)
-        ests.append(cost(batch, payoffs(ds, batch)[0]))
+        rho = girsanov_weights(ds, batch, None)
+        ests.append(cost(payoffs(ds, batch, None, rho)[0], rho))
     gap = abs(ests[0]["J"] - ests[1]["J"])
     comb = np.hypot(ests[0]["stderr"], ests[1]["stderr"])
     assert gap <= 3 * comb

@@ -115,8 +115,9 @@ def test_nash_single_player_beats_constant_controls():
     from kolmolab.fbsde import cost, payoffs
     Js = []
     for v in V:
-        b = girsanov_weights(ds, base, np.full((2000, base.steps, 1), v))
-        Js.append(cost(b, payoffs(ds, b)[0])["J"])
+        controls = np.full((base.steps, 1, 2000), v)
+        rho = girsanov_weights(ds, base, controls)
+        Js.append(cost(payoffs(ds, base, controls, rho)[0], rho)["J"])
     assert np.argmin(Js) == V.index(0.0)
     assert report["J_equilibrium"][0]["J"] == pytest.approx(Js[1], abs=1e-12)
 
@@ -191,3 +192,27 @@ def test_equilibrium_strategy_uses_gradient(monkeypatch):
     nash_check(ds, sol, base)
     assert len(picks) == base.steps
     assert all(np.all(u == -1.0) for u in picks)
+
+
+def test_callables_receive_contiguous_samples():
+    # paths and controls are stored time first and samples last, so the
+    # points and controls of every step reach r2, h and g without a copy
+    seen = []
+
+    def spy(fn):
+        def wrapped(pts, u=None):
+            seen.append(pts.flags.c_contiguous
+                        and (u is None or u.flags.c_contiguous))
+            return fn(pts, u)
+        return wrapped
+
+    spec = example_family("heat", {"d": 2})
+    ds = DiffusionSpec(
+        op=spec, g=spy(lambda p, u: np.zeros((2, p.shape[1]))),
+        controls=((-1.0, 0.0, 1.0), (-1.0, 1.0)),
+        r2=spy(lambda p, u: 0.5 * u),
+        h=spy(lambda p, u: u ** 2 + p ** 2))
+    base = simulate_forward(ds, [0.1, -0.2], 0.0, 0.25, 0.25 / 4, 32, 1)
+    report = nash_check(ds, None, base)
+    assert len(report["rows"]) == 5
+    assert len(seen) > 0 and all(seen)

@@ -8,6 +8,7 @@ import pytest
 
 from kolmolab import __version__
 from kolmolab.cli import main
+from kolmolab.estimates import weighted_gradient_check
 from kolmolab.fbsde import identify_yz, simulate_forward
 from kolmolab.runner import (ConfigError, _setup, list_presets, load_config,
                               run)
@@ -277,7 +278,7 @@ def test_fbsde_stage_reads_terminal_values_without_a_yz_process(
     runner = _setup(p, tmp_path / "r")
     runner.sol = runner._mild_solve(runner.nl)
     yz = identify_yz(runner.sol, runner.ds, runner.batch)
-    vals = yz.Y[yz.valid, -1, :]
+    vals = np.ascontiguousarray(yz.Y[-1][:, yz.valid].T)
 
     def refuse(*args):
         raise AssertionError("the fbsde stage built a Y/Z process")
@@ -357,6 +358,26 @@ def test_weighted_gradient_stage_probes_times_after_s(tmp_path):
     assert stage["notes"]["t_list"] == [0.8, 1.0]
     assert (code, stage["verdict"]) == (0, "PASS")
 
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_weighted_gradient_stage_follows_data_bc(tmp_path, monkeypatch, bc):
+    # like max_principle, pointwise, representation and semilinear
+    from kolmolab import runner as runner_module
+    passed = []
+
+    def spy(*args, **kwargs):
+        passed.append(kwargs.get("bc"))
+        return weighted_gradient_check(*args, **kwargs)
+
+    monkeypatch.setattr(runner_module, "weighted_gradient_check", spy)
+    p = tmp_path / "c.run"
+    write_cfg(p, operator={"family": "ex72", "params": {"d": 1}},
+              grid={"L": 6.0, "n": 61}, checks=["weighted_gradient"],
+              weight={"from_family": True}, data={"bc": bc}, mc={})
+    code, report = run(p, outdir=tmp_path / "r")
+    assert passed == [bc]
+    assert report["stages"]["weighted_gradient"]["verdict"] == "PASS"
 
 def test_inconclusive_verdict_exits_1(tmp_path, capsys):
     # f = 0 floors every denominator of the pointwise ratio: INCONCLUSIVE

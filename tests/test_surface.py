@@ -7,9 +7,10 @@ a setting nothing sets, so it should be a constant, and a default that
 only tests pass is a knob unless it is listed with its reason.  Every name a
 function binds is read in it; a name bound and never read is dead code.
 Every key of the runner's config table is read by the runner, and every
-key the runner reads is in the table.  Every script imports and builds
-its argument parser.  Every per-layer metric of BENCHMARK.json comes
-from an entry point that the benchmark's tracer can wrap."""
+key the runner reads is in the table.  Every script imports, builds
+its argument parser and runs end to end at a small size.  Every
+per-layer metric of BENCHMARK.json comes from an entry point that the
+benchmark's tracer can wrap."""
 
 import ast
 import json
@@ -167,10 +168,6 @@ TEST_ONLY_DEFAULTS = {
     "semilinear.mild_solve(graded_steps=)": "the linear oracle takes the "
                                             "uniform ladder (1) to match "
                                             "evolve step for step",
-    "estimates.weighted_gradient_check(bc=)": "the Neumann oracles of "
-                                              "constant and heat data; the "
-                                              "runner measures under "
-                                              "Dirichlet",
 }
 
 
@@ -258,6 +255,28 @@ def test_every_script_runs_its_help(path, monkeypatch, capsys):
         runpy.run_path(str(path), run_name="__main__")
     assert stop.value.code == 0
     assert capsys.readouterr().out.startswith("usage:")
+
+
+# script -> (small arguments, CSV header, data rows)
+SCRIPT_RUNS = {
+    "bsde_refinement": (["--N", "200", "--tau", "0.125"],
+                        "steps,h,residual,reduction", 5),
+    # three presets, three base points, six radii
+    "kernel_tails": (["--tau", "0.1", "--n-cells", "8"],
+                     "preset,x,R,outside_mass", 3 * 3 * 6),
+}
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
+def test_every_script_runs_end_to_end(path, tmp_path, monkeypatch, capsys):
+    args, header, n_rows = SCRIPT_RUNS[path.stem]
+    out = tmp_path / "out.csv"
+    monkeypatch.setattr(sys, "argv", [str(path), *args, "--out", str(out)])
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    runpy.run_path(str(path), run_name="__main__")
+    lines = out.read_text().splitlines()
+    assert lines[0] == header and len(lines) == 1 + n_rows
+    assert capsys.readouterr().out.endswith(f"wrote {out}\n")
 
 
 def test_every_traced_layer_metric_exists():

@@ -60,13 +60,14 @@ C_NEGATED = pde_side(_c_negated)
 AUDIT_C_NEGATED = audit_side(_c_negated)
 B_HALVED = pde_side(lambda spec: replace(spec, b=tuple(
     parse_coeff_expr("0.5*b", spec.d, bindings={"b": e}) for e in spec.b)))
+B_NEGATED = pde_side(lambda spec: replace(spec, b=tuple(
+    parse_coeff_expr("-b", spec.d, bindings={"b": e}) for e in spec.b)))
 
 
 def rho_one(monkeypatch):
     """The girsanov stage ignores its weights: rho = 1 on every path."""
     monkeypatch.setattr(runner, "girsanov_weights",
-                        lambda ds, batch, controls: replace(
-                            batch, rho=np.ones(batch.N), controls=controls))
+                        lambda ds, batch, controls: np.ones(batch.N))
 
 
 def z_zero(monkeypatch):
@@ -89,6 +90,12 @@ def bound_margin(stage):
     return f"measured {stage['measured']:.4g} against bound " \
         f"{stage['bound']:.4g} (margin {stage['margin']:.4g}); " \
         f"trend {stage['refinement_trend']}"
+
+
+def compactness_margin(stage):
+    return "outside masses per R " + "; ".join(
+        f"x={e['x']}: {e['outside']}" for e in stage["vector"]["table"]) \
+        + " against 0.05 at the largest R"
 
 
 def fbsde_margin(stage):
@@ -128,14 +135,18 @@ ROWS = [
     # potential that grows the vector solution flips it
     pytest.param("pointwise", ["pointwise"], C_NEGATED, SMALL,
                  bound_margin, id="pointwise-C_negated"),
+    # an outward drift spreads the kernel rows: the outside mass at R = 3
+    # rises from 2e-4 to 0.09 at x = +-1 and 0.051 at x = 0
+    pytest.param("compactness", ["compactness"], B_NEGATED, SMALL,
+                 compactness_margin, id="compactness-b_negated"),
     pytest.param("fbsde", ["fbsde"], B_HALVED,
                  {"grid": {"n": 101}, "time": {"dt": 0.02},
                   "mc": {"N": 2000}}, fbsde_margin,
                  id="fbsde-b_halved", marks=xfail(1)),
     pytest.param("girsanov", ["girsanov"], rho_one, SMALL, girsanov_margin,
-                 id="girsanov-rho_one", marks=xfail(2)),
+                 id="girsanov-rho_one", marks=xfail(4)),
     pytest.param("nash", ["fbsde", "nash"], z_zero, SMALL, nash_margin,
-                 id="nash-z_zero", marks=xfail(4)),
+                 id="nash-z_zero", marks=xfail(5)),
 ]
 
 
