@@ -116,6 +116,21 @@ def assemble_operator(spec, grid, t, bc):
     return A.tocsr()
 
 
+# SuperLU options per dimension d.  At d = 2 a minimum-degree ordering
+# of A^T + A with diagonal pivots (SymmetricMode, threshold 0.01) fills
+# the LU of M = I - dt*A less than COLAMD does (about half on ex71ii);
+# without the diagonal pivots, row swaps undo that order and the fill
+# grows to about 4x COLAMD's on ex72.  d = 1 keeps COLAMD: its LU is
+# tens of KB, so there is no fill to save, and another pivot order
+# moves the late, cancelling Picard deltas of the semilinear stage by
+# 1e-10.
+LU_OPTIONS = {
+    1: {},
+    2: {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.01,
+        "options": {"SymmetricMode": True}},
+}
+
+
 class _Stepper:
     """Shared backward-Euler stepping engine with LU reuse.
 
@@ -146,7 +161,7 @@ class _Stepper:
             self._A = assemble_operator(self.spec, self.grid, t_new, self.bc)
         M = (sp.identity(self._A.shape[0], format="csr")
              - dt * self._A).tocsc()
-        self._lus[key] = spla.splu(M)
+        self._lus[key] = spla.splu(M, **LU_OPTIONS[self.spec.d])
         return self._lus[key]
 
     def step(self, values, t_new, dt, adjoint=False):

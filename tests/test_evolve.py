@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from kolmolab.evolve import (EvolveError, _Stepper, _time_ladder,
                              assemble_operator, evolve)
@@ -453,3 +454,42 @@ def test_assembly_byte_equal_to_the_triplet_reference():
                         (spec.name, grid.d, bc, t, attr)
                 n_cases += 1
     assert n_cases == 4 * (2 * (6 * 3 + 1) + 1)
+
+
+def _lu_case(name):
+    ex71ii = example_family("ex71ii", {"d": 2, "m": 2})
+    return {"ex71ii": ex71ii, "scalar": scalar_comparison(ex71ii),
+            "ex72": example_family("ex72", {"d": 2})[0]}[name]
+
+
+def _solve_against(spec, grid, bc, dt=0.005):
+    """The stepper's LU of M = I - dt*A, M itself, one step's
+    right-hand side P b and the step's output M^{-1} P b."""
+    stepper = _Stepper(spec, grid, bc)
+    b = np.random.default_rng(3).standard_normal((spec.m, grid.n_nodes, 2))
+    out = stepper.step(b, 0.1, dt).reshape(stepper.mask.size, -1)
+    M = (sp.identity(stepper._A.shape[0], format="csr")
+         - dt * stepper._A).tocsc()
+    Pb = np.where(stepper.mask[:, None], 0.0, b.reshape(out.shape))
+    return stepper.factor(0.1, dt), M, Pb, out
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("name, fill", [("ex71ii", 0.65), ("scalar", 0.65),
+                                        ("ex72", 1.0)])
+def test_d2_lu_ordering_cuts_fill_and_keeps_the_residual(name, fill, bc):
+    # the d = 2 ordering fills at most `fill` times COLAMD's LU; plain
+    # MMD_AT_PLUS_A, without diagonal pivots, fills about 2x COLAMD's
+    # on ex72 here
+    lu, M, Pb, out = _solve_against(_lu_case(name), Grid(2, 3.0, 41), bc)
+    assert lu.nnz <= fill * spla.splu(M).nnz
+    residual = np.linalg.norm(M @ out - Pb) / np.linalg.norm(Pb)
+    assert residual <= 1e-12
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_d1_lu_keeps_colamd(bc):
+    # d = 1 factorises as spla.splu(M) does, so every solve is unchanged
+    spec = example_family("ex71ii", {"d": 1, "m": 2})
+    _, M, Pb, out = _solve_against(spec, Grid(1, 6.0, 201), bc)
+    assert out.tobytes() == spla.splu(M).solve(Pb).tobytes()

@@ -1,10 +1,11 @@
 """Every public name of the package, and every public method of a public
 class, is reached by the package itself or by a script; a name only
 tests reach is surface to delete.  Every step of the scheme is taken by
-the one stepping loop, _Stepper.march.  Every keyword default of a
-public function is passed by some call; a default that no call passes is
-a setting nothing sets, so it should be a constant, and a default that
-only tests pass is a knob unless it is listed with its reason.  Every name a
+the one stepping loop, _Stepper.march, and every LU is made by
+_Stepper.factor.  Every keyword default of a public function is passed
+by some call; a default that no call passes is a setting nothing sets,
+so it should be a constant, and a default that only tests pass is a
+knob unless it is listed with its reason.  Every name a
 function binds is read in it; a name bound and never read is dead code.
 Every key of the runner's config table is read by the runner, and every
 key the runner reads is in the table.  Every script imports, builds
@@ -136,6 +137,29 @@ def test_one_stepping_loop():
                     outside.append(f"{path.stem} line {node.lineno}")
     assert inside == 1, "_Stepper.march must take every step"
     assert not outside, f"steps taken outside _Stepper.march: {outside}"
+
+
+def test_one_factorisation_site():
+    # every LU comes from _Stepper.factor, so one ordering rule
+    # (evolve.LU_OPTIONS) covers them all
+    inside, outside = 0, []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        factor = {id(node) for cls in tree.body
+                  if isinstance(cls, ast.ClassDef) and cls.name == "_Stepper"
+                  for fn in cls.body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "factor"
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "splu" in (
+                    getattr(node.func, "attr", None),
+                    getattr(node.func, "id", None)):
+                if id(node) in factor:
+                    inside += 1
+                else:
+                    outside.append(f"{path.stem} line {node.lineno}")
+    assert inside == 1, "_Stepper.factor must make every LU"
+    assert not outside, f"LUs made outside _Stepper.factor: {outside}"
 
 
 def _unpassed_defaults(paths):
