@@ -32,7 +32,6 @@ shared, are never mutated, and are never compiled or run by Python.
 from __future__ import annotations
 
 import ast
-import copy
 import operator
 import re
 from dataclasses import dataclass
@@ -198,23 +197,6 @@ def _guards(node):
         yield "power base", node.left
 
 
-class _TimeReversal(ast.NodeTransformer):
-    """t -> T - t in place; a node that several parents share (a binding
-    named twice, a derivative's reused operands) is visited once."""
-
-    def __init__(self, T):
-        self.T, self.done = float(T), {}
-
-    def visit(self, node):
-        if id(node) not in self.done:
-            self.done[id(node)] = super().visit(node)
-        return self.done[id(node)]
-
-    def visit_Name(self, node):
-        return node if node.id != "t" else \
-            ast.BinOp(ast.Constant(self.T), ast.Sub(), node)
-
-
 @dataclass(frozen=True)
 class CoeffExpr:
     """A parsed coefficient expression over t, x_1..x_d (and optional
@@ -248,11 +230,6 @@ class CoeffExpr:
         and normsq's bare argument x are not variables)."""
         return {node.id for node in ast.walk(self.ast)
                 if type(node) is ast.Name} - {"exp", "x"}
-
-    def time_reversed(self, T):
-        """Substitute t -> T - t everywhere."""
-        return CoeffExpr(_TimeReversal(T).visit(copy.deepcopy(self.ast)),
-                         self.d)
 
     def print(self):
         return _print(self.ast)

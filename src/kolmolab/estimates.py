@@ -101,7 +101,7 @@ def pointwise_check(spec, times, levels, HJ, n_t=4):
 
 
 def weighted_gradient_check(spec, weight, f_fn, s, T, t_list, grid_pair,
-                            dt=2e-3, bc="dirichlet"):
+                            dt, bc):
     """sqrt(t-s) * sup |M (J_x u)^T| / sup|f| measured on two grid
     resolutions, u(t) being the level of one forward solve over [s, T]
     nearest to t; the theory asserts existence of the constant, so the

@@ -134,31 +134,35 @@ LU_OPTIONS = {
 class _Stepper:
     """Shared backward-Euler stepping engine with LU reuse.
 
-    A time-independent spec is assembled once and keeps one LU per step
+    With T given, the ladder times are tau = T - t of a backward problem
+    and each step assembles A at the physical time T - tau.  A
+    time-independent spec is assembled once and keeps one LU per step
     size, so a ladder that alternates step sizes factorises each size
-    once.  A time-dependent spec keys its LU by (t, dt) and holds at
-    most one, as every step of its ladder needs a fresh one."""
+    once.  A time-dependent spec keys its LU by (physical t, dt) and
+    holds at most one, as every step of its ladder needs a fresh one."""
 
-    def __init__(self, spec, grid, bc):
+    def __init__(self, spec, grid, bc, T=None):
         self.spec = spec
         self.grid = grid
         self.bc = bc
+        self.T = T
         self.time_dep = spec.depends_on_t()
-        self._lus = {}  # (t or None, dt) -> LU of I - dt*A
+        self._lus = {}  # (physical t or None, dt) -> LU of I - dt*A
         self._A = None  # the operator at the time of the last factor
         # Dirichlet rows of the flat (m*N) unknowns; none for neumann
         self.mask = np.tile(grid.boundary_mask() & (bc == "dirichlet"),
                             spec.m)
 
     def factor(self, t_new, dt):
-        key = (round(t_new, 12), round(dt, 12)) if self.time_dep \
+        t = t_new if self.T is None else self.T - t_new
+        key = (round(t, 12), round(dt, 12)) if self.time_dep \
             else (None, round(dt, 12))
         if key in self._lus:
             return self._lus[key]
         if self.time_dep:
             self._lus.clear()
         if self.time_dep or self._A is None:
-            self._A = assemble_operator(self.spec, self.grid, t_new, self.bc)
+            self._A = assemble_operator(self.spec, self.grid, t, self.bc)
         M = (sp.identity(self._A.shape[0], format="csr")
              - dt * self._A).tocsc()
         self._lus[key] = spla.splu(M, **LU_OPTIONS[self.spec.d])

@@ -56,7 +56,7 @@ def cell_centers(d, L, n_cells):
     return np.stack([C1.ravel(), C2.ravel()])
 
 
-def kernel_row(spec, grid, t, s, x_list, n_cells, dt, bc="dirichlet"):
+def kernel_row(spec, grid, t, s, x_list, n_cells, dt, bc):
     """Approximate all m x m kernel-row measures at each base point of
     x_list from one adjoint march of the (m, N, points*m) batch
     e_i w_x: mass[x, i, j, c] = (G^T (e_i w_x))_j . chi_c."""
@@ -89,12 +89,11 @@ def tightness_mass(row: KernelRow, R):
                      for mass in row.mass])
 
 
-def compactness_probe(spec, grid, t, s, x_list, R_list, n_cells, dt,
-                      bc="dirichlet"):
-    """PASS iff the outside mass decays monotonically in R and falls
-    below 0.05 at the largest R, for every probed base point."""
+def compactness_probe(spec, grid, t, s, x_list, R_list, n_cells, dt):
+    """PASS iff the Neumann kernel row's outside mass decays monotonically
+    in R and falls below 0.05 at the largest R, for every base point."""
     R_list = sorted(R_list)
-    row = kernel_row(spec, grid, t, s, x_list, n_cells, dt, bc=bc)
+    row = kernel_row(spec, grid, t, s, x_list, n_cells, dt, bc="neumann")
     # outside mass per (base point, R): the max over the (m, m) block
     outside = np.array([np.max(tightness_mass(row, R), axis=(1, 2))
                         for R in R_list]).T

@@ -95,18 +95,6 @@ class OperatorSpec:
         yield from (e for Bj in self.Btilde for row in Bj for e in row)
         yield from (e for row in self.C for e in row)
 
-    def time_reversed(self, T):
-        """Coefficients evaluated at T - t (the backward-problem operator)."""
-        rev = lambda e: e.time_reversed(T)
-        return OperatorSpec(
-            self.d, self.m,
-            tuple(tuple(rev(e) for e in row) for row in self.Q),
-            tuple(rev(e) for e in self.b),
-            tuple(tuple(tuple(rev(e) for e in row) for row in Bj)
-                  for Bj in self.Btilde),
-            tuple(tuple(rev(e) for e in row) for row in self.C),
-            self.time_interval, self.name + "_rev", dict(self.params))
-
 
 def scalar_comparison(spec: OperatorSpec):
     """The scalar operator Tr(Q D^2) + <b, grad> built from (Q, b)."""

@@ -380,7 +380,7 @@ class _Runner:
         vec, sca = [compactness_probe(spec, self.grid, self.T, self.s,
                                       self.cfg["kernel"]["x_list"], R_list,
                                       self.cfg["kernel"]["n_cells"],
-                                      2 * self.dt, bc="neumann")
+                                      2 * self.dt)
                     for spec in (self.spec, scalar_comparison(self.spec))]
         rows = [(str(e["x"]), *e["outside"]) for e in vec["table"]]
         self._write_csv("compactness.csv",

@@ -1,10 +1,10 @@
 """Backward semilinear problem solved by a mollified Picard scheme.
 
 The terminal-value problem D_t u + A u = Psi(u), u(T, .) = g with
-Psi(u)(t,x) = psi(x, sqrtQ(t,x) (J_x u(t,x))^T) is flipped to a forward
-problem for v(tau) = u(T - tau) and iterated: each Picard sweep is one
-implicit ladder pass with the nonlinear source frozen at the previous
-iterate.  The natural norm is
+Psi(u)(t,x) = psi(x, sqrtQ(t,x) (J_x u(t,x))^T) is marched in
+tau = T - t from g, each step with A at the physical time T - tau, and
+iterated: each Picard sweep is one implicit ladder pass with the
+nonlinear source frozen at the previous iterate.  The natural norm is
 
     ||u|| = sup|u| + sup_t sqrt(T-t) sup|sqrtQ (J_x u)^T|,
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dsl import parse_state_expr
-from .evolve import _Stepper
+from .evolve import _Stepper, _time_ladder
 from .grids import (GridFunction, gradient, interp_multilinear,
                     weighted_gradient_sup)
 
@@ -138,14 +138,15 @@ class MildSolution:
         return out.reshape(self.m, self.grid.d, -1)
 
 
-def _graded_ladder(T, dt, graded_steps=8):
+GRADED_STEPS = 8  # steps of the graded part of the ladder
+
+
+def _graded_ladder(T, dt):
     """tau ladder on [0, T]: square-root graded on the first dt, then
     uniform.  tau = 0 corresponds to t = T where the gradient weight is
     singular."""
-    n_uniform = max(1, int(np.ceil(T / dt - 1e-12)))
-    uniform = np.linspace(0.0, T, n_uniform + 1)
-    first = uniform[1]
-    graded = first * (np.arange(graded_steps + 1) / graded_steps) ** 2
+    uniform = _time_ladder(0.0, T, dt)
+    graded = uniform[1] * (np.arange(GRADED_STEPS + 1) / GRADED_STEPS) ** 2
     return np.unique(np.concatenate([graded, uniform]))
 
 
@@ -162,7 +163,7 @@ def kt_norm(sol: MildSolution):
 
 
 def mild_solve(spec, nl, g: GridFunction, s, T, dt, picard_tol=1e-8,
-               max_iter=40, graded_steps=8):
+               max_iter=40):
     """Picard iteration for the backward semilinear problem on [s, T],
     with the Picard deltas measured on the interior probe box |x| <= L/2.
 
@@ -171,9 +172,10 @@ def mild_solve(spec, nl, g: GridFunction, s, T, dt, picard_tol=1e-8,
     grid = g.grid
     mask = grid.interior_mask(grid.L / 2)
     pts = grid.points()
-    stepper = _Stepper(spec.time_reversed(T), grid, g.bc)
-    taus = _graded_ladder(T - s, dt, graded_steps)
-    roots = sqrtQ_at(spec, (T - taus)[:, None], pts[:, None, :])
+    stepper = _Stepper(spec, grid, g.bc, T)
+    taus = _graded_ladder(T - s, dt)
+    times = T - taus  # the physical time of each level, descending
+    roots = sqrtQ_at(spec, times[:, None], pts[:, None, :])
     inner = taus > 1e-14  # the levels where the gradient weight is finite
 
     def sweep(source=None):
@@ -209,7 +211,7 @@ def mild_solve(spec, nl, g: GridFunction, s, T, dt, picard_tol=1e-8,
                 break
         else:
             converged = False
-    sol = MildSolution(times=(T - taus)[::-1], values=current[::-1],
+    sol = MildSolution(times=times[::-1], values=current[::-1],
                        grid=grid, m=spec.m, T=T, sqrtQ=roots[::-1],
                        picard_history=history, converged=converged)
     sol.kt_norm = kt_norm(sol)

@@ -14,7 +14,7 @@ from scipy.special import erf
 from kolmolab.estimates import (max_principle_check, pointwise_check,
                                 representation_residual,
                                 weighted_gradient_check)
-from kolmolab.evolve import evolve
+from kolmolab.evolve import _Stepper, evolve
 from kolmolab.fbsde import (DiffusionSpec, bsde_residual, girsanov_weights,
                             identify_yz, simulate_forward)
 from kolmolab.game import minimax_select, nash_check
@@ -22,8 +22,8 @@ from kolmolab.grids import Grid, GridFunction, gradient
 from helpers import constant
 from kolmolab.kernels import compactness_probe
 from kolmolab.operators import example_family, scalar_comparison
-from kolmolab.semilinear import (MildSolution, kt_norm, mild_solve,
-                                 mollify_nonlinearity,
+from kolmolab.semilinear import (MildSolution, _graded_ladder, kt_norm,
+                                 mild_solve, mollify_nonlinearity,
                                  nonlinearity_from_exprs)
 
 
@@ -133,7 +133,8 @@ def test_04_weighted_gradient():
     res = weighted_gradient_check(
         spec, weight, lambda p: np.stack([np.tanh(p[0]), np.cos(p[0])]),
         0.0, 0.5, t_list=[0.1, 0.3, 0.5],
-        grid_pair=[Grid(1, 5.0, 201), Grid(1, 5.0, 401)], dt=2e-3)
+        grid_pair=[Grid(1, 5.0, 201), Grid(1, 5.0, 401)], dt=2e-3,
+        bc="dirichlet")
     ok1 = res.verdict == "PASS" and res.notes["drift"] <= 0.05
 
     heat = example_family("heat", {"d": 1})
@@ -177,20 +178,19 @@ def test_06_kernel_compactness():
     xs = [[-1.0], [0.0], [1.0]]
     Rs = [1.0, 2.0, 3.0]
     vec = compactness_probe(spec, grid, 0.5, 0.0, xs, Rs, n_cells=24,
-                            dt=5e-3, bc="neumann")
+                            dt=5e-3)
     outs = max(e["outside"][-1] for e in vec["table"])
     heat = example_family("heat", {"d": 1})
     gridh = Grid(1, 8.0, 321)
     hp = compactness_probe(heat, gridh, 0.5, 0.0, [[0.0], [3.5]], Rs,
-                           n_cells=32, dt=5e-3, bc="neumann")
+                           n_cells=32, dt=5e-3)
     agree = True
     for name, s, g in (("ou", example_family("ou", {"d": 1}), grid),
                        ("ex71ii", spec, grid)):
         v = compactness_probe(s, g, 0.5, 0.0, [[0.0], [1.0]], Rs,
-                              n_cells=24, dt=5e-3, bc="neumann")
+                              n_cells=24, dt=5e-3)
         sc = compactness_probe(scalar_comparison(s), g, 0.5, 0.0,
-                               [[0.0], [1.0]], Rs, n_cells=24, dt=5e-3,
-                               bc="neumann")
+                               [[0.0], [1.0]], Rs, n_cells=24, dt=5e-3)
         agree = agree and (v["verdict"] == sc["verdict"])
     ok = vec["verdict"] and outs < 0.05 and not hp["verdict"] and agree
     report(6, "kernel tightness/compactness", ok,
@@ -222,9 +222,9 @@ def test_07_semilinear_mollifier_ladder():
     spread = (max(norms) - min(norms)) / max(norms)
     ok1 = stable and alpha > 0 and spread <= 0.10
 
-    lin = mild_solve(spec, None, g, 0.0, T, dt, graded_steps=1)
-    ref = evolve(spec.time_reversed(T), g, 0.0, T, dt)[1][-1]
-    e_lin = float(np.max(np.abs(lin.values[0] - ref.values)))
+    lin = mild_solve(spec, None, g, 0.0, T, dt)
+    ref = _Stepper(spec, grid, g.bc).final(g.values, _graded_ladder(T, dt))
+    e_lin = float(np.max(np.abs(lin.values[0] - ref)))
     ok2 = e_lin <= 1e-6
     report(7, "semilinear mollifier ladder", ok1 and ok2,
            f"fit exponent {alpha:.2f}, constant spread x"

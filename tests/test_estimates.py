@@ -129,7 +129,7 @@ def test_weighted_gradient_constants_vanish():
     res = weighted_gradient_check(
         spec, weight, lambda p: np.ones((2, p.shape[1])), 0.0, 0.5,
         t_list=[0.25, 0.5], grid_pair=[Grid(1, 5.0, 161), Grid(1, 5.0, 321)],
-        bc="neumann")
+        dt=2e-3, bc="neumann")
     assert res.measured <= 1e-6
 
 
@@ -153,7 +153,8 @@ def test_weighted_gradient_ex72_stable():
     res = weighted_gradient_check(
         spec, weight, lambda p: np.stack([np.tanh(p[0]), np.cos(p[0])]),
         0.0, 0.5, t_list=[0.1, 0.3, 0.5],
-        grid_pair=[Grid(1, 5.0, 201), Grid(1, 5.0, 401)], dt=2e-3)
+        grid_pair=[Grid(1, 5.0, 201), Grid(1, 5.0, 401)], dt=2e-3,
+        bc="dirichlet")
     assert res.verdict == "PASS", res.as_dict()
     assert np.isfinite(res.measured)
 

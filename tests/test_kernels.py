@@ -31,7 +31,8 @@ def test_heat_kernel_matches_gaussian_cells():
     grid = Grid(1, 8.0, 321)
     tau = 0.5
     x0 = 0.3
-    row = kernel_row(spec, grid, tau, 0.0, [x0], n_cells=16, dt=2e-3)
+    row = kernel_row(spec, grid, tau, 0.0, [x0], n_cells=16, dt=2e-3,
+                     bc="dirichlet")
     edges = np.linspace(-8, 8, 17)
     expect = gauss_cell_mass(edges[:-1], edges[1:], x0, tau)
     assert np.max(np.abs(row.mass[0, 0, 0] - expect)) <= 1e-3
@@ -70,7 +71,8 @@ def test_shrinking_cell_mass_vanishes():
     grid = Grid(1, 6.0, 241)
     masses = []
     for nc in (8, 32):
-        row = kernel_row(spec, grid, 0.4, 0.0, [0.0], nc, dt=5e-3)
+        row = kernel_row(spec, grid, 0.4, 0.0, [0.0], nc, dt=5e-3,
+                         bc="dirichlet")
         c = np.argmin(np.abs(row.centers[0] - 1.0))
         masses.append(abs(row.mass[0, 0, 0, c]))
     assert masses[1] < masses[0] / 2  # 4x smaller cells, ~4x less mass
@@ -96,9 +98,9 @@ def test_compactness_ex71ii_pass_and_scalar_agrees():
     xs = [[-1.0], [0.0], [1.0]]
     Rs = [1.0, 2.0, 3.0]
     vec = compactness_probe(spec, grid, 0.5, 0.0, xs, Rs, n_cells=24,
-                            dt=5e-3, bc="neumann")
+                            dt=5e-3)
     sca = compactness_probe(scalar_comparison(spec), grid, 0.5, 0.0, xs, Rs,
-                            n_cells=24, dt=5e-3, bc="neumann")
+                            n_cells=24, dt=5e-3)
     assert vec["verdict"]
     assert sca["verdict"] == vec["verdict"]
 
@@ -109,7 +111,7 @@ def test_compactness_heat_fails_for_spreading_points():
     # translation invariance: a base point far out keeps its mass far out
     xs = [[0.0], [3.5]]
     probe = compactness_probe(spec, grid, 0.5, 0.0, xs, [1.0, 2.0, 3.0],
-                              n_cells=32, dt=5e-3, bc="neumann")
+                              n_cells=32, dt=5e-3)
     assert not probe["verdict"]
 
 
@@ -123,7 +125,7 @@ def test_outward_drift_fails():
         (matrix_of_consts([[0.0]], 1),), matrix_of_consts([[0.0]], 1))
     grid = Grid(1, 6.0, 241)
     probe = compactness_probe(spec, grid, 1.0, 0.0, [[0.5]], [1.0, 2.0, 3.0],
-                              n_cells=24, dt=5e-3, bc="neumann")
+                              n_cells=24, dt=5e-3)
     assert not probe["verdict"]
 
 
@@ -171,7 +173,7 @@ def test_compactness_probe_marches_once_for_all_points(monkeypatch):
     spec = example_family("ex71ii", {"d": 1, "m": 2})
     probe = compactness_probe(spec, Grid(1, 6.0, 121), 0.25, 0.0,
                               [[-1.0], [0.0], [1.0]], [1.0, 2.0, 3.0],
-                              n_cells=12, dt=1.25e-2, bc="neumann")
+                              n_cells=12, dt=1.25e-2)
     assert len(probe["table"]) == 3
     assert len(made) == 1
 

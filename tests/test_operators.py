@@ -99,15 +99,6 @@ def test_scalar_comparison_strips_coupling():
     assert np.allclose(sc.b_at(0.0, pts), spec.b_at(0.0, pts))
 
 
-def test_time_reversed():
-    spec = example_family("ex71i", {"d": 1, "m": 1, "r": 0.0, "p": 1.0,
-                                    "g": "1+t"})
-    rev = spec.time_reversed(2.0)
-    pts = np.array([[1.0]])
-    assert rev.b_at(0.5, pts)[0, 0] == pytest.approx(
-        spec.b_at(1.5, pts)[0, 0])
-
-
 def test_no_nan_inf_on_samples():
     rng = np.random.default_rng(0)
     for name, params in [("heat", {"d": 2}), ("ou", {"d": 1}),

@@ -1,0 +1,99 @@
+"""The backward semilinear solve, bit for bit: mild_solve on the golden
+operator and on a time-dependent ex71ii window at d = 1 and d = 2.
+
+tests/golden/semilinear_solves.json holds them as solves() computes
+them; regenerate it only in a change that says why the numbers moved:
+
+    PYTHONPATH=src python tests/test_semilinear_solves.py
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from kolmolab import evolve as evolve_mod
+from kolmolab.runner import _setup
+from kolmolab.semilinear import mollify_nonlinearity
+
+ROOT = Path(__file__).resolve().parents[1]
+RECORDED = ROOT / "tests" / "golden" / "semilinear_solves.json"
+# q, C and Btilde move with t on the window [0.1, 0.5]
+TIME_DEPENDENT = {"q": "1+0.5*t", "c": "1+t", "btilde": "1+0.3*t"}
+# name -> (operator params, grid n, time section, mollifier n)
+CASES = {
+    "golden": (None, None, None, 32),
+    "ex71ii_t_d1": ({"d": 1, "m": 2, **TIME_DEPENDENT}, 101,
+                    {"s": 0.1, "T": 0.5, "dt": 0.02}, 8),
+    "ex71ii_t_d2": ({"d": 2, "m": 2, **TIME_DEPENDENT}, 21,
+                    {"s": 0.1, "T": 0.5, "dt": 0.05}, 8),
+}
+
+
+def _runner(name):
+    """The runner of the golden config with the case's operator, grid
+    and window."""
+    params, n, time, _ = CASES[name]
+    with open(ROOT / "configs" / "ex71ii_full.run") as fh:
+        cfg = json.load(fh)
+    if params is not None:
+        cfg["operator"]["params"] = params
+        cfg["grid"]["n"] = n
+        cfg["time"] = time
+        del cfg["kernel"], cfg["mc"]  # their defaults follow d and time
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{name}.run"
+        path.write_text(json.dumps(cfg))
+        return _setup(path, Path(tmp) / name)
+
+
+def _solve(runner, name):
+    """The runner's mild_solve, psi mollified at the case's n."""
+    nl = mollify_nonlinearity(runner.nl, CASES[name][3])
+    return runner._mild_solve(nl)
+
+
+def solves():
+    out = {}
+    for name in CASES:
+        sol = _solve(_runner(name), name)
+        out[name] = {"picard_history": sol.picard_history,
+                     "kt_norm": sol.kt_norm, "converged": sol.converged,
+                     "u_s": sol.values[0][:, ::10].tolist()}
+    return json.loads(json.dumps(out))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_semilinear_solve_matches_recorded_numbers(name):
+    with open(RECORDED) as fh:
+        want = json.load(fh)[name]
+    sol = _solve(_runner(name), name)
+    assert sol.picard_history == want["picard_history"]
+    assert sol.kt_norm == want["kt_norm"]
+    assert sol.converged == want["converged"]
+    assert sol.values[0][:, ::10].tolist() == want["u_s"]
+
+
+def test_backward_solve_assembles_the_spec_at_physical_times(monkeypatch):
+    # the backward march reads A(T - tau): the original spec, at the
+    # physical time of each step's new level, from t = T down to s
+    seen = []
+    real = evolve_mod.assemble_operator
+
+    def spy(spec, grid, t, bc):
+        seen.append((spec, t))
+        return real(spec, grid, t, bc)
+
+    runner = _runner("ex71ii_t_d1")
+    assert runner.spec.depends_on_t()
+    monkeypatch.setattr(evolve_mod, "assemble_operator", spy)
+    sol = _solve(runner, "ex71ii_t_d1")
+    # one march for the linear start and one per Picard sweep
+    sweeps = 1 + len(sol.picard_history)
+    assert all(spec is runner.spec for spec, _ in seen)
+    assert [t for _, t in seen] == list(sol.times[:-1][::-1]) * sweeps
+
+
+if __name__ == "__main__":
+    RECORDED.write_text(json.dumps(solves(), indent=1) + "\n")

@@ -1,12 +1,13 @@
 """Every public name of the package, and every public method of a public
 class, is reached by the package itself or by a script; a name only
 tests reach is surface to delete.  Every step of the scheme is taken by
-the one stepping loop, _Stepper.march, and every LU is made by
-_Stepper.factor.  Every keyword default of a public function is passed
-by some call; a default that no call passes is a setting nothing sets,
-so it should be a constant, and a default that only tests pass is a
-knob unless it is listed with its reason.  Every name a
-function binds is read in it; a name bound and never read is dead code.
+the one stepping loop, _Stepper.march, and every LU and every operator
+assembly is made by _Stepper.factor.  Every keyword default of a public
+function is passed by some call; a default that no call passes is a
+setting nothing sets, so it should be a constant, and a default that
+only tests pass is a knob unless it is listed with its reason.  Every
+name a function binds is read in it; a name bound and never read is
+dead code.
 Every key of the runner's config table is read by the runner, and every
 key the runner reads is in the table.  Every script imports, builds
 its argument parser and runs end to end at a small size.  Every
@@ -139,9 +140,11 @@ def test_one_stepping_loop():
     assert not outside, f"steps taken outside _Stepper.march: {outside}"
 
 
-def test_one_factorisation_site():
+@pytest.mark.parametrize("callee", ["splu", "assemble_operator"])
+def test_one_factorisation_site(callee):
     # every LU comes from _Stepper.factor, so one ordering rule
-    # (evolve.LU_OPTIONS) covers them all
+    # (evolve.LU_OPTIONS) covers them all; every assembly does too, so
+    # the stepper's clock picks the time of each operator
     inside, outside = 0, []
     for path in SOURCES:
         tree = ast.parse(path.read_text())
@@ -151,15 +154,15 @@ def test_one_factorisation_site():
                   if isinstance(fn, ast.FunctionDef) and fn.name == "factor"
                   for node in ast.walk(fn)}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and "splu" in (
+            if isinstance(node, ast.Call) and callee in (
                     getattr(node.func, "attr", None),
                     getattr(node.func, "id", None)):
                 if id(node) in factor:
                     inside += 1
                 else:
                     outside.append(f"{path.stem} line {node.lineno}")
-    assert inside == 1, "_Stepper.factor must make every LU"
-    assert not outside, f"LUs made outside _Stepper.factor: {outside}"
+    assert inside == 1, f"_Stepper.factor must make every {callee} call"
+    assert not outside, f"{callee} outside _Stepper.factor: {outside}"
 
 
 def _unpassed_defaults(paths):
@@ -189,9 +192,6 @@ TEST_ONLY_DEFAULTS = {
                        "pass the argument list",
     "estimates.pointwise_check(n_t=)": "test oracles probe fewer times "
                                        "than the runner's four",
-    "semilinear.mild_solve(graded_steps=)": "the linear oracle takes the "
-                                            "uniform ladder (1) to match "
-                                            "evolve step for step",
 }
 
 
