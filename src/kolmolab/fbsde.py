@@ -21,8 +21,7 @@ from .semilinear import sqrtQ_at
 
 __all__ = ["FbsdeError", "DiffusionSpec", "PathBatch", "YZProcess",
            "horizon_steps", "simulate_forward", "path_z", "valid_paths",
-           "identify_yz", "bsde_residual", "girsanov_weights", "payoffs",
-           "cost"]
+           "identify_yz", "bsde_residual", "girsanov_weights", "cost"]
 
 _EXPLODE = 1e9
 _MAX_ESCAPE_FRAC = 0.05  # valid_paths refuses more escaped paths
@@ -59,15 +58,12 @@ class DiffusionSpec:
     def G_at(self, t, pts):
         return np.sqrt(2.0) * sqrtQ_at(self.op, t, pts)
 
-    def r_at(self, t, pts, u=None):
-        """(d, N) controlled drift direction."""
-        N = pts.shape[1]
-        out = np.zeros((self.d, N))
+    def r1_at(self, t, pts):
+        """(d, N) u-free part r1 of the drift direction r1 + r2(x, u)."""
+        out = np.zeros((self.d, pts.shape[1]))
         if self.r1 is not None:
             for i, e in enumerate(self.r1):
                 out[i] += e(t, pts)
-        if self.r2 is not None and u is not None:
-            out += np.asarray(self.r2(pts, u), dtype=float)
         return out
 
 
@@ -203,38 +199,20 @@ def bsde_residual(yz: YZProcess, ds: DiffusionSpec, nl, batch: PathBatch):
     return float(profile[-1]), profile
 
 
-def girsanov_weights(ds: DiffusionSpec, batch: PathBatch, controls):
-    """(N,) exponential-martingale weights rho = exp(sum <r, dW>
-    - 1/2 sum |r|^2 h) of the controlled drift.
-
-    controls is the (steps, players, N) array of control values, or None
-    for the uncontrolled base measure."""
+def girsanov_weights(ds: DiffusionSpec, batch: PathBatch):
+    """(N,) exponential-martingale weights rho = exp(sum <r1, dW>
+    - 1/2 sum |r1|^2 h) of the uncontrolled drift direction r1."""
     log_rho = np.zeros(batch.N)
     for l in range(batch.steps):
-        u = None if controls is None else controls[l]  # (players, N)
-        r = ds.r_at(batch.times[l], batch.X[l], u)  # (d, N)
+        r = ds.r1_at(batch.times[l], batch.X[l])  # (d, N)
         log_rho += np.einsum("dN,dN->N", r, batch.dW[l])
         log_rho -= 0.5 * batch.h_step * np.sum(r ** 2, axis=0)
     return np.exp(log_rho)
 
 
-def payoffs(ds: DiffusionSpec, batch: PathBatch, controls, rho):
-    """Per-path weighted payoffs rho (running + terminal) under the
-    (steps, players, N) controls (or None), one row per player (per row
-    of h; per row of g without h)."""
-    running = 0
-    terminal = np.asarray(ds.g(batch.X[-1]))
-    if ds.h is not None:
-        for l in range(batch.steps):
-            u = None if controls is None else controls[l]
-            running = running + batch.h_step * np.asarray(ds.h(batch.X[l], u))
-        terminal = terminal[:len(running)]
-    return rho * (running + terminal)
-
-
 def cost(payoff, rho):
     """Weighted Monte-Carlo estimate of a player's cost from its per-path
-    payoffs(ds, batch, controls, rho)[i], with its standard error and an
+    payoffs rho (running + terminal), with its standard error and an
     effective-sample-size degeneracy flag from the weights rho."""
     N = len(rho)
     est = float(np.mean(payoff))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fbsde import cost, girsanov_weights, path_z, payoffs
+from .fbsde import cost, path_z
 
 __all__ = ["GameError", "minimax_select", "nash_check"]
 
@@ -25,21 +25,15 @@ class GameError(RuntimeError):
     pass
 
 
-def _htilde(ds, t, x, z, u_vals, i):
-    """Player i's Hamiltonian at every sample; u_vals is (players, K)."""
-    r = ds.r_at(t, x, u_vals)  # (d, K)
-    out = np.einsum("dK,dK->K", z[i], r)
-    if ds.h is not None:
-        out = out + np.asarray(ds.h(x, u_vals))[i]
-    return out
-
-
 def minimax_select(ds, t, x, z):
     """Pure-strategy best-response fixed point at each sample.
 
-    x is (d, K), z is (players, d, K).  Returns (players, K) control
-    values.  Samples that cycle without reaching a fixed point raise an
-    explicit error rather than picking silently."""
+    x is (d, K), z is (players, d, K).  Returns the (players, K) control
+    values u and, from the settling sweep (no pick changes), per player i
+    (pick, r, h): u[i]'s index in i's control set, and the drift r[a]
+    (d, K) and i's running cost h[a] (K,) at i's a-th value against the
+    others' equilibrium values (h is None without a running cost).
+    Samples that cycle without a fixed point raise an explicit error."""
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     players = ds.n_players
@@ -47,32 +41,43 @@ def minimax_select(ds, t, x, z):
         raise GameError("no control sets declared")
     K = x.shape[1]
     sets = [np.asarray(V, dtype=float) for V in ds.controls]
+    r1 = ds.r1_at(t, x)  # the u-free part, once per selection
     idx = np.zeros((players, K), dtype=int)  # lexicographic start
-    settled = np.zeros(K, dtype=bool)
     for _ in range(_MAX_SWEEPS):
         changed = np.zeros(K, dtype=bool)
+        sweep = []
         for i in range(players):
             vals = np.stack([sets[j][idx[j]] for j in range(players)])
             best = np.full(K, np.inf)
             pick = np.zeros(K, dtype=int)
+            r, h = [], []
             for a, v in enumerate(sets[i]):
                 vals[i] = v
-                ham = _htilde(ds, t, x, z, vals, i)
+                r.append(r1 if ds.r2 is None else
+                         r1 + np.asarray(ds.r2(x, vals), dtype=float))
+                ham = np.einsum("dK,dK->K", z[i], r[-1])
+                if ds.h is not None:
+                    # a copy, since h may return a view of vals
+                    h.append(np.array(ds.h(x, vals)[i]))
+                    ham = ham + h[-1]
                 # strict improvement only: first minimizer wins ties
                 better = ham < best - 1e-14
                 pick[better] = a
                 best[better] = ham[better]
             changed |= pick != idx[i]
             idx[i] = pick
-        settled = ~changed
-        if np.all(settled):
-            break
-    if not np.all(settled):
-        bad = np.flatnonzero(~settled)
-        raise GameError(
-            f"best-response cycle at {len(bad)} of {K} samples "
-            f"(first indices {bad[:5].tolist()}); no pure fixed point")
-    return np.stack([sets[j][idx[j]] for j in range(players)])
+            sweep.append((pick, r, np.stack(h) if h else None))
+        if not np.any(changed):
+            return np.stack([sets[j][idx[j]] for j in range(players)]), sweep
+    bad = np.flatnonzero(changed)
+    raise GameError(
+        f"best-response cycle at {len(bad)} of {K} samples "
+        f"(first indices {bad[:5].tolist()}); no pure fixed point")
+
+
+def _with_equilibrium(table, at):
+    """The equilibrium row, gathered at flat indices at, above table's."""
+    return np.concatenate([np.take(table, at)[None], table])
 
 
 def nash_check(ds, sol, base):
@@ -81,31 +86,48 @@ def nash_check(ds, sol, base):
 
     The equilibrium controls are picked once per step by minimax_select
     at z = G (J_x u)^T of sol along the paths (z = 0 when sol is None).
-    For every player and every constant deviation to one of its own
-    control values the cost difference
+    Its settling sweep gives r and h at the equilibrium and at every
+    constant deviation of one player to one of its own values, so one
+    pass accumulates log rho and the running cost of them all.  Each
     dJ = J_i(deviation) - J_i(equilibrium) is estimated on paired paths;
-    the profile passes when dJ >= -3 stderr throughout."""
+    a row passes when dJ >= -3 stderr and its weights are not
+    degenerate.  PASS when every row passes, INCONCLUSIVE when only
+    degenerate rows fail, else FAIL."""
     players = ds.n_players
     if sol is not None and sol.m < players:
         raise GameError("solution has fewer components than players")
-    eq = np.empty((base.steps, players, base.N))
+    # per player: row 0 the equilibrium, row 1 + a the deviation to V[a]
+    log_rho = [np.zeros((1 + len(V), base.N)) for V in ds.controls]
+    running = [0] * players
+    samples = np.arange(base.N)
     for l in range(base.steps):
-        t, pts = base.times[l], base.X[l]
+        t, pts, dW = base.times[l], base.X[l], base.dW[l]
         z = np.zeros((players, ds.d, base.N)) if sol is None \
             else path_z(sol, ds, t, pts)[:players]
-        eq[l] = minimax_select(ds, t, pts, z)
-    rho_eq = girsanov_weights(ds, base, eq)
-    pay_eq = payoffs(ds, base, eq, rho_eq)
-    J_eq = [cost(pay_eq[i], rho_eq) for i in range(players)]
-    rows = []
-    for i in range(players):
-        for v in ds.controls[i]:
-            dev = eq.copy()
-            dev[:, i] = v
-            rho = girsanov_weights(ds, base, dev)
-            gap = cost(payoffs(ds, base, dev, rho)[i] - pay_eq[i], rho)
+        _, sweep = minimax_select(ds, t, pts, z)
+        for i, (pick, r, h) in enumerate(sweep):
+            at = pick * base.N + samples  # (pick, sample) in a (len(V), N)
+            log_rho[i] += _with_equilibrium(
+                np.stack([np.einsum("dN,dN->N", ra, dW) for ra in r]), at)
+            log_rho[i] -= 0.5 * base.h_step * _with_equilibrium(
+                np.stack([np.sum(ra ** 2, axis=0) for ra in r]), at)
+            if h is not None:
+                running[i] = running[i] + base.h_step * \
+                    _with_equilibrium(h, at)
+    terminal = np.asarray(ds.g(base.X[-1]))
+    rows, J_eq, failed = [], [], []
+    for i, V in enumerate(ds.controls):
+        # exp of each (N,) row on its own, as girsanov_weights takes it
+        rho = np.stack([np.exp(row) for row in log_rho[i]])
+        pay = rho * (running[i] + terminal[i])
+        J_eq.append(cost(pay[0], rho[0]))
+        for a, v in enumerate(V):
+            gap = cost(pay[1 + a] - pay[0], rho[1 + a])
+            ok = gap["J"] >= -3 * gap["stderr"] and not gap["degenerate"]
+            if not ok:
+                failed.append(gap["degenerate"])
             rows.append({"player": i, "deviation": float(v), "dJ": gap["J"],
-                         "stderr": gap["stderr"],
-                         "pass": gap["J"] >= -3 * gap["stderr"]})
-    return {"verdict": all(r["pass"] for r in rows), "rows": rows,
-            "J_equilibrium": J_eq}
+                         "stderr": gap["stderr"], "pass": ok})
+    verdict = "PASS" if not failed else \
+        "INCONCLUSIVE" if all(failed) else "FAIL"
+    return {"verdict": verdict, "rows": rows, "J_equilibrium": J_eq}

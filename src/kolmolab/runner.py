@@ -35,15 +35,11 @@ from .operators import (FAMILIES, WeightSpec, example_family,
 from .semilinear import (mild_solve, mollify_nonlinearity,
                          nonlinearity_from_exprs)
 
-__all__ = ["ConfigError", "StageError", "load_config", "run", "audit_only",
+__all__ = ["ConfigError", "load_config", "run", "audit_only",
            "list_presets", "ALL_CHECKS"]
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class StageError(RuntimeError):
     pass
 
 
@@ -195,6 +191,8 @@ def load_config(path):
             cfg["weight"]["M"] is None and not cfg["weight"]["from_family"]:
         raise ConfigError("check 'weighted_gradient' needs weight.M or "
                           "weight.from_family")
+    if "nash" in cfg["checks"] and not cfg["game"]["controls"]:
+        raise ConfigError("check 'nash' needs game.controls")
     return cfg
 
 
@@ -274,6 +272,10 @@ class _Runner:
             float(cfg["time"]["T"]), float(cfg["time"]["dt"])
         try:  # FamilyError, DslError and Grid's checks are config errors
             self.spec, self.weight = _build_operator(cfg)
+            if "nash" in cfg["checks"] and \
+                    len(cfg["game"]["controls"]) > self.spec.m:
+                raise ConfigError("game.controls has more players than the "
+                                  "operator has components")
             lo, hi = self.spec.time_interval  # the guards' and audit's t
             if not (lo <= self.s and self.T <= hi):
                 raise ConfigError(f"time [s, T] must lie in the family's "
@@ -479,10 +481,9 @@ class _Runner:
 
     def stage_girsanov(self):
         ds, batch = self.ds, self.batch
-        zero = girsanov_weights(
-            DiffusionSpec(op=self.spec, g=ds.g), batch, None)
+        zero = girsanov_weights(DiffusionSpec(op=self.spec, g=ds.g), batch)
         exact_one = bool(np.all(zero == 1.0))
-        rho = girsanov_weights(ds, batch, None)
+        rho = girsanov_weights(ds, batch)
         se = float(np.std(rho, ddof=1) / np.sqrt(batch.N))
         gap = abs(float(np.mean(rho)) - 1.0)
         ok = exact_one and (se == 0.0 or gap <= 3 * se)
@@ -491,18 +492,11 @@ class _Runner:
                 "zero_control_exact": exact_one}
 
     def stage_nash(self):
-        ds = self.ds
-        if not ds.controls:
-            raise StageError("nash check needs game.controls")
-        if len(ds.controls) > self.spec.m:
-            raise StageError("game.controls has more players than the "
-                             "operator has components")
-        report = nash_check(ds, self.sol, self.batch)
+        report = nash_check(self.ds, self.sol, self.batch)
         self._write_csv("nash.csv", ["player", "deviation", "dJ", "stderr"],
                         [(r["player"] + 1, f"{r['deviation']:.12g}",
                           r["dJ"], r["stderr"]) for r in report["rows"]])
-        return {"verdict": "PASS" if report["verdict"] else "FAIL",
-                "rows": report["rows"]}
+        return {"verdict": report["verdict"], "rows": report["rows"]}
 
 
 def _setup(config_path, outdir):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from kolmolab.fbsde import (DiffusionSpec, FbsdeError, bsde_residual, cost,
-                            girsanov_weights, identify_yz, payoffs,
-                            simulate_forward)
+                            girsanov_weights, identify_yz, simulate_forward)
 from kolmolab.grids import Grid, GridFunction
 from helpers import constant
 from kolmolab.operators import example_family
@@ -155,13 +154,13 @@ def test_girsanov_trivial_and_lognormal():
     ds0 = DiffusionSpec(op=spec, g=const_g([0.0]))
     tau, N = 0.5, 20000
     batch = simulate_forward(ds0, 0.0, 0.0, tau, 1 / 64, N, seed=13)
-    rho0 = girsanov_weights(ds0, batch, None)
+    rho0 = girsanov_weights(ds0, batch)
     assert np.all(rho0 == 1.0)  # r = 0 gives the base measure exactly
 
     from kolmolab.dsl import const_expr
     c = 0.8
     ds = DiffusionSpec(op=spec, g=const_g([0.0]), r1=(const_expr(c, 1),))
-    rho = girsanov_weights(ds, batch, None)
+    rho = girsanov_weights(ds, batch)
     logr = np.log(rho)
     mu, var = -0.5 * c ** 2 * tau, c ** 2 * tau
     assert abs(np.mean(logr) - mu) <= 3 * np.sqrt(var / N)
@@ -177,7 +176,7 @@ def test_girsanov_state_feedback_mean_one():
                        r1=(parse_coeff_expr("0-x1/2", 1),))
     N = 20000
     batch = simulate_forward(ds, 0.0, 0.0, 0.5, 1 / 64, N, seed=17)
-    rho = girsanov_weights(ds, batch, None)
+    rho = girsanov_weights(ds, batch)
     se = np.std(rho, ddof=1) / np.sqrt(N)
     assert abs(np.mean(rho) - 1.0) <= 3 * se
 
@@ -188,8 +187,9 @@ def test_cost_constant_and_running():
     ds = DiffusionSpec(op=spec, g=const_g([1.5]),
                        h=lambda p, u: np.ones((1, p.shape[1])))
     batch = simulate_forward(ds, 0.0, 0.0, tau, tau / 16, 4000, seed=19)
-    rho = girsanov_weights(ds, batch, None)
-    out = cost(payoffs(ds, batch, None, rho)[0], rho)
+    rho = girsanov_weights(ds, batch)
+    running = sum(batch.h_step * ds.h(x, None)[0] for x in batch.X[:-1])
+    out = cost(rho * (running + ds.g(batch.X[-1])[0]), rho)
     assert out["J"] == pytest.approx(tau + 1.5, abs=1e-10)
     assert out["stderr"] <= 1e-10
     assert not out["degenerate"]
@@ -202,8 +202,9 @@ def test_cost_two_seeds_agree():
     ests = []
     for seed in (23, 29):
         batch = simulate_forward(ds, 0.0, 0.0, 0.5, 1 / 64, 8000, seed=seed)
-        rho = girsanov_weights(ds, batch, None)
-        ests.append(cost(payoffs(ds, batch, None, rho)[0], rho))
+        rho = girsanov_weights(ds, batch)
+        running = sum(batch.h_step * ds.h(x, None)[0] for x in batch.X[:-1])
+        ests.append(cost(rho * (running + ds.g(batch.X[-1])[0]), rho))
     gap = abs(ests[0]["J"] - ests[1]["J"])
     comb = np.hypot(ests[0]["stderr"], ests[1]["stderr"])
     assert gap <= 3 * comb

@@ -242,14 +242,27 @@ def test_weighted_gradient_stage_reads_the_weight_section(tmp_path, capsys):
     assert not (tmp_path / "ou").exists()
 
 
-def test_nash_needs_a_cost_component_per_player(tmp_path):
-    # ou has one component; a second player would have no terminal cost
+def _nash_config_error(tmp_path, capsys, **overrides):
+    """stderr of a run with max_principle and nash that must exit 2
+    before any stage computes or its output directory is made."""
     p = tmp_path / "c.run"
-    write_cfg(p, checks=["nash"],
-              game={"controls": [[0.0, 1.0], [0.0, 1.0]]})
-    code, report = run(p, outdir=tmp_path / "r")
-    assert code == 1
-    assert "more players" in report["stages"]["nash"]["error"]
+    write_cfg(p, checks=["max_principle", "nash"], **overrides)
+    assert main(["run", str(p), "--output", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    return capsys.readouterr().err
+
+
+def test_nash_needs_a_cost_component_per_player(tmp_path, capsys):
+    # ou has one component; a second player would have no terminal cost
+    err = _nash_config_error(tmp_path, capsys,
+                             game={"controls": [[0.0, 1.0], [0.0, 1.0]]})
+    assert err.startswith("config error:") and "more players" in err
+
+
+def test_nash_without_controls_exits_2(tmp_path, capsys):
+    err = _nash_config_error(tmp_path, capsys)  # write_cfg has no controls
+    assert err.startswith("config error:")
+    assert "'nash' needs game.controls" in err
 
 
 def test_fbsde_fails_when_its_picard_solve_does_not_converge(tmp_path):

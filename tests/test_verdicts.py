@@ -67,7 +67,7 @@ B_NEGATED = pde_side(lambda spec: replace(spec, b=tuple(
 def rho_one(monkeypatch):
     """The girsanov stage ignores its weights: rho = 1 on every path."""
     monkeypatch.setattr(runner, "girsanov_weights",
-                        lambda ds, batch, controls: np.ones(batch.N))
+                        lambda ds, batch: np.ones(batch.N))
 
 
 def z_zero(monkeypatch):
