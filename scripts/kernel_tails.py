@@ -12,12 +12,10 @@ import csv
 import os
 import sys
 
-import numpy as np
-
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from kolmolab.grids import Grid  # noqa: E402
-from kolmolab.kernels import kernel_row, tightness_mass  # noqa: E402
+from kolmolab.kernels import compactness_probe  # noqa: E402
 from kolmolab.operators import example_family  # noqa: E402
 
 PRESETS = {
@@ -41,14 +39,11 @@ def main():
         w.writerow(["preset", "x", "R", "outside_mass"])
         for name, (params, grid) in PRESETS.items():
             spec = example_family(name, params)
-            row = kernel_row(spec, grid, args.tau, 0.0, points,
-                             args.n_cells, dt=5e-3, bc="neumann")
-            # (R, base point) maxima over each point's (m, m) block
-            outside = [np.max(tightness_mass(row, R), axis=(1, 2))
-                       for R in radii]
-            for p, x in enumerate(points):
-                for R, out in zip(radii, outside):
-                    w.writerow([name, x, R, f"{out[p]:.6e}"])
+            table = compactness_probe(spec, grid, args.tau, 0.0, points,
+                                      radii, args.n_cells, dt=5e-3)["table"]
+            for x, entry in zip(points, table):
+                for R, out in zip(radii, entry["outside"]):
+                    w.writerow([name, x, R, f"{out:.6e}"])
             print(f"{name}: done")
     print(f"wrote {args.out}")
 

@@ -155,12 +155,8 @@ def representation_residual(spec, times, levels, kbar):
     Cv = np.ascontiguousarray(np.moveaxis(spec.C_at(r, x)[kbar], 1, 0))
     src = np.einsum("likN,lkiN->lN", Btv, gradient(grid, vec[:-1])) \
         + np.einsum("lkN,lkN->lN", Cv, vec[:-1])
-    # one two-column march on one stepper, so that both columns share
-    # each (t, dt) LU: the scalar transport of f_kbar, and the integral
-    # term driven by src
-    start = np.stack([vec[0, kbar], np.zeros(grid.n_nodes)], axis=-1)[None]
-    source = np.stack([np.zeros_like(src), src], axis=-1)[:, None]
-    v, w = np.moveaxis(_Stepper(scalar_comparison(spec), grid, bc).final(
-        start, times, source), -1, 0)
-    resid = vec[-1, kbar] - v[0] - w[0]
+    # Duhamel's formula as one scalar march: f_kbar transported, with
+    # src added at each step
+    resid = vec[-1, kbar] - _Stepper(scalar_comparison(spec), grid, bc) \
+        .final(vec[0, kbar][None], times, src[:, None])[0]
     return float(np.max(np.abs(resid[mask])))

@@ -14,6 +14,7 @@ reflection in the stencils.
 from __future__ import annotations
 
 from collections import deque
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,7 +38,7 @@ class EvolveError(RuntimeError):
 D2 = ((-1, 1), (0, -2), (1, 1))  # Q_jj D_jj at interior nodes, on h^2
 D2_FACE = ((0, -2), (1, 2))  # the same at a Neumann face, ghost folded in
 CROSS = (((1, 1), 2), ((1, -1), -2), ((-1, 1), -2),
-         ((-1, -1), 2))  # 2 Q_12 D_12 over both axes, on 4 h^2
+         ((-1, -1), 2))  # 2 Q_ab D_ab over axes a < b, on 4 h^2
 D1 = ((1, 1), (-1, -1))  # b_j D_j centered, on 2h
 D1_UP = ((0, -3), (1, 4), (2, -1))  # one-sided second order, on 2h
 
@@ -85,9 +86,9 @@ def assemble_operator(spec, grid, t, bc):
         if bc == "neumann":
             scalar += entries(ij == 0, D2_FACE, qjj, h ** 2, [j])
             scalar += entries(ij == n - 1, D2_FACE, qjj, h ** 2, [j], -1)
-    if d == 2:
-        q12 = Qv[0, 1]
-        scalar += entries(np.abs(q12) > 0, CROSS, q12, 4 * h ** 2, [0, 1])
+    for a, b in combinations(range(d), 2):
+        qab = Qv[a, b]
+        scalar += entries(np.abs(qab) > 0, CROSS, qab, 4 * h ** 2, [a, b])
     # drift; at a Neumann face reflection makes the odd derivative vanish
     for j in range(d):
         ij, bj = ax_idx[j], bv[j]
@@ -181,7 +182,7 @@ class _Stepper:
             out[self.mask] = 0.0
         else:
             out = lu.solve(np.where(self.mask[:, None], 0.0, rhs))
-        if not np.all(np.isfinite(out)) or np.max(np.abs(out)) > BLOWUP_GUARD:
+        if not np.max(np.abs(out)) <= BLOWUP_GUARD:  # NaN fails it too
             raise EvolveError(f"blow-up detected at t={t_new}")
         return out.reshape(shape)
 

@@ -45,11 +45,8 @@ class Grid:
 
     def points(self):
         """All node coordinates, shape (d, n^d), matching flat order."""
-        ax = self.axis()
-        if self.d == 1:
-            return ax.reshape(1, -1)
-        X1, X2 = np.meshgrid(ax, ax, indexing="ij")
-        return np.stack([X1.ravel(), X2.ravel()])
+        axes = np.meshgrid(*[self.axis()] * self.d, indexing="ij")
+        return np.stack([X.ravel() for X in axes])
 
     def interior_mask(self, probe_L):
         """Boolean mask of nodes with max-norm coordinate <= probe_L."""
@@ -105,15 +102,12 @@ def gradient(grid, values):
     """Spatial gradient of values (..., n^d), shape (..., d, n^d);
     second-order central in the interior, one-sided second-order on the
     faces.  Leading axes (components, ladder levels) are carried along."""
-    n, h = grid.n, grid.h
-    if grid.d == 1:
-        return _one_dim_gradient(values, h)[..., None, :]
-    lead = values.shape[:-1]
-    vals = values.reshape(*lead, n, n)
-    g1 = _one_dim_gradient(np.swapaxes(vals, -1, -2), h)
-    g1 = np.swapaxes(g1, -1, -2)  # derivative along axis 1 (x1)
-    g2 = _one_dim_gradient(vals, h)  # along axis 2 (x2)
-    return np.stack([g1.reshape(*lead, -1), g2.reshape(*lead, -1)], axis=-2)
+    lead, h = values.shape[:-1], grid.h
+    vals = values.reshape(*lead, *(grid.n,) * grid.d)
+    # each axis of the (..., n, ..., n) view moved last, then back
+    grads = [np.moveaxis(_one_dim_gradient(np.moveaxis(vals, j, -1), h),
+                         -1, j) for j in range(-grid.d, 0)]
+    return np.stack([g.reshape(*lead, -1) for g in grads], axis=-2)
 
 
 def weighted_gradient_sup(weight, grad, mask):

@@ -15,6 +15,7 @@ Turb. Combust. 65, 2000).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,26 +35,21 @@ class KernelRow:
 def _cell_weights(grid, n_cells):
     """Dual-cell volume fractions: weights (n_cells^d, N) with each
     column summing to 1 for nodes whose dual cell lies inside the box."""
-    n, h, L = grid.n, grid.h, grid.L
+    h, L = grid.h, grid.L
     edges = np.linspace(-L, L, n_cells + 1)
     ax = grid.axis()
     lo = np.maximum(ax[None, :] - h / 2, edges[:-1, None])
     hi = np.minimum(ax[None, :] + h / 2, edges[1:, None])
     w1 = np.clip(hi - lo, 0.0, None) / h  # (n_cells, n)
-    if grid.d == 1:
-        return w1
-    # tensor product over the two axes, cells in C-order (axis1 major)
-    w = np.einsum("ap,bq->abpq", w1, w1)
-    return w.reshape(n_cells * n_cells, n * n)
+    # tensor product over the d axes, cells in C-order (axis 1 major)
+    return functools.reduce(lambda w, v: np.einsum("ap,bq->abpq", w, v)
+                            .reshape(len(w) * len(v), -1), [w1] * grid.d)
 
 
 def cell_centers(d, L, n_cells):
     edges = np.linspace(-L, L, n_cells + 1)
-    c = 0.5 * (edges[:-1] + edges[1:])
-    if d == 1:
-        return c.reshape(1, -1)
-    C1, C2 = np.meshgrid(c, c, indexing="ij")
-    return np.stack([C1.ravel(), C2.ravel()])
+    axes = np.meshgrid(*[0.5 * (edges[:-1] + edges[1:])] * d, indexing="ij")
+    return np.stack([C.ravel() for C in axes])
 
 
 def kernel_row(spec, grid, t, s, x_list, n_cells, dt, bc):

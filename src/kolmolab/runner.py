@@ -132,8 +132,9 @@ _SCHEMA = {
                    lambda cfg: (cfg["time"]["T"] - cfg["time"]["s"]) / 32,
                    _divides_horizon, "a number > 0 dividing time.T - time.s"),
         "x0": (list, lambda cfg: [0.0] * _dim(cfg),
-               lambda v, cfg: _numbers(v) and len(v) == _dim(cfg),
-               "a list of d numbers")},
+               lambda v, cfg: _numbers(v) and len(v) == _dim(cfg)
+               and max(map(abs, v)) < cfg["grid"]["L"],
+               "a list of d numbers with max |x0_i| < grid.L")},
     "game": {"controls": (list, [], lambda v, cfg: all(map(_numbers, v)),
                           "a list of non-empty lists of numbers"),
              "running_weight": (float, 1.0), "r_gain": (float, 0.5),
@@ -378,15 +379,16 @@ class _Runner:
                 "residuals": resids, "decoupled": bool(decoupled)}
 
     def stage_compactness(self):
-        R_list = self.cfg["kernel"]["R_list"]
         vec, sca = [compactness_probe(spec, self.grid, self.T, self.s,
-                                      self.cfg["kernel"]["x_list"], R_list,
+                                      self.cfg["kernel"]["x_list"],
+                                      self.cfg["kernel"]["R_list"],
                                       self.cfg["kernel"]["n_cells"],
                                       2 * self.dt)
                     for spec in (self.spec, scalar_comparison(self.spec))]
         rows = [(str(e["x"]), *e["outside"]) for e in vec["table"]]
         self._write_csv("compactness.csv",
-                        ["x"] + [f"outside_R{R:g}" for R in R_list], rows)
+                        ["x"] + [f"outside_R{R:g}" for R in vec["R_list"]],
+                        rows)
         return {"verdict": "PASS" if vec["verdict"] else "FAIL",
                 "scalar_agrees": bool(sca["verdict"] == vec["verdict"]),
                 "vector": vec, "scalar": sca}

@@ -286,12 +286,15 @@ def test_adjoint_march_is_the_transpose_of_the_march():
 
 @pytest.mark.parametrize("bad", [1e13, np.inf, np.nan])
 def test_blowup_guard_on_the_adjoint_step(bad):
+    # and on the forward step, which meets the same one-reduction test
     spec = example_family("heat", {"d": 1})
     grid = Grid(1, 2.0, 21)
     values = np.ones((1, grid.n_nodes, 2))
     values[0, 10, 1] = bad
-    with pytest.raises(EvolveError):
-        _Stepper(spec, grid, "neumann").step(values, 0.1, 0.05, adjoint=True)
+    for adjoint in (True, False):
+        with pytest.raises(EvolveError):
+            _Stepper(spec, grid, "neumann").step(values, 0.1, 0.05,
+                                                 adjoint=adjoint)
 
 
 def _reference_assemble(spec, grid, t, bc):

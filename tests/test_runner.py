@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -121,6 +122,7 @@ def test_failing_stage_exits_nonzero(tmp_path):
     ({"N": 1}, "mc.N"),
     ({"h_step": 0.3}, "mc.h_step"),
     ({"x0": [0.0, 0.0, 0.0]}, "mc.x0"),
+    ({"x0": [6.0]}, "mc.x0"),
 ])
 def test_bad_mc_section_exits_2(tmp_path, mc, message):
     p = tmp_path / "c.run"
@@ -642,6 +644,22 @@ def test_golden_compactness_csv_prints_plain_floats(tmp_path):
     assert "np." not in text
     assert [line.split(",")[0] for line in text.splitlines()[1:]] == \
         ['[-1.0]', '[0.0]', '[1.0]']
+
+
+def test_compactness_csv_header_follows_the_sorted_radii(tmp_path):
+    # the probe sorts R_list, so the header must name its columns in
+    # that order, not in the config's
+    p = tmp_path / "c.run"
+    p.write_text(json.dumps(_golden(checks=["compactness"],
+                                    kernel={"R_list": [3.0, 1.0, 2.0]})))
+    code, report = run(p, outdir=tmp_path / "r")
+    assert code == 0
+    with open(tmp_path / "r" / "compactness.csv") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["x", "outside_R1", "outside_R2", "outside_R3"]
+    table = report["stages"]["compactness"]["vector"]["table"]
+    assert [row[1:] for row in rows] == \
+        [[f"{v:.15g}" for v in e["outside"]] for e in table]
 
 
 def test_estimate_stages_share_one_vector_solve_per_step_size(

@@ -7,7 +7,8 @@ function is passed by some call; a default that no call passes is a
 setting nothing sets, so it should be a constant, and a default that
 only tests pass is a knob unless it is listed with its reason.  Every
 name a function binds is read in it; a name bound and never read is
-dead code.
+dead code.  One formula serves every dimension d: only sqrtQ_at compares
+d with a number.
 Every key of the runner's config table is read by the runner, and every
 key the runner reads is in the table.  Every script imports, builds
 its argument parser and runs end to end at a small size.  Every
@@ -233,6 +234,36 @@ def test_every_local_name_is_read():
               for fn in _outer_functions(ast.parse(path.read_text()).body)
               for name in _unread_locals(fn)]
     assert not unread, f"locals bound and never read: {unread}"
+
+
+def _branches_on_the_dimension(path):
+    """module.function of each == or != comparison of a name or an
+    attribute d with an int constant in path."""
+    tree = ast.parse(path.read_text())
+    owner = {id(node): f"{path.stem}.{fn.name}"
+             for fn in _outer_functions(tree.body) for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare) or not any(
+                isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+            continue
+        sides = [node.left, *node.comparators]
+        if any(getattr(x, "id", getattr(x, "attr", None)) == "d"
+               for x in sides) and any(isinstance(x, ast.Constant)
+                                       and type(x.value) is int
+                                       for x in sides):
+            found.append(owner.get(id(node), f"{path.stem} line "
+                                             f"{node.lineno}"))
+    return found
+
+
+def test_no_branch_on_the_dimension():
+    # sqrtQ_at keeps its d == 1 root: eigh gives the same bits there
+    # but costs about 25x more per call at the Monte-Carlo path counts
+    found = [where for path in SOURCES
+             for where in _branches_on_the_dimension(path)]
+    assert found == ["semilinear.sqrtQ_at"], \
+        f"branches on d outside semilinear.sqrtQ_at: {found}"
 
 
 def _config_reads(tree):
