@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 _GUARD_FLOOR = 1e-8  # smallest |value| check_guards accepts
+_GUARD_SAMPLES = 512  # the (t, x, z) samples check_guards draws
 # Deepest nesting a parsed text may have (a sum of n terms nests n
 # levels).  The presets and the golden psi nest at most 6; evaluating and
 # differentiating a tree costs a few interpreter frames per level, so
@@ -329,7 +330,7 @@ def const_expr(value, d):
     return CoeffExpr(_num(value), d)
 
 
-def check_guards(expr, box, time_interval, n_samples=512):
+def check_guards(expr, box, time_interval):
     """Load-time guard: denominators and fractional-power bases must stay
     at least _GUARD_FLOOR away from 0 on the sampled box x time window,
     with each state variable z_ik of a nonlinearity drawn on [-box, box].
@@ -340,9 +341,9 @@ def check_guards(expr, box, time_interval, n_samples=512):
         return
     rng = np.random.default_rng(0)
     lo, hi = time_interval
-    ts = rng.uniform(lo, hi, n_samples)
-    xs = rng.uniform(-box, box, (expr.d, n_samples))
-    zs = {name: rng.uniform(-box, box, n_samples)
+    ts = rng.uniform(lo, hi, _GUARD_SAMPLES)
+    xs = rng.uniform(-box, box, (expr.d, _GUARD_SAMPLES))
+    zs = {name: rng.uniform(-box, box, _GUARD_SAMPLES)
           for name in sorted(expr.free_variables()) if name[0] == "z"}
     for kind, node in guards:
         sub = CoeffExpr(node, expr.d)

@@ -9,36 +9,27 @@ max_principle_check and pointwise_check record that restriction.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-
 import numpy as np
 
-from .evolve import _Stepper, evolve
-from .grids import GridFunction, gradient, weighted_gradient_sup
+from .evolve import _Stepper
+from .grids import gradient, weighted_gradient_sup
 from .operators import scalar_comparison
 
-__all__ = ["EstimateResult", "max_principle_check", "pointwise_check",
+__all__ = ["max_principle_check", "pointwise_check",
            "weighted_gradient_check", "representation_residual"]
 
 # pointwise_check leaves out nodes whose scalar denominator is below this
 _FLOOR = 1e-14
+# pointwise_check reads the levels nearest to s + k (T-s) / _N_T
+_N_T = 4
 
 
-@dataclass
-class EstimateResult:
-    name: str
-    measured: float
-    bound: float = None  # None when the theory asserts existence only
-    refinement_trend: list = field(default_factory=list)
-    verdict: str = "PASS"  # PASS / FAIL / INCONCLUSIVE
-    notes: dict = field(default_factory=dict)
-
-    @property
-    def margin(self):
-        return None if self.bound is None else self.bound - self.measured
-
-    def as_dict(self):
-        return {**asdict(self), "margin": self.margin}
+def _report(name, measured, bound, trend, verdict, notes):
+    """The report dict of a check; bound is None when the theory asserts
+    existence only, and then so is the margin."""
+    return {"name": name, "measured": measured, "bound": bound,
+            "refinement_trend": trend, "verdict": verdict, "notes": notes,
+            "margin": None if bound is None else bound - measured}
 
 
 def _bound_verdict(measured, bound, trend):
@@ -46,11 +37,6 @@ def _bound_verdict(measured, bound, trend):
     if len(trend) >= 2:
         ok = ok and trend[-1] <= trend[0] * (1 + 1e-9)
     return "PASS" if ok else "FAIL"
-
-
-def _nearest_levels(times, check_times):
-    """Index of the ladder level nearest to each check time."""
-    return np.abs(times[:, None] - np.asarray(check_times)).argmin(axis=0)
 
 
 def max_principle_check(solves, epsilon, kappa0):
@@ -64,14 +50,14 @@ def max_principle_check(solves, epsilon, kappa0):
     measured = trend[-1]
     times = solves[-1][0]
     bound = float(np.exp(epsilon * kappa0 * (times[-1] - times[0])))
-    return EstimateResult(
+    return _report(
         "max_principle", measured, bound, trend,
         _bound_verdict(measured, bound, trend),
         {"epsilon": epsilon, "kappa0": kappa0, "probe_L": probe_L})
 
 
-def pointwise_check(spec, times, levels, HJ, n_t=4):
-    """Sup over probe nodes and the levels nearest to s + k (T-s) / n_t
+def pointwise_check(spec, times, levels, HJ):
+    """Sup over probe nodes and the levels nearest to s + k (T-s) / _N_T
     of |u(t,x)|^2 / (G(t,s)|f|^2)(x) against exp(2 H_J (T-s)), with
     (times, levels) the solve of evolve and G|f|^2 marched on its
     ladder; nodes where the denominator is below _FLOOR are left out and
@@ -83,7 +69,8 @@ def pointwise_check(spec, times, levels, HJ, n_t=4):
     g = np.sum(f.values ** 2, axis=0)[None, :]  # |f|^2
     sq = [g, *_Stepper(scalar_comparison(spec), f.grid, f.bc).march(
         g, times)]
-    picks = _nearest_levels(times, np.linspace(s, T, n_t + 1)[1:])
+    checks = np.linspace(s, T, _N_T + 1)[1:]
+    picks = np.abs(times[:, None] - checks).argmin(axis=0)  # nearest levels
     num = np.stack([np.sum(levels[l].values ** 2, axis=0) for l in picks])
     den = np.stack([sq[l][0] for l in picks])
     floored = den[:, mask] < _FLOOR
@@ -94,31 +81,25 @@ def pointwise_check(spec, times, levels, HJ, n_t=4):
     verdict = _bound_verdict(measured, bound, [])
     if floored_frac > 0.01:
         verdict = "INCONCLUSIVE"
-    return EstimateResult(
+    return _report(
         "pointwise_domination", measured, bound, [],
         verdict, {"HJ": HJ, "floored_fraction": floored_frac,
                   "probe_L": probe_L})
 
 
-def weighted_gradient_check(spec, weight, f_fn, s, T, t_list, grid_pair,
-                            dt, bc):
-    """sqrt(t-s) * sup |M (J_x u)^T| / sup|f| measured on two grid
-    resolutions, u(t) being the level of one forward solve over [s, T]
-    nearest to t; the theory asserts existence of the constant, so the
-    acceptance is finiteness plus refinement stability (<= 5% drift)."""
+def weighted_gradient_check(weight, solves):
+    """sqrt(t-s) sup|M(t) (J_x u(t))^T| / sup|f| over every level of each
+    (times, levels) solve of evolve, coarse grid to fine; the theory
+    asserts existence of the constant, so the acceptance is finiteness
+    plus refinement stability (<= 5% drift)."""
     trend = []
-    for grid in grid_pair:
-        mask = grid.interior_mask(grid.L / 2)
-        f = GridFunction.from_callable(grid, spec.m, f_fn, bc=bc)
-        fnorm = f.sup_norm()
-        best = 0.0
-        times, levels = evolve(spec, f, s, T, dt)
-        for t, l in zip(t_list, _nearest_levels(times, t_list)):
-            val = np.sqrt(t - s) * weighted_gradient_sup(
-                weight.M_at(t, grid.points()),
-                gradient(grid, levels[l].values), mask) / fnorm
-            best = max(best, val)
-        trend.append(best)
+    for times, levels in solves:
+        grid = levels[0].grid
+        W = np.moveaxis(weight.M_at(times[:, None], grid.points()[:, None]),
+                        (0, 1), (1, 2))  # (L, d, d, N)
+        vals = np.stack([level.values for level in levels])
+        trend.append(weighted_gradient_sup(grid, W, vals, times - times[0])
+                     / levels[0].sup_norm())
     measured = trend[-1]
     drift = abs(trend[-1] - trend[0]) / max(abs(trend[0]), 1e-300)
     if drift > 0.20:
@@ -127,16 +108,16 @@ def weighted_gradient_check(spec, weight, f_fn, s, T, t_list, grid_pair,
         verdict = "PASS"
     else:
         verdict = "FAIL"
-    return EstimateResult("weighted_gradient", measured, None, trend,
-                          verdict, {"drift": drift, "t_list": list(t_list)})
+    return _report("weighted_gradient", measured, None, trend, verdict,
+                   {"drift": drift})
 
 
-def representation_residual(spec, times, levels, kbar):
-    """Defect of the scalar-component representation
+def representation_residual(spec, times, levels):
+    """Defect of the representation of the first component, k = 1,
 
-        (G_vec(t,s)f)_kbar = G(t,s) f_kbar + int_s^t G(t,r) (S r) dr,
-        (S r) = sum_i <row_kbar Btilde_i, D_i G_vec(r,s)f>
-              + <row_kbar C, G_vec(r,s)f>,
+        (G_vec(t,s)f)_k = G(t,s) f_k + int_s^t G(t,r) (S r) dr,
+        (S r) = sum_i <row_k Btilde_i, D_i G_vec(r,s)f>
+              + <row_k C, G_vec(r,s)f>,
 
     with (times, levels) the vector solve of evolve and the r-integral
     realized by stepping the inhomogeneous scalar problem on its
@@ -151,12 +132,12 @@ def representation_residual(spec, times, levels, kbar):
     # one call, then laid out (and summed) as one call per level was
     r, x = times[:-1, None], pts[:, None, :]
     Btv = np.ascontiguousarray(
-        np.moveaxis(spec.Btilde_at(r, x)[:, kbar], 2, 0))  # (L, d, m, N)
-    Cv = np.ascontiguousarray(np.moveaxis(spec.C_at(r, x)[kbar], 1, 0))
+        np.moveaxis(spec.Btilde_at(r, x)[:, 0], 2, 0))  # (L, d, m, N)
+    Cv = np.ascontiguousarray(np.moveaxis(spec.C_at(r, x)[0], 1, 0))
     src = np.einsum("likN,lkiN->lN", Btv, gradient(grid, vec[:-1])) \
         + np.einsum("lkN,lkN->lN", Cv, vec[:-1])
-    # Duhamel's formula as one scalar march: f_kbar transported, with
-    # src added at each step
-    resid = vec[-1, kbar] - _Stepper(scalar_comparison(spec), grid, bc) \
-        .final(vec[0, kbar][None], times, src[:, None])[0]
+    # Duhamel's formula as one scalar march: f_k transported, with src
+    # added at each step
+    resid = vec[-1, 0] - _Stepper(scalar_comparison(spec), grid, bc) \
+        .final(vec[0, 0][None], times, src[:, None])[0]
     return float(np.max(np.abs(resid[mask])))

@@ -110,14 +110,17 @@ def gradient(grid, values):
     return np.stack([g.reshape(*lead, -1) for g in grads], axis=-2)
 
 
-def weighted_gradient_sup(weight, grad, mask):
-    """sup over the masked nodes of the Frobenius norm of W (J_x u)^T,
-    for weight fields W (..., d, d, N) and gradients (..., m, d, N); one
-    sup per leading index."""
+def weighted_gradient_sup(grid, weights, values, elapsed):
+    """max over a stack of ladder levels l of sqrt(elapsed[l]) times the
+    sup, over the probe box |x| <= L/2, of the Frobenius norm of
+    W_l (J_x u_l)^T, for weight fields W (L, d, d, N), values u (L, m, N)
+    and elapsed times (L,); a level with elapsed time 0 adds 0."""
+    mask = grid.interior_mask(grid.L / 2)
     # (W (J_x u)^T)_{a m} = sum_d W_{a d} D_d u_m
-    wg = np.einsum("...adN,...mdN->...amN", weight, grad)
-    return np.max(np.sqrt(np.sum(wg[..., mask] ** 2, axis=(-3, -2))),
+    wg = np.einsum("...adN,...mdN->...amN", weights, gradient(grid, values))
+    sups = np.max(np.sqrt(np.sum(wg[..., mask] ** 2, axis=(-3, -2))),
                   axis=-1)
+    return float(np.max(np.sqrt(elapsed) * sups, initial=0.0))
 
 
 def interp_corners(grid, x):

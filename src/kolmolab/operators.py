@@ -16,11 +16,25 @@ from .dsl import check_guards, const_expr, parse_coeff_expr
 
 __all__ = ["OperatorSpec", "WeightSpec", "FamilyError", "example_family",
            "check_family_params", "FAMILIES", "matrix_of_consts",
-           "scalar_comparison"]
+           "numeric_matrix", "scalar_comparison"]
 
 
 class FamilyError(ValueError):
     pass
+
+
+def numeric_matrix(value, shape, what):
+    """value as a float array of the given shape; FamilyError, naming
+    what, unless it is finite numbers nested to exactly that shape."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf" or arr.shape != shape \
+            or not np.all(np.isfinite(arr)):
+        raise FamilyError(f"{what} must be a {' x '.join(map(str, shape))} "
+                          f"array of finite numbers, got {value!r}")
+    return arr.astype(float)
 
 
 def matrix_of_consts(mat, d):
@@ -85,9 +99,9 @@ class OperatorSpec:
     def depends_on_t(self):
         return any(e.depends_on_t() for e in self._all_exprs())
 
-    def check_guards(self, box, n_samples=512):
+    def check_guards(self, box):
         for e in self._all_exprs():
-            check_guards(e, box, self.time_interval, n_samples=n_samples)
+            check_guards(e, box, self.time_interval)
 
     def _all_exprs(self):
         yield from (e for row in self.Q for e in row)
@@ -225,8 +239,10 @@ def example_family(name, params=None):
                           [parse_coeff_expr(f"-(x{j + 1})", d)
                            for j in range(d)], np.zeros((1, 1)))
     if name == "const_coupling":
+        # C is square, of any size m >= 1
+        m = max(len(v["C"]) if hasattr(v["C"], "__len__") else 0, 1)
         return _uncoupled(name, p, d, ti, np.eye(d), [zero] * d,
-                          np.asarray(v["C"], dtype=float))
+                          numeric_matrix(v["C"], (m, m), "C"))
 
     m, r, pp = int(v["m"]), float(v["r"]), float(v["p"])
 
@@ -235,8 +251,8 @@ def example_family(name, params=None):
                 else np.zeros((m, m))] * d
 
     if name == "ex71i":
-        Bhat = [np.asarray(B, dtype=float) for B in
-                ([np.eye(m)] * d if v["Bhat"] is None else v["Bhat"])]
+        Bhat = numeric_matrix([np.eye(m)] * d if v["Bhat"] is None
+                              else v["Bhat"], (d, m, m), "Bhat")
         mus = [float(np.mean(np.diag(B))) for B in Bhat]
         bind = {"gfun": parse_coeff_expr(v["g"], d),
                 "hfun": parse_coeff_expr(v["h"], d)}
@@ -245,7 +261,8 @@ def example_family(name, params=None):
         Btl = tuple(_radial_matrix(B - mu * np.eye(m),
                                    f"-(x{j + 1})*({{!r}})*gfun*", r, d, bind)
                     for j, (B, mu) in enumerate(zip(Bhat, mus)))
-        Chat = np.eye(m) if v["Chat"] is None else v["Chat"]
+        Chat = numeric_matrix(np.eye(m) if v["Chat"] is None
+                              else v["Chat"], (m, m), "Chat")
         C = _radial_matrix(Chat, "-(normsq(x))*({!r})*hfun*", pp, d, bind)
         return OperatorSpec(d, m, matrix_of_consts(np.eye(d), d), b, Btl, C,
                             ti, name, p)

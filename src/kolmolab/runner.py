@@ -31,7 +31,8 @@ from .game import nash_check
 from .grids import Grid, GridFunction, interp_multilinear
 from .kernels import compactness_probe
 from .operators import (FAMILIES, WeightSpec, example_family,
-                        matrix_of_consts, scalar_comparison)
+                        matrix_of_consts, numeric_matrix,
+                        scalar_comparison)
 from .semilinear import (mild_solve, mollify_nonlinearity,
                          nonlinearity_from_exprs)
 
@@ -218,8 +219,8 @@ def _build_operator(cfg):
             raise ConfigError(f"family {cfg['operator']['family']!r} "
                               f"supplies no weight; give weight.M")
     elif cfg["weight"]["M"] is not None:
-        weight = WeightSpec(spec.d,
-                            matrix_of_consts(cfg["weight"]["M"], spec.d))
+        M = numeric_matrix(cfg["weight"]["M"], (spec.d, spec.d), "weight.M")
+        weight = WeightSpec(spec.d, matrix_of_consts(M, spec.d))
     return spec, weight
 
 
@@ -296,7 +297,8 @@ class _Runner:
         except ValueError as err:
             raise ConfigError(str(err)) from err
         # the solves (times, levels) of G(., s) f over [s, T], one per
-        # step size, that max_principle, pointwise and representation share
+        # step size, that max_principle, pointwise, weighted_gradient and
+        # representation share
         self.levels = functools.cache(
             lambda dt: evolve(self.spec, self.f, self.s, self.T, dt))
 
@@ -346,29 +348,24 @@ class _Runner:
             epsilon=self.cfg["audit"]["epsilon"],
             kappa0=self.cfg["audit"]["kappa0"])
         self._write_csv("max_principle.csv", ["dt", "ratio"],
-                        list(zip(dts, res.refinement_trend)))
-        return res.as_dict()
+                        list(zip(dts, res["refinement_trend"])))
+        return res
 
     def stage_pointwise(self):
         HJ = self.audit["coupling_growth"]["HJ"]
-        res = pointwise_check(self.spec, *self.levels(self.dt),
-                              HJ=max(float(HJ), 0.0))
-        return res.as_dict()
+        return pointwise_check(self.spec, *self.levels(self.dt),
+                               HJ=max(float(HJ), 0.0))
 
     def stage_weighted_gradient(self):
-        n = self.grid.n
-        pair = [self.grid, Grid(self.spec.d, self.grid.L, 2 * n - 1)]
-        res = weighted_gradient_check(
-            self.spec, self.weight,
-            lambda p: np.stack([np.tanh(p[0])]
-                               + [np.cos(p[0])] * (self.spec.m - 1)),
-            self.s, self.T, t_list=[(self.s + self.T) / 2, self.T],
-            grid_pair=pair, dt=self.dt, bc=self.cfg["data"]["bc"])
-        return res.as_dict()
+        fine = Grid(self.spec.d, self.grid.L, 2 * self.grid.n - 1)
+        f = _default_f(self.spec, fine, self.cfg)
+        return weighted_gradient_check(
+            self.weight, [self.levels(self.dt),
+                          evolve(self.spec, f, self.s, self.T, self.dt)])
 
     def stage_representation(self):
         dts = (4 * self.dt, 2 * self.dt, self.dt)
-        resids = [representation_residual(self.spec, *self.levels(dt), 0)
+        resids = [representation_residual(self.spec, *self.levels(dt))
                   for dt in dts]
         self._write_csv("representation.csv", ["dt", "residual"],
                         list(zip(dts, resids)))

@@ -154,14 +154,11 @@ def _graded_ladder(T, dt):
 
 def kt_norm(sol: MildSolution):
     """sup|u| plus the sqrt(T-t)-weighted sqrtQ-gradient sup over the
-    interior probe box |x| <= L/2, excluding the terminal time."""
-    grid = sol.grid
-    mask = grid.interior_mask(grid.L / 2)
-    keep = sol.times < sol.T - 1e-14
-    sups = weighted_gradient_sup(sol.sqrtQ[keep],
-                                 gradient(grid, sol.values[keep]), mask)
-    sup_g = np.max(np.sqrt(sol.T - sol.times[keep]) * sups, initial=0.0)
-    return float(np.max(np.abs(sol.values[..., mask]))) + sup_g
+    interior probe box |x| <= L/2."""
+    mask = sol.grid.interior_mask(sol.grid.L / 2)
+    return float(np.max(np.abs(sol.values[..., mask]))) + \
+        weighted_gradient_sup(sol.grid, sol.sqrtQ, sol.values,
+                              sol.T - sol.times)
 
 
 def mild_solve(spec, nl, g: GridFunction, s, T, dt, picard_tol=1e-8,
@@ -178,7 +175,6 @@ def mild_solve(spec, nl, g: GridFunction, s, T, dt, picard_tol=1e-8,
     taus = _graded_ladder(T - s, dt)
     times = T - taus  # the physical time of each level, descending
     roots = sqrtQ_at(spec, times[:, None], pts[:, None, :])
-    inner = taus > 1e-14  # the levels where the gradient weight is finite
 
     def sweep(source=None):
         """Every ladder level of one implicit pass, (L, m, N)."""
@@ -202,11 +198,8 @@ def mild_solve(spec, nl, g: GridFunction, s, T, dt, picard_tol=1e-8,
         for _ in range(max_iter):
             nxt = sweep(forcing(current))
             diff = nxt - current
-            delta_u = np.max(np.abs(diff[..., mask]))
-            sups = weighted_gradient_sup(
-                roots[inner], gradient(grid, diff[inner]), mask)
-            delta_g = np.max(np.sqrt(taus[inner]) * sups)
-            delta = float(delta_u + delta_g)
+            delta = float(np.max(np.abs(diff[..., mask]))) + \
+                weighted_gradient_sup(grid, roots, diff, taus)
             history.append(delta)
             current = nxt
             if delta <= picard_tol:

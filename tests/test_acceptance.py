@@ -79,7 +79,7 @@ def test_02_maximum_principle():
     res = max_principle_check(
         [evolve(spec, f, 0.0, 0.4, dt) for dt in (4e-3, 2e-3)],
         epsilon=1.0, kappa0=1.0)
-    ok1 = res.measured <= res.bound * 1.01
+    ok1 = res["measured"] <= res["bound"] * 1.01
 
     # tight case: C = diag(1, -1), growth exactly e^t; Richardson
     # extrapolation in dt removes the first-order stepping error
@@ -96,7 +96,8 @@ def test_02_maximum_principle():
     gap = abs(extrap - bound)
     ok2 = ratios[1] <= bound * 1.01 and gap <= 1e-6 * bound
     report(2, "maximum principle", ok1 and ok2,
-           f"ex71i ratio {res.measured:.4f} <= {res.bound * 1.01:.4f}, "
+           f"ex71i ratio {res['measured']:.4f} <= "
+           f"{res['bound'] * 1.01:.4f}, "
            f"tight-case gap {gap:.2e} <= {1e-6 * bound:.2e}")
 
 
@@ -121,21 +122,21 @@ def test_03_pointwise_domination():
                 grid, 2,
                 lambda p: np.stack([np.cos(p[0]), np.sin(2 * p[0])]))
             res = pointwise_check(spec, *evolve(spec, f, 0.0, 0.5, 2e-3),
-                                  HJ=HJ, n_t=3)
-            worst = max(worst, res.measured / res.bound)
-            ok = ok and res.measured <= res.bound * 1.01
+                                  HJ=HJ)
+            worst = max(worst, res["measured"] / res["bound"])
+            ok = ok and res["measured"] <= res["bound"] * 1.01
         lines.append(f"{name} ratio/bound {worst:.3f}")
     report(3, "pointwise domination", ok, "; ".join(lines))
 
 
 def test_04_weighted_gradient():
     spec, weight = example_family("ex72", {"d": 1, "m": 2})
-    res = weighted_gradient_check(
-        spec, weight, lambda p: np.stack([np.tanh(p[0]), np.cos(p[0])]),
-        0.0, 0.5, t_list=[0.1, 0.3, 0.5],
-        grid_pair=[Grid(1, 5.0, 201), Grid(1, 5.0, 401)], dt=2e-3,
-        bc="dirichlet")
-    ok1 = res.verdict == "PASS" and res.notes["drift"] <= 0.05
+    res = weighted_gradient_check(weight, [evolve(
+        spec, GridFunction.from_callable(
+            grid, 2, lambda p: np.stack([np.tanh(p[0]), np.cos(p[0])]),
+            bc="dirichlet"), 0.0, 0.5, 2e-3)
+        for grid in (Grid(1, 5.0, 201), Grid(1, 5.0, 401))])
+    ok1 = res["verdict"] == "PASS" and res["notes"]["drift"] <= 0.05
 
     heat = example_family("heat", {"d": 1})
     a, tau = 1.0, 0.5
@@ -148,7 +149,7 @@ def test_04_weighted_gradient():
     rel = abs(grad_max - oracle) / oracle
     ok2 = rel <= 0.10
     report(4, "weighted gradient", ok1 and ok2,
-           f"ex72 drift {res.notes['drift']:.3%} <= 5%, "
+           f"ex72 drift {res['notes']['drift']:.3%} <= 5%, "
            f"gaussian oracle off by {rel:.3%} <= 10%")
 
 
@@ -158,14 +159,14 @@ def test_05_representation_formula():
     grid = Grid(1, 6.0, 161)
     f = GridFunction.from_callable(
         grid, 2, lambda p: np.stack([np.exp(-p[0] ** 2), np.cos(p[0])]))
-    resids = [representation_residual(spec, *evolve(spec, f, 0.0, 0.4, dt), 0)
+    resids = [representation_residual(spec, *evolve(spec, f, 0.0, 0.4, dt))
               for dt in (8e-3, 4e-3, 2e-3)]
     decays = [1 - resids[k + 1] / resids[k] for k in range(2)]
     ok1 = all(d >= 0.35 for d in decays)
 
     ou = example_family("ou", {"d": 1})
     g = GridFunction.from_callable(grid, 1, lambda p: np.sin(p[0]))
-    r0 = representation_residual(ou, *evolve(ou, g, 0.0, 0.4, 5e-3), 0)
+    r0 = representation_residual(ou, *evolve(ou, g, 0.0, 0.4, 5e-3))
     ok2 = r0 == 0.0
     report(5, "representation formula", ok1 and ok2,
            f"decays {decays[0]:.1%}, {decays[1]:.1%} >= 35%; "

@@ -23,7 +23,7 @@ def test_drift_entry_radial_polynomial():
 def test_guard_rejects_singular_denominator():
     e = parse_coeff_expr("1/x1", d=1)
     with pytest.raises(DslError):
-        check_guards(e, box=1.0, time_interval=(0.0, 1.0), n_samples=4096)
+        check_guards(e, box=1.0, time_interval=(0.0, 1.0))
 
 
 def test_guard_accepts_safe_denominator():
@@ -34,7 +34,7 @@ def test_guard_accepts_safe_denominator():
 def test_guard_rejects_fractional_power_of_negative():
     e = parse_coeff_expr("(x1)^0.5", d=1)
     with pytest.raises(DslError):
-        check_guards(e, box=2.0, time_interval=(0.0, 1.0), n_samples=4096)
+        check_guards(e, box=2.0, time_interval=(0.0, 1.0))
 
 
 def test_syntax_error_has_offset():

@@ -19,8 +19,8 @@ def test_max_principle_contraction_when_kappa_zero():
     res = max_principle_check(
         [evolve(spec, f, 0.0, 0.5, dt) for dt in (4e-3, 2e-3)],
         epsilon=1.0, kappa0=0.0)
-    assert res.measured <= 1.0 + 1e-8
-    assert res.verdict == "PASS"
+    assert res["measured"] <= 1.0 + 1e-8
+    assert res["verdict"] == "PASS"
 
 
 def test_max_principle_tight_matrix_exponential():
@@ -32,10 +32,10 @@ def test_max_principle_tight_matrix_exponential():
         [evolve(spec, f, 0.0, tau, dt) for dt in (1e-4, 0.5e-4)],
         epsilon=1.0, kappa0=1.0)
     # the first component grows like e^t exactly; bound is tight
-    assert res.measured == pytest.approx(np.exp(tau), rel=1e-4)
-    assert res.verdict == "PASS"
+    assert res["measured"] == pytest.approx(np.exp(tau), rel=1e-4)
+    assert res["verdict"] == "PASS"
     # implicit stepping overshoots e^t by O(dt); the bound stays tight
-    assert abs(res.margin) <= 1e-4 * res.bound
+    assert abs(res["margin"]) <= 1e-4 * res["bound"]
 
 
 def test_max_principle_ex71i():
@@ -46,8 +46,8 @@ def test_max_principle_ex71i():
     res = max_principle_check(
         [evolve(spec, f, 0.0, 0.4, dt) for dt in (4e-3, 2e-3)],
         epsilon=1.0, kappa0=1.0)
-    assert res.verdict == "PASS"
-    assert res.margin > 0
+    assert res["verdict"] == "PASS"
+    assert res["margin"] > 0
 
 
 def test_max_principle_scaling_invariance():
@@ -57,7 +57,7 @@ def test_max_principle_scaling_invariance():
     f2 = GridFunction(grid, 1, 2 * f.values)
     r1 = max_principle_check([evolve(spec, f, 0.0, 0.3, 4e-3)], 1.0, 0.0)
     r2 = max_principle_check([evolve(spec, f2, 0.0, 0.3, 4e-3)], 1.0, 0.0)
-    assert abs(r1.measured - r2.measured) <= 1e-10
+    assert abs(r1["measured"] - r2["measured"]) <= 1e-10
 
 
 def test_pointwise_jensen_case():
@@ -65,10 +65,9 @@ def test_pointwise_jensen_case():
     spec = example_family("ou", {"d": 1})
     grid = Grid(1, 6.0, 241)
     f = GridFunction.from_callable(grid, 1, lambda p: np.sin(3 * p[0]))
-    res = pointwise_check(spec, *evolve(spec, f, 0.0, 0.5, 2e-3), HJ=0.0,
-                          n_t=3)
-    assert res.measured <= 1.0 + 1e-6
-    assert res.verdict == "PASS"
+    res = pointwise_check(spec, *evolve(spec, f, 0.0, 0.5, 2e-3), HJ=0.0)
+    assert res["measured"] <= 1.0 + 1e-6
+    assert res["verdict"] == "PASS"
 
 
 def test_pointwise_ex71ii():
@@ -79,8 +78,8 @@ def test_pointwise_ex71ii():
     f = GridFunction.from_callable(
         grid, 2, lambda p: np.stack([np.cos(p[0]), np.sin(2 * p[0])]))
     res = pointwise_check(spec, *evolve(spec, f, 0.0, 0.5, 2e-3),
-                          HJ=max(HJ, 0.0), n_t=4)
-    assert res.verdict == "PASS", res.as_dict()
+                          HJ=max(HJ, 0.0))
+    assert res["verdict"] == "PASS", res
 
 
 def test_pointwise_factorises_once_per_operator(monkeypatch):
@@ -100,10 +99,9 @@ def test_pointwise_factorises_once_per_operator(monkeypatch):
     f = GridFunction.from_callable(
         grid, 2, lambda p: np.stack([np.exp(-p[0] ** 2), np.cos(2 * p[0])]),
         bc="neumann")
-    res = pointwise_check(spec, *evolve(spec, f, 0.0, 0.2, 0.01), HJ=1.0,
-                          n_t=4)
+    res = pointwise_check(spec, *evolve(spec, f, 0.0, 0.2, 0.01), HJ=1.0)
     assert len(calls) == 2
-    assert res.measured == 0.8649752824184967
+    assert res["measured"] == 0.8649752824184967
 
 
 def test_pointwise_coupled_bounded_C():
@@ -117,20 +115,51 @@ def test_pointwise_coupled_bounded_C():
         vals[:, 1:-1] = (vals[:, :-2] + 2 * vals[:, 1:-1] + vals[:, 2:]) / 4
     f = GridFunction(grid, 2, vals, bc="neumann")
     # Lambda_C = 0.5, xi = 0 on the diagonal-drift side: HJ = 0.5
-    res = pointwise_check(spec, *evolve(spec, f, 0.0, 0.4, 2e-3), HJ=0.5,
-                          n_t=3)
-    assert res.verdict == "PASS"
+    res = pointwise_check(spec, *evolve(spec, f, 0.0, 0.4, 2e-3), HJ=0.5)
+    assert res["verdict"] == "PASS"
+
+
+def _solves(spec, fn, grids, s, T, dt, bc):
+    """One evolve of fn over [s, T] on each grid, coarse to fine."""
+    return [evolve(spec, GridFunction.from_callable(grid, spec.m, fn, bc=bc),
+                   s, T, dt) for grid in grids]
 
 
 def test_weighted_gradient_constants_vanish():
     spec = example_family("ex71i", {"d": 1, "m": 2, "r": 1.0, "p": 3.0,
                                     "Chat": np.zeros((2, 2))})
     weight = WeightSpec(1, matrix_of_consts(np.eye(1), 1))
-    res = weighted_gradient_check(
-        spec, weight, lambda p: np.ones((2, p.shape[1])), 0.0, 0.5,
-        t_list=[0.25, 0.5], grid_pair=[Grid(1, 5.0, 161), Grid(1, 5.0, 321)],
-        dt=2e-3, bc="neumann")
-    assert res.measured <= 1e-6
+    res = weighted_gradient_check(weight, _solves(
+        spec, lambda p: np.ones((2, p.shape[1])),
+        [Grid(1, 5.0, 161), Grid(1, 5.0, 321)], 0.0, 0.5, 2e-3, "neumann"))
+    assert res["measured"] <= 1e-6
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_weighted_gradient_check_is_the_level_by_level_sup(d):
+    # sqrt(t - s) sup |M(t) (J_x u(t))^T| over the probe box, level by
+    # level, divided by sup |f|; the largest over the levels of each grid
+    spec, weight = example_family("ex72", {"d": d, "m": 2})
+    grids = [Grid(d, 5.0, 21), Grid(d, 5.0, 41)]
+    solves = _solves(spec, lambda p: np.stack(
+        [np.tanh(p[0]), np.cos(p[-1])]), grids, 0.25, 0.5, 0.025, "neumann")
+    res = weighted_gradient_check(weight, solves)
+    trend = []
+    for grid, (times, levels) in zip(grids, solves):
+        mask = grid.interior_mask(grid.L / 2)
+        best = 0.0
+        for t, u in zip(times, levels):
+            M = weight.M_at(t, grid.points())  # (d, d, N)
+            g = gradient(grid, u.values)  # (m, d, N)
+            wg = np.einsum("adN,mdN->amN", M, g)
+            sup = np.max(np.sqrt(np.sum(wg[..., mask] ** 2, axis=(0, 1))))
+            best = max(best, np.sqrt(t - 0.25) * sup)
+        trend.append(best / levels[0].sup_norm())
+    assert res["refinement_trend"] == pytest.approx(trend, rel=1e-13)
+    assert res["measured"] == res["refinement_trend"][-1] > 0
+    assert res["notes"]["drift"] == pytest.approx(
+        abs(trend[1] - trend[0]) / trend[0], rel=1e-12)
+    assert res["bound"] is None and res["margin"] is None
 
 
 def test_weighted_gradient_heat_gaussian_oracle():
@@ -150,20 +179,18 @@ def test_weighted_gradient_heat_gaussian_oracle():
 
 def test_weighted_gradient_ex72_stable():
     spec, weight = example_family("ex72", {"d": 1, "m": 2})
-    res = weighted_gradient_check(
-        spec, weight, lambda p: np.stack([np.tanh(p[0]), np.cos(p[0])]),
-        0.0, 0.5, t_list=[0.1, 0.3, 0.5],
-        grid_pair=[Grid(1, 5.0, 201), Grid(1, 5.0, 401)], dt=2e-3,
-        bc="dirichlet")
-    assert res.verdict == "PASS", res.as_dict()
-    assert np.isfinite(res.measured)
+    res = weighted_gradient_check(weight, _solves(
+        spec, lambda p: np.stack([np.tanh(p[0]), np.cos(p[0])]),
+        [Grid(1, 5.0, 201), Grid(1, 5.0, 401)], 0.0, 0.5, 2e-3, "dirichlet"))
+    assert res["verdict"] == "PASS", res
+    assert np.isfinite(res["measured"])
 
 
 def test_representation_decoupled_zero():
     spec = example_family("ou", {"d": 1})
     grid = Grid(1, 6.0, 161)
     f = GridFunction.from_callable(grid, 1, lambda p: np.sin(p[0]))
-    res = representation_residual(spec, *evolve(spec, f, 0.0, 0.4, 5e-3), 0)
+    res = representation_residual(spec, *evolve(spec, f, 0.0, 0.4, 5e-3))
     assert res <= 1e-12
 
 
@@ -173,7 +200,7 @@ def test_representation_residual_decays():
     grid = Grid(1, 6.0, 161)
     f = GridFunction.from_callable(
         grid, 2, lambda p: np.stack([np.exp(-p[0] ** 2), np.cos(p[0])]))
-    resids = [representation_residual(spec, *evolve(spec, f, 0.0, 0.4, dt), 0)
+    resids = [representation_residual(spec, *evolve(spec, f, 0.0, 0.4, dt))
               for dt in (8e-3, 4e-3, 2e-3)]
     assert resids[1] <= 0.65 * resids[0]
     assert resids[2] <= 0.65 * resids[1]
@@ -185,7 +212,7 @@ def test_representation_residual_at_t_equals_s():
     f = GridFunction.from_callable(
         grid, 2, lambda p: np.stack([np.cos(p[0]), np.sin(p[0])]))
     # one vanishing-width step: residual collapses with the window
-    res = representation_residual(spec, *evolve(spec, f, 0.0, 1e-6, 1e-6), 0)
+    res = representation_residual(spec, *evolve(spec, f, 0.0, 1e-6, 1e-6))
     assert res <= 1e-6
 
 
@@ -208,6 +235,6 @@ def test_representation_time_dependent_factorises_twice_per_step(
         return real_splu(M)
 
     monkeypatch.setattr(evolve_module.spla, "splu", counted)
-    res = representation_residual(spec, *evolve(spec, f, 0.0, 0.5, 0.01), 0)
+    res = representation_residual(spec, *evolve(spec, f, 0.0, 0.5, 0.01))
     assert np.isfinite(res)
     assert len(factors) == 100

@@ -10,6 +10,7 @@ import pytest
 from kolmolab import __version__
 from kolmolab.cli import main
 from kolmolab.estimates import weighted_gradient_check
+from kolmolab.evolve import evolve
 from kolmolab.fbsde import identify_yz, simulate_forward
 from kolmolab.runner import (ConfigError, _setup, list_presets, load_config,
                               run)
@@ -186,6 +187,17 @@ def test_exhausted_picard_fails_with_strict_json(tmp_path):
     {"audit": {"n_samples": 0}},
     {"operator": {"family": "ex71ii",
                   "params": {"d": 1, "q": "+".join(["1"] * 1500)}}},
+    # matrix values: M is d x d, C square, Bhat d of m x m, Chat m x m
+    {"weight": {"M": [1.0]}},
+    {"weight": {"M": [[1.0, 0.0], [0.0, 1.0]]}},
+    {"weight": {"M": []}},
+    {"operator": {"family": "const_coupling", "params": {"d": 1, "C": [1.0]}}},
+    {"operator": {"family": "const_coupling",
+                  "params": {"d": 1, "C": [[1.0, 0.0]]}}},
+    {"operator": {"family": "ex71i",
+                  "params": {"d": 1, "m": 2, "Chat": [[2.0]]}}},
+    {"operator": {"family": "ex71i",
+                  "params": {"d": 1, "m": 2, "Bhat": [[[1.0]]]}}},
 ], ids=["family_inequality", "even_grid_n", "singular_coefficient",
         "T_equals_s", "T_before_s", "dt_zero", "dt_negative",
         "checks_string", "seed_float", "grid_n_string", "audit_box_string",
@@ -196,7 +208,9 @@ def test_exhausted_picard_fails_with_strict_json(tmp_path):
         "controls_not_numbers", "controls_empty_set", "bc_unknown",
         "family_param_misspelt", "family_param_unknown", "audit_box_zero",
         "audit_box_negative", "audit_sigma_above_1", "audit_epsilon_zero",
-        "audit_n_samples_zero", "deep_expression"])
+        "audit_n_samples_zero", "deep_expression", "weight_M_a_row",
+        "weight_M_2x2_at_d1", "weight_M_empty", "C_a_row", "C_not_square",
+        "Chat_1x1_at_m2", "Bhat_1x1_at_m2"])
 def test_operator_and_grid_errors_exit_2(tmp_path, capsys, overrides):
     p = tmp_path / "c.run"
     write_cfg(p, **overrides)
@@ -370,7 +384,6 @@ def test_weighted_gradient_stage_probes_times_after_s(tmp_path):
               mc={})
     code, report = run(p, outdir=tmp_path / "r")
     stage = report["stages"]["weighted_gradient"]
-    assert stage["notes"]["t_list"] == [0.8, 1.0]
     assert (code, stage["verdict"]) == (0, "PASS")
 
 
@@ -381,9 +394,9 @@ def test_weighted_gradient_stage_follows_data_bc(tmp_path, monkeypatch, bc):
     from kolmolab import runner as runner_module
     passed = []
 
-    def spy(*args, **kwargs):
-        passed.append(kwargs.get("bc"))
-        return weighted_gradient_check(*args, **kwargs)
+    def spy(weight, solves):
+        passed.extend(levels[0].bc for _, levels in solves)
+        return weighted_gradient_check(weight, solves)
 
     monkeypatch.setattr(runner_module, "weighted_gradient_check", spy)
     p = tmp_path / "c.run"
@@ -391,8 +404,37 @@ def test_weighted_gradient_stage_follows_data_bc(tmp_path, monkeypatch, bc):
               grid={"L": 6.0, "n": 61}, checks=["weighted_gradient"],
               weight={"from_family": True}, data={"bc": bc}, mc={})
     code, report = run(p, outdir=tmp_path / "r")
-    assert passed == [bc]
+    assert passed == [bc, bc]
     assert report["stages"]["weighted_gradient"]["verdict"] == "PASS"
+
+
+def test_weighted_gradient_stage_adds_one_refined_solve_of_data_f(
+        tmp_path, monkeypatch):
+    # max_principle's two solves, the dt one shared, plus one solve of
+    # data.f on the 2n - 1 grid
+    from kolmolab import runner as runner_module
+    calls = []
+
+    def spy(spec, f, s, T, dt):
+        calls.append((f, dt))
+        return evolve(spec, f, s, T, dt)
+
+    monkeypatch.setattr(runner_module, "evolve", spy)
+    p = tmp_path / "c.run"
+    write_cfg(p, operator={"family": "ex72", "params": {"d": 1}},
+              grid={"L": 6.0, "n": 61},
+              checks=["max_principle", "weighted_gradient"],
+              weight={"from_family": True},
+              data={"f": ["exp(-(x1^2))", "1/(1+x1^2)"]}, mc={})
+    code, report = run(p, outdir=tmp_path / "r")
+    assert code == 0
+    assert [dt for _, dt in calls] == [0.025, 0.0125, 0.0125]
+    fine = calls[-1][0]
+    assert (fine.grid.n, fine.grid.L) == (121, 6.0)
+    x = np.linspace(-6.0, 6.0, 121)
+    np.testing.assert_allclose(
+        fine.values, np.stack([np.exp(-x ** 2), 1 / (1 + x ** 2)]),
+        rtol=1e-15, atol=1e-15)
 
 def test_inconclusive_verdict_exits_1(tmp_path, capsys):
     # f = 0 floors every denominator of the pointwise ratio: INCONCLUSIVE

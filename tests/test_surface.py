@@ -191,8 +191,6 @@ def test_every_keyword_default_is_passed_somewhere():
 TEST_ONLY_DEFAULTS = {
     "cli.main(argv=)": "the console entry point reads sys.argv; tests "
                        "pass the argument list",
-    "estimates.pointwise_check(n_t=)": "test oracles probe fewer times "
-                                       "than the runner's four",
 }
 
 
@@ -202,6 +200,35 @@ def test_no_default_is_set_only_by_tests():
     assert not knobs, f"defaults only tests pass: {knobs}"
     stale = sorted(set(TEST_ONLY_DEFAULTS) - set(unset))
     assert not stale, f"listed defaults the package now passes: {stale}"
+
+
+def _public_definitions():
+    """(module, name) of every public function and class of the package
+    and of every public method of its public classes."""
+    out = []
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                out.append((path.stem, node.name))
+            if isinstance(node, ast.ClassDef) \
+                    and not node.name.startswith("_"):
+                out += [(path.stem, f.name) for f in node.body
+                        if isinstance(f, ast.FunctionDef)
+                        and not f.name.startswith("_")]
+    return out
+
+
+def test_no_defaulted_function_has_a_namesake():
+    # calls are matched to defaults by bare name, so a default of one of
+    # two namesakes reads as passed when only the other one's is
+    names = [name for _, name in _public_definitions()]
+    namesakes = {name for name in names if names.count(name) > 1}
+    assert {"check_guards", "depends_on_t"} <= namesakes  # the scan works
+    shadowed = sorted(f"{module}.{name}"
+                      for module, name, _, params in _defaulted_params()
+                      if params and name in namesakes)
+    assert not shadowed, f"defaulted functions with namesakes: {shadowed}"
 
 
 def _outer_functions(body):
