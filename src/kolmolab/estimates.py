@@ -2,8 +2,8 @@
 domination by the scalar operator, the weighted gradient bound, and the
 scalar-component representation formula.
 
-All sup norms are taken on the interior probe box |x| <= L/2 (half the
-domain) to keep artificial-boundary pollution out of the constants;
+Every check reads Solutions of evolve.  Sup norms are taken on Grid.probe,
+|x| <= L/2, to keep artificial-boundary pollution out of the constants;
 max_principle_check and pointwise_check record that restriction.
 """
 
@@ -41,37 +41,34 @@ def _bound_verdict(measured, bound, trend):
 
 def max_principle_check(solves, epsilon, kappa0):
     """Measured growth of the sup norm against exp(eps kappa0 (t-s)),
-    read off the last level of each (times, levels) solve of evolve,
-    coarse to fine."""
-    f = solves[0][1][0]
-    probe_L = f.grid.L / 2
-    fnorm = f.sup_norm()
-    trend = [levels[-1].sup_norm(probe_L) / fnorm for _, levels in solves]
+    read off the last level of each Solution of evolve, coarse to
+    fine."""
+    f, grid = solves[0].values[0], solves[0].grid
+    trend = [float(np.max(np.abs(sol.values[-1][:, grid.probe])))
+             / float(np.max(np.abs(f))) for sol in solves]
     measured = trend[-1]
-    times = solves[-1][0]
+    times = solves[-1].times
     bound = float(np.exp(epsilon * kappa0 * (times[-1] - times[0])))
     return _report(
         "max_principle", measured, bound, trend,
         _bound_verdict(measured, bound, trend),
-        {"epsilon": epsilon, "kappa0": kappa0, "probe_L": probe_L})
+        {"epsilon": epsilon, "kappa0": kappa0, "probe_L": grid.probe_L})
 
 
-def pointwise_check(spec, times, levels, HJ):
+def pointwise_check(spec, sol, HJ):
     """Sup over probe nodes and the levels nearest to s + k (T-s) / _N_T
-    of |u(t,x)|^2 / (G(t,s)|f|^2)(x) against exp(2 H_J (T-s)), with
-    (times, levels) the solve of evolve and G|f|^2 marched on its
-    ladder; nodes where the denominator is below _FLOOR are left out and
-    counted."""
-    f = levels[0]
+    of |u(t,x)|^2 / (G(t,s)|f|^2)(x) against exp(2 H_J (T-s)), with sol
+    the Solution of evolve and G|f|^2 marched on its ladder; nodes where
+    the denominator is below _FLOOR are left out and counted."""
+    times, grid = sol.times, sol.grid
     s, T = times[0], times[-1]
-    probe_L = f.grid.L / 2
-    mask = f.grid.interior_mask(probe_L)
-    g = np.sum(f.values ** 2, axis=0)[None, :]  # |f|^2
-    sq = [g, *_Stepper(scalar_comparison(spec), f.grid, f.bc).march(
+    mask = grid.probe
+    g = np.sum(sol.values[0] ** 2, axis=0)[None, :]  # |f|^2
+    sq = [g, *_Stepper(scalar_comparison(spec), grid, sol.bc).march(
         g, times)]
     checks = np.linspace(s, T, _N_T + 1)[1:]
     picks = np.abs(times[:, None] - checks).argmin(axis=0)  # nearest levels
-    num = np.stack([np.sum(levels[l].values ** 2, axis=0) for l in picks])
+    num = np.sum(sol.values[picks] ** 2, axis=1)
     den = np.stack([sq[l][0] for l in picks])
     floored = den[:, mask] < _FLOOR
     floored_frac = float(np.max(np.mean(floored, axis=1)))
@@ -84,22 +81,22 @@ def pointwise_check(spec, times, levels, HJ):
     return _report(
         "pointwise_domination", measured, bound, [],
         verdict, {"HJ": HJ, "floored_fraction": floored_frac,
-                  "probe_L": probe_L})
+                  "probe_L": grid.probe_L})
 
 
 def weighted_gradient_check(weight, solves):
     """sqrt(t-s) sup|M(t) (J_x u(t))^T| / sup|f| over every level of each
-    (times, levels) solve of evolve, coarse grid to fine; the theory
-    asserts existence of the constant, so the acceptance is finiteness
-    plus refinement stability (<= 5% drift)."""
+    Solution of evolve, coarse grid to fine; the theory asserts existence
+    of the constant, so the acceptance is finiteness plus refinement
+    stability (<= 5% drift)."""
     trend = []
-    for times, levels in solves:
-        grid = levels[0].grid
+    for sol in solves:
+        grid, times = sol.grid, sol.times
         W = np.moveaxis(weight.M_at(times[:, None], grid.points()[:, None]),
                         (0, 1), (1, 2))  # (L, d, d, N)
-        vals = np.stack([level.values for level in levels])
-        trend.append(weighted_gradient_sup(grid, W, vals, times - times[0])
-                     / levels[0].sup_norm())
+        trend.append(weighted_gradient_sup(grid, W, sol.values,
+                                           times - times[0])
+                     / float(np.max(np.abs(sol.values[0]))))
     measured = trend[-1]
     drift = abs(trend[-1] - trend[0]) / max(abs(trend[0]), 1e-300)
     if drift > 0.20:
@@ -112,20 +109,17 @@ def weighted_gradient_check(weight, solves):
                    {"drift": drift})
 
 
-def representation_residual(spec, times, levels):
+def representation_residual(spec, sol):
     """Defect of the representation of the first component, k = 1,
 
         (G_vec(t,s)f)_k = G(t,s) f_k + int_s^t G(t,r) (S r) dr,
         (S r) = sum_i <row_k Btilde_i, D_i G_vec(r,s)f>
               + <row_k C, G_vec(r,s)f>,
 
-    with (times, levels) the vector solve of evolve and the r-integral
-    realized by stepping the inhomogeneous scalar problem on its
-    ladder."""
-    grid, bc = levels[0].grid, levels[0].bc
-    mask = grid.interior_mask(grid.L / 2)
+    with sol the vector Solution of evolve and the r-integral realized by
+    stepping the inhomogeneous scalar problem on its ladder."""
+    grid, times, vec = sol.grid, sol.times, sol.values
     pts = grid.points()
-    vec = np.stack([level.values for level in levels])
     # left-endpoint quadrature: the source of the step onto times[l] is
     # built from level l-1 at times[l-1], so the defect is a genuine
     # O(dt) time-integration error; every left endpoint is evaluated in
@@ -138,6 +132,6 @@ def representation_residual(spec, times, levels):
         + np.einsum("lkN,lkN->lN", Cv, vec[:-1])
     # Duhamel's formula as one scalar march: f_k transported, with src
     # added at each step
-    resid = vec[-1, 0] - _Stepper(scalar_comparison(spec), grid, bc) \
+    resid = vec[-1, 0] - _Stepper(scalar_comparison(spec), grid, sol.bc) \
         .final(vec[0, 0][None], times, src[:, None])[0]
-    return float(np.max(np.abs(resid[mask])))
+    return float(np.max(np.abs(resid[grid.probe])))

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grids import GridFunction
+from .grids import GridFunction, Solution
 
 __all__ = ["evolve", "assemble_operator", "EvolveError"]
 
@@ -215,9 +215,8 @@ def _time_ladder(s, t, dt):
 
 def evolve(spec, f: GridFunction, s, t, dt):
     """Evolve initial data f from time s to t on _time_ladder(s, t, dt)
-    under f's boundary condition; returns (times, levels), levels[l] =
-    u(times[l], .) from f to u(t, .)."""
+    under f's boundary condition; returns the Solution whose level l is
+    u(times[l], .), from f to u(t, .)."""
     times = _time_ladder(s, t, dt)
     march = _Stepper(spec, f.grid, f.bc).march(f.values, times)
-    return times, [GridFunction(f.grid, spec.m, v, bc=f.bc)
-                   for v in [f.values, *march]]
+    return Solution(f.grid, f.bc, times, np.stack([f.values, *march]))

@@ -213,10 +213,12 @@ def girsanov_weights(ds: DiffusionSpec, batch: PathBatch):
 def cost(payoff, rho):
     """Weighted Monte-Carlo estimate of a player's cost from its per-path
     payoffs rho (running + terminal), with its standard error and an
-    effective-sample-size degeneracy flag from the weights rho."""
+    effective-sample-size degeneracy flag from the weights rho; weights
+    that all underflowed to 0 have no effective sample."""
     N = len(rho)
     est = float(np.mean(payoff))
     stderr = float(np.std(payoff, ddof=1) / np.sqrt(N)) if N > 1 else 0.0
-    ess = float(np.sum(rho) ** 2 / np.sum(rho ** 2))
+    square = np.sum(rho ** 2)
+    ess = float(np.sum(rho) ** 2 / square) if square > 0 else 0.0
     return {"J": est, "stderr": stderr, "ess": ess,
-            "degenerate": bool(ess < N / 100)}
+            "degenerate": not ess >= N / 100}

@@ -1,5 +1,5 @@
-"""Uniform tensor grids on boxes [-L, L]^d and vector-valued grid
-functions, with second-order gradients and multilinear interpolation.
+"""Uniform tensor grids on boxes [-L, L]^d, grid functions and solved
+time ladders, with second-order gradients and multilinear interpolation.
 
 Flat storage convention: values have shape (m, n^d) with C-order
 flattening of the axes, axis 1 fastest.  For d=2 the flat index of node
@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Grid", "GridFunction", "gradient", "weighted_gradient_sup"]
+__all__ = ["Grid", "GridFunction", "Solution", "gradient",
+           "weighted_gradient_sup"]
 
 
 @dataclass(frozen=True)
@@ -48,10 +49,15 @@ class Grid:
         axes = np.meshgrid(*[self.axis()] * self.d, indexing="ij")
         return np.stack([X.ravel() for X in axes])
 
-    def interior_mask(self, probe_L):
-        """Boolean mask of nodes with max-norm coordinate <= probe_L."""
-        pts = self.points()
-        return np.max(np.abs(pts), axis=0) <= probe_L + 1e-12
+    @property
+    def probe_L(self):
+        """Half-width of the probe box, where every sup norm is taken."""
+        return self.L / 2
+
+    @functools.cached_property
+    def probe(self):
+        """Boolean mask of the nodes in the probe box."""
+        return np.max(np.abs(self.points()), axis=0) <= self.probe_L + 1e-12
 
     def boundary_mask(self):
         pts = self.points()
@@ -82,11 +88,38 @@ class GridFunction:
             vals = vals.reshape(1, -1)
         return cls(grid, m, vals, bc=bc)
 
-    def sup_norm(self, probe_L=None):
-        if probe_L is None:
-            return float(np.max(np.abs(self.values)))
-        mask = self.grid.interior_mask(probe_L)
-        return float(np.max(np.abs(self.values[:, mask])))
+
+@dataclass
+class Solution:
+    """A solved time ladder: values[l] (m, N) at ascending times[l]."""
+
+    grid: Grid
+    bc: str
+    times: np.ndarray  # (levels,)
+    values: np.ndarray  # (levels, m, N)
+
+    @property
+    def m(self):
+        return self.values.shape[1]
+
+    def u_at(self, t):
+        """(m, N) values linearly interpolated in time."""
+        ts = self.times
+        idx = np.searchsorted(ts, t)
+        if not 0 < idx < len(ts):  # off the ladder: its nearest end
+            return self.values[min(idx, len(ts) - 1)]
+        w = (t - ts[idx - 1]) / (ts[idx] - ts[idx - 1])
+        return (1 - w) * self.values[idx - 1] + w * self.values[idx]
+
+    def eval(self, t, x_pts):
+        return interp_multilinear(self.grid, self.u_at(t), x_pts)
+
+    def grad_eval(self, t, x_pts):
+        """(m, d, K) spatial gradient along paths."""
+        g = gradient(self.grid, self.u_at(t))  # (m, d, N)
+        out = interp_multilinear(
+            self.grid, g.reshape(self.m * self.grid.d, -1), x_pts)
+        return out.reshape(self.m, self.grid.d, -1)
 
 
 def _one_dim_gradient(vals, h):
@@ -112,10 +145,10 @@ def gradient(grid, values):
 
 def weighted_gradient_sup(grid, weights, values, elapsed):
     """max over a stack of ladder levels l of sqrt(elapsed[l]) times the
-    sup, over the probe box |x| <= L/2, of the Frobenius norm of
-    W_l (J_x u_l)^T, for weight fields W (L, d, d, N), values u (L, m, N)
-    and elapsed times (L,); a level with elapsed time 0 adds 0."""
-    mask = grid.interior_mask(grid.L / 2)
+    sup, over the probe box, of the Frobenius norm of W_l (J_x u_l)^T,
+    for weight fields W (L, d, d, N), values u (L, m, N) and elapsed
+    times (L,); a level with elapsed time 0 adds 0."""
+    mask = grid.probe
     # (W (J_x u)^T)_{a m} = sum_d W_{a d} D_d u_m
     wg = np.einsum("...adN,...mdN->...amN", weights, gradient(grid, values))
     sups = np.max(np.sqrt(np.sum(wg[..., mask] ** 2, axis=(-3, -2))),

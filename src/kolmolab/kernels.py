@@ -60,7 +60,7 @@ def kernel_row(spec, grid, t, s, x_list, n_cells, dt, bc):
         raise ValueError("n_cells capped at 64 per axis")
     m, N = spec.m, grid.n_nodes
     x = np.asarray(x_list, dtype=float).reshape(-1, spec.d).T  # (d, P)
-    if np.max(np.abs(x)) >= grid.L / 2:
+    if np.max(np.abs(x)) >= grid.probe_L:
         raise ValueError("base point must sit in the interior probe box")
     P = x.shape[1]
     idx, fac = interp_corners(grid, x)

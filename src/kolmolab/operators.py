@@ -8,6 +8,8 @@ together with gradient weights and the built-in example families.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,8 +138,10 @@ class WeightSpec:
 
 # The parameters of each family with their defaults, read by both the
 # inequality check and the builder; a family takes these, d and
-# time_interval, and no other key.  None stands for a matrix default that
-# depends on d and m and lives in the builder.
+# time_interval, and no other key.  A given value has its default's kind:
+# m (an int) an integer >= 1, a float a finite number, a string an
+# expression.  None stands for a matrix default that depends on d and m
+# and lives in the builder, which checks matrices by numeric_matrix.
 _DEFAULTS = {
     "heat": {"m": 1},
     "ou": {},
@@ -160,7 +164,27 @@ def _with_defaults(name, params):
     if unknown:
         raise FamilyError(f"family {name!r}: unknown parameter(s) {unknown}; "
                           f"allowed: {sorted(allowed)}")
+    for key, value in params.items():
+        _check_kind(name, key, value, _DEFAULTS[name].get(key))
     return {"d": 1, "time_interval": (0.0, 1.0), **_DEFAULTS[name], **params}
+
+
+def _check_kind(name, key, value, default):
+    """FamilyError, naming key, unless value has the kind of its default;
+    d, time_interval and matrices are checked where they are read."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if isinstance(default, str):
+        ok, what = isinstance(value, str), "an expression string"
+    elif isinstance(default, int):
+        ok = real and isinstance(value, numbers.Integral) and value >= 1
+        what = "an integer >= 1"
+    elif isinstance(default, float):
+        ok, what = real and math.isfinite(value), "a finite number"
+    else:
+        return
+    if not ok:
+        raise FamilyError(f"family {name!r}: parameter {key!r} must be "
+                          f"{what}, got {value!r}")
 
 
 def _radial(prefix, exponent, d, bindings=None):

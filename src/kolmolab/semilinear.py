@@ -20,8 +20,7 @@ import numpy as np
 
 from .dsl import parse_state_expr
 from .evolve import _Stepper, _time_ladder
-from .grids import (GridFunction, gradient, interp_multilinear,
-                    weighted_gradient_sup)
+from .grids import GridFunction, Solution, gradient, weighted_gradient_sup
 
 __all__ = ["Nonlinearity", "nonlinearity_from_exprs", "mollify_nonlinearity",
            "mild_solve", "kt_norm", "MildSolution", "sqrtQ_at"]
@@ -107,37 +106,13 @@ def sqrtQ_at(spec, t, pts):
 
 
 @dataclass
-class MildSolution:
-    times: np.ndarray  # forward times ascending, last = T
-    values: np.ndarray  # (levels, m, N) aligned with times
-    grid: object
-    m: int
-    T: float
+class MildSolution(Solution):
+    """mild_solve's Solution, with its norm's sqrtQ and Picard record."""
+
     sqrtQ: np.ndarray  # (levels, d, d, N): sqrtQ_at(spec, t, points)
     kt_norm: float = None
     picard_history: list = field(default_factory=list)
     converged: bool = True  # False when Picard ran out of iterations
-
-    def u_at(self, t):
-        """(m, N) values linearly interpolated in time."""
-        ts = self.times
-        idx = np.searchsorted(ts, t)
-        if idx <= 0:
-            return self.values[0]
-        if idx >= len(ts):
-            return self.values[-1]
-        w = (t - ts[idx - 1]) / (ts[idx] - ts[idx - 1])
-        return (1 - w) * self.values[idx - 1] + w * self.values[idx]
-
-    def eval(self, t, x_pts):
-        return interp_multilinear(self.grid, self.u_at(t), x_pts)
-
-    def grad_eval(self, t, x_pts):
-        """(m, d, K) spatial gradient along paths."""
-        g = gradient(self.grid, self.u_at(t))  # (m, d, N)
-        out = interp_multilinear(
-            self.grid, g.reshape(self.m * self.grid.d, -1), x_pts)
-        return out.reshape(self.m, self.grid.d, -1)
 
 
 GRADED_STEPS = 8  # steps of the graded part of the ladder
@@ -154,22 +129,21 @@ def _graded_ladder(T, dt):
 
 def kt_norm(sol: MildSolution):
     """sup|u| plus the sqrt(T-t)-weighted sqrtQ-gradient sup over the
-    interior probe box |x| <= L/2."""
-    mask = sol.grid.interior_mask(sol.grid.L / 2)
-    return float(np.max(np.abs(sol.values[..., mask]))) + \
+    probe box Grid.probe."""
+    return float(np.max(np.abs(sol.values[..., sol.grid.probe]))) + \
         weighted_gradient_sup(sol.grid, sol.sqrtQ, sol.values,
-                              sol.T - sol.times)
+                              sol.times[-1] - sol.times)
 
 
 def mild_solve(spec, nl, g: GridFunction, s, T, dt, picard_tol=1e-8,
                max_iter=40):
     """Picard iteration for the backward semilinear problem on [s, T],
-    with the Picard deltas measured on the interior probe box |x| <= L/2.
+    with the Picard deltas measured on the probe box Grid.probe.
 
     nl may be None (linear case).  Returns a MildSolution on the forward
     time ladder over [s, T] with the terminal data at t = T exactly."""
     grid = g.grid
-    mask = grid.interior_mask(grid.L / 2)
+    mask = grid.probe
     pts = grid.points()
     stepper = _Stepper(spec, grid, g.bc, T)
     taus = _graded_ladder(T - s, dt)
@@ -206,8 +180,7 @@ def mild_solve(spec, nl, g: GridFunction, s, T, dt, picard_tol=1e-8,
                 break
         else:
             converged = False
-    sol = MildSolution(times=times[::-1], values=current[::-1],
-                       grid=grid, m=spec.m, T=T, sqrtQ=roots[::-1],
+    sol = MildSolution(grid, g.bc, times[::-1], current[::-1], roots[::-1],
                        picard_history=history, converged=converged)
     sol.kt_norm = kt_norm(sol)
     return sol

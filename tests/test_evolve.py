@@ -6,11 +6,11 @@ import scipy.sparse.linalg as spla
 
 from kolmolab.evolve import (EvolveError, _Stepper, _time_ladder,
                              assemble_operator, evolve)
-from kolmolab.grids import Grid, GridFunction
+from kolmolab.grids import Grid, GridFunction, Solution
 from kolmolab.operators import (example_family, matrix_of_consts,
                                 OperatorSpec, scalar_comparison)
 from kolmolab.dsl import const_expr, parse_coeff_expr
-from helpers import constant
+from helpers import box_mask, constant
 
 
 def heat_oracle(x, tau):
@@ -23,10 +23,10 @@ def test_heat_matches_gaussian_oracle():
     spec = example_family("heat", {"d": 1})
     grid = Grid(1, 8.0, 321)
     f = GridFunction.from_callable(grid, 1, lambda p: np.exp(-p[0] ** 2 / 2))
-    u = evolve(spec, f, 0.0, 0.5, dt=2e-3)[1][-1]
-    mask = grid.interior_mask(2.0)
-    err = np.max(np.abs(u.values[0, mask] - heat_oracle(grid.points()[0, mask],
-                                                        0.5)))
+    u = evolve(spec, f, 0.0, 0.5, dt=2e-3).values[-1]
+    mask = box_mask(grid, 2.0)
+    err = np.max(np.abs(u[0, mask] - heat_oracle(grid.points()[0, mask],
+                                                 0.5)))
     assert err <= 1e-3
 
 
@@ -35,8 +35,8 @@ def test_constant_preserved_neumann():
                                     "Chat": np.zeros((2, 2))})
     grid = Grid(1, 4.0, 161)
     f = constant(grid, [1.0, 1.0], bc="neumann")
-    u = evolve(spec, f, 0.0, 0.3, dt=5e-3)[1][-1]
-    assert np.max(np.abs(u.values - 1.0)) <= 1e-8
+    u = evolve(spec, f, 0.0, 0.3, dt=5e-3).values[-1]
+    assert np.max(np.abs(u - 1.0)) <= 1e-8
 
 
 def test_matrix_exponential_oracle():
@@ -46,10 +46,10 @@ def test_matrix_exponential_oracle():
     v = np.array([1.0, 2.0])
     f = constant(grid, v, bc="neumann")
     tau = 0.4
-    u = evolve(spec, f, 0.0, tau, dt=1e-4)[1][-1]
+    u = evolve(spec, f, 0.0, tau, dt=1e-4).values[-1]
     expect = scipy.linalg.expm(tau * C) @ v
-    mask = grid.interior_mask(2.0)
-    err = np.max(np.abs(u.values[:, mask] - expect[:, None]))
+    mask = grid.probe
+    err = np.max(np.abs(u[:, mask] - expect[:, None]))
     assert err <= 1e-3  # first order in dt; dt=1e-4 gives ~4e-5 here
 
 
@@ -59,10 +59,10 @@ def test_ou_first_moment():
     grid = Grid(1, 8.0, 321)
     f = GridFunction.from_callable(grid, 1, lambda p: p[0])
     tau = 0.5
-    u = evolve(spec, f, 0.0, tau, dt=2e-3)[1][-1]
-    mask = grid.interior_mask(2.0)
+    u = evolve(spec, f, 0.0, tau, dt=2e-3).values[-1]
+    mask = box_mask(grid, 2.0)
     expect = np.exp(-tau) * grid.points()[0, mask]
-    assert np.max(np.abs(u.values[0, mask] - expect)) <= 1e-3
+    assert np.max(np.abs(u[0, mask] - expect)) <= 1e-3
 
 
 def test_ou_gaussian_variance():
@@ -70,12 +70,12 @@ def test_ou_gaussian_variance():
     grid = Grid(1, 8.0, 321)
     f = GridFunction.from_callable(grid, 1, lambda p: p[0] ** 2)
     tau = 0.4
-    u = evolve(spec, f, 0.0, tau, dt=1e-3)[1][-1]
+    u = evolve(spec, f, 0.0, tau, dt=1e-3).values[-1]
     x = grid.points()[0]
-    mask = grid.interior_mask(1.5)
+    mask = box_mask(grid, 1.5)
     var = (1 - np.exp(-2 * tau)) / 2
     expect = np.exp(-2 * tau) * x[mask] ** 2 + var
-    assert np.max(np.abs(u.values[0, mask] - expect)) <= 2e-3
+    assert np.max(np.abs(u[0, mask] - expect)) <= 2e-3
 
 
 def test_positivity_scalar():
@@ -84,8 +84,8 @@ def test_positivity_scalar():
     rng = np.random.default_rng(5)
     f = GridFunction.from_callable(
         grid, 1, lambda p: np.maximum(np.sin(3 * p[0]), 0.0))
-    u = evolve(spec, f, 0.0, 0.2, dt=5e-3)[1][-1]
-    assert np.min(u.values) >= -1e-9
+    u = evolve(spec, f, 0.0, 0.2, dt=5e-3).values[-1]
+    assert np.min(u) >= -1e-9
 
 
 def test_2d_heat_against_1d_product():
@@ -93,11 +93,11 @@ def test_2d_heat_against_1d_product():
     grid = Grid(2, 6.0, 121)
     f = GridFunction.from_callable(
         grid, 1, lambda p: np.exp(-(p[0] ** 2 + p[1] ** 2) / 2))
-    u = evolve(spec, f, 0.0, 0.3, dt=5e-3)[1][-1]
+    u = evolve(spec, f, 0.0, 0.3, dt=5e-3).values[-1]
     pts = grid.points()
-    mask = grid.interior_mask(1.5)
+    mask = box_mask(grid, 1.5)
     expect = heat_oracle(pts[0], 0.3) * heat_oracle(pts[1], 0.3)
-    assert np.max(np.abs(u.values[0, mask] - expect[mask])) <= 2e-3
+    assert np.max(np.abs(u[0, mask] - expect[mask])) <= 2e-3
 
 
 def test_cross_diffusion_term():
@@ -116,23 +116,25 @@ def test_cross_diffusion_term():
     f = GridFunction.from_callable(
         grid, 1, lambda p: np.exp(-(p[0] ** 2 + p[1] ** 2) / 2))
     tau = 0.4
-    u = evolve(spec, f, 0.0, tau, dt=5e-3)[1][-1]
+    u = evolve(spec, f, 0.0, tau, dt=5e-3).values[-1]
     S = np.eye(2) + 2 * tau * Q
     Sinv = np.linalg.inv(S)
     pts = grid.points()
     quad = (Sinv[0, 0] * pts[0] ** 2 + 2 * Sinv[0, 1] * pts[0] * pts[1]
             + Sinv[1, 1] * pts[1] ** 2)
     expect = np.exp(-quad / 2) / np.sqrt(np.linalg.det(S))
-    mask = grid.interior_mask(1.5)
-    assert np.max(np.abs(u.values[0, mask] - expect[mask])) <= 3e-3
+    mask = box_mask(grid, 1.5)
+    assert np.max(np.abs(u[0, mask] - expect[mask])) <= 3e-3
 
 
 def _composition_gap(spec, f, s, r, t, dt, probe_L):
     """Sup of G(t,r)G(r,s)f - G(t,s)f on the probe box (evolution law)."""
-    two = evolve(spec, evolve(spec, f, s, r, dt)[1][-1], r, t, dt)[1][-1]
-    one = evolve(spec, f, s, t, dt)[1][-1]
-    mask = f.grid.interior_mask(probe_L)
-    return float(np.max(np.abs(two.values[:, mask] - one.values[:, mask])))
+    mid = GridFunction(f.grid, f.m, evolve(spec, f, s, r, dt).values[-1],
+                       bc=f.bc)
+    two = evolve(spec, mid, r, t, dt).values[-1]
+    one = evolve(spec, f, s, t, dt).values[-1]
+    mask = box_mask(f.grid, probe_L)
+    return float(np.max(np.abs(two[:, mask] - one[:, mask])))
 
 
 def test_compose_identity_and_consistency():
@@ -175,17 +177,33 @@ def test_evolve_path_and_batch_agree():
     f = GridFunction.from_callable(grid, 1, lambda p: np.tanh(p[0]))
     times = _time_ladder(0.0, 0.3, 5e-2)
     path = list(_Stepper(spec, grid, "dirichlet").march(f.values, times))
-    got, levels = evolve(spec, f, 0.0, 0.3, dt=5e-2)
-    assert np.array_equal(got, times)
-    assert len(path) == len(levels) - 1 == len(times) - 1
-    assert np.array_equal(levels[0].values, f.values)
-    assert all(np.array_equal(level.values, want)
-               for level, want in zip(levels[1:], path))
-    u = levels[-1]
+    sol = evolve(spec, f, 0.0, 0.3, dt=5e-2)
+    assert np.array_equal(sol.times, times)
+    assert len(path) == len(sol.values) - 1 == len(times) - 1
+    assert np.array_equal(sol.values[0], f.values)
+    assert all(np.array_equal(level, want)
+               for level, want in zip(sol.values[1:], path))
     F = np.stack([f.values, 2 * f.values], axis=2).reshape(1, grid.n_nodes, 2)
     out = _Stepper(spec, grid, "dirichlet").final(F, times)
     assert np.allclose(out[..., 0] * 2, out[..., 1], atol=1e-12)
-    assert np.allclose(out[..., 0], u.values, atol=1e-12)
+    assert np.allclose(out[..., 0], sol.values[-1], atol=1e-12)
+
+
+def test_evolve_returns_one_solution_of_every_level():
+    # values (levels, m, N) from f on _time_ladder(s, t, dt), under f's bc
+    spec = example_family("ex71ii", {"d": 1, "m": 2})
+    grid = Grid(1, 4.0, 41)
+    f = GridFunction.from_callable(
+        grid, 2, lambda p: np.stack([np.cos(p[0]), np.tanh(p[0])]),
+        bc="neumann")
+    sol = evolve(spec, f, 0.1, 0.3, dt=0.03)
+    times = _time_ladder(0.1, 0.3, 0.03)
+    assert type(sol) is Solution
+    assert np.array_equal(sol.times, times)
+    assert sol.values.shape == (len(times), 2, grid.n_nodes)
+    assert sol.m == 2 and sol.grid == grid and sol.bc == "neumann"
+    assert np.array_equal(sol.values[0], f.values)
+    assert np.array_equal(sol.u_at(0.3), sol.values[-1])
 
 
 def test_march_source_adds_step_times_source():
@@ -207,16 +225,16 @@ def test_upwind_strong_drift_stable():
     spec = example_family("ex71i", {"d": 1, "m": 1, "r": 1.0, "p": 3.0})
     grid = Grid(1, 4.0, 81)  # h = 0.1, peclet >> 2 near the edge
     f = GridFunction.from_callable(grid, 1, lambda p: np.cos(p[0]))
-    u = evolve(spec, f, 0.0, 0.5, dt=1e-2)[1][-1]
-    assert np.max(np.abs(u.values)) <= 1.0 + 1e-6  # no oscillation overshoot
+    u = evolve(spec, f, 0.0, 0.5, dt=1e-2).values[-1]
+    assert np.max(np.abs(u)) <= 1.0 + 1e-6  # no oscillation overshoot
 
 
 def test_dirichlet_boundary_exactly_zero():
     spec = example_family("heat", {"d": 2})
     grid = Grid(2, 3.0, 41)
     f = constant(grid, [1.0])
-    u = evolve(spec, f, 0.0, 0.1, dt=1e-2)[1][-1]
-    assert np.max(np.abs(u.values[:, grid.boundary_mask()])) == 0.0
+    u = evolve(spec, f, 0.0, 0.1, dt=1e-2).values[-1]
+    assert np.max(np.abs(u[:, grid.boundary_mask()])) == 0.0
 
 
 def test_time_dependent_stepper_refactors_every_step(monkeypatch):

@@ -195,6 +195,13 @@ def test_cost_constant_and_running():
     assert not out["degenerate"]
 
 
+def test_cost_of_underflowed_weights_is_degenerate():
+    # every rho underflowed to 0: no effective sample, and no 0/0
+    out = cost(np.zeros(50), np.zeros(50))
+    assert (out["J"], out["stderr"], out["ess"]) == (0.0, 0.0, 0.0)
+    assert out["degenerate"] is True
+
+
 def test_cost_two_seeds_agree():
     spec = example_family("ou", {"d": 1})
     ds = DiffusionSpec(op=spec, g=lambda p: (p ** 2)[:1],

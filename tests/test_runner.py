@@ -151,6 +151,36 @@ def test_exhausted_picard_fails_with_strict_json(tmp_path):
                parse_constant=reject)
 
 
+# (family, params, the key the error names): each value is of the wrong
+# kind for its key, which used to run as a rounded or truthy value, or
+# end in a traceback
+TYPED_PARAMS = [
+    ("ex71ii", {"m": 2.5}, "m"),
+    ("ex71ii", {"m": "2"}, "m"),
+    ("ex71ii", {"m": True}, "m"),
+    ("ex71ii", {"m": 0}, "m"),
+    ("heat", {"m": -1}, "m"),
+    ("ex71ii", {"k": [1]}, "k"),
+    ("ex71ii", {"gamma": None}, "gamma"),
+    ("ex71ii", {"r": True}, "r"),
+    ("ex72", {"p": float("inf")}, "p"),
+    ("ex71ii", {"q": 1}, "q"),
+    ("ou", {"d": True}, "d"),
+]
+TYPED_IDS = [f"{family}_{key}_{params[key]!r}"
+             for family, params, key in TYPED_PARAMS]
+
+
+@pytest.mark.parametrize("family, params, key", TYPED_PARAMS, ids=TYPED_IDS)
+def test_family_parameter_of_the_wrong_kind_names_its_key(
+        tmp_path, family, params, key):
+    p = tmp_path / "c.run"
+    write_cfg(p, operator={"family": family, "params": {"d": 1, **params}})
+    with pytest.raises(ConfigError) as err:
+        _setup(p, tmp_path / "o")
+    assert repr(key) in str(err.value)
+
+
 @pytest.mark.parametrize("overrides", [
     {"operator": {"family": "ex71ii", "params": {"d": 1, "r": -1}}},
     {"grid": {"L": 6.0, "n": 200}},
@@ -198,6 +228,13 @@ def test_exhausted_picard_fails_with_strict_json(tmp_path):
                   "params": {"d": 1, "m": 2, "Chat": [[2.0]]}}},
     {"operator": {"family": "ex71i",
                   "params": {"d": 1, "m": 2, "Bhat": [[[1.0]]]}}},
+    # family parameters of the wrong kind, and Picard settings out of range
+    *({"operator": {"family": family, "params": {"d": 1, **params}}}
+      for family, params, _ in TYPED_PARAMS),
+    {"semilinear": {"max_iter": -3}},
+    {"semilinear": {"max_iter": 0}},
+    {"semilinear": {"picard_tol": -1}},
+    {"semilinear": {"picard_tol": 0.0}},
 ], ids=["family_inequality", "even_grid_n", "singular_coefficient",
         "T_equals_s", "T_before_s", "dt_zero", "dt_negative",
         "checks_string", "seed_float", "grid_n_string", "audit_box_string",
@@ -210,7 +247,10 @@ def test_exhausted_picard_fails_with_strict_json(tmp_path):
         "audit_box_negative", "audit_sigma_above_1", "audit_epsilon_zero",
         "audit_n_samples_zero", "deep_expression", "weight_M_a_row",
         "weight_M_2x2_at_d1", "weight_M_empty", "C_a_row", "C_not_square",
-        "Chat_1x1_at_m2", "Bhat_1x1_at_m2"])
+        "Chat_1x1_at_m2", "Bhat_1x1_at_m2",
+        *TYPED_IDS,
+        "max_iter_negative", "max_iter_zero", "picard_tol_negative",
+        "picard_tol_zero"])
 def test_operator_and_grid_errors_exit_2(tmp_path, capsys, overrides):
     p = tmp_path / "c.run"
     write_cfg(p, **overrides)
@@ -395,7 +435,7 @@ def test_weighted_gradient_stage_follows_data_bc(tmp_path, monkeypatch, bc):
     passed = []
 
     def spy(weight, solves):
-        passed.extend(levels[0].bc for _, levels in solves)
+        passed.extend(sol.bc for sol in solves)
         return weighted_gradient_check(weight, solves)
 
     monkeypatch.setattr(runner_module, "weighted_gradient_check", spy)
@@ -659,6 +699,20 @@ def test_time_interval_must_be_two_numbers(tmp_path, time_interval):
     write_cfg(p, operator={"family": "ou",
                            "params": {"d": 1, "time_interval": time_interval}})
     assert main(["run", str(p), "--output", str(tmp_path / "o")]) == 2
+
+
+def test_collapsed_girsanov_weights_are_no_pass(tmp_path):
+    # at r_const = 1e6 every rho underflows to 0: the mean misses 1 by 1
+    # with stderr 0, and every nash row rests on no effective sample
+    p = tmp_path / "c.run"
+    p.write_text(json.dumps(_golden(game={"r_const": 1e6},
+                                    checks=["girsanov", "nash"])))
+    code, report = run(p, outdir=tmp_path / "r")
+    girsanov = report["stages"]["girsanov"]
+    assert (girsanov["mean_rho_gap"], girsanov["stderr"]) == (1.0, 0.0)
+    assert report["verdicts"] == {"girsanov": "FAIL",
+                                  "nash": "INCONCLUSIVE"}
+    assert code == 1
 
 
 def test_nash_reads_the_same_solution_alone_and_after_fbsde(tmp_path):

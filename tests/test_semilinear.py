@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from kolmolab.dsl import const_expr, parse_coeff_expr
 from kolmolab.evolve import _Stepper
-from kolmolab.grids import Grid, GridFunction
+from kolmolab.grids import Grid, GridFunction, Solution
 from helpers import constant
 from kolmolab.operators import OperatorSpec, example_family
 from kolmolab.semilinear import (Nonlinearity, _graded_ladder, mild_solve,
@@ -170,11 +172,27 @@ def test_time_dependent_solve_on_a_window_matches_closed_form():
     A = 0.5 * ((T - s) + (T ** 2 - s ** 2) / 2)
     x = grid.points()[0]
     exact = np.exp(-x ** 2 / (2 * (1 + 2 * A))) / np.sqrt(1 + 2 * A)
-    mask = grid.interior_mask(grid.L / 2)
+    mask = grid.probe
     err = np.abs(sol.eval(s, grid.points())[0] - exact)[mask]
     # backward Euler at dt = 1e-2 gives 1.9e-3; the solve on [0, T - s]
     # would be off by 5.6e-2
     assert np.max(err) <= 5e-3
+
+
+def test_mild_solve_returns_a_solution():
+    # a MildSolution is a grids.Solution plus sqrtQ and the Picard record
+    spec = example_family("ou", {"d": 1})
+    grid = Grid(1, 6.0, 61)
+    g = GridFunction.from_callable(grid, 1, lambda p: np.cos(p[0]),
+                                   bc="neumann")
+    sol = mild_solve(spec, None, g, 0.0, 0.5, 5e-2)
+    assert isinstance(sol, Solution)
+    assert sol.values.shape == (len(sol.times), 1, grid.n_nodes)
+    assert (sol.m, sol.bc, sol.times[-1]) == (1, "neumann", 0.5)
+    assert np.array_equal(sol.values[-1], g.values)
+    own = {f.name for f in dataclasses.fields(sol)} - \
+        {f.name for f in dataclasses.fields(Solution)}
+    assert own == {"sqrtQ", "kt_norm", "picard_history", "converged"}
 
 
 def test_graded_ladder_clusters_near_terminal_time():

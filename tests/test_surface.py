@@ -8,7 +8,8 @@ setting nothing sets, so it should be a constant, and a default that
 only tests pass is a knob unless it is listed with its reason.  Every
 name a function binds is read in it; a name bound and never read is
 dead code.  One formula serves every dimension d: only sqrtQ_at compares
-d with a number.
+d with a number.  The probe box |x| <= L/2 of every sup norm is written
+once, as Grid.probe_L.
 Every key of the runner's config table is read by the runner, and every
 key the runner reads is in the table.  Every script imports, builds
 its argument parser and runs end to end at a small size.  Every
@@ -291,6 +292,33 @@ def test_no_branch_on_the_dimension():
              for where in _branches_on_the_dimension(path)]
     assert found == ["semilinear.sqrtQ_at"], \
         f"branches on d outside semilinear.sqrtQ_at: {found}"
+
+
+def _halved_box_sites(path):
+    """module.[class.]function of each <expr>.L / 2 in path."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) \
+                and getattr(node.left, "attr", None) == "L" \
+                and isinstance(node.right, ast.Constant) \
+                and node.right.value == 2:
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_one_probe_box():
+    # every other site reads Grid.probe_L or the cached Grid.probe mask
+    found = [where for path in SOURCES for where in _halved_box_sites(path)]
+    assert found == ["grids.Grid.probe_L"], \
+        f"the probe box L / 2 written outside Grid.probe_L: {found}"
 
 
 def _config_reads(tree):
