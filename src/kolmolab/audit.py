@@ -338,20 +338,26 @@ def check_weight_conditions(spec, weight, box, n_samples):
 
 def full_audit(spec, box, weight, epsilon, kappa0, sigma, n_samples):
     """Run every applicable check; returns {section: result dict}, each
-    with its "verdict"."""
-    lam0, wit = check_ellipticity(spec, box, n_samples)
-    sections = {
-        "ellipticity": {"lambda0": lam0, "witness": wit,
-                        "verdict": bool(lam0 > 0)},
-        "nonnegativity": check_coupling_nonnegativity(
+    with its "verdict".  A check that cannot sample this operator
+    (AuditError) gives its section {"verdict": False, "error": ...}."""
+    def ellipticity():
+        lam0, wit = check_ellipticity(spec, box, n_samples)
+        return {"lambda0": lam0, "witness": wit, "verdict": bool(lam0 > 0)}
+
+    checks = {
+        "ellipticity": ellipticity,
+        "nonnegativity": lambda: check_coupling_nonnegativity(
             spec, box, epsilon, kappa0, n_samples),
-        "coupling_growth": check_coupling_growth(spec, box, sigma, n_samples),
-        "lyapunov": lyapunov_probe(spec, box, n_samples)}
+        "coupling_growth": lambda: check_coupling_growth(
+            spec, box, sigma, n_samples),
+        "lyapunov": lambda: lyapunov_probe(spec, box, n_samples)}
     if weight is not None:
+        checks["weighted_gradient"] = lambda: check_weight_conditions(
+            spec, weight, box, n_samples)
+    sections = {}
+    for name, check in checks.items():
         try:
-            sections["weighted_gradient"] = check_weight_conditions(
-                spec, weight, box, n_samples)
+            sections[name] = check()
         except AuditError as err:
-            sections["weighted_gradient"] = {
-                "verdict": False, "error": str(err)}
+            sections[name] = {"verdict": False, "error": str(err)}
     return sections

@@ -2,13 +2,6 @@
 identification Y = u(tau, X_tau), Z = G (J_x u)^T along paths, the
 backward-equation residual, exponential-martingale reweighting for
 controlled drifts, and weighted cost functionals.
-
-Path generation uses a counter-based generator keyed per path so the
-ensemble is schedule independent: path p always consumes the stream
-Philox(key=(seed, p)) no matter how the batch is partitioned.  One
-Philox generator serves the whole batch; before each path its state is
-reset to counter 0 and key (seed, p), which reproduces a fresh
-Philox(key=[seed, p]) bit for bit without building one per path.
 """
 
 from __future__ import annotations
@@ -93,18 +86,13 @@ class YZProcess:
 
 
 def _path_normals(seed, N, steps, d):
-    """(steps, d, N) standard normals; path p, column p, is drawn from
-    the stream Philox(key=[seed, p]) by re-keying one generator."""
-    bits = np.random.Philox(key=[seed, 0])
-    gen = np.random.Generator(bits)
-    fresh = bits.state  # counter 0, empty buffer
-    key = fresh["state"]["key"]  # keeps Philox's own conversion of seed
-    out = np.empty((steps, d, N))
-    for p in range(N):
-        key[1] = p
-        bits.state = fresh
-        out[:, :, p] = gen.standard_normal((steps, d))
-    return out
+    """(steps, d, N) standard normals from the one stream
+    Philox(key=[seed, 0]); path p, column p, is its p-th block of
+    steps * d draws, so a batch of N is the first N paths of any larger
+    batch."""
+    gen = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    return np.ascontiguousarray(
+        np.moveaxis(gen.standard_normal((N, steps, d)), 0, -1))
 
 
 def horizon_steps(horizon, h_step):

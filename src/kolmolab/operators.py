@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +66,6 @@ class OperatorSpec:
     C: tuple  # m x m of CoeffExpr
     time_interval: tuple = (0.0, 1.0)
     name: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         # mirror the upper triangle so Q is symmetric by construction
@@ -118,7 +117,7 @@ def scalar_comparison(spec: OperatorSpec):
     return OperatorSpec(spec.d, 1, spec.Q, spec.b,
                         tuple(((zero,),) for _ in range(spec.d)),
                         ((zero,),), spec.time_interval,
-                        spec.name + "_scalar", dict(spec.params))
+                        spec.name + "_scalar")
 
 
 @dataclass(frozen=True)
@@ -230,13 +229,13 @@ def check_family_params(name, params):
     return []
 
 
-def _uncoupled(name, p, d, ti, Qmat, b, Cmat):
+def _uncoupled(name, d, ti, Qmat, b, Cmat):
     """A constant-coefficient preset with Btilde = 0."""
     m = Cmat.shape[0]
     return OperatorSpec(
         d, m, matrix_of_consts(Qmat, d), tuple(b),
         tuple(matrix_of_consts(np.zeros((m, m)), d) for _ in range(d)),
-        matrix_of_consts(Cmat, d), ti, name, p)
+        matrix_of_consts(Cmat, d), ti, name)
 
 
 def example_family(name, params=None):
@@ -256,16 +255,16 @@ def example_family(name, params=None):
 
     if name == "heat":
         m = int(v["m"])
-        return _uncoupled(name, p, d, ti, 0.5 * np.eye(d), [zero] * d,
+        return _uncoupled(name, d, ti, 0.5 * np.eye(d), [zero] * d,
                           np.zeros((m, m)))
     if name == "ou":
-        return _uncoupled(name, p, d, ti, 0.5 * np.eye(d),
+        return _uncoupled(name, d, ti, 0.5 * np.eye(d),
                           [parse_coeff_expr(f"-(x{j + 1})", d)
                            for j in range(d)], np.zeros((1, 1)))
     if name == "const_coupling":
         # C is square, of any size m >= 1
         m = max(len(v["C"]) if hasattr(v["C"], "__len__") else 0, 1)
-        return _uncoupled(name, p, d, ti, np.eye(d), [zero] * d,
+        return _uncoupled(name, d, ti, np.eye(d), [zero] * d,
                           numeric_matrix(v["C"], (m, m), "C"))
 
     m, r, pp = int(v["m"]), float(v["r"]), float(v["p"])
@@ -289,7 +288,7 @@ def example_family(name, params=None):
                               else v["Chat"], (m, m), "Chat")
         C = _radial_matrix(Chat, "-(normsq(x))*({!r})*hfun*", pp, d, bind)
         return OperatorSpec(d, m, matrix_of_consts(np.eye(d), d), b, Btl, C,
-                            ti, name, p)
+                            ti, name)
 
     k = float(v["k"])
     bind = {"qfun": parse_coeff_expr(v["q"], d),
@@ -304,7 +303,7 @@ def example_family(name, params=None):
                     for B in skew(1.0))
         C = _radial_matrix(np.eye(m), "-({!r})*cfun*", float(v["gamma"]), d,
                            bind)
-        return OperatorSpec(d, m, Q, b, Btl, C, ti, name, p)
+        return OperatorSpec(d, m, Q, b, Btl, C, ti, name)
 
     # ex72
     Q = _radial_matrix(np.eye(d), "({!r})*qfun*", k, d, bind)
@@ -312,7 +311,7 @@ def example_family(name, params=None):
     Btl = tuple(_radial_matrix(B, "({!r})*btfun*", r, d, bind)
                 for B in skew(0.5))
     C = _radial_matrix(-np.eye(m), "({!r})*", float(v["tau"]), d)
-    spec = OperatorSpec(d, m, Q, b, Btl, C, ti, name, p)
+    spec = OperatorSpec(d, m, Q, b, Btl, C, ti, name)
     return spec, WeightSpec(d, _radial_matrix(np.eye(d), "", float(v["s"]),
                                               d))
 

@@ -43,7 +43,7 @@ def test_paths_schedule_independent():
     ds = DiffusionSpec(op=spec, g=const_g([0.0]))
     small = simulate_forward(ds, 0.1, 0.0, 0.25, 1 / 32, 4, seed=9)
     large = simulate_forward(ds, 0.1, 0.0, 0.25, 1 / 32, 16, seed=9)
-    # keyed streams: path p is the same regardless of the batch size
+    # one stream: path p is the same regardless of the batch size
     assert np.array_equal(small.X, large.X[..., :4])
     again = simulate_forward(ds, 0.1, 0.0, 0.25, 1 / 32, 4, seed=9)
     assert np.array_equal(small.X, again.X)
@@ -52,15 +52,15 @@ def test_paths_schedule_independent():
 
 
 @pytest.mark.parametrize("seed", [9, -3])
-def test_path_streams_are_per_path_philox(seed):
+def test_path_streams_are_blocks_of_one_philox_stream(seed):
     spec = example_family("heat", {"d": 2})
     ds = DiffusionSpec(op=spec, g=const_g([0.0]))
-    h, steps = 1 / 32, 8
-    batch = simulate_forward(ds, [0.0, 0.0], 0.0, steps * h, h, 5, seed)
-    for p in range(5):
-        gen = np.random.Generator(np.random.Philox(key=[seed, p]))
-        assert np.array_equal(batch.dW[..., p],
-                              np.sqrt(h) * gen.standard_normal((steps, 2)))
+    h, steps, N = 1 / 32, 8, 5
+    batch = simulate_forward(ds, [0.0, 0.0], 0.0, steps * h, h, N, seed)
+    gen = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    normals = gen.standard_normal((N, steps, 2))
+    for p in range(N):
+        assert np.array_equal(batch.dW[..., p], np.sqrt(h) * normals[p])
 
 
 def test_diffusion_matrix_consistency_check():

@@ -52,8 +52,9 @@ def test_ex71ii_accepted():
 
 
 def test_ex72_default_params_pass_and_weight():
-    spec, weight = example_family("ex72", {"d": 1, "m": 2})
-    report = check_family_params("ex72", spec.params)
+    params = {"d": 1, "m": 2}
+    spec, weight = example_family("ex72", params)
+    report = check_family_params("ex72", params)
     assert all(ok for _, ok, _ in report)
     pts = np.array([[2.0]])
     # M = (1+|x|^2)^0.5 I

@@ -63,10 +63,12 @@ def test_missing_required_section(tmp_path):
 
 
 def test_weighted_gradient_requires_weight(tmp_path):
+    # write_cfg's family, ou, has no weight of its own and there is no M
     p = tmp_path / "c.run"
     write_cfg(p, checks=["weighted_gradient"])
     with pytest.raises(ConfigError, match="weight"):
-        load_config(p)
+        _setup(p, tmp_path / "o")
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_family_and_check(tmp_path):
@@ -191,6 +193,7 @@ def test_family_parameter_of_the_wrong_kind_names_its_key(
     {"time": {"s": 0.0, "T": 0.25, "dt": 0.0}, "mc": {}},
     {"time": {"s": 0.0, "T": 0.25, "dt": -0.005}, "mc": {}},
     {"checks": "audit"},
+    {"checks": []},
     {"seed": 11.7},
     {"grid": {"L": 6.0, "n": "81"}},
     {"audit": {"box": "4"}},
@@ -237,7 +240,7 @@ def test_family_parameter_of_the_wrong_kind_names_its_key(
     {"semilinear": {"picard_tol": 0.0}},
 ], ids=["family_inequality", "even_grid_n", "singular_coefficient",
         "T_equals_s", "T_before_s", "dt_zero", "dt_negative",
-        "checks_string", "seed_float", "grid_n_string", "audit_box_string",
+        "checks_string", "checks_empty", "seed_float", "grid_n_string", "audit_box_string",
         "params_list", "kernel_n_cells", "kernel_x_outside_probe_box",
         "mollify_ladder_zero", "data_f_singular", "psi_singular",
         "data_f_not_a_string", "kernel_x_list_empty", "grid_without_L",
@@ -283,7 +286,7 @@ def _weighted_gradient_stage(tmp_path, name, weight):
 
 
 def test_weighted_gradient_stage_reads_the_weight_section(tmp_path, capsys):
-    family = _weighted_gradient_stage(tmp_path, "fam", {"from_family": True})
+    family = _weighted_gradient_stage(tmp_path, "fam", {})
     assert family["verdict"] == "PASS"
     m1, m2 = [_weighted_gradient_stage(tmp_path, f"m{c}",
                                        {"M": [[float(c)]]})["measured"]
@@ -291,10 +294,11 @@ def test_weighted_gradient_stage_reads_the_weight_section(tmp_path, capsys):
     assert math.isclose(m2, 2 * m1, rel_tol=1e-12)
     # write_cfg's family, ou, has no weight of its own
     p = tmp_path / "ou.run"
-    write_cfg(p, checks=["audit", "weighted_gradient"],
-              weight={"from_family": True})
+    write_cfg(p, checks=["audit", "weighted_gradient"], weight={})
     assert main(["run", str(p), "--output", str(tmp_path / "ou")]) == 2
-    assert "supplies no weight" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "'weighted_gradient' needs a weight" in err
+    assert "'ou' supplies no weight" in err
     assert not (tmp_path / "ou").exists()
 
 
@@ -414,13 +418,29 @@ def test_audit_and_pointwise_share_one_audit(tmp_path, monkeypatch):
     assert report["stages"]["pointwise"]["notes"]["HJ"] == max(HJ, 0.0)
 
 
+def test_a_section_the_audit_cannot_sample_fails_only_the_audit(tmp_path):
+    # eta sampling stops at m = 3: the nonnegativity section FAILs with
+    # its error, and pointwise still reads coupling_growth's H_J
+    p = tmp_path / "c.run"
+    write_cfg(p, operator={"family": "heat", "params": {"d": 1, "m": 4}},
+              checks=["audit", "pointwise"])
+    code, report = run(p, outdir=tmp_path / "r")
+    assert code == 1
+    assert report["verdicts"] == {"audit": "FAIL", "pointwise": "PASS"}
+    audited = json.loads((tmp_path / "r" / "audit.json").read_text())
+    assert audited["sections"]["nonnegativity"] == {
+        "verdict": False, "error": "eta sampling supports m <= 3"}
+    assert [k for k, v in audited["verdicts"].items() if not v] == \
+        ["nonnegativity"]
+
+
 def test_weighted_gradient_stage_probes_times_after_s(tmp_path):
     # with s > T/2 the probe times must still lie in (s, T]
     p = tmp_path / "c.run"
     write_cfg(p, operator={"family": "ex72", "params": {"d": 1}},
               grid={"L": 6.0, "n": 61},
               time={"s": 0.6, "T": 1.0, "dt": 0.01},
-              checks=["weighted_gradient"], weight={"from_family": True},
+              checks=["weighted_gradient"], weight={},
               mc={})
     code, report = run(p, outdir=tmp_path / "r")
     stage = report["stages"]["weighted_gradient"]
@@ -442,7 +462,7 @@ def test_weighted_gradient_stage_follows_data_bc(tmp_path, monkeypatch, bc):
     p = tmp_path / "c.run"
     write_cfg(p, operator={"family": "ex72", "params": {"d": 1}},
               grid={"L": 6.0, "n": 61}, checks=["weighted_gradient"],
-              weight={"from_family": True}, data={"bc": bc}, mc={})
+              weight={}, data={"bc": bc}, mc={})
     code, report = run(p, outdir=tmp_path / "r")
     assert passed == [bc, bc]
     assert report["stages"]["weighted_gradient"]["verdict"] == "PASS"
@@ -464,7 +484,7 @@ def test_weighted_gradient_stage_adds_one_refined_solve_of_data_f(
     write_cfg(p, operator={"family": "ex72", "params": {"d": 1}},
               grid={"L": 6.0, "n": 61},
               checks=["max_principle", "weighted_gradient"],
-              weight={"from_family": True},
+              weight={},
               data={"f": ["exp(-(x1^2))", "1/(1+x1^2)"]}, mc={})
     code, report = run(p, outdir=tmp_path / "r")
     assert code == 0

@@ -294,8 +294,17 @@ def test_no_branch_on_the_dimension():
         f"branches on d outside semilinear.sqrtQ_at: {found}"
 
 
+def _reads_L(node):
+    """node is <expr>.L or <expr>["L"]."""
+    if isinstance(node, ast.Subscript):
+        return isinstance(node.slice, ast.Constant) \
+            and node.slice.value == "L"
+    return getattr(node, "attr", None) == "L"
+
+
 def _halved_box_sites(path):
-    """module.[class.]function of each <expr>.L / 2 in path."""
+    """module.[class.]function of each <expr>.L / 2 or <expr>["L"] / 2
+    in path."""
     found = []
 
     def visit(node, where):
@@ -303,7 +312,7 @@ def _halved_box_sites(path):
                              ast.ClassDef)):
             where = f"{where}.{node.name}"
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) \
-                and getattr(node.left, "attr", None) == "L" \
+                and _reads_L(node.left) \
                 and isinstance(node.right, ast.Constant) \
                 and node.right.value == 2:
             found.append(where)
