@@ -270,8 +270,14 @@ def example_family(name, params=None):
     m, r, pp = int(v["m"]), float(v["r"]), float(v["p"])
 
     def skew(a):
+        """d copies of the skew coupling [[0, a], [-a, 0]]; at m = 1 it
+        is 0, the only 1 x 1 skew matrix, and past m = 2 it is not
+        defined."""
+        if m > 2:
+            raise FamilyError(f"family {name!r}: m = {m}, but its skew "
+                              f"coupling Btilde is defined for m <= 2")
         return [np.array([[0.0, a], [-a, 0.0]]) if m == 2
-                else np.zeros((m, m))] * d
+                else np.zeros((1, 1))] * d
 
     if name == "ex71i":
         Bhat = numeric_matrix([np.eye(m)] * d if v["Bhat"] is None
@@ -321,7 +327,8 @@ FAMILIES = {
     "ou": "no constraints (Q = I/2, b = -x, C = 0)",
     "const_coupling": "no constraints (Q = I, constant potential C)",
     "ex71i": "p > 2r >= 0",
-    "ex71ii": "r > k-1, 0 <= p <= k*sigma, gamma > k(2 sigma - 1)",
-    "ex72": "k >= 2r, 2k-2 <= a, 2s+2 tau <= a, 2r < 2s+a, k+s < p+1 "
-            "(a = p for s < 1/2, else p-1)",
+    "ex71ii": "m <= 2, r > k-1, 0 <= p <= k*sigma, "
+              "gamma > k(2 sigma - 1)",
+    "ex72": "m <= 2, k >= 2r, 2k-2 <= a, 2s+2 tau <= a, 2r < 2s+a, "
+            "k+s < p+1 (a = p for s < 1/2, else p-1)",
 }

@@ -392,28 +392,32 @@ class _Runner:
                 "scalar_agrees": bool(sca["verdict"] == vec["verdict"]),
                 "vector": vec, "scalar": sca}
 
-    def _mild_solve(self, nl):
+    def _mild_solve(self, nl, coarser=()):
         """mild_solve over [s, T] with the configured Picard settings."""
         return mild_solve(self.spec, nl, self.f, self.s, self.T, self.dt,
                           picard_tol=self.cfg["semilinear"]["picard_tol"],
-                          max_iter=self.cfg["semilinear"]["max_iter"])
+                          max_iter=self.cfg["semilinear"]["max_iter"],
+                          coarser=coarser)
 
     @functools.cached_property
     def sol(self):
         """The u that the fbsde and nash stages read and the semilinear
         stage's last rung: psi mollified at the ladder's last n, or the
-        linear solve when there is no psi."""
-        nl = self.nl
-        if nl is not None:
-            nl = mollify_nonlinearity(
-                nl, self.cfg["semilinear"]["mollify_ladder"][-1])
-        return self._mild_solve(nl)
+        linear solve when there is no psi.  When the semilinear check
+        runs, the ladder's coarser rungs are solved with it, as its
+        rungs."""
+        if self.nl is None:
+            return self._mild_solve(None)
+        ladder = self.cfg["semilinear"]["mollify_ladder"]
+        if "semilinear" not in self.cfg["checks"]:
+            ladder = ladder[-1:]
+        *coarser, last = [mollify_nonlinearity(self.nl, n) for n in ladder]
+        return self._mild_solve(last, coarser)
 
     def stage_semilinear(self):
         ladder = [None] if self.nl is None else \
             self.cfg["semilinear"]["mollify_ladder"]
-        sols = [self._mild_solve(mollify_nonlinearity(self.nl, n))
-                for n in ladder[:-1]] + [self.sol]
+        sols = [*self.sol.rungs, self.sol]
         norms = [sol.kt_norm for sol in sols]
         spread = (max(norms) - min(norms)) / max(max(norms), 1e-300)
         converged = all(sol.converged for sol in sols)

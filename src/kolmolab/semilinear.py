@@ -113,6 +113,8 @@ class MildSolution(Solution):
     kt_norm: float = None
     picard_history: list = field(default_factory=list)
     converged: bool = True  # False when Picard ran out of iterations
+    # the MildSolutions of mild_solve's coarser, in order
+    rungs: list = field(default_factory=list)
 
 
 GRADED_STEPS = 8  # steps of the graded part of the ladder
@@ -136,12 +138,18 @@ def kt_norm(sol: MildSolution):
 
 
 def mild_solve(spec, nl, g: GridFunction, s, T, dt, picard_tol=1e-8,
-               max_iter=40):
+               max_iter=40, coarser=()):
     """Picard iteration for the backward semilinear problem on [s, T],
     with the Picard deltas measured on the probe box Grid.probe.
 
     nl may be None (linear case).  Returns a MildSolution on the forward
-    time ladder over [s, T] with the terminal data at t = T exactly."""
+    time ladder over [s, T] with the terminal data at t = T exactly.
+
+    Each nonlinearity in coarser (the coarser rungs of a mollify ladder)
+    is solved in the same loop: the rungs share the linear start, and
+    each sweep is one march with a right-hand-side column per rung that
+    has not yet converged.  A rung keeps its own deltas and stopping
+    test, and its MildSolution comes back in the result's rungs."""
     grid = g.grid
     mask = grid.probe
     pts = grid.points()
@@ -150,11 +158,7 @@ def mild_solve(spec, nl, g: GridFunction, s, T, dt, picard_tol=1e-8,
     times = T - taus  # the physical time of each level, descending
     roots = sqrtQ_at(spec, times[:, None], pts[:, None, :])
 
-    def sweep(source=None):
-        """Every ladder level of one implicit pass, (L, m, N)."""
-        return np.stack([g.values, *stepper.march(g.values, taus, source)])
-
-    def forcing(levels):
+    def forcing(nl, levels):
         """Source -Psi(u) of every step of the forward problem, with u
         the previous iterate at the step's new level: one psi call on
         the levels stacked along the sample axis."""
@@ -165,22 +169,37 @@ def mild_solve(spec, nl, g: GridFunction, s, T, dt, picard_tol=1e-8,
         psi = nl(np.tile(pts, steps), z).reshape(m, steps, N)
         return -np.moveaxis(psi, 1, 0)
 
-    current = sweep()  # linear start
-    history = []
-    converged = True
-    if nl is not None:
-        for _ in range(max_iter):
-            nxt = sweep(forcing(current))
-            diff = nxt - current
+    nls = [*coarser, nl]
+    linear = np.stack([g.values, *stepper.march(g.values, taus)])
+    current = [linear] * len(nls)
+    histories = [[] for _ in nls]
+    active = [r for r, f in enumerate(nls) if f is not None]
+    for _ in range(max_iter):
+        if not active:
+            break
+        # one column per active rung; each column solves as it would
+        # alone, so a rung's numbers do not depend on its neighbours
+        source = np.stack([forcing(nls[r], current[r]) for r in active], -1)
+        nxt = np.empty((len(active), *linear.shape))
+        nxt[:, 0] = g.values
+        levels = stepper.march(g.values[..., None], taus, source)
+        for l, level in enumerate(levels, 1):
+            nxt[:, l] = np.moveaxis(level, -1, 0)
+        for r, u in zip(list(active), nxt):
+            diff = u - current[r]
             delta = float(np.max(np.abs(diff[..., mask]))) + \
                 weighted_gradient_sup(grid, roots, diff, taus)
-            history.append(delta)
-            current = nxt
+            histories[r].append(delta)
+            current[r] = u
             if delta <= picard_tol:
-                break
-        else:
-            converged = False
-    sol = MildSolution(grid, g.bc, times[::-1], current[::-1], roots[::-1],
-                       picard_history=history, converged=converged)
-    sol.kt_norm = kt_norm(sol)
+                active.remove(r)
+    sols = []
+    for r, (u, history) in enumerate(zip(current, histories)):
+        sol = MildSolution(grid, g.bc, times[::-1], u[::-1], roots[::-1],
+                           picard_history=history,
+                           converged=r not in active)
+        sol.kt_norm = kt_norm(sol)
+        sols.append(sol)
+    *rungs, sol = sols
+    sol.rungs = rungs
     return sol

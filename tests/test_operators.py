@@ -51,6 +51,20 @@ def test_ex71ii_accepted():
     assert spec.Btilde_at(0.0, pts)[0, 0, 1, 0] != 0.0
 
 
+@pytest.mark.parametrize("name", ["ex71ii", "ex72"])
+def test_skew_coupled_families_stop_at_two_components(name):
+    # the skew coupling [[0, a], [-a, 0]] has no m >= 3 form; a zero one
+    # would run an uncoupled operator under the family's name
+    pts = np.array([[1.0]])
+    for m in (3, 4):
+        with pytest.raises(FamilyError, match=f"m = {m}"):
+            example_family(name, {"d": 1, "m": m})
+    one = example_family(name, {"d": 1, "m": 1})
+    spec = one[0] if isinstance(one, tuple) else one
+    assert spec.Btilde_at(0.0, pts).shape == (1, 1, 1, 1)
+    assert np.max(np.abs(spec.Btilde_at(0.0, pts))) == 0.0
+
+
 def test_ex72_default_params_pass_and_weight():
     params = {"d": 1, "m": 2}
     spec, weight = example_family("ex72", params)

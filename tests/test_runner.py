@@ -231,6 +231,9 @@ def test_family_parameter_of_the_wrong_kind_names_its_key(
                   "params": {"d": 1, "m": 2, "Chat": [[2.0]]}}},
     {"operator": {"family": "ex71i",
                   "params": {"d": 1, "m": 2, "Bhat": [[[1.0]]]}}},
+    # the skew coupling of ex71ii and ex72 is defined for m <= 2 only
+    {"operator": {"family": "ex71ii", "params": {"d": 1, "m": 3}}},
+    {"operator": {"family": "ex72", "params": {"d": 1, "m": 3}}},
     # family parameters of the wrong kind, and Picard settings out of range
     *({"operator": {"family": family, "params": {"d": 1, **params}}}
       for family, params, _ in TYPED_PARAMS),
@@ -250,7 +253,7 @@ def test_family_parameter_of_the_wrong_kind_names_its_key(
         "audit_box_negative", "audit_sigma_above_1", "audit_epsilon_zero",
         "audit_n_samples_zero", "deep_expression", "weight_M_a_row",
         "weight_M_2x2_at_d1", "weight_M_empty", "C_a_row", "C_not_square",
-        "Chat_1x1_at_m2", "Bhat_1x1_at_m2",
+        "Chat_1x1_at_m2", "Bhat_1x1_at_m2", "ex71ii_m3", "ex72_m3",
         *TYPED_IDS,
         "max_iter_negative", "max_iter_zero", "picard_tol_negative",
         "picard_tol_zero"])
@@ -633,25 +636,65 @@ def _assert_same_leaves(got, want, where):
 
 def test_golden_semilinear_factorises_each_step_size_once(tmp_path,
                                                          monkeypatch):
-    # three mollified solves on a graded ladder of 8 graded step sizes
-    # plus the uniform one: one LU per step size and solve
+    # the three mollified rungs march in lockstep on one stepper: a
+    # graded ladder of 8 graded step sizes plus the uniform one is one LU
+    # per step size, and each sweep is one march of the rungs that still
+    # sweep, after one shared linear start
     with open(GOLDEN_CONFIG) as fh:
         cfg = json.load(fh)
     cfg["checks"] = ["semilinear"]
     p = tmp_path / "c.run"
     p.write_text(json.dumps(cfg))
     from kolmolab import evolve
-    factors = []
-    real_splu = evolve.spla.splu
+    factors, steps = [], []
+    real_splu, real_step = evolve.spla.splu, evolve._Stepper.step
 
     def counted(M):
         factors.append(M.shape)
         return real_splu(M)
 
+    def stepped(self, values, *args, **kwargs):
+        steps.append(values.shape)
+        return real_step(self, values, *args, **kwargs)
+
     monkeypatch.setattr(evolve.spla, "splu", counted)
-    code, report = run(p, outdir=tmp_path / "r")
-    assert code == 0 and report["verdicts"] == {"semilinear": "PASS"}
-    assert len(factors) == 3 * 9
+    monkeypatch.setattr(evolve._Stepper, "step", stepped)
+    runner = _setup(p, tmp_path / "r")
+    assert runner.stage_semilinear()["verdict"] == "PASS"
+    rungs = [*runner.sol.rungs, runner.sol]
+    assert len(rungs) == len(cfg["semilinear"]["mollify_ladder"]) == 3
+    assert len(factors) == 9
+    sweeps = max(len(sol.picard_history) for sol in rungs)
+    assert len(steps) == (1 + sweeps) * (len(runner.sol.times) - 1)
+
+
+def test_semilinear_rungs_are_solved_only_for_the_semilinear_check(
+        tmp_path, monkeypatch):
+    # fbsde alone reads one u: the ladder's last rung and no other, with
+    # the 9 LUs and 16 psi calls (8 sweeps, each a call of the mollifier
+    # and one of psi under it) of a single solve
+    cfg = _golden(checks=["fbsde"], mc={"N": 200})
+    p = tmp_path / "c.run"
+    p.write_text(json.dumps(cfg))
+    from kolmolab import evolve, semilinear
+    factors, calls = [], []
+    real_splu, real_call = evolve.spla.splu, semilinear.Nonlinearity.__call__
+
+    def counted(M):
+        factors.append(M.shape)
+        return real_splu(M)
+
+    def called(self, x, z):
+        calls.append(x.shape)
+        return real_call(self, x, z)
+
+    monkeypatch.setattr(evolve.spla, "splu", counted)
+    monkeypatch.setattr(semilinear.Nonlinearity, "__call__", called)
+    runner = _setup(p, tmp_path / "r")
+    assert runner.stage_fbsde()["verdict"] == "PASS"
+    assert runner.sol.rungs == []
+    assert len(runner.sol.picard_history) == 8
+    assert (len(factors), len(calls)) == (9, 16)
 
 
 def test_config_error_leaves_no_output_directory(tmp_path, capsys):

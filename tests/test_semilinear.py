@@ -192,7 +192,9 @@ def test_mild_solve_returns_a_solution():
     assert np.array_equal(sol.values[-1], g.values)
     own = {f.name for f in dataclasses.fields(sol)} - \
         {f.name for f in dataclasses.fields(Solution)}
-    assert own == {"sqrtQ", "kt_norm", "picard_history", "converged"}
+    assert own == {"sqrtQ", "kt_norm", "picard_history", "converged",
+                   "rungs"}
+    assert sol.rungs == []
 
 
 def test_graded_ladder_clusters_near_terminal_time():

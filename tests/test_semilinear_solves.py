@@ -1,5 +1,6 @@
 """The backward semilinear solve, bit for bit: mild_solve on the golden
-operator and on a time-dependent ex71ii window at d = 1 and d = 2.
+operator and on a time-dependent ex71ii window at d = 1 and d = 2, and
+a mollify ladder solved in one call against its rungs solved alone.
 
 tests/golden/semilinear_solves.json holds them as solves() computes
 them; regenerate it only in a change that says why the numbers moved:
@@ -15,7 +16,7 @@ import pytest
 
 from kolmolab import evolve as evolve_mod
 from kolmolab.runner import _setup
-from kolmolab.semilinear import mollify_nonlinearity
+from kolmolab.semilinear import mollify_nonlinearity, nonlinearity_from_exprs
 
 ROOT = Path(__file__).resolve().parents[1]
 RECORDED = ROOT / "tests" / "golden" / "semilinear_solves.json"
@@ -29,6 +30,7 @@ CASES = {
     "ex71ii_t_d2": ({"d": 2, "m": 2, **TIME_DEPENDENT}, 21,
                     {"s": 0.1, "T": 0.5, "dt": 0.05}, 8),
 }
+LADDER = (8, 16, 32)  # the golden config's mollify ladder
 
 
 def _runner(name):
@@ -93,6 +95,68 @@ def test_backward_solve_assembles_the_spec_at_physical_times(monkeypatch):
     sweeps = 1 + len(sol.picard_history)
     assert all(spec is runner.spec for spec, _ in seen)
     assert [t for _, t in seen] == list(sol.times[:-1][::-1]) * sweeps
+
+
+def _assert_same_solve(got, want):
+    assert got.picard_history == want.picard_history
+    assert got.kt_norm == want.kt_norm
+    assert got.converged == want.converged
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_ladder_in_one_call_equals_its_rungs_alone(name, monkeypatch):
+    # every rung is one column of the same marches, and solves bit for
+    # bit as it does alone; the linear start and one march per sweep of
+    # the slowest rung serve them all, so the LUs are those of one solve:
+    # one per step size, or one per step of each march when the operator
+    # moves with t
+    runner = _runner(name)
+    nls = [mollify_nonlinearity(runner.nl, n) for n in LADDER]
+    alone = [runner._mild_solve(nl) for nl in nls]
+    factors = []
+    real_splu = evolve_mod.spla.splu
+
+    def counted(M, **options):
+        factors.append(M.shape)
+        return real_splu(M, **options)
+
+    monkeypatch.setattr(evolve_mod.spla, "splu", counted)
+    sol = runner._mild_solve(nls[-1], nls[:-1])
+    assert len(sol.rungs) == len(LADDER) - 1
+    for got, want in zip([*sol.rungs, sol], alone):
+        _assert_same_solve(got, want)
+    marches = 1 + max(len(rung.picard_history) for rung in alone)
+    steps = len(sol.times) - 1
+    assert len(factors) == \
+        (marches * steps if runner.spec.depends_on_t() else 9)
+
+
+def test_a_converged_rung_leaves_the_sweeps(monkeypatch):
+    # a weak psi converges in 4 sweeps and the golden rung needs 8: with
+    # max_iter 6 the weak rung sits out sweeps 5 and 6 and the golden one
+    # stops unconverged, each as it would alone
+    runner = _runner("golden")
+    runner.cfg["semilinear"]["max_iter"] = 6
+    weak = mollify_nonlinearity(nonlinearity_from_exprs(
+        ["((exp(2*z11)-1)/(exp(2*z11)+1))/20", "0"], 1, 2), 8)
+    golden = mollify_nonlinearity(runner.nl, 32)
+    alone = [runner._mild_solve(nl) for nl in (weak, golden)]
+    assert [len(sol.picard_history) for sol in alone] == [4, 6]
+    assert [sol.converged for sol in alone] == [True, False]
+    columns = []
+    real_step = evolve_mod._Stepper.step
+
+    def stepped(self, values, *args, **kwargs):
+        columns.append(values.shape[2:])
+        return real_step(self, values, *args, **kwargs)
+
+    monkeypatch.setattr(evolve_mod._Stepper, "step", stepped)
+    sol = runner._mild_solve(golden, [weak])
+    for got, want in zip([*sol.rungs, sol], alone):
+        _assert_same_solve(got, want)
+    steps = len(sol.times) - 1
+    assert columns == [()] * steps + [(2,)] * 4 * steps + [(1,)] * 2 * steps
 
 
 if __name__ == "__main__":
