@@ -228,9 +228,10 @@ def _envelope(fields):
                   axis=0)
 
 
-def check_weight_conditions(spec, weight, box, n_samples):
-    """Audit the weighted-gradient hypothesis set on _N_ANNULI nested
-    annuli; each limit quantity must fall to _LIMIT_THRESHOLD.
+def check_weight_conditions(spec, box, n_samples):
+    """Audit the weighted-gradient hypothesis set of spec and its weight
+    M on _N_ANNULI nested annuli; each limit quantity must fall to
+    _LIMIT_THRESHOLD.
 
     The set reads the envelopes psi_1..psi_6 (pointwise spectral norms of
     Btilde_i, D_k Btilde_i, D_k C, D_t M, D_k M and D_k Q, largest over
@@ -239,17 +240,17 @@ def check_weight_conditions(spec, weight, box, n_samples):
     A constant M takes the relaxed condition set that drops the
     weight-derivative requirements.
     """
-    d = spec.d
+    d, M = spec.d, spec.weight
     xs = [f"x{k + 1}" for k in range(d)]
     relax_identity = not any(
         e.depends_on_t() or e.free_variables() - {"t"}
-        for row in weight.M for e in row)
+        for row in M for e in row)
     ts, pts = sample_points(d, box, n_samples, spec.time_interval)
 
     def at(exprs):  # (K, a, b) values of a matrix of expressions
         return np.moveaxis(_eval_matrix(exprs, ts, pts), 2, 0)
 
-    Mk = at(weight.M)
+    Mk = at(M)
     eigM = np.linalg.eigvalsh(Mk)
     lamM, LamM = eigM[:, 0], eigM[:, -1]
     if np.min(lamM) <= 0:
@@ -271,11 +272,11 @@ def check_weight_conditions(spec, weight, box, n_samples):
     lamQ, LamQ = eigQ[:, 0], eigQ[:, -1]
     LamM2 = np.linalg.eigvalsh(Mk @ Mk)[:, -1]
     LamC = _sym_lmax(at(spec.C))
-    DM = [at(_diff(weight.M, x)) for x in xs]
+    DM = [at(_diff(M, x)) for x in xs]
     psi = [_envelope([at(B) for B in spec.Btilde]),
            _envelope([at(_diff(B, x)) for B in spec.Btilde for x in xs]),
            _envelope([at(_diff(spec.C, x)) for x in xs]),
-           _envelope([at(_diff(weight.M, "t"))]),
+           _envelope([at(_diff(M, "t"))]),
            _envelope(DM),
            _envelope([at(_diff(spec.Q, x)) for x in xs])]
 
@@ -285,7 +286,7 @@ def check_weight_conditions(spec, weight, box, n_samples):
         MM -= bv[j][:, None, None] * (DM[j] @ Minv)
         for i in range(d):
             MM -= Qk[:, i, j][:, None, None] * (
-                at(_diff(_diff(weight.M, xs[i]), xs[j])) @ Minv)
+                at(_diff(_diff(M, xs[i]), xs[j])) @ Minv)
     LamMM = _sym_lmax(MM + np.swapaxes(MM, 1, 2))
     denomC = 2 * LamC + LamMM
     denom_floor = np.where(np.abs(denomC) < 1e-12, 1e-12, np.abs(denomC))
@@ -336,10 +337,11 @@ def check_weight_conditions(spec, weight, box, n_samples):
     return section
 
 
-def full_audit(spec, box, weight, epsilon, kappa0, sigma, n_samples):
-    """Run every applicable check; returns {section: result dict}, each
-    with its "verdict".  A check that cannot sample this operator
-    (AuditError) gives its section {"verdict": False, "error": ...}."""
+def full_audit(spec, box, epsilon, kappa0, sigma, n_samples):
+    """Run every applicable check, the weight's only when spec has one;
+    returns {section: result dict}, each with its "verdict".  A check
+    that cannot sample this operator (AuditError) gives its section
+    {"verdict": False, "error": ...}."""
     def ellipticity():
         lam0, wit = check_ellipticity(spec, box, n_samples)
         return {"lambda0": lam0, "witness": wit, "verdict": bool(lam0 > 0)}
@@ -351,9 +353,9 @@ def full_audit(spec, box, weight, epsilon, kappa0, sigma, n_samples):
         "coupling_growth": lambda: check_coupling_growth(
             spec, box, sigma, n_samples),
         "lyapunov": lambda: lyapunov_probe(spec, box, n_samples)}
-    if weight is not None:
+    if spec.weight is not None:
         checks["weighted_gradient"] = lambda: check_weight_conditions(
-            spec, weight, box, n_samples)
+            spec, box, n_samples)
     sections = {}
     for name, check in checks.items():
         try:

@@ -84,15 +84,15 @@ def pointwise_check(spec, sol, HJ):
                   "probe_L": grid.probe_L})
 
 
-def weighted_gradient_check(weight, solves):
-    """sqrt(t-s) sup|M(t) (J_x u(t))^T| / sup|f| over every level of each
-    Solution of evolve, coarse grid to fine; the theory asserts existence
-    of the constant, so the acceptance is finiteness plus refinement
-    stability (<= 5% drift)."""
+def weighted_gradient_check(spec, solves):
+    """sqrt(t-s) sup|M(t) (J_x u(t))^T| / sup|f|, with M spec's weight,
+    over every level of each Solution of evolve, coarse grid to fine; the
+    theory asserts existence of the constant, so the acceptance is
+    finiteness plus refinement stability (<= 5% drift)."""
     trend = []
     for sol in solves:
         grid, times = sol.grid, sol.times
-        W = np.moveaxis(weight.M_at(times[:, None], grid.points()[:, None]),
+        W = np.moveaxis(spec.weight_at(times[:, None], grid.points()[:, None]),
                         (0, 1), (1, 2))  # (L, d, d, N)
         trend.append(weighted_gradient_sup(grid, W, sol.values,
                                            times - times[0])

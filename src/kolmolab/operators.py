@@ -3,7 +3,8 @@
     (A u)_k = sum_ij Q_ij D^2_ij u_k + sum_j (B_j D_j u)_k + (C u)_k,
     B_j = b_j I_m + Btilde_j,
 
-together with gradient weights and the built-in example families.
+each with its optional gradient weight, and the built-in example
+families.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .dsl import check_guards, const_expr, parse_coeff_expr
 
-__all__ = ["OperatorSpec", "WeightSpec", "FamilyError", "example_family",
+__all__ = ["OperatorSpec", "FamilyError", "example_family",
            "check_family_params", "FAMILIES", "matrix_of_consts",
            "numeric_matrix", "scalar_comparison"]
 
@@ -55,7 +56,10 @@ class OperatorSpec:
     """Coefficient data of the vector operator and its diagonal drift.
 
     Q is d x d (upper triangle mirrored), b the diagonal drift d-vector,
-    Btilde the d coupling matrices (each m x m), C the potential m x m.
+    Btilde the d coupling matrices (each m x m), C the potential m x m,
+    weight the gradient weight M(t,x), a d x d matrix applied to the
+    columns of the Jacobian transpose, or None.  The weight is read only
+    by the weighted-gradient audit and check.
     """
 
     d: int
@@ -66,6 +70,7 @@ class OperatorSpec:
     C: tuple  # m x m of CoeffExpr
     time_interval: tuple = (0.0, 1.0)
     name: str = "custom"
+    weight: tuple | None = None  # d x d of CoeffExpr
 
     def __post_init__(self):
         # mirror the upper triangle so Q is symmetric by construction
@@ -87,6 +92,9 @@ class OperatorSpec:
 
     def C_at(self, t, pts):
         return _eval_matrix(self.C, t, pts)
+
+    def weight_at(self, t, pts):
+        return _eval_matrix(self.weight, t, pts)
 
     def B_full_at(self, t, pts):
         """Reconstructed full drift matrices b_j I + Btilde_j, (d,m,m,K)."""
@@ -118,18 +126,6 @@ def scalar_comparison(spec: OperatorSpec):
                         tuple(((zero,),) for _ in range(spec.d)),
                         ((zero,),), spec.time_interval,
                         spec.name + "_scalar")
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """Spatial gradient weight M(t,x), a d x d symmetric matrix applied
-    to the columns of the Jacobian transpose."""
-
-    d: int
-    M: tuple  # d x d of CoeffExpr
-
-    def M_at(self, t, pts):
-        return _eval_matrix(self.M, t, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -209,19 +205,21 @@ def check_family_params(name, params):
         r, pp = float(p["r"]), float(p["p"])
         return [("p > 2r", pp > 2 * r, pp - 2 * r),
                 ("r >= 0", r >= 0, r)]
-    if name == "ex71ii":
-        k, r, pp = float(p["k"]), float(p["r"]), float(p["p"])
+    if name == "ex71ii":  # its skew coupling, like ex72's, needs m <= 2
+        m, k, r, pp = int(p["m"]), float(p["k"]), float(p["r"]), float(p["p"])
         gamma, sigma = float(p["gamma"]), float(p["sigma"])
-        return [("r > k-1", r > k - 1, r - (k - 1)),
+        return [("m <= 2", m <= 2, 2 - m),
+                ("r > k-1", r > k - 1, r - (k - 1)),
                 ("p >= 0", pp >= 0, pp),
                 ("p <= k*sigma", pp <= k * sigma, k * sigma - pp),
                 ("gamma > k(2 sigma - 1)", gamma > k * (2 * sigma - 1),
                  gamma - k * (2 * sigma - 1))]
     if name == "ex72":
-        k, r, pp = float(p["k"]), float(p["r"]), float(p["p"])
+        m, k, r, pp = int(p["m"]), float(p["k"]), float(p["r"]), float(p["p"])
         s, tau = float(p["s"]), float(p["tau"])
         a = pp if s < 0.5 else pp - 1.0
-        return [("k >= 2r", k >= 2 * r, k - 2 * r),
+        return [("m <= 2", m <= 2, 2 - m),
+                ("k >= 2r", k >= 2 * r, k - 2 * r),
                 ("2k-2 <= a", 2 * k - 2 <= a, a - (2 * k - 2)),
                 ("2s+2 tau <= a", 2 * s + 2 * tau <= a, a - 2 * s - 2 * tau),
                 ("2r < 2s+a", 2 * r < 2 * s + a, 2 * s + a - 2 * r),
@@ -239,10 +237,7 @@ def _uncoupled(name, d, ti, Qmat, b, Cmat):
 
 
 def example_family(name, params=None):
-    """Assemble a preset OperatorSpec (and WeightSpec for ex72).
-
-    Returns OperatorSpec, or (OperatorSpec, WeightSpec) for ex72.
-    """
+    """Assemble a preset OperatorSpec; only ex72's carries a weight."""
     p = dict(params or {})
     bad = [ineq for ineq, ok, _ in check_family_params(name, p) if not ok]
     if bad:
@@ -271,11 +266,8 @@ def example_family(name, params=None):
 
     def skew(a):
         """d copies of the skew coupling [[0, a], [-a, 0]]; at m = 1 it
-        is 0, the only 1 x 1 skew matrix, and past m = 2 it is not
-        defined."""
-        if m > 2:
-            raise FamilyError(f"family {name!r}: m = {m}, but its skew "
-                              f"coupling Btilde is defined for m <= 2")
+        is 0, the only 1 x 1 skew matrix (m <= 2 is a family
+        inequality)."""
         return [np.array([[0.0, a], [-a, 0.0]]) if m == 2
                 else np.zeros((1, 1))] * d
 
@@ -317,9 +309,8 @@ def example_family(name, params=None):
     Btl = tuple(_radial_matrix(B, "({!r})*btfun*", r, d, bind)
                 for B in skew(0.5))
     C = _radial_matrix(-np.eye(m), "({!r})*", float(v["tau"]), d)
-    spec = OperatorSpec(d, m, Q, b, Btl, C, ti, name)
-    return spec, WeightSpec(d, _radial_matrix(np.eye(d), "", float(v["s"]),
-                                              d))
+    return OperatorSpec(d, m, Q, b, Btl, C, ti, name,
+                        _radial_matrix(np.eye(d), "", float(v["s"]), d))
 
 
 FAMILIES = {

@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,9 +31,8 @@ from .fbsde import (DiffusionSpec, FbsdeError, girsanov_weights,
 from .game import nash_check
 from .grids import Grid, GridFunction, interp_multilinear
 from .kernels import compactness_probe
-from .operators import (FAMILIES, WeightSpec, example_family,
-                        matrix_of_consts, numeric_matrix,
-                        scalar_comparison)
+from .operators import (FAMILIES, example_family, matrix_of_consts,
+                        numeric_matrix, scalar_comparison)
 from .semilinear import (mild_solve, mollify_nonlinearity,
                          nonlinearity_from_exprs)
 
@@ -98,7 +98,10 @@ _SCHEMA = {
     "time": {"s": (float, _REQUIRED),
              "T": (float, _REQUIRED, lambda v, cfg: v > cfg["time"]["s"],
                    "greater than time.s"),
-             "dt": (float, _REQUIRED, lambda v, cfg: v > 0, "> 0")},
+             # 4dt <= T - s keeps the 4dt, 2dt and dt ladders distinct
+             "dt": (float, _REQUIRED, lambda v, cfg:
+                    0 < 4 * v <= cfg["time"]["T"] - cfg["time"]["s"],
+                    "> 0 with 4 dt <= time.T - time.s")},
     "checks": (list, _REQUIRED,
                lambda v, cfg: len(v) > 0 and all(c in ALL_CHECKS for c in v),
                f"a non-empty list of known checks {ALL_CHECKS}"),
@@ -116,8 +119,9 @@ _SCHEMA = {
                             "an integer >= 1")},
     "kernel": {
         "n_cells": (int, 24, lambda v, cfg: 1 <= v <= 64, "in [1, 64]"),
-        "R_list": (list, [1.0, 2.0, 3.0], lambda v, cfg: _numbers(v),
-                   "a non-empty list of numbers"),
+        "R_list": (list, [1.0, 2.0, 3.0],
+                   lambda v, cfg: _numbers(v) and min(v) > 0,
+                   "a non-empty list of numbers > 0"),
         "x_list": (list, lambda cfg: [[0.0] * _dim(cfg),
                                       [1.0] + [0.0] * (_dim(cfg) - 1)],
                    _points, "a non-empty list of points of d numbers")},
@@ -206,15 +210,14 @@ def _check_type(name, val, typ):
 
 
 def _build_operator(cfg):
-    """The operator and its weight: weight.M when given, else the
-    family's own (None for a family without one)."""
-    built = example_family(cfg["operator"]["family"],
-                           cfg["operator"]["params"])
-    spec, weight = built if isinstance(built, tuple) else (built, None)
+    """The family's operator, whose weight is weight.M when given, else
+    the family's own (None for a family without one)."""
+    spec = example_family(cfg["operator"]["family"],
+                          cfg["operator"]["params"])
     if cfg["weight"]["M"] is not None:
         M = numeric_matrix(cfg["weight"]["M"], (spec.d, spec.d), "weight.M")
-        weight = WeightSpec(spec.d, matrix_of_consts(M, spec.d))
-    return spec, weight
+        spec = replace(spec, weight=matrix_of_consts(M, spec.d))
+    return spec
 
 
 def _default_f(spec, grid, cfg):
@@ -266,8 +269,9 @@ class _Runner:
         self.s, self.T, self.dt = float(cfg["time"]["s"]), \
             float(cfg["time"]["T"]), float(cfg["time"]["dt"])
         try:  # FamilyError, DslError and Grid's checks are config errors
-            self.spec, self.weight = _build_operator(cfg)
-            if "weighted_gradient" in cfg["checks"] and self.weight is None:
+            self.spec = _build_operator(cfg)
+            if "weighted_gradient" in cfg["checks"] and \
+                    self.spec.weight is None:
                 raise ConfigError(
                     f"check 'weighted_gradient' needs a weight: family "
                     f"{cfg['operator']['family']!r} supplies no weight; "
@@ -325,7 +329,7 @@ class _Runner:
         """The hypothesis audit's sections, which the audit and pointwise
         stages share."""
         return full_audit(
-            self.spec, self.cfg["audit"]["box"], weight=self.weight,
+            self.spec, self.cfg["audit"]["box"],
             epsilon=self.cfg["audit"]["epsilon"],
             kappa0=self.cfg["audit"]["kappa0"],
             sigma=self.cfg["audit"]["sigma"],
@@ -362,8 +366,8 @@ class _Runner:
         fine = Grid(self.spec.d, self.grid.L, 2 * self.grid.n - 1)
         f = _default_f(self.spec, fine, self.cfg)
         return weighted_gradient_check(
-            self.weight, [self.levels(self.dt),
-                          evolve(self.spec, f, self.s, self.T, self.dt)])
+            self.spec, [self.levels(self.dt),
+                        evolve(self.spec, f, self.s, self.T, self.dt)])
 
     def stage_representation(self):
         dts = (4 * self.dt, 2 * self.dt, self.dt)

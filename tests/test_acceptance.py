@@ -131,8 +131,8 @@ def test_03_pointwise_domination():
 
 
 def test_04_weighted_gradient():
-    spec, weight = example_family("ex72", {"d": 1, "m": 2})
-    res = weighted_gradient_check(weight, [evolve(
+    spec = example_family("ex72", {"d": 1, "m": 2})
+    res = weighted_gradient_check(spec, [evolve(
         spec, GridFunction.from_callable(
             grid, 2, lambda p: np.stack([np.tanh(p[0]), np.cos(p[0])]),
             bc="dirichlet"), 0.0, 0.5, 2e-3)

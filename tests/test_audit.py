@@ -1,7 +1,16 @@
+"""The hypothesis audit.  tests/golden/audit_sections.json holds the
+full_audit sections of every AUDIT_CASES entry as audited_sections()
+computes them; regenerate it only in a change that says why the numbers
+moved:
+
+    PYTHONPATH=src python tests/test_audit.py
+"""
+
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +20,7 @@ from kolmolab.audit import (AuditError, check_ellipticity, check_coupling_nonneg
                             check_coupling_growth, check_weight_conditions, eta_sphere, full_audit,
                             lyapunov_probe, sample_points, _halton)
 from kolmolab.dsl import const_expr, parse_coeff_expr
-from kolmolab.operators import (OperatorSpec, WeightSpec, example_family,
-                                matrix_of_consts)
+from kolmolab.operators import OperatorSpec, example_family, matrix_of_consts
 from kolmolab.runner import jsonable
 
 GOLDEN_SECTIONS = Path(__file__).resolve().parent / "golden" / \
@@ -146,17 +154,17 @@ def test_lyapunov_ex71ii_compact_exponent():
 
 
 def test_weight_conditions_ex72_passes():
-    spec, weight = example_family("ex72", {"d": 1, "m": 2})
-    sec = check_weight_conditions(spec, weight, box=6.0, n_samples=2048)
+    spec = example_family("ex72", {"d": 1, "m": 2})
+    sec = check_weight_conditions(spec, box=6.0, n_samples=2048)
     assert sec["verdict"], sec
     assert sec["b0"] < 0
     assert not sec["relaxed"]
 
 
 def test_weight_conditions_identity_weight_relaxed():
-    spec = example_family("ou", {"d": 1})
-    weight = WeightSpec(1, matrix_of_consts(np.eye(1), 1))
-    sec = check_weight_conditions(spec, weight, box=5.0, n_samples=1024)
+    spec = replace(example_family("ou", {"d": 1}),
+                   weight=matrix_of_consts(np.eye(1), 1))
+    sec = check_weight_conditions(spec, box=5.0, n_samples=1024)
     assert sec["relaxed"]
     assert sec["verdict"], sec
 
@@ -164,18 +172,18 @@ def test_weight_conditions_identity_weight_relaxed():
 def test_weight_conditions_superlinear_weight_fails():
     # M = (1+|x|^2)^1 grows superlinearly; the growth condition on the
     # squared weight against (1+|x|^2) must fail
-    spec, _ = example_family("ex72", {"d": 1, "m": 2})
-    weight = WeightSpec(1, ((parse_coeff_expr("(1+normsq(x))^1", 1),),))
-    sec = check_weight_conditions(spec, weight, box=8.0, n_samples=2048)
+    spec = replace(example_family("ex72", {"d": 1, "m": 2}),
+                   weight=((parse_coeff_expr("(1+normsq(x))^1", 1),),))
+    sec = check_weight_conditions(spec, box=8.0, n_samples=2048)
     assert not sec["quantities"]["sup1b"]["verdict"] or \
         not sec["verdict"]
 
 
 def test_weight_conditions_outward_drift_rejected():
-    spec = example_family("heat", {"d": 1})
-    weight = WeightSpec(1, matrix_of_consts(np.eye(1), 1))
+    spec = replace(example_family("heat", {"d": 1}),
+                   weight=matrix_of_consts(np.eye(1), 1))
     with pytest.raises(AuditError):
-        check_weight_conditions(spec, weight, box=3.0, n_samples=512)
+        check_weight_conditions(spec, box=3.0, n_samples=512)
 
 
 def test_monotone_extremes_under_more_samples():
@@ -194,21 +202,20 @@ def test_witness_reevaluates():
 
 
 def test_full_audit_report_json():
-    spec, weight = example_family("ex72", {"d": 1, "m": 2})
-    report = full_audit(spec, box=5.0, weight=weight, epsilon=1.0,
-                        kappa0=5.0, sigma=0.5, n_samples=512)
+    spec = example_family("ex72", {"d": 1, "m": 2})
+    report = full_audit(spec, box=5.0, epsilon=1.0, kappa0=5.0, sigma=0.5,
+                        n_samples=512)
     assert report["ellipticity"]["verdict"]
 
 
 def audited_sections(name):
     """jsonable(full_audit(...)) of one AUDIT_CASES entry."""
     family, params, kappa0, M = AUDIT_CASES[name]
-    built = example_family(family, params)
-    spec, weight = built if isinstance(built, tuple) else (built, None)
+    spec = example_family(family, params)
     if M is not None:
-        weight = WeightSpec(spec.d, matrix_of_consts(M, spec.d))
-    return jsonable(full_audit(spec, 5.0, weight, epsilon=1.0,
-                               kappa0=kappa0, sigma=0.5, n_samples=512))
+        spec = replace(spec, weight=matrix_of_consts(M, spec.d))
+    return jsonable(full_audit(spec, 5.0, epsilon=1.0, kappa0=kappa0,
+                               sigma=0.5, n_samples=512))
 
 
 @pytest.mark.parametrize("name", sorted(AUDIT_CASES))
@@ -247,3 +254,9 @@ def test_runner_import_leaves_scipy_stats_out():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+if __name__ == "__main__":
+    GOLDEN_SECTIONS.write_text(json.dumps(
+        {name: audited_sections(name) for name in AUDIT_CASES},
+        indent=1, sort_keys=True) + "\n")

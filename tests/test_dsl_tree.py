@@ -54,11 +54,10 @@ def family_exprs(name, d):
     params = {"d": d}
     if name in ("ex71ii", "ex72"):
         params.update(q="1+0.5*t", btilde="exp(-(t))")
-    built = example_family(name, params)
-    spec, weight = built if isinstance(built, tuple) else (built, None)
+    spec = example_family(name, params)
     yield from spec._all_exprs()
-    if weight is not None:
-        yield from (e for row in weight.M for e in row)
+    if spec.weight is not None:
+        yield from (e for row in spec.weight for e in row)
 
 
 @pytest.mark.parametrize("d", [1, 2])

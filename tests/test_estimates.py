@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -9,7 +11,7 @@ from kolmolab.grids import Grid, GridFunction, gradient
 from helpers import box_mask, constant
 from kolmolab import evolve as evolve_module
 from kolmolab.evolve import evolve
-from kolmolab.operators import WeightSpec, example_family, matrix_of_consts
+from kolmolab.operators import example_family, matrix_of_consts
 
 
 def test_max_principle_contraction_when_kappa_zero():
@@ -128,8 +130,8 @@ def _solves(spec, fn, grids, s, T, dt, bc):
 def test_weighted_gradient_constants_vanish():
     spec = example_family("ex71i", {"d": 1, "m": 2, "r": 1.0, "p": 3.0,
                                     "Chat": np.zeros((2, 2))})
-    weight = WeightSpec(1, matrix_of_consts(np.eye(1), 1))
-    res = weighted_gradient_check(weight, _solves(
+    spec = replace(spec, weight=matrix_of_consts(np.eye(1), 1))
+    res = weighted_gradient_check(spec, _solves(
         spec, lambda p: np.ones((2, p.shape[1])),
         [Grid(1, 5.0, 161), Grid(1, 5.0, 321)], 0.0, 0.5, 2e-3, "neumann"))
     assert res["measured"] <= 1e-6
@@ -139,17 +141,17 @@ def test_weighted_gradient_constants_vanish():
 def test_weighted_gradient_check_is_the_level_by_level_sup(d):
     # sqrt(t - s) sup |M(t) (J_x u(t))^T| over the probe box, level by
     # level, divided by sup |f|; the largest over the levels of each grid
-    spec, weight = example_family("ex72", {"d": d, "m": 2})
+    spec = example_family("ex72", {"d": d, "m": 2})
     grids = [Grid(d, 5.0, 21), Grid(d, 5.0, 41)]
     solves = _solves(spec, lambda p: np.stack(
         [np.tanh(p[0]), np.cos(p[-1])]), grids, 0.25, 0.5, 0.025, "neumann")
-    res = weighted_gradient_check(weight, solves)
+    res = weighted_gradient_check(spec, solves)
     trend = []
     for grid, sol in zip(grids, solves):
         mask = box_mask(grid, grid.L / 2)
         best = 0.0
         for t, u in zip(sol.times, sol.values):
-            M = weight.M_at(t, grid.points())  # (d, d, N)
+            M = spec.weight_at(t, grid.points())  # (d, d, N)
             g = gradient(grid, u)  # (m, d, N)
             wg = np.einsum("adN,mdN->amN", M, g)
             sup = np.max(np.sqrt(np.sum(wg[..., mask] ** 2, axis=(0, 1))))
@@ -166,7 +168,6 @@ def test_weighted_gradient_heat_gaussian_oracle():
     # f = erf(x/a): grad of the evolved profile at 0 is
     # 2/(sqrt(pi) sqrt(a^2 + 2t)) for unit-diffusion heat flow
     spec = example_family("heat", {"d": 1})
-    weight = WeightSpec(1, matrix_of_consts(np.eye(1), 1))
     a, tau = 1.0, 0.5
     grid = Grid(1, 8.0, 321)
     f = GridFunction.from_callable(grid, 1, lambda p: erf(p[0] / a))
@@ -178,8 +179,8 @@ def test_weighted_gradient_heat_gaussian_oracle():
 
 
 def test_weighted_gradient_ex72_stable():
-    spec, weight = example_family("ex72", {"d": 1, "m": 2})
-    res = weighted_gradient_check(weight, _solves(
+    spec = example_family("ex72", {"d": 1, "m": 2})
+    res = weighted_gradient_check(spec, _solves(
         spec, lambda p: np.stack([np.tanh(p[0]), np.cos(p[0])]),
         [Grid(1, 5.0, 201), Grid(1, 5.0, 401)], 0.0, 0.5, 2e-3, "dirichlet"))
     assert res["verdict"] == "PASS", res

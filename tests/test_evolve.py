@@ -452,7 +452,6 @@ def _assembly_cases():
         for name in ("heat", "ou", "const_coupling", "ex71i", "ex71ii",
                      "ex72"):
             spec = example_family(name, {"d": d})
-            spec = spec[0] if isinstance(spec, tuple) else spec
             for variant in (spec, scalar_comparison(spec)):
                 yield variant, grid
         yield example_family("ex71ii", {"d": d, "q": "1+0.5*t",
@@ -479,7 +478,7 @@ def test_assembly_byte_equal_to_the_triplet_reference():
 def _lu_case(name):
     ex71ii = example_family("ex71ii", {"d": 2, "m": 2})
     return {"ex71ii": ex71ii, "scalar": scalar_comparison(ex71ii),
-            "ex72": example_family("ex72", {"d": 2})[0]}[name]
+            "ex72": example_family("ex72", {"d": 2})}[name]
 
 
 def _solve_against(spec, grid, bc, dt=0.005):

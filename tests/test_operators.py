@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kolmolab.operators import (FamilyError, check_family_params,
-                                example_family, scalar_comparison)
+from kolmolab.operators import (FAMILIES, FamilyError, OperatorSpec,
+                                check_family_params, example_family,
+                                scalar_comparison)
 
 
 def test_heat_preset():
@@ -54,29 +55,41 @@ def test_ex71ii_accepted():
 @pytest.mark.parametrize("name", ["ex71ii", "ex72"])
 def test_skew_coupled_families_stop_at_two_components(name):
     # the skew coupling [[0, a], [-a, 0]] has no m >= 3 form; a zero one
-    # would run an uncoupled operator under the family's name
+    # would run an uncoupled operator under the family's name.  m <= 2 is
+    # one of the family's inequalities, so check_family_params reports it
     pts = np.array([[1.0]])
     for m in (3, 4):
-        with pytest.raises(FamilyError, match=f"m = {m}"):
+        with pytest.raises(FamilyError, match="violated: m <= 2$"):
             example_family(name, {"d": 1, "m": m})
-    one = example_family(name, {"d": 1, "m": 1})
-    spec = one[0] if isinstance(one, tuple) else one
+        report = check_family_params(name, {"d": 1, "m": m})
+        assert [(ineq, slack) for ineq, ok, slack in report if not ok] == \
+            [("m <= 2", 2 - m)]
+    spec = example_family(name, {"d": 1, "m": 1})
     assert spec.Btilde_at(0.0, pts).shape == (1, 1, 1, 1)
     assert np.max(np.abs(spec.Btilde_at(0.0, pts))) == 0.0
 
 
 def test_ex72_default_params_pass_and_weight():
     params = {"d": 1, "m": 2}
-    spec, weight = example_family("ex72", params)
+    spec = example_family("ex72", params)
     report = check_family_params("ex72", params)
     assert all(ok for _, ok, _ in report)
     pts = np.array([[2.0]])
     # M = (1+|x|^2)^0.5 I
-    assert weight.M_at(0.0, pts)[0, 0, 0] == pytest.approx(np.sqrt(5.0))
-    Mv = np.moveaxis(weight.M_at(0.0, pts), 2, 0)
+    assert spec.weight_at(0.0, pts)[0, 0, 0] == pytest.approx(np.sqrt(5.0))
+    Mv = np.moveaxis(spec.weight_at(0.0, pts), 2, 0)
     assert np.all(np.linalg.eigvalsh(Mv)[:, 0] > 0)
     # b = -x(1+|x|^2)^2
     assert spec.b_at(0.0, pts)[0, 0] == pytest.approx(-50.0)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_every_family_is_one_spec_and_only_ex72_carries_a_weight(d):
+    specs = {name: example_family(name, {"d": d}) for name in FAMILIES}
+    assert all(type(spec) is OperatorSpec for spec in specs.values())
+    assert [name for name, spec in sorted(specs.items())
+            if spec.weight is not None] == ["ex72"]
+    assert np.shape(specs["ex72"].weight) == (d, d)
 
 
 def test_ex72_spec_example_param_set():

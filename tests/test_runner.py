@@ -1,8 +1,17 @@
+"""The batch runner.  tests/golden/ex71ii_full_report.json is the
+report.json of `kolmolab run configs/ex71ii_full.run`; regenerate it only
+in a change that says why the numbers moved:
+
+    PYTHONPATH=src python tests/test_runner.py
+"""
+
 import csv
 import hashlib
 import json
 import math
 import os
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
@@ -17,6 +26,8 @@ from kolmolab.runner import (ConfigError, _setup, list_presets, load_config,
 
 GOLDEN_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
                              "ex71ii_full.run")
+GOLDEN_REPORT = os.path.join(os.path.dirname(__file__), "golden",
+                             "ex71ii_full_report.json")
 
 
 def write_cfg(path, **overrides):
@@ -457,9 +468,9 @@ def test_weighted_gradient_stage_follows_data_bc(tmp_path, monkeypatch, bc):
     from kolmolab import runner as runner_module
     passed = []
 
-    def spy(weight, solves):
+    def spy(spec, solves):
         passed.extend(sol.bc for sol in solves)
-        return weighted_gradient_check(weight, solves)
+        return weighted_gradient_check(spec, solves)
 
     monkeypatch.setattr(runner_module, "weighted_gradient_check", spy)
     p = tmp_path / "c.run"
@@ -598,8 +609,7 @@ def test_golden_config_full_suite(tmp_path, monkeypatch):
     assert set(report["verdicts"]) == {
         "audit", "max_principle", "pointwise", "representation",
         "compactness", "semilinear", "fbsde", "girsanov", "nash"}
-    with open(os.path.join(os.path.dirname(__file__), "golden",
-                           "ex71ii_full_report.json")) as fh:
+    with open(GOLDEN_REPORT) as fh:
         golden = json.load(fh)
     fresh = json.loads((tmp_path / "golden" / "report.json").read_text())
     _assert_same_leaves(fresh, golden, "report")
@@ -719,6 +729,33 @@ def _golden(**changes):
         else:
             cfg[section] = values
     return cfg
+
+
+@pytest.mark.parametrize("section, values, key", [
+    # the 4dt and 2dt ladders are both one step: representation reads
+    # two equal residuals and reports dts it did not take
+    ("time", {"dt": 0.3}, "time.dt"),
+    # every ladder is one step: max_principle's trend repeats one number
+    ("time", {"dt": 10.0}, "time.dt"),
+    # a radius <= 0 has no ball to measure tightness against
+    ("kernel", {"R_list": [-1.0, 2.0]}, "kernel.R_list"),
+    ("kernel", {"R_list": [0.0, 1.0]}, "kernel.R_list"),
+], ids=["dt_4dt_and_2dt_one_step", "dt_above_the_window", "R_negative",
+        "R_zero"])
+def test_collapsed_ladders_and_radii_not_above_zero_exit_2(
+        tmp_path, capsys, section, values, key):
+    p = tmp_path / "c.run"
+    p.write_text(json.dumps(_golden(**{section: values})))
+    assert main(["run", str(p), "--output", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key} must")
+    assert not (tmp_path / "o").exists()
+
+
+def test_dt_may_be_a_quarter_of_the_window(tmp_path):
+    # 4dt = T - s: the 4dt, 2dt and dt ladders take 1, 2 and 4 steps
+    p = tmp_path / "c.run"
+    p.write_text(json.dumps(_golden(time={"dt": 0.125})))
+    assert load_config(p)["time"]["dt"] == 0.125
 
 
 def test_data_f_is_read_at_the_initial_time(tmp_path):
@@ -844,3 +881,9 @@ def test_estimate_stages_share_one_vector_solve_per_step_size(
     assert code == 0, report["verdicts"]
     # the golden operator has m = 2 components
     assert (sizes.count(2 * n), sizes.count(n)) == (3, 4)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        run(GOLDEN_CONFIG, outdir=tmp)
+        shutil.copyfile(os.path.join(tmp, "report.json"), GOLDEN_REPORT)

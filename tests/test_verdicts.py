@@ -1,5 +1,6 @@
 """Mutation gate: each row breaks one function and runs only the stages
-it targets on the golden operator at reduced size; the stage must FAIL.
+it targets on the golden config at reduced size (with ex72, which has a
+weight, for weighted_gradient); the stage must FAIL.
 A row that cannot flip today is a strict xfail naming the ROADMAP item
 that will make it flip.  The assertion message of each row carries the
 stage's measured margin under the mutation."""
@@ -13,6 +14,8 @@ import pytest
 
 from kolmolab import evolve, game, runner
 from kolmolab.dsl import const_expr, parse_coeff_expr
+from kolmolab.operators import example_family
+from kolmolab.semilinear import Nonlinearity
 
 GOLDEN_CONFIG = Path(__file__).resolve().parents[1] / "configs" / \
     "ex71ii_full.run"
@@ -64,6 +67,42 @@ B_NEGATED = pde_side(lambda spec: replace(spec, b=tuple(
     parse_coeff_expr("-b", spec.d, bindings={"b": e}) for e in spec.b)))
 
 
+def _heat(spec):
+    """Q = I/2 and b, Btilde, C zero, with spec's d and m."""
+    return example_family("heat", {"d": spec.d, "m": spec.m})
+
+
+HEAT = pde_side(_heat)
+OU = pde_side(lambda spec: replace(_heat(spec), b=tuple(
+    parse_coeff_expr(f"-(x{j + 1})", spec.d) for j in range(spec.d))))
+
+
+def s_four_weight(monkeypatch):
+    """The run's operator carries the weight (1+|x|^2)^4 I, which breaks
+    ex72's k+s < p+1, in place of the family's (1+|x|^2)^(1/2) I."""
+    real = runner._build_operator
+
+    def build(cfg):
+        spec = real(cfg)
+        return replace(spec, weight=tuple(
+            tuple(parse_coeff_expr("(1+normsq(x))^4" if i == j else "0",
+                                   spec.d) for j in range(spec.d))
+            for i in range(spec.d)))
+
+    monkeypatch.setattr(runner, "_build_operator", build)
+
+
+def psi_negated(monkeypatch):
+    """Every rung of the mollify ladder solves with -psi."""
+    real = runner.mollify_nonlinearity
+
+    def negated(nl, n):
+        inner = real(nl, n)
+        return Nonlinearity(nl.d, nl.m, lambda x, z: -inner(x, z))
+
+    monkeypatch.setattr(runner, "mollify_nonlinearity", negated)
+
+
 def rho_one(monkeypatch):
     """The girsanov stage ignores its weights: rho = 1 on every path."""
     monkeypatch.setattr(runner, "girsanov_weights",
@@ -96,6 +135,16 @@ def compactness_margin(stage):
     return "outside masses per R " + "; ".join(
         f"x={e['x']}: {e['outside']}" for e in stage["vector"]["table"]) \
         + " against 0.05 at the largest R"
+
+
+def drift_margin(stage):
+    return f"trend {stage['refinement_trend']}, drift " \
+        f"{stage['notes']['drift']:.3%} against 5%"
+
+
+def semilinear_margin(stage):
+    return f"kt norms {stage['kt_norms']}, spread {stage['spread']:.3g} " \
+        "against 0.10"
 
 
 def fbsde_margin(stage):
@@ -139,6 +188,21 @@ ROWS = [
     # rises from 2e-4 to 0.09 at x = +-1 and 0.051 at x = 0
     pytest.param("compactness", ["compactness"], B_NEGATED, SMALL,
                  compactness_margin, id="compactness-b_negated"),
+    # neither heat nor OU is compact on C_b, yet their largest-R outside
+    # masses at SMALL stay under 0.05: 3.7e-3, 1.6e-4, 3.7e-3 and 7.6e-6
+    pytest.param("compactness", ["compactness"], HEAT, SMALL,
+                 compactness_margin, id="compactness-heat", marks=xfail(13)),
+    pytest.param("compactness", ["compactness"], OU, SMALL,
+                 compactness_margin, id="compactness-ou", marks=xfail(13)),
+    # the check compares n with 2n - 1 on one box, so a weight whose sup
+    # grows with the box passes (trend [345.9, 347.8])
+    pytest.param("weighted_gradient", ["weighted_gradient"], s_four_weight,
+                 {**SMALL, "operator": {"family": "ex72"}}, drift_margin,
+                 id="weighted_gradient-s_four", marks=xfail(14)),
+    # the mollify ladder's kt norms agree whatever the sign of psi
+    pytest.param("semilinear", ["semilinear"], psi_negated, SMALL,
+                 semilinear_margin, id="semilinear-psi_negated",
+                 marks=xfail(11)),
     pytest.param("fbsde", ["fbsde"], B_HALVED,
                  {"grid": {"n": 101}, "time": {"dt": 0.02},
                   "mc": {"N": 2000}}, fbsde_margin,
