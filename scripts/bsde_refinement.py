@@ -19,7 +19,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from kolmolab.fbsde import (DiffusionSpec, bsde_residual,  # noqa: E402
                             identify_yz, simulate_forward)
-from kolmolab.grids import Grid, GridFunction  # noqa: E402
+from kolmolab.grids import Grid  # noqa: E402
 from kolmolab.operators import example_family  # noqa: E402
 from kolmolab.semilinear import (mild_solve,  # noqa: E402
                                  nonlinearity_from_exprs)
@@ -29,11 +29,10 @@ def residual_ladder(N, tau, seed):
     """(steps, residual) of the backward residual of the tanh gradient
     coupling for each path step count, on N paths from x0 = 0.2."""
     spec = example_family("ou", {"d": 1})
-    grid = Grid(1, 8.0, 401)
-    g = GridFunction.from_callable(grid, 1, lambda p: np.tanh(p[0]),
-                                   bc="neumann")
+    grid = Grid(1, 8.0, 401, "neumann")
+    g = np.tanh(grid.points())
     nl = nonlinearity_from_exprs(["(exp(2*z11)-1)/(exp(2*z11)+1)"], 1, 1)
-    sol = mild_solve(spec, nl, g, 0.0, tau, dt=1e-3)
+    sol = mild_solve(spec, nl, grid, g, 0.0, tau, dt=1e-3)
     ds = DiffusionSpec(op=spec, g=lambda p: np.tanh(p)[:1])
     rungs = []
     for steps in (8, 16, 32, 64, 128):

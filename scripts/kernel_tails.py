@@ -19,9 +19,9 @@ from kolmolab.kernels import compactness_probe  # noqa: E402
 from kolmolab.operators import example_family  # noqa: E402
 
 PRESETS = {
-    "heat": ({"d": 1}, Grid(1, 8.0, 321)),
-    "ou": ({"d": 1}, Grid(1, 6.0, 241)),
-    "ex71ii": ({"d": 1, "m": 2}, Grid(1, 6.0, 241)),
+    "heat": ({"d": 1}, Grid(1, 8.0, 321, "neumann")),
+    "ou": ({"d": 1}, Grid(1, 6.0, 241, "neumann")),
+    "ex71ii": ({"d": 1, "m": 2}, Grid(1, 6.0, 241, "neumann")),
 }
 
 

@@ -64,8 +64,7 @@ def pointwise_check(spec, sol, HJ):
     s, T = times[0], times[-1]
     mask = grid.probe
     g = np.sum(sol.values[0] ** 2, axis=0)[None, :]  # |f|^2
-    sq = [g, *_Stepper(scalar_comparison(spec), grid, sol.bc).march(
-        g, times)]
+    sq = [g, *_Stepper(scalar_comparison(spec), grid).march(g, times)]
     checks = np.linspace(s, T, _N_T + 1)[1:]
     picks = np.abs(times[:, None] - checks).argmin(axis=0)  # nearest levels
     num = np.sum(sol.values[picks] ** 2, axis=1)
@@ -132,6 +131,6 @@ def representation_residual(spec, sol):
         + np.einsum("lkN,lkN->lN", Cv, vec[:-1])
     # Duhamel's formula as one scalar march: f_k transported, with src
     # added at each step
-    resid = vec[-1, 0] - _Stepper(scalar_comparison(spec), grid, sol.bc) \
-        .final(vec[0, 0][None], times, src[:, None])[0]
+    resid = vec[-1, 0] - _Stepper(scalar_comparison(spec), grid).final(
+        vec[0, 0][None], times, src[:, None])[0]
     return float(np.max(np.abs(resid[grid.probe])))

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grids import GridFunction, Solution
+from .grids import Solution
 
 __all__ = ["evolve", "assemble_operator", "EvolveError"]
 
@@ -43,21 +43,21 @@ D1 = ((1, 1), (-1, -1))  # b_j D_j centered, on 2h
 D1_UP = ((0, -3), (1, 4), (2, -1))  # one-sided second order, on 2h
 
 
-def assemble_operator(spec, grid, t, bc):
+def assemble_operator(spec, grid, t):
     """Sparse matrix realizing the full operator on flat (m*N) vectors.
 
     Component-block layout: row k*N + p is the equation for component k
     at node p.  The scalar stencils of Tr(Q D^2) + <b, grad> fill each
-    diagonal block; Btilde (centered) and C fill block (k, l).  Dirichlet
-    boundary rows are left empty (the stepper installs identity rows in
-    I - dt*A).
+    diagonal block; Btilde (centered) and C fill block (k, l).  The rows
+    of grid.dirichlet are left empty (the stepper installs identity rows
+    in I - dt*A).
     """
     d, m, n, h = spec.d, spec.m, grid.n, grid.h
     N = grid.n_nodes
     pts = grid.points()
     ax_idx = np.indices((n,) * d).reshape(d, N)  # axis indices of nodes
     strides = [n ** (d - 1 - j) for j in range(d)]
-    live = ~(grid.boundary_mask() & (bc == "dirichlet"))
+    live = ~grid.dirichlet
 
     Qv = spec.Q_at(t, pts)  # (d, d, N)
     bv = spec.b_at(t, pts)  # (d, N)
@@ -83,7 +83,7 @@ def assemble_operator(spec, grid, t, bc):
     for j in range(d):
         ij, qjj = ax_idx[j], Qv[j, j]
         scalar += entries((ij > 0) & (ij < n - 1), D2, qjj, h ** 2, [j])
-        if bc == "neumann":
+        if grid.bc == "neumann":
             scalar += entries(ij == 0, D2_FACE, qjj, h ** 2, [j])
             scalar += entries(ij == n - 1, D2_FACE, qjj, h ** 2, [j], -1)
     for a, b in combinations(range(d), 2):
@@ -142,17 +142,15 @@ class _Stepper:
     once.  A time-dependent spec keys its LU by (physical t, dt) and
     holds at most one, as every step of its ladder needs a fresh one."""
 
-    def __init__(self, spec, grid, bc, T=None):
+    def __init__(self, spec, grid, T=None):
         self.spec = spec
         self.grid = grid
-        self.bc = bc
         self.T = T
         self.time_dep = spec.depends_on_t()
         self._lus = {}  # (physical t or None, dt) -> LU of I - dt*A
         self._A = None  # the operator at the time of the last factor
         # Dirichlet rows of the flat (m*N) unknowns; none for neumann
-        self.mask = np.tile(grid.boundary_mask() & (bc == "dirichlet"),
-                            spec.m)
+        self.mask = np.tile(grid.dirichlet, spec.m)
 
     def factor(self, t_new, dt):
         t = t_new if self.T is None else self.T - t_new
@@ -163,7 +161,7 @@ class _Stepper:
         if self.time_dep:
             self._lus.clear()
         if self.time_dep or self._A is None:
-            self._A = assemble_operator(self.spec, self.grid, t, self.bc)
+            self._A = assemble_operator(self.spec, self.grid, t)
         M = (sp.identity(self._A.shape[0], format="csr")
              - dt * self._A).tocsc()
         self._lus[key] = spla.splu(M, **LU_OPTIONS[self.spec.d])
@@ -192,6 +190,10 @@ class _Stepper:
         step * source[l - 1] is added to the right-hand side of the step
         onto times[l].  With adjoint the ladder is walked down from
         times[-1], each step transposed."""
+        want = (self.spec.m, self.grid.n_nodes)
+        if values.shape[:2] != want:
+            raise ValueError(f"values of shape {values.shape} do not start "
+                             f"with the operator's (m, N) = {want}")
         steps = range(1, len(times))
         for l in reversed(steps) if adjoint else steps:
             step = times[l] - times[l - 1]
@@ -213,10 +215,10 @@ def _time_ladder(s, t, dt):
     return np.linspace(s, t, n_steps + 1)
 
 
-def evolve(spec, f: GridFunction, s, t, dt):
-    """Evolve initial data f from time s to t on _time_ladder(s, t, dt)
-    under f's boundary condition; returns the Solution whose level l is
+def evolve(spec, grid, f, s, t, dt):
+    """Evolve initial data f (m, N) on grid from time s to t on
+    _time_ladder(s, t, dt); returns the Solution whose level l is
     u(times[l], .), from f to u(t, .)."""
     times = _time_ladder(s, t, dt)
-    march = _Stepper(spec, f.grid, f.bc).march(f.values, times)
-    return Solution(f.grid, f.bc, times, np.stack([f.values, *march]))
+    march = _Stepper(spec, grid).march(f, times)
+    return Solution(grid, times, np.stack([f, *march]))

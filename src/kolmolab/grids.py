@@ -1,9 +1,10 @@
-"""Uniform tensor grids on boxes [-L, L]^d, grid functions and solved
-time ladders, with second-order gradients and multilinear interpolation.
+"""Uniform tensor grids on boxes [-L, L]^d with their boundary
+condition, and solved time ladders, with second-order gradients and
+multilinear interpolation.
 
-Flat storage convention: values have shape (m, n^d) with C-order
-flattening of the axes, axis 1 fastest.  For d=2 the flat index of node
-(i1, i2) is i1*n + i2.
+Flat storage convention: a datum is an array of shape (m, n^d) with
+C-order flattening of the axes, axis 1 fastest.  For d=2 the flat index
+of node (i1, i2) is i1*n + i2.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Grid", "GridFunction", "Solution", "gradient",
-           "weighted_gradient_sup"]
+__all__ = ["Grid", "Solution", "gradient", "weighted_gradient_sup"]
 
 
 @dataclass(frozen=True)
@@ -22,6 +22,7 @@ class Grid:
     d: int
     L: float
     n: int  # points per axis, odd so that 0 is a node
+    bc: str  # boundary condition of the box: "dirichlet" or "neumann"
 
     def __post_init__(self):
         if self.n < 5:
@@ -32,6 +33,8 @@ class Grid:
             raise ValueError("desk scale supports d in {1, 2}")
         if self.L <= 0:
             raise ValueError("L must be positive")
+        if self.bc not in ("dirichlet", "neumann"):
+            raise ValueError(f"unknown bc {self.bc!r}")
 
     @property
     def h(self):
@@ -59,34 +62,12 @@ class Grid:
         """Boolean mask of the nodes in the probe box."""
         return np.max(np.abs(self.points()), axis=0) <= self.probe_L + 1e-12
 
-    def boundary_mask(self):
-        pts = self.points()
-        return np.max(np.abs(pts), axis=0) >= self.L - 0.5 * self.h
-
-
-@dataclass
-class GridFunction:
-    grid: Grid
-    m: int
-    values: np.ndarray  # (m, n^d)
-    bc: str = "dirichlet"  # or "neumann"
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.m, self.grid.n_nodes):
-            raise ValueError(
-                f"values shape {self.values.shape} != "
-                f"({self.m}, {self.grid.n_nodes})")
-        if self.bc not in ("dirichlet", "neumann"):
-            raise ValueError(f"unknown bc {self.bc!r}")
-
-    @classmethod
-    def from_callable(cls, grid, m, fn, bc="dirichlet"):
-        """fn maps points (d, N) to values (m, N) (or (N,) when m=1)."""
-        vals = np.asarray(fn(grid.points()), dtype=float)
-        if vals.ndim == 1:
-            vals = vals.reshape(1, -1)
-        return cls(grid, m, vals, bc=bc)
+    @functools.cached_property
+    def dirichlet(self):
+        """Boolean mask of the nodes held at zero: the boundary nodes
+        under "dirichlet", no node under "neumann"."""
+        edge = np.max(np.abs(self.points()), axis=0) >= self.L - 0.5 * self.h
+        return edge & (self.bc == "dirichlet")
 
 
 @dataclass
@@ -94,7 +75,6 @@ class Solution:
     """A solved time ladder: values[l] (m, N) at ascending times[l]."""
 
     grid: Grid
-    bc: str
     times: np.ndarray  # (levels,)
     values: np.ndarray  # (levels, m, N)
 

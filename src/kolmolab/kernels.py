@@ -16,7 +16,7 @@ Turb. Combust. 65, 2000).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,7 +52,7 @@ def cell_centers(d, L, n_cells):
     return np.stack([C.ravel() for C in axes])
 
 
-def kernel_row(spec, grid, t, s, x_list, n_cells, dt, bc):
+def kernel_row(spec, grid, t, s, x_list, n_cells, dt):
     """Approximate all m x m kernel-row measures at each base point of
     x_list from one adjoint march of the (m, N, points*m) batch
     e_i w_x: mass[x, i, j, c] = (G^T (e_i w_x))_j . chi_c."""
@@ -69,8 +69,7 @@ def kernel_row(spec, grid, t, s, x_list, n_cells, dt, bc):
         w[corner, np.arange(P)] = np.prod(factors, axis=0)
     # column (p, i) holds w_p in component i
     Y = np.einsum("ik,np->inpk", np.eye(m), w).reshape(m, N, P * m)
-    Y = _Stepper(spec, grid, bc).final(Y, _time_ladder(s, t, dt),
-                                       adjoint=True)
+    Y = _Stepper(spec, grid).final(Y, _time_ladder(s, t, dt), adjoint=True)
     mass = np.einsum("jnpi,cn->pijc", Y.reshape(m, N, P, m),
                      _cell_weights(grid, n_cells))
     return KernelRow(centers=cell_centers(spec.d, grid.L, n_cells),
@@ -89,7 +88,8 @@ def compactness_probe(spec, grid, t, s, x_list, R_list, n_cells, dt):
     """PASS iff the Neumann kernel row's outside mass decays monotonically
     in R and falls below 0.05 at the largest R, for every base point."""
     R_list = sorted(R_list)
-    row = kernel_row(spec, grid, t, s, x_list, n_cells, dt, bc="neumann")
+    row = kernel_row(spec, replace(grid, bc="neumann"), t, s, x_list,
+                     n_cells, dt)
     # outside mass per (base point, R): the max over the (m, m) block
     outside = np.array([np.max(tightness_mass(row, R), axis=(1, 2))
                         for R in R_list]).T

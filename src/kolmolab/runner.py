@@ -29,7 +29,7 @@ from .evolve import evolve
 from .fbsde import (DiffusionSpec, FbsdeError, girsanov_weights,
                     horizon_steps, simulate_forward, valid_paths)
 from .game import nash_check
-from .grids import Grid, GridFunction, interp_multilinear
+from .grids import Grid, interp_multilinear
 from .kernels import compactness_probe
 from .operators import (FAMILIES, example_family, matrix_of_consts,
                         numeric_matrix, scalar_comparison)
@@ -145,7 +145,8 @@ _SCHEMA = {
                           "a list of non-empty lists of numbers"),
              "running_weight": (float, 1.0), "r_gain": (float, 0.5),
              "r_const": (float, None)},
-    "seed": (int, _REQUIRED),
+    "seed": (int, _REQUIRED, lambda v, cfg: -2 ** 63 <= v < 2 ** 63,
+             "an integer in the signed 64-bit range [-2**63, 2**63)"),
     "output": (str, _REQUIRED),
 }
 
@@ -221,7 +222,9 @@ def _build_operator(cfg):
 
 
 def _default_f(spec, grid, cfg):
-    bc = cfg["data"]["bc"]
+    """The datum (m, N) on grid: data.f at time.s, else exp(-|x|^2) and
+    then cos((k + 1) x_1) for each further component k."""
+    pts = grid.points()
     if cfg["data"]["f"] is not None:
         exprs = [parse_coeff_expr(s, spec.d) for s in cfg["data"]["f"]]
         if len(exprs) != spec.m:
@@ -229,17 +232,10 @@ def _default_f(spec, grid, cfg):
         for e in exprs:
             check_guards(e, grid.L, spec.time_interval)
         s = cfg["time"]["s"]  # f is the datum at the initial time
-        vals = np.stack([np.broadcast_to(e(s, grid.points()), (grid.n_nodes,))
-                         for e in exprs])
-        return GridFunction(grid, spec.m, vals, bc=bc)
-
-    def fn(p):
-        rows = [np.exp(-np.sum(p ** 2, axis=0))]
-        for k in range(1, spec.m):
-            rows.append(np.cos((k + 1) * p[0]))
-        return np.stack(rows)
-
-    return GridFunction.from_callable(grid, spec.m, fn, bc=bc)
+        return np.stack([np.broadcast_to(e(s, pts), (grid.n_nodes,))
+                         for e in exprs], dtype=float)
+    return np.stack([np.exp(-np.sum(pts ** 2, axis=0)),
+                     *(np.cos((k + 1) * pts[0]) for k in range(1, spec.m))])
 
 
 def jsonable(obj):
@@ -285,7 +281,7 @@ class _Runner:
                 raise ConfigError(f"time [s, T] must lie in the family's "
                                   f"time_interval [{lo!r}, {hi!r}]")
             self.grid = Grid(self.spec.d, float(cfg["grid"]["L"]),
-                             cfg["grid"]["n"])
+                             cfg["grid"]["n"], cfg["data"]["bc"])
             self.spec.check_guards(self.grid.L)
             x_list = cfg["kernel"]["x_list"]
             if np.max(np.abs(x_list)) >= self.grid.probe_L:
@@ -306,7 +302,8 @@ class _Runner:
         # the Solutions of G(., s) f over [s, T], one per step size, shared
         # by max_principle, pointwise, weighted_gradient and representation
         self.levels = functools.cache(
-            lambda dt: evolve(self.spec, self.f, self.s, self.T, dt))
+            lambda dt: evolve(self.spec, self.grid, self.f, self.s, self.T,
+                              dt))
 
     def _path(self, name):
         return os.path.join(self.outdir, name)
@@ -363,11 +360,11 @@ class _Runner:
                                HJ=max(float(HJ), 0.0))
 
     def stage_weighted_gradient(self):
-        fine = Grid(self.spec.d, self.grid.L, 2 * self.grid.n - 1)
+        fine = replace(self.grid, n=2 * self.grid.n - 1)
         f = _default_f(self.spec, fine, self.cfg)
         return weighted_gradient_check(
             self.spec, [self.levels(self.dt),
-                        evolve(self.spec, f, self.s, self.T, self.dt)])
+                        evolve(self.spec, fine, f, self.s, self.T, self.dt)])
 
     def stage_representation(self):
         dts = (4 * self.dt, 2 * self.dt, self.dt)
@@ -398,10 +395,10 @@ class _Runner:
 
     def _mild_solve(self, nl, coarser=()):
         """mild_solve over [s, T] with the configured Picard settings."""
-        return mild_solve(self.spec, nl, self.f, self.s, self.T, self.dt,
-                          picard_tol=self.cfg["semilinear"]["picard_tol"],
-                          max_iter=self.cfg["semilinear"]["max_iter"],
-                          coarser=coarser)
+        return mild_solve(
+            self.spec, nl, self.grid, self.f, self.s, self.T, self.dt,
+            picard_tol=self.cfg["semilinear"]["picard_tol"],
+            max_iter=self.cfg["semilinear"]["max_iter"], coarser=coarser)
 
     @functools.cached_property
     def sol(self):
@@ -444,11 +441,10 @@ class _Runner:
         r1 = None if r_const is None else tuple(
             const_expr(float(r_const), self.spec.d)
             for _ in range(self.spec.d))
-        f = self.f
 
         def g_fn(pts):
             # interp_multilinear clamps the points to the box
-            return interp_multilinear(self.grid, f.values, pts)
+            return interp_multilinear(self.grid, self.f, pts)
 
         def r2(pts, u):
             out = np.zeros((self.spec.d, pts.shape[1]))

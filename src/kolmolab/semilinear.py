@@ -20,7 +20,7 @@ import numpy as np
 
 from .dsl import parse_state_expr
 from .evolve import _Stepper, _time_ladder
-from .grids import GridFunction, Solution, gradient, weighted_gradient_sup
+from .grids import Solution, gradient, weighted_gradient_sup
 
 __all__ = ["Nonlinearity", "nonlinearity_from_exprs", "mollify_nonlinearity",
            "mild_solve", "kt_norm", "MildSolution", "sqrtQ_at"]
@@ -137,10 +137,11 @@ def kt_norm(sol: MildSolution):
                               sol.times[-1] - sol.times)
 
 
-def mild_solve(spec, nl, g: GridFunction, s, T, dt, picard_tol=1e-8,
-               max_iter=40, coarser=()):
-    """Picard iteration for the backward semilinear problem on [s, T],
-    with the Picard deltas measured on the probe box Grid.probe.
+def mild_solve(spec, nl, grid, g, s, T, dt, picard_tol=1e-8, max_iter=40,
+               coarser=()):
+    """Picard iteration for the backward semilinear problem on [s, T]
+    with terminal data g (m, N) on grid, with the Picard deltas measured
+    on the probe box Grid.probe.
 
     nl may be None (linear case).  Returns a MildSolution on the forward
     time ladder over [s, T] with the terminal data at t = T exactly.
@@ -150,10 +151,9 @@ def mild_solve(spec, nl, g: GridFunction, s, T, dt, picard_tol=1e-8,
     each sweep is one march with a right-hand-side column per rung that
     has not yet converged.  A rung keeps its own deltas and stopping
     test, and its MildSolution comes back in the result's rungs."""
-    grid = g.grid
     mask = grid.probe
     pts = grid.points()
-    stepper = _Stepper(spec, grid, g.bc, T)
+    stepper = _Stepper(spec, grid, T)
     taus = _graded_ladder(T - s, dt)
     times = T - taus  # the physical time of each level, descending
     roots = sqrtQ_at(spec, times[:, None], pts[:, None, :])
@@ -170,7 +170,7 @@ def mild_solve(spec, nl, g: GridFunction, s, T, dt, picard_tol=1e-8,
         return -np.moveaxis(psi, 1, 0)
 
     nls = [*coarser, nl]
-    linear = np.stack([g.values, *stepper.march(g.values, taus)])
+    linear = np.stack([g, *stepper.march(g, taus)])
     current = [linear] * len(nls)
     histories = [[] for _ in nls]
     active = [r for r, f in enumerate(nls) if f is not None]
@@ -181,8 +181,8 @@ def mild_solve(spec, nl, g: GridFunction, s, T, dt, picard_tol=1e-8,
         # alone, so a rung's numbers do not depend on its neighbours
         source = np.stack([forcing(nls[r], current[r]) for r in active], -1)
         nxt = np.empty((len(active), *linear.shape))
-        nxt[:, 0] = g.values
-        levels = stepper.march(g.values[..., None], taus, source)
+        nxt[:, 0] = g
+        levels = stepper.march(g[..., None], taus, source)
         for l, level in enumerate(levels, 1):
             nxt[:, l] = np.moveaxis(level, -1, 0)
         for r, u in zip(list(active), nxt):
@@ -195,7 +195,7 @@ def mild_solve(spec, nl, g: GridFunction, s, T, dt, picard_tol=1e-8,
                 active.remove(r)
     sols = []
     for r, (u, history) in enumerate(zip(current, histories)):
-        sol = MildSolution(grid, g.bc, times[::-1], u[::-1], roots[::-1],
+        sol = MildSolution(grid, times[::-1], u[::-1], roots[::-1],
                            picard_history=history,
                            converged=r not in active)
         sol.kt_norm = kt_norm(sol)

@@ -1,15 +1,18 @@
-"""Test-side builders of grid functions and node masks."""
+"""Test-side builders of grid data and node masks."""
 
 import numpy as np
 
-from kolmolab.grids import GridFunction
+
+def sample(grid, fn):
+    """The datum (m, N) of fn at the nodes of grid; fn maps points (d, N)
+    to values (m, N), or to (N,) when m = 1."""
+    return np.atleast_2d(np.asarray(fn(grid.points()), dtype=float))
 
 
-def constant(grid, vec, bc="dirichlet"):
-    """The grid function equal to the vector vec at every node."""
+def constant(grid, vec):
+    """The datum equal to the vector vec at every node."""
     vec = np.asarray(vec, dtype=float)
-    return GridFunction(grid, len(vec),
-                        np.repeat(vec[:, None], grid.n_nodes, axis=1), bc=bc)
+    return np.repeat(vec[:, None], grid.n_nodes, axis=1)
 
 
 def box_mask(grid, radius):

@@ -18,8 +18,8 @@ from kolmolab.evolve import _Stepper, evolve
 from kolmolab.fbsde import (DiffusionSpec, bsde_residual, girsanov_weights,
                             identify_yz, simulate_forward)
 from kolmolab.game import minimax_select, nash_check
-from kolmolab.grids import Grid, GridFunction, gradient
-from helpers import box_mask, constant
+from kolmolab.grids import Grid, gradient
+from helpers import box_mask, constant, sample
 from kolmolab.kernels import compactness_probe
 from kolmolab.operators import example_family, scalar_comparison
 from kolmolab.semilinear import (MildSolution, _graded_ladder, kt_norm,
@@ -35,12 +35,11 @@ def report(num, name, ok, detail):
 
 def test_01_linear_oracles():
     # heat kernel closed form
-    grid = Grid(1, 8.0, 321)
+    grid = Grid(1, 8.0, 321, "dirichlet")
     spec = example_family("heat", {"d": 1})
-    f = GridFunction.from_callable(grid, 1,
-                                   lambda p: np.exp(-p[0] ** 2 / 2))
+    f = sample(grid, lambda p: np.exp(-p[0] ** 2 / 2))
     tau = 0.5
-    u = evolve(spec, f, 0.0, tau, dt=1e-3).values[-1]
+    u = evolve(spec, grid, f, 0.0, tau, dt=1e-3).values[-1]
     x = grid.axis()
     oracle = np.exp(-x ** 2 / (2 * (1 + tau))) / np.sqrt(1 + tau)
     mask = grid.probe
@@ -48,19 +47,20 @@ def test_01_linear_oracles():
 
     # first moment of the mean-reverting flow
     spec = example_family("ou", {"d": 1})
-    g = GridFunction.from_callable(grid, 1, lambda p: p[0], bc="neumann")
-    v = evolve(spec, g, 0.0, tau, dt=1e-3).values[-1]
+    gridn = dataclasses.replace(grid, bc="neumann")
+    g = sample(gridn, lambda p: p[0])
+    v = evolve(spec, gridn, g, 0.0, tau, dt=1e-3).values[-1]
     e_ou = float(np.max(np.abs(v[0] - np.exp(-tau) * x)[mask]))
 
     # constant-coefficient coupling against the matrix exponential
     C = np.array([[0.0, 1.0], [-1.0, 0.0]])
     spec = example_family("const_coupling", {"d": 1, "C": C.tolist()})
-    gridc = Grid(1, 2.0, 21)
-    h = constant(gridc, [1.0, 0.0], bc="neumann")
+    gridc = Grid(1, 2.0, 21, "neumann")
+    h = constant(gridc, [1.0, 0.0])
     tauc = 0.3
     # first-order stepping: extrapolate two step sizes to reach 1e-6
-    w1 = evolve(spec, h, 0.0, tauc, dt=4e-5).values[-1]
-    w2 = evolve(spec, h, 0.0, tauc, dt=2e-5).values[-1]
+    w1 = evolve(spec, gridc, h, 0.0, tauc, dt=4e-5).values[-1]
+    w2 = evolve(spec, gridc, h, 0.0, tauc, dt=2e-5).values[-1]
     wex = 2 * w2 - w1
     expect = expm(tauc * C) @ np.array([1.0, 0.0])
     e_mat = float(np.max(np.abs(wex[:, gridc.n_nodes // 2] - expect)))
@@ -73,26 +73,24 @@ def test_01_linear_oracles():
 
 def test_02_maximum_principle():
     spec = example_family("ex71i", {"d": 1, "m": 2, "r": 1.0, "p": 3.0})
-    grid = Grid(1, 5.0, 201)
-    f = GridFunction.from_callable(
-        grid, 2, lambda p: np.stack([np.sin(p[0]), np.exp(-p[0] ** 2)]))
+    grid = Grid(1, 5.0, 201, "dirichlet")
+    f = sample(grid, lambda p: np.stack([np.sin(p[0]), np.exp(-p[0] ** 2)]))
     res = max_principle_check(
-        [evolve(spec, f, 0.0, 0.4, dt) for dt in (4e-3, 2e-3)],
+        [evolve(spec, grid, f, 0.0, 0.4, dt) for dt in (4e-3, 2e-3)],
         epsilon=1.0, kappa0=1.0)
     ok1 = res["measured"] <= res["bound"] * 1.01
 
     # tight case: C = diag(1, -1), growth exactly e^t; Richardson
     # extrapolation in dt removes the first-order stepping error
     spec = example_family("const_coupling", {"d": 1})
-    gridc = Grid(1, 2.0, 21)
-    fc = constant(gridc, [1.0, 0.0], bc="neumann")
+    gridc = Grid(1, 2.0, 21, "neumann")
+    fc = constant(gridc, [1.0, 0.0])
     tau = 0.3
     bound = float(np.exp(tau))
     ratios = []
     for dt in (2e-4, 1e-4):
-        u = evolve(spec, fc, 0.0, tau, dt).values[-1]
-        ratios.append(float(np.max(np.abs(u)))
-                      / float(np.max(np.abs(fc.values))))
+        u = evolve(spec, gridc, fc, 0.0, tau, dt).values[-1]
+        ratios.append(float(np.max(np.abs(u))) / float(np.max(np.abs(fc))))
     extrap = 2 * ratios[1] - ratios[0]
     gap = abs(extrap - bound)
     ok2 = ratios[1] <= bound * 1.01 and gap <= 1e-6 * bound
@@ -118,12 +116,11 @@ def test_03_pointwise_domination():
             spec, box=5.0, sigma=0.5, n_samples=512)["HJ"]), 0.0)
         worst = 0.0
         for n in (101, 151, 201):
-            grid = Grid(1, 5.0, n)
-            f = GridFunction.from_callable(
-                grid, 2,
-                lambda p: np.stack([np.cos(p[0]), np.sin(2 * p[0])]))
-            res = pointwise_check(spec, evolve(spec, f, 0.0, 0.5, 2e-3),
-                                  HJ=HJ)
+            grid = Grid(1, 5.0, n, "dirichlet")
+            f = sample(grid,
+                       lambda p: np.stack([np.cos(p[0]), np.sin(2 * p[0])]))
+            res = pointwise_check(
+                spec, evolve(spec, grid, f, 0.0, 0.5, 2e-3), HJ=HJ)
             worst = max(worst, res["measured"] / res["bound"])
             ok = ok and res["measured"] <= res["bound"] * 1.01
         lines.append(f"{name} ratio/bound {worst:.3f}")
@@ -133,17 +130,17 @@ def test_03_pointwise_domination():
 def test_04_weighted_gradient():
     spec = example_family("ex72", {"d": 1, "m": 2})
     res = weighted_gradient_check(spec, [evolve(
-        spec, GridFunction.from_callable(
-            grid, 2, lambda p: np.stack([np.tanh(p[0]), np.cos(p[0])]),
-            bc="dirichlet"), 0.0, 0.5, 2e-3)
-        for grid in (Grid(1, 5.0, 201), Grid(1, 5.0, 401))])
+        spec, grid,
+        sample(grid, lambda p: np.stack([np.tanh(p[0]), np.cos(p[0])])),
+        0.0, 0.5, 2e-3)
+        for grid in (Grid(1, 5.0, n, "dirichlet") for n in (201, 401))])
     ok1 = res["verdict"] == "PASS" and res["notes"]["drift"] <= 0.05
 
     heat = example_family("heat", {"d": 1})
     a, tau = 1.0, 0.5
-    grid = Grid(1, 8.0, 321)
-    f = GridFunction.from_callable(grid, 1, lambda p: erf(p[0] / a))
-    u = evolve(heat, f, 0.0, tau, dt=2e-3).values[-1]
+    grid = Grid(1, 8.0, 321, "dirichlet")
+    f = sample(grid, lambda p: erf(p[0] / a))
+    u = evolve(heat, grid, f, 0.0, tau, dt=2e-3).values[-1]
     grad_max = float(np.max(np.abs(
         gradient(grid, u)[:, :, box_mask(grid, 2.0)])))
     oracle = 2 / (np.sqrt(np.pi) * np.sqrt(a ** 2 + 2 * tau))
@@ -157,17 +154,17 @@ def test_04_weighted_gradient():
 def test_05_representation_formula():
     spec = example_family("const_coupling",
                           {"d": 1, "C": [[0.0, 1.0], [-1.0, 0.0]]})
-    grid = Grid(1, 6.0, 161)
-    f = GridFunction.from_callable(
-        grid, 2, lambda p: np.stack([np.exp(-p[0] ** 2), np.cos(p[0])]))
-    resids = [representation_residual(spec, evolve(spec, f, 0.0, 0.4, dt))
+    grid = Grid(1, 6.0, 161, "dirichlet")
+    f = sample(grid, lambda p: np.stack([np.exp(-p[0] ** 2), np.cos(p[0])]))
+    resids = [representation_residual(spec,
+                                      evolve(spec, grid, f, 0.0, 0.4, dt))
               for dt in (8e-3, 4e-3, 2e-3)]
     decays = [1 - resids[k + 1] / resids[k] for k in range(2)]
     ok1 = all(d >= 0.35 for d in decays)
 
     ou = example_family("ou", {"d": 1})
-    g = GridFunction.from_callable(grid, 1, lambda p: np.sin(p[0]))
-    r0 = representation_residual(ou, evolve(ou, g, 0.0, 0.4, 5e-3))
+    g = sample(grid, lambda p: np.sin(p[0]))
+    r0 = representation_residual(ou, evolve(ou, grid, g, 0.0, 0.4, 5e-3))
     ok2 = r0 == 0.0
     report(5, "representation formula", ok1 and ok2,
            f"decays {decays[0]:.1%}, {decays[1]:.1%} >= 35%; "
@@ -176,14 +173,14 @@ def test_05_representation_formula():
 
 def test_06_kernel_compactness():
     spec = example_family("ex71ii", {"d": 1, "m": 2})
-    grid = Grid(1, 6.0, 241)
+    grid = Grid(1, 6.0, 241, "neumann")
     xs = [[-1.0], [0.0], [1.0]]
     Rs = [1.0, 2.0, 3.0]
     vec = compactness_probe(spec, grid, 0.5, 0.0, xs, Rs, n_cells=24,
                             dt=5e-3)
     outs = max(e["outside"][-1] for e in vec["table"])
     heat = example_family("heat", {"d": 1})
-    gridh = Grid(1, 8.0, 321)
+    gridh = Grid(1, 8.0, 321, "neumann")
     hp = compactness_probe(heat, gridh, 0.5, 0.0, [[0.0], [3.5]], Rs,
                            n_cells=32, dt=5e-3)
     agree = True
@@ -206,15 +203,14 @@ def _kt_distance(a: MildSolution, b: MildSolution):
 
 def test_07_semilinear_mollifier_ladder():
     spec = example_family("ou", {"d": 1})
-    grid = Grid(1, 6.0, 241)
-    g = GridFunction.from_callable(grid, 1, lambda p: np.sin(p[0]),
-                                   bc="neumann")
+    grid = Grid(1, 6.0, 241, "neumann")
+    g = sample(grid, lambda p: np.sin(p[0]))
     T, dt = 0.5, 5e-3
     nl = nonlinearity_from_exprs(
         ["((exp(2*z11)-1)/(exp(2*z11)+1))/2"], 1, 1)
     ns = [8, 16, 32, 64]
-    sols = [mild_solve(spec, mollify_nonlinearity(nl, n), g, 0.0, T, dt,
-                       picard_tol=1e-11) for n in ns]
+    sols = [mild_solve(spec, mollify_nonlinearity(nl, n), grid, g, 0.0, T,
+                       dt, picard_tol=1e-11) for n in ns]
     deltas = [_kt_distance(sols[k], sols[k + 1]) for k in range(3)]
     logs = np.log(deltas)
     alpha = float(np.polyfit(np.log(ns[:3]), logs, 1)[0] * -1)
@@ -224,8 +220,8 @@ def test_07_semilinear_mollifier_ladder():
     spread = (max(norms) - min(norms)) / max(norms)
     ok1 = stable and alpha > 0 and spread <= 0.10
 
-    lin = mild_solve(spec, None, g, 0.0, T, dt)
-    ref = _Stepper(spec, grid, g.bc).final(g.values, _graded_ladder(T, dt))
+    lin = mild_solve(spec, None, grid, g, 0.0, T, dt)
+    ref = _Stepper(spec, grid).final(g, _graded_ladder(T, dt))
     e_lin = float(np.max(np.abs(lin.values[0] - ref)))
     ok2 = e_lin <= 1e-6
     report(7, "semilinear mollifier ladder", ok1 and ok2,
@@ -238,11 +234,10 @@ def test_08_fbsde_identification():
     # Feynman-Kac cross-check at N = 1e5 on the drift-free preset where
     # the path simulation is exact in distribution
     heat = example_family("heat", {"d": 1})
-    grid = Grid(1, 10.0, 401)
-    g = GridFunction.from_callable(grid, 1, lambda p: np.tanh(p[0]),
-                                   bc="neumann")
+    grid = Grid(1, 10.0, 401, "neumann")
+    g = sample(grid, lambda p: np.tanh(p[0]))
     tau = 0.5
-    sol = mild_solve(heat, None, g, 0.0, tau, dt=1e-3)
+    sol = mild_solve(heat, None, grid, g, 0.0, tau, dt=1e-3)
     ds = DiffusionSpec(op=heat, g=lambda p: np.tanh(p)[:1])
     N = 100000
     batch = simulate_forward(ds, 0.3, 0.0, tau, tau / 64, N, seed=101)
@@ -255,12 +250,11 @@ def test_08_fbsde_identification():
 
     # backward residual ladder for the tanh coupling
     ou = example_family("ou", {"d": 1})
-    grid = Grid(1, 8.0, 401)
-    gb = GridFunction.from_callable(grid, 1, lambda p: np.tanh(p[0]),
-                                    bc="neumann")
+    grid = Grid(1, 8.0, 401, "neumann")
+    gb = sample(grid, lambda p: np.tanh(p[0]))
     taub = 1.0
     nl = nonlinearity_from_exprs(["(exp(2*z11)-1)/(exp(2*z11)+1)"], 1, 1)
-    solb = mild_solve(ou, nl, gb, 0.0, taub, dt=1e-3)
+    solb = mild_solve(ou, nl, grid, gb, 0.0, taub, dt=1e-3)
     dsb = DiffusionSpec(op=ou, g=lambda p: np.tanh(p)[:1])
     resids = []
     for steps in (8, 16, 32):

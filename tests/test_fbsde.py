@@ -3,8 +3,8 @@ import pytest
 
 from kolmolab.fbsde import (DiffusionSpec, FbsdeError, bsde_residual, cost,
                             girsanov_weights, identify_yz, simulate_forward)
-from kolmolab.grids import Grid, GridFunction
-from helpers import constant
+from kolmolab.grids import Grid
+from helpers import constant, sample
 from kolmolab.operators import example_family
 from kolmolab.semilinear import mild_solve
 
@@ -89,11 +89,10 @@ def test_explosion_detection():
 
 def test_feynman_kac_cross_check():
     spec = example_family("ou", {"d": 1})
-    grid = Grid(1, 6.0, 241)
-    g = GridFunction.from_callable(grid, 1, lambda p: np.sin(p[0]),
-                                   bc="neumann")
+    grid = Grid(1, 6.0, 241, "neumann")
+    g = sample(grid, lambda p: np.sin(p[0]))
     tau = 0.5
-    sol = mild_solve(spec, None, g, 0.0, tau, dt=5e-3)
+    sol = mild_solve(spec, None, grid, g, 0.0, tau, dt=5e-3)
     ds = DiffusionSpec(op=spec, g=lambda p: np.sin(p)[:1])
     N = 20000
     batch = simulate_forward(ds, 0.3, 0.0, tau, 1 / 128, N, seed=5)
@@ -106,9 +105,9 @@ def test_feynman_kac_cross_check():
 
 def test_constant_terminal_data():
     spec = example_family("ou", {"d": 1})
-    grid = Grid(1, 6.0, 121)
-    g = constant(grid, [2.5], bc="neumann")
-    sol = mild_solve(spec, None, g, 0.0, 0.4, dt=1e-2)
+    grid = Grid(1, 6.0, 121, "neumann")
+    g = constant(grid, [2.5])
+    sol = mild_solve(spec, None, grid, g, 0.0, 0.4, dt=1e-2)
     ds = DiffusionSpec(op=spec, g=const_g([2.5]))
     batch = simulate_forward(ds, 0.0, 0.0, 0.4, 0.4 / 16, 64, seed=2)
     yz = identify_yz(sol, ds, batch)
@@ -120,9 +119,9 @@ def test_constant_terminal_data():
 
 def test_escaping_paths_abort():
     spec = example_family("heat", {"d": 1})
-    grid = Grid(1, 1.0, 21)  # tiny box: nearly every path leaves
-    g = GridFunction.from_callable(grid, 1, lambda p: p[0], bc="neumann")
-    sol = mild_solve(spec, None, g, 0.0, 1.0, dt=5e-2)
+    grid = Grid(1, 1.0, 21, "neumann")  # tiny box: nearly every path leaves
+    g = sample(grid, lambda p: p[0])
+    sol = mild_solve(spec, None, grid, g, 0.0, 1.0, dt=5e-2)
     ds = DiffusionSpec(op=spec, g=lambda p: p[:1])
     batch = simulate_forward(ds, 0.0, 0.0, 1.0, 1 / 16, 128, seed=7)
     with pytest.raises(FbsdeError, match="escaped"):
@@ -131,11 +130,10 @@ def test_escaping_paths_abort():
 
 def test_bsde_residual_decays_linear_case():
     spec = example_family("ou", {"d": 1})
-    grid = Grid(1, 8.0, 321)
-    g = GridFunction.from_callable(grid, 1, lambda p: np.tanh(p[0]),
-                                   bc="neumann")
+    grid = Grid(1, 8.0, 321, "neumann")
+    g = sample(grid, lambda p: np.tanh(p[0]))
     tau = 0.5
-    sol = mild_solve(spec, None, g, 0.0, tau, dt=2e-3)
+    sol = mild_solve(spec, None, grid, g, 0.0, tau, dt=2e-3)
     ds = DiffusionSpec(op=spec, g=lambda p: np.tanh(p)[:1])
     resids = []
     for steps in (16, 32, 64):

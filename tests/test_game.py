@@ -4,9 +4,10 @@ import pytest
 from kolmolab.dsl import parse_coeff_expr
 from kolmolab.fbsde import DiffusionSpec, cost, path_z, simulate_forward
 from kolmolab.game import GameError, minimax_select, nash_check
-from kolmolab.grids import Grid, GridFunction
+from kolmolab.grids import Grid
 from kolmolab.operators import example_family
 from kolmolab.semilinear import mild_solve
+from helpers import sample
 
 
 def const_g(c):
@@ -184,9 +185,9 @@ def test_nash_selects_equilibrium_once_per_step(monkeypatch):
 
 def test_equilibrium_strategy_uses_gradient(monkeypatch):
     spec = example_family("heat", {"d": 1})
-    grid = Grid(1, 6.0, 121)
-    g = GridFunction.from_callable(grid, 1, lambda p: p[0], bc="neumann")
-    sol = mild_solve(spec, None, g, 0.0, 0.5, dt=1e-2)
+    grid = Grid(1, 6.0, 121, "neumann")
+    sol = mild_solve(spec, None, grid, sample(grid, lambda p: p[0]), 0.0, 0.5,
+                     dt=1e-2)
     # H~ = z * u with z = G du/dx ~ 1 > 0: minimizer is the most
     # negative control
     ds = DiffusionSpec(op=spec, g=lambda p: p[:1],
@@ -308,11 +309,9 @@ def _coupled_game(d, h=True):
 
 
 def _solution(spec, n):
-    grid = Grid(spec.d, 6.0, n)
-    g = GridFunction.from_callable(
-        grid, 2, lambda p: np.stack([np.tanh(p[0]), np.sin(p[-1])]),
-        bc="neumann")
-    return mild_solve(spec, None, g, 0.0, 0.25, dt=0.05)
+    grid = Grid(spec.d, 6.0, n, "neumann")
+    g = sample(grid, lambda p: np.stack([np.tanh(p[0]), np.sin(p[-1])]))
+    return mild_solve(spec, None, grid, g, 0.0, 0.25, dt=0.05)
 
 
 @pytest.mark.parametrize("with_sol", [False, True], ids=["z0", "sol"])

@@ -252,6 +252,10 @@ def test_family_parameter_of_the_wrong_kind_names_its_key(
     {"semilinear": {"max_iter": 0}},
     {"semilinear": {"picard_tol": -1}},
     {"semilinear": {"picard_tol": 0.0}},
+    # seeds past the signed 64-bit range of the Philox path key
+    {"seed": 2 ** 64},
+    {"seed": 2 ** 63},
+    {"seed": -2 ** 63 - 1},
 ], ids=["family_inequality", "even_grid_n", "singular_coefficient",
         "T_equals_s", "T_before_s", "dt_zero", "dt_negative",
         "checks_string", "checks_empty", "seed_float", "grid_n_string", "audit_box_string",
@@ -267,7 +271,8 @@ def test_family_parameter_of_the_wrong_kind_names_its_key(
         "Chat_1x1_at_m2", "Bhat_1x1_at_m2", "ex71ii_m3", "ex72_m3",
         *TYPED_IDS,
         "max_iter_negative", "max_iter_zero", "picard_tol_negative",
-        "picard_tol_zero"])
+        "picard_tol_zero", "seed_2_to_the_64", "seed_2_to_the_63",
+        "seed_below_int64"])
 def test_operator_and_grid_errors_exit_2(tmp_path, capsys, overrides):
     p = tmp_path / "c.run"
     write_cfg(p, **overrides)
@@ -276,6 +281,13 @@ def test_operator_and_grid_errors_exit_2(tmp_path, capsys, overrides):
     assert err.startswith("config error:")
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("seed", [-2 ** 63, 2 ** 63 - 1])
+def test_seed_at_either_end_of_the_64_bit_range_loads(tmp_path, seed):
+    p = tmp_path / "c.run"
+    write_cfg(p, seed=seed)
+    assert load_config(p)["seed"] == seed
 
 
 def test_audit_and_max_principle_share_kappa0(tmp_path):
@@ -469,7 +481,7 @@ def test_weighted_gradient_stage_follows_data_bc(tmp_path, monkeypatch, bc):
     passed = []
 
     def spy(spec, solves):
-        passed.extend(sol.bc for sol in solves)
+        passed.extend(sol.grid.bc for sol in solves)
         return weighted_gradient_check(spec, solves)
 
     monkeypatch.setattr(runner_module, "weighted_gradient_check", spy)
@@ -489,9 +501,9 @@ def test_weighted_gradient_stage_adds_one_refined_solve_of_data_f(
     from kolmolab import runner as runner_module
     calls = []
 
-    def spy(spec, f, s, T, dt):
-        calls.append((f, dt))
-        return evolve(spec, f, s, T, dt)
+    def spy(spec, grid, f, s, T, dt):
+        calls.append((grid, f, dt))
+        return evolve(spec, grid, f, s, T, dt)
 
     monkeypatch.setattr(runner_module, "evolve", spy)
     p = tmp_path / "c.run"
@@ -502,12 +514,12 @@ def test_weighted_gradient_stage_adds_one_refined_solve_of_data_f(
               data={"f": ["exp(-(x1^2))", "1/(1+x1^2)"]}, mc={})
     code, report = run(p, outdir=tmp_path / "r")
     assert code == 0
-    assert [dt for _, dt in calls] == [0.025, 0.0125, 0.0125]
-    fine = calls[-1][0]
-    assert (fine.grid.n, fine.grid.L) == (121, 6.0)
+    assert [dt for _, _, dt in calls] == [0.025, 0.0125, 0.0125]
+    fine, f, _ = calls[-1]
+    assert (fine.n, fine.L) == (121, 6.0)
     x = np.linspace(-6.0, 6.0, 121)
     np.testing.assert_allclose(
-        fine.values, np.stack([np.exp(-x ** 2), 1 / (1 + x ** 2)]),
+        f, np.stack([np.exp(-x ** 2), 1 / (1 + x ** 2)]),
         rtol=1e-15, atol=1e-15)
 
 def test_inconclusive_verdict_exits_1(tmp_path, capsys):
@@ -763,7 +775,7 @@ def test_data_f_is_read_at_the_initial_time(tmp_path):
     write_cfg(p, time={"s": 0.5, "T": 0.75, "dt": 0.0125},
               data={"f": ["1+t"]})
     runner = _setup(p, tmp_path / "o")
-    assert np.all(runner.f.values == 1.5)
+    assert np.all(runner.f == 1.5)
 
 
 def test_psi_naming_t_is_a_config_error(tmp_path, capsys):

@@ -5,8 +5,8 @@ import pytest
 
 from kolmolab.dsl import const_expr, parse_coeff_expr
 from kolmolab.evolve import _Stepper
-from kolmolab.grids import Grid, GridFunction, Solution
-from helpers import constant
+from kolmolab.grids import Grid, Solution
+from helpers import constant, sample
 from kolmolab.operators import OperatorSpec, example_family
 from kolmolab.semilinear import (Nonlinearity, _graded_ladder, mild_solve,
                                  mollify_nonlinearity, nonlinearity_from_exprs,
@@ -18,22 +18,20 @@ def test_linear_case_matches_the_stepper_on_the_graded_ladder():
     # solve is the plain forward march of the graded ladder
     spec = example_family("ou", {"d": 1})
     T, dt = 0.4, 2e-2
-    grid = Grid(1, 6.0, 121)
-    g = GridFunction.from_callable(grid, 1, lambda p: np.cos(p[0]),
-                                   bc="neumann")
-    sol = mild_solve(spec, None, g, 0.0, T, dt)
-    ref = _Stepper(spec, grid, g.bc).final(g.values, _graded_ladder(T, dt))
+    grid = Grid(1, 6.0, 121, "neumann")
+    g = sample(grid, lambda p: np.cos(p[0]))
+    sol = mild_solve(spec, None, grid, g, 0.0, T, dt)
+    ref = _Stepper(spec, grid).final(g, _graded_ladder(T, dt))
     assert np.max(np.abs(sol.values[0] - ref)) <= 1e-12
 
 
 def test_zero_nonlinearity_equals_linear():
     spec = example_family("ou", {"d": 1})
-    grid = Grid(1, 6.0, 121)
-    g = GridFunction.from_callable(grid, 1, lambda p: np.sin(p[0]),
-                                   bc="neumann")
+    grid = Grid(1, 6.0, 121, "neumann")
+    g = sample(grid, lambda p: np.sin(p[0]))
     nl = Nonlinearity(1, 1, lambda x, z: np.zeros((1, x.shape[1])))
-    a = mild_solve(spec, None, g, 0.0, 0.3, 2e-2)
-    b = mild_solve(spec, nl, g, 0.0, 0.3, 2e-2)
+    a = mild_solve(spec, None, grid, g, 0.0, 0.3, 2e-2)
+    b = mild_solve(spec, nl, grid, g, 0.0, 0.3, 2e-2)
     for va, vb in zip(a.values, b.values):
         assert np.max(np.abs(va - vb)) <= 1e-12
     assert b.picard_history[-1] <= 1e-12
@@ -43,12 +41,12 @@ def test_constant_source_oracle():
     # heat flow with constant source c: spatially constant data stays
     # constant under neumann walls, so u(t) = g - (T - t) c exactly
     spec = example_family("heat", {"d": 1})
-    grid = Grid(1, 5.0, 81)
-    g = constant(grid, [2.0], bc="neumann")
+    grid = Grid(1, 5.0, 81, "neumann")
+    g = constant(grid, [2.0])
     c = 0.7
     nl = nonlinearity_from_exprs(["0.7"], 1, 1)
     T = 0.5
-    sol = mild_solve(spec, nl, g, 0.0, T, dt=2.5e-2)
+    sol = mild_solve(spec, nl, grid, g, 0.0, T, dt=2.5e-2)
     for t, v in zip(sol.times, sol.values):
         expect = 2.0 - (T - t) * c
         assert np.max(np.abs(v - expect)) <= 1e-10
@@ -56,24 +54,22 @@ def test_constant_source_oracle():
 
 def test_terminal_condition_exact():
     spec = example_family("ou", {"d": 1})
-    grid = Grid(1, 6.0, 81)
-    g = GridFunction.from_callable(grid, 1, lambda p: np.tanh(p[0]),
-                                   bc="neumann")
+    grid = Grid(1, 6.0, 81, "neumann")
+    g = sample(grid, lambda p: np.tanh(p[0]))
     nl = nonlinearity_from_exprs(["z11/4"], 1, 1)
-    sol = mild_solve(spec, nl, g, 0.0, 0.3, 2e-2)
+    sol = mild_solve(spec, nl, grid, g, 0.0, 0.3, 2e-2)
     assert sol.times[-1] == 0.3
-    assert np.array_equal(sol.values[-1], g.values)
+    assert np.array_equal(sol.values[-1], g)
 
 
 def test_picard_contraction_tanh_gradient_coupling():
     spec = example_family("ou", {"d": 1})
-    grid = Grid(1, 6.0, 121)
-    g = GridFunction.from_callable(grid, 1, lambda p: np.sin(p[0]),
-                                   bc="neumann")
+    grid = Grid(1, 6.0, 121, "neumann")
+    g = sample(grid, lambda p: np.sin(p[0]))
     # psi(x, z) = tanh(z11) / 2, written with exp only
     nl = nonlinearity_from_exprs(
         ["((exp(2*z11)-1)/(exp(2*z11)+1))/2"], 1, 1)
-    sol = mild_solve(spec, nl, g, 0.0, 0.5, 2e-2, picard_tol=1e-10)
+    sol = mild_solve(spec, nl, grid, g, 0.0, 0.5, 2e-2, picard_tol=1e-10)
     h = sol.picard_history
     assert len(h) >= 2
     assert sol.converged and not np.isnan(h[-1])
@@ -125,16 +121,15 @@ def test_mollify_proximity_bounded_nonlinearity():
 
 def test_kt_norm_constant_and_homogeneity():
     spec = example_family("heat", {"d": 1})
-    grid = Grid(1, 5.0, 81)
-    g = constant(grid, [3.0], bc="neumann")
-    sol = mild_solve(spec, None, g, 0.0, 0.4, 2e-2)
+    grid = Grid(1, 5.0, 81, "neumann")
+    g = constant(grid, [3.0])
+    sol = mild_solve(spec, None, grid, g, 0.0, 0.4, 2e-2)
     assert sol.kt_norm == pytest.approx(3.0, abs=1e-10)
     # linear problem: doubling the data doubles the graded norm
-    g1 = GridFunction.from_callable(grid, 1, lambda p: np.sin(p[0]),
-                                    bc="neumann")
-    g2 = GridFunction(grid, 1, 2 * g1.values, bc="neumann")
-    s1 = mild_solve(spec, None, g1, 0.0, 0.4, 2e-2)
-    s2 = mild_solve(spec, None, g2, 0.0, 0.4, 2e-2)
+    g1 = sample(grid, lambda p: np.sin(p[0]))
+    g2 = 2 * g1
+    s1 = mild_solve(spec, None, grid, g1, 0.0, 0.4, 2e-2)
+    s2 = mild_solve(spec, None, grid, g2, 0.0, 0.4, 2e-2)
     assert s2.kt_norm == pytest.approx(2 * s1.kt_norm, rel=1e-10)
 
 
@@ -163,11 +158,10 @@ def test_time_dependent_solve_on_a_window_matches_closed_form():
     zero = const_expr(0.0, 1)
     spec = OperatorSpec(1, 1, ((parse_coeff_expr("0.5*(1+t)", 1),),),
                         (zero,), (((zero,),),), ((zero,),), (0.0, 1.0))
-    grid = Grid(1, 8.0, 161)
-    g = GridFunction.from_callable(grid, 1, lambda p: np.exp(-p[0] ** 2 / 2),
-                                   bc="neumann")
+    grid = Grid(1, 8.0, 161, "neumann")
+    g = sample(grid, lambda p: np.exp(-p[0] ** 2 / 2))
     s, T = 0.5, 1.0
-    sol = mild_solve(spec, None, g, s, T, 1e-2)
+    sol = mild_solve(spec, None, grid, g, s, T, 1e-2)
     assert sol.times[0] == s and sol.times[-1] == T
     A = 0.5 * ((T - s) + (T ** 2 - s ** 2) / 2)
     x = grid.points()[0]
@@ -182,14 +176,13 @@ def test_time_dependent_solve_on_a_window_matches_closed_form():
 def test_mild_solve_returns_a_solution():
     # a MildSolution is a grids.Solution plus sqrtQ and the Picard record
     spec = example_family("ou", {"d": 1})
-    grid = Grid(1, 6.0, 61)
-    g = GridFunction.from_callable(grid, 1, lambda p: np.cos(p[0]),
-                                   bc="neumann")
-    sol = mild_solve(spec, None, g, 0.0, 0.5, 5e-2)
+    grid = Grid(1, 6.0, 61, "neumann")
+    g = sample(grid, lambda p: np.cos(p[0]))
+    sol = mild_solve(spec, None, grid, g, 0.0, 0.5, 5e-2)
     assert isinstance(sol, Solution)
     assert sol.values.shape == (len(sol.times), 1, grid.n_nodes)
-    assert (sol.m, sol.bc, sol.times[-1]) == (1, "neumann", 0.5)
-    assert np.array_equal(sol.values[-1], g.values)
+    assert (sol.m, sol.grid.bc, sol.times[-1]) == (1, "neumann", 0.5)
+    assert np.array_equal(sol.values[-1], g)
     own = {f.name for f in dataclasses.fields(sol)} - \
         {f.name for f in dataclasses.fields(Solution)}
     assert own == {"sqrtQ", "kt_norm", "picard_history", "converged",
@@ -199,10 +192,9 @@ def test_mild_solve_returns_a_solution():
 
 def test_graded_ladder_clusters_near_terminal_time():
     spec = example_family("ou", {"d": 1})
-    grid = Grid(1, 6.0, 61)
-    g = GridFunction.from_callable(grid, 1, lambda p: np.cos(p[0]),
-                                   bc="neumann")
-    sol = mild_solve(spec, None, g, 0.0, 0.5, 5e-2)
+    grid = Grid(1, 6.0, 61, "neumann")
+    g = sample(grid, lambda p: np.cos(p[0]))
+    sol = mild_solve(spec, None, grid, g, 0.0, 0.5, 5e-2)
     steps = np.diff(sol.times)
     # the last steps (near t = T) shrink quadratically
     assert steps[-1] < steps[0] / 10
@@ -247,16 +239,15 @@ def test_mild_solve_calls_psi_once_per_picard_sweep():
     # every level's source is known from the previous iterate, so one
     # psi call on the stacked levels serves the whole sweep
     spec = example_family("ou", {"d": 1})
-    grid = Grid(1, 6.0, 61)
-    g = GridFunction.from_callable(grid, 1, lambda p: np.sin(p[0]),
-                                   bc="neumann")
+    grid = Grid(1, 6.0, 61, "neumann")
+    g = sample(grid, lambda p: np.sin(p[0]))
     calls = []
 
     def psi(x, z):
         calls.append(x.shape)
         return 0.5 * np.tanh(z[0])
 
-    sol = mild_solve(spec, Nonlinearity(1, 1, psi), g, 0.0, 0.5, 5e-2)
+    sol = mild_solve(spec, Nonlinearity(1, 1, psi), grid, g, 0.0, 0.5, 5e-2)
     assert sol.converged and len(sol.picard_history) > 1
     assert len(calls) == len(sol.picard_history)
     assert all(shape == (1, (len(sol.times) - 1) * grid.n_nodes)

@@ -83,9 +83,9 @@ def test_backward_solve_assembles_the_spec_at_physical_times(monkeypatch):
     seen = []
     real = evolve_mod.assemble_operator
 
-    def spy(spec, grid, t, bc):
+    def spy(spec, grid, t):
         seen.append((spec, t))
-        return real(spec, grid, t, bc)
+        return real(spec, grid, t)
 
     runner = _runner("ex71ii_t_d1")
     assert runner.spec.depends_on_t()

@@ -9,7 +9,8 @@ only tests pass is a knob unless it is listed with its reason.  Every
 name a function binds is read in it; a name bound and never read is
 dead code.  One formula serves every dimension d: only sqrtQ_at compares
 d with a number.  The probe box |x| <= L/2 of every sup norm is written
-once, as Grid.probe_L.
+once, as Grid.probe_L, and the boundary condition is bound once, as the
+field Grid.bc, which only Grid(...) and replace(...) calls set.
 Every key of the runner's config table is read by the runner, and every
 key the runner reads is in the table.  Every script imports, builds
 its argument parser and runs end to end at a small size.  Every
@@ -328,6 +329,42 @@ def test_one_probe_box():
     found = [where for path in SOURCES for where in _halved_box_sites(path)]
     assert found == ["grids.Grid.probe_L"], \
         f"the probe box L / 2 written outside Grid.probe_L: {found}"
+
+
+def _bc_bindings(path):
+    """module.[class.]function and kind of each binding of the name bc in
+    path outside the Grid class body: a parameter, an assigned name or
+    attribute, or a keyword of a call other than Grid(...) and
+    replace(...)."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.arg) and node.arg == "bc":
+            found.append(f"{where}: parameter")
+        elif isinstance(node, (ast.Name, ast.Attribute)) \
+                and isinstance(node.ctx, ast.Store) \
+                and getattr(node, "id", getattr(node, "attr", None)) == "bc" \
+                and where != "grids.Grid":
+            found.append(f"{where}: assignment")
+        elif isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)) not in (
+                "Grid", "replace"):
+            found.extend(f"{where}: keyword" for kw in node.keywords
+                         if kw.arg == "bc")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_one_boundary_condition():
+    # the box carries its boundary condition; no signature passes it
+    found = [site for path in SOURCES for site in _bc_bindings(path)]
+    assert found == [], f"bc bound outside the field Grid.bc: {found}"
 
 
 def _config_reads(tree):

@@ -34,8 +34,8 @@ def pde_side(change):
     def patch(monkeypatch):
         real = evolve.assemble_operator
         monkeypatch.setattr(evolve, "assemble_operator",
-                            lambda spec, grid, t, bc:
-                            real(change(spec), grid, t, bc))
+                            lambda spec, grid, t:
+                            real(change(spec), grid, t))
     return patch
 
 
