@@ -29,11 +29,12 @@ def minimax_select(ds, t, x, z):
     """Pure-strategy best-response fixed point at each sample.
 
     x is (d, K), z is (players, d, K).  Returns the (players, K) control
-    values u and, from the settling sweep (no pick changes), per player i
-    (pick, r, h): u[i]'s index in i's control set, and the drift r[a]
-    (d, K) and i's running cost h[a] (K,) at i's a-th value against the
-    others' equilibrium values (h is None without a running cost).
-    Samples that cycle without a fixed point raise an explicit error."""
+    values u and, from i's last answer (against the others' equilibrium
+    picks; a player is answered again only after another's pick moved),
+    per player i (pick, r, h): u[i]'s index in i's control set V, and the
+    drifts r (len(V), d, K) and own running costs h (len(V), K) at i's
+    values (h is None without a running cost).  Samples that cycle
+    without a fixed point raise an explicit error."""
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     players = ds.n_players
@@ -43,41 +44,43 @@ def minimax_select(ds, t, x, z):
     sets = [np.asarray(V, dtype=float) for V in ds.controls]
     r1 = ds.r1_at(t, x)  # the u-free part, once per selection
     idx = np.zeros((players, K), dtype=int)  # lexicographic start
+    # per player: every pick (its own and the others') at its last answer
+    seen, sweep = [None] * players, [None] * players
     for _ in range(_MAX_SWEEPS):
         changed = np.zeros(K, dtype=bool)
-        sweep = []
         for i in range(players):
+            # i's answer reads x, z[i] and the others' picks only, and
+            # idx[i] moves only when i answers: unmoved others, same answer
+            if seen[i] is not None and np.array_equal(seen[i], idx):
+                continue
             vals = np.stack([sets[j][idx[j]] for j in range(players)])
             best = np.full(K, np.inf)
             pick = np.zeros(K, dtype=int)
-            r, h = [], []
+            r = np.empty((len(sets[i]), ds.d, K))
+            h = None if ds.h is None else np.empty((len(sets[i]), K))
             for a, v in enumerate(sets[i]):
                 vals[i] = v
-                r.append(r1 if ds.r2 is None else
-                         r1 + np.asarray(ds.r2(x, vals), dtype=float))
-                ham = np.einsum("dK,dK->K", z[i], r[-1])
-                if ds.h is not None:
-                    # a copy, since h may return a view of vals
-                    h.append(np.array(ds.h(x, vals)[i]))
-                    ham = ham + h[-1]
+                if ds.r2 is None:
+                    r[a] = r1
+                else:
+                    np.add(r1, ds.r2(x, vals), out=r[a])
+                ham = np.einsum("dK,dK->K", z[i], r[a])
+                if h is not None:
+                    h[a] = ds.h(x, vals)[i]  # a copy, if h returns a view
+                    ham = ham + h[a]
                 # strict improvement only: first minimizer wins ties
                 better = ham < best - 1e-14
                 pick[better] = a
                 best[better] = ham[better]
             changed |= pick != idx[i]
             idx[i] = pick
-            sweep.append((pick, r, np.stack(h) if h else None))
+            seen[i], sweep[i] = idx.copy(), (pick, r, h)
         if not np.any(changed):
             return np.stack([sets[j][idx[j]] for j in range(players)]), sweep
     bad = np.flatnonzero(changed)
     raise GameError(
         f"best-response cycle at {len(bad)} of {K} samples "
         f"(first indices {bad[:5].tolist()}); no pure fixed point")
-
-
-def _with_equilibrium(table, at):
-    """The equilibrium row, gathered at flat indices at, above table's."""
-    return np.concatenate([np.take(table, at)[None], table])
 
 
 def nash_check(ds, sol, base):
@@ -98,7 +101,7 @@ def nash_check(ds, sol, base):
         raise GameError("solution has fewer components than players")
     # per player: row 0 the equilibrium, row 1 + a the deviation to V[a]
     log_rho = [np.zeros((1 + len(V), base.N)) for V in ds.controls]
-    running = [0] * players
+    running = [np.zeros_like(rows) for rows in log_rho]
     samples = np.arange(base.N)
     for l in range(base.steps):
         t, pts, dW = base.times[l], base.X[l], base.dW[l]
@@ -107,13 +110,16 @@ def nash_check(ds, sol, base):
         _, sweep = minimax_select(ds, t, pts, z)
         for i, (pick, r, h) in enumerate(sweep):
             at = pick * base.N + samples  # (pick, sample) in a (len(V), N)
-            log_rho[i] += _with_equilibrium(
-                np.stack([np.einsum("dN,dN->N", ra, dW) for ra in r]), at)
-            log_rho[i] -= 0.5 * base.h_step * _with_equilibrium(
-                np.stack([np.sum(ra ** 2, axis=0) for ra in r]), at)
+            drift = np.einsum("adN,dN->aN", r, dW)
+            log_rho[i][1:] += drift
+            log_rho[i][0] += np.take(drift, at)
+            square = 0.5 * base.h_step * np.sum(r ** 2, axis=1)
+            log_rho[i][1:] -= square
+            log_rho[i][0] -= np.take(square, at)
             if h is not None:
-                running[i] = running[i] + base.h_step * \
-                    _with_equilibrium(h, at)
+                paid = base.h_step * h
+                running[i][1:] += paid
+                running[i][0] += np.take(paid, at)
     terminal = np.asarray(ds.g(base.X[-1]))
     rows, J_eq, failed = [], [], []
     for i, V in enumerate(ds.controls):

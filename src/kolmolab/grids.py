@@ -168,6 +168,6 @@ def interp_multilinear(grid, values, x):
     idx, fac = interp_corners(grid, x)
     v = values.reshape(-1, grid.n_nodes)
     # each term multiplied axis by axis, summed corner by corner
-    terms = [functools.reduce(np.multiply, factors, v[:, corner])
+    terms = [functools.reduce(np.multiply, factors, np.take(v, corner, 1))
              for corner, factors in zip(idx, fac)]
     return functools.reduce(np.add, terms)

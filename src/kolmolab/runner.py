@@ -508,7 +508,11 @@ def _setup(config_path, outdir):
     with open(config_path, "rb") as fh:
         cfg_bytes = fh.read()
     runner = _Runner(cfg, cfg_bytes, outdir or cfg["output"])
-    os.makedirs(runner.outdir, exist_ok=True)
+    try:
+        os.makedirs(runner.outdir, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory "
+                          f"{runner.outdir!r}: {err.strerror}") from None
     return runner
 
 

@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -6,8 +9,12 @@ from kolmolab.fbsde import DiffusionSpec, cost, path_z, simulate_forward
 from kolmolab.game import GameError, minimax_select, nash_check
 from kolmolab.grids import Grid
 from kolmolab.operators import example_family
+from kolmolab.runner import _setup
 from kolmolab.semilinear import mild_solve
 from helpers import sample
+
+GOLDEN_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
+                             "ex71ii_full.run")
 
 
 def const_g(c):
@@ -329,19 +336,147 @@ def test_nash_check_equals_the_per_deviation_reference(d, N, h, with_sol):
                                  else "FAIL")
 
 
+def _logged(ds):
+    """ds with h wrapped to log a copy of every control profile (players,
+    K) it is called with."""
+    calls, h = [], ds.h
+    ds.h = lambda p, u: calls.append(np.array(u)) or h(p, u)
+    return calls
+
+
+def _answers(calls, controls):
+    """Split a log of h's control profiles into best responses: an answer
+    of player i sets row i to each value of i's set in turn while the
+    other rows stay.  Returns (i, the other rows) per answer."""
+    out, k = [], 0
+    while k < len(calls):
+        found = [i for i, V in enumerate(controls)
+                 if k + len(V) <= len(calls)
+                 and all(np.all(calls[k + a][i] == v) and np.array_equal(
+                     np.delete(calls[k + a], i, 0), np.delete(calls[k], i, 0))
+                         for a, v in enumerate(V))]
+        assert len(found) == 1, f"call {k} starts no single answer"
+        out.append((found[0], np.delete(calls[k], found[0], 0)))
+        k += len(controls[found[0]])
+    return out
+
+
+def _assert_tables_are_fresh(ds, t, x, u, sweep):
+    """Each player's (pick, r, h) equals an answer made from scratch
+    against the others' values in u: u[i]'s index, and r and h at each
+    of i's values."""
+    for i, ((pick, r, h), V) in enumerate(zip(sweep, ds.controls)):
+        assert pick.tolist() == [list(V).index(v) for v in u[i].tolist()]
+        for a, v in enumerate(V):
+            vals = u.copy()
+            vals[i] = v
+            assert np.array_equal(r[a], ds.r1_at(t, x) + np.asarray(
+                ds.r2(x, vals), dtype=float))
+            assert np.array_equal(h[a], ds.h(x, vals)[i])
+
+
 def test_nash_check_settles_in_more_than_one_sweep():
-    # the reference cases above read a settling sweep that follows more
-    # than one sweep of changed picks, not only the first sweep
+    # the reference cases above read tables answered against the settled
+    # picks, which player 0 reaches only after the others' picks moved
     ds = _coupled_game(1)
-    calls = []
-    h = ds.h
-    ds.h = lambda p, u: calls.append(1) or h(p, u)
+    calls = _logged(ds)
     x = np.linspace(-3, 3, 64)[None]
-    u, sweep = minimax_select(ds, 0.0, x, np.zeros((2, 1, 64)))
-    assert len(calls) >= 3 * (3 + 4)
-    for (pick, r, h_rows), V, u_i in zip(sweep, ds.controls, u):
-        assert np.array_equal(np.asarray(V)[pick], u_i)
-        assert len(r) == len(V) and h_rows.shape == (len(V), 64)
+    z = np.zeros((2, 1, 64))
+    u, sweep = minimax_select(ds, 0.0, x, z)
+    against = [others for i, others in _answers(calls, ds.controls)
+               if i == 0]
+    assert not np.array_equal(against[0], against[-1])
+    _assert_tables_are_fresh(ds, 0.0, x, u, sweep)
+
+
+def _mc_d1_game(tmp_path):
+    """The runner's game of mc_d1: ex71ii at d = 1, r1 = 0.4, r2 = 0.3 u[0],
+    h = u ** 2, and two players of the values -0.5, 0, 0.5."""
+    with open(GOLDEN_CONFIG) as fh:
+        cfg = json.load(fh)
+    assert cfg["game"] == {"controls": [[-0.5, 0.0, 0.5], [-0.5, 0.0, 0.5]],
+                           "running_weight": 1.0, "r_gain": 0.3,
+                           "r_const": 0.4}
+    return _setup(GOLDEN_CONFIG, tmp_path / "o").ds
+
+
+def _brute_force_select(ds, t, x, z):
+    """The controls of minimax_select, one sample at a time: best
+    responses in turn from the first values until no pick moves."""
+    players, K = ds.n_players, x.shape[1]
+    u = np.empty((players, K))
+    for k in range(K):
+        xk, zk = x[:, k:k + 1], z[:, :, k:k + 1]
+        picks = [0] * players
+        moved = True
+        while moved:
+            moved = False
+            for i, V in enumerate(ds.controls):
+                best, pick = np.inf, 0
+                for a, v in enumerate(V):
+                    vals = np.array([[ds.controls[j][picks[j]]]
+                                     for j in range(players)])
+                    vals[i] = v
+                    r = ds.r1_at(t, xk) + np.asarray(ds.r2(xk, vals))
+                    ham = float(np.einsum("dK,dK->K", zk[i], r)[0]
+                                + ds.h(xk, vals)[i][0])
+                    if ham < best - 1e-14:
+                        best, pick = ham, a
+                moved |= pick != picks[i]
+                picks[i] = pick
+        u[:, k] = [ds.controls[j][picks[j]] for j in range(players)]
+    return u
+
+
+def test_mc_d1_selection_answers_nine_times(tmp_path):
+    ds = _mc_d1_game(tmp_path)
+    calls = _logged(ds)
+    rng = np.random.default_rng(3)
+    K = 200
+    x = rng.uniform(-4, 4, (1, K))
+    z = rng.uniform(-2, 2, (2, 1, K))
+    u, sweep = minimax_select(ds, 0.25, x, z)
+    # player 0 twice (the second time after player 1 moved), player 1 once
+    assert [i for i, _ in _answers(calls, ds.controls)] == [0, 1, 0]
+    assert len(calls) == 9
+    assert np.array_equal(u, _brute_force_select(ds, 0.25, x, z))
+    assert len(set(u[0].tolist())) == 3  # every value of player 0 is picked
+    _assert_tables_are_fresh(ds, 0.25, x, u, sweep)
+
+
+def test_one_player_is_answered_once():
+    spec = example_family("heat", {"d": 1})
+    V = (-1.0, 0.0, 0.5, 1.0)
+    ds = DiffusionSpec(op=spec, g=const_g([0.0]), controls=(V,),
+                       r2=lambda p, u: u[:1] * np.ones((1, p.shape[1])),
+                       h=lambda p, u: (u[:1] - p[:1]) ** 2)
+    calls = _logged(ds)
+    x = np.linspace(-2, 2, 9)[None]
+    z = np.full((1, 1, 9), 0.3)
+    u, sweep = minimax_select(ds, 0.0, x, z)
+    assert len(calls) == len(V)
+    _assert_tables_are_fresh(ds, 0.0, x, u, sweep)
+
+
+def test_a_pick_that_moves_at_one_sample_forces_a_new_answer():
+    # player 1 leaves its first value at the last sample only, and player
+    # 0 follows it there: its answer against the first picks is stale
+    spec = example_family("heat", {"d": 1})
+    V = (-0.5, 0.0, 0.5)
+
+    def h(p, u):
+        target = np.where(p[0] > 0.9, 0.5, -0.5)
+        return np.stack([(u[0] - u[1]) ** 2, (u[1] - target) ** 2])
+
+    ds = DiffusionSpec(op=spec, g=const_g([0.0, 0.0]), controls=(V, V),
+                       r2=lambda p, u: np.zeros((1, p.shape[1])), h=h)
+    calls = _logged(ds)
+    x = np.linspace(-1, 1, 5)[None]
+    z = np.zeros((2, 1, 5))
+    u, sweep = minimax_select(ds, 0.0, x, z)
+    assert u.tolist() == [[-0.5] * 4 + [0.5]] * 2
+    assert [i for i, _ in _answers(calls, ds.controls)] == [0, 1, 0, 1]
+    _assert_tables_are_fresh(ds, 0.0, x, u, sweep)
 
 
 def test_nash_check_holds_no_steps_by_players_array():

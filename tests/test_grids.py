@@ -1,8 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kolmolab.grids import Grid, gradient, interp_multilinear
+from kolmolab.grids import Grid, gradient, interp_corners, interp_multilinear
 from helpers import constant, sample
 
 
@@ -63,6 +65,21 @@ def test_interp_at_nodes_and_midpoints():
     out = interp_multilinear(g, u, pts)
     # multilinear is exact on affine functions
     assert np.allclose(out[0], 1 + pts[0] + 2 * pts[1])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_interp_equals_the_fancy_index_formula_bitwise(d):
+    # the corner gather is np.take; v[:, corner] reads the same values
+    g = Grid(d, 3.0, 21, "neumann")
+    rng = np.random.default_rng(d)
+    values = rng.standard_normal((2, g.n_nodes))
+    pts = rng.uniform(-4.5, 4.5, (d, 500))  # some clamped to the box
+    assert np.any(np.abs(pts) > g.L)
+    idx, fac = interp_corners(g, pts)
+    expect = functools.reduce(np.add, [
+        functools.reduce(np.multiply, factors, values[:, corner])
+        for corner, factors in zip(idx, fac)])
+    assert np.array_equal(interp_multilinear(g, values, pts), expect)
 
 
 @settings(max_examples=40, deadline=None)

@@ -351,6 +351,22 @@ def test_nash_without_controls_exits_2(tmp_path, capsys):
     assert "'nash' needs game.controls" in err
 
 
+@pytest.mark.parametrize("command", ["run", "audit"])
+def test_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys,
+                                                      command):
+    # the output path sits under a regular file
+    p = tmp_path / "c.run"
+    write_cfg(p)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "o"
+    assert main([command, str(p), "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "config error: cannot create output directory")
+    assert str(out) in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""  # no verdict
+
+
 def test_fbsde_fails_when_its_picard_solve_does_not_converge(tmp_path):
     with open(GOLDEN_CONFIG) as fh:
         cfg = json.load(fh)
