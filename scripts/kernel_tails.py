@@ -14,6 +14,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from kolmolab.evolve import _Stepper, _time_ladder  # noqa: E402
 from kolmolab.grids import Grid  # noqa: E402
 from kolmolab.kernels import compactness_probe  # noqa: E402
 from kolmolab.operators import example_family  # noqa: E402
@@ -39,8 +40,9 @@ def main():
         w.writerow(["preset", "x", "R", "outside_mass"])
         for name, (params, grid) in PRESETS.items():
             spec = example_family(name, params)
-            table = compactness_probe(spec, grid, args.tau, 0.0, points,
-                                      radii, args.n_cells, dt=5e-3)["table"]
+            table = compactness_probe(
+                _Stepper(spec, grid), _time_ladder(0.0, args.tau, 5e-3),
+                points, radii, args.n_cells)["table"]
             for x, entry in zip(points, table):
                 for R, out in zip(radii, entry["outside"]):
                     w.writerow([name, x, R, f"{out:.6e}"])

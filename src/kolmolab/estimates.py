@@ -2,7 +2,9 @@
 domination by the scalar operator, the weighted gradient bound, and the
 scalar-component representation formula.
 
-Every check reads Solutions of evolve.  Sup norms are taken on Grid.probe,
+Every check reads Solutions.  squared_solve and representation_residual
+march the scalar comparison on the stepper they are handed, so that
+the caller decides how long each LU lives.  Sup norms are taken on Grid.probe,
 |x| <= L/2, to keep artificial-boundary pollution out of the constants;
 max_principle_check and pointwise_check record that restriction.
 """
@@ -11,11 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .evolve import _Stepper
 from .grids import gradient, weighted_gradient_sup
-from .operators import scalar_comparison
 
-__all__ = ["max_principle_check", "pointwise_check",
+__all__ = ["max_principle_check", "squared_solve", "pointwise_check",
            "weighted_gradient_check", "representation_residual"]
 
 # pointwise_check leaves out nodes whose scalar denominator is below this
@@ -55,20 +55,28 @@ def max_principle_check(solves, epsilon, kappa0):
         {"epsilon": epsilon, "kappa0": kappa0, "probe_L": grid.probe_L})
 
 
-def pointwise_check(spec, sol, HJ):
+def squared_solve(scalar, sol):
+    """The Solution of G(., s)|f|^2 on the ladder of sol, the Solution of
+    evolve from f, marched on scalar, the _Stepper of the scalar
+    comparison on sol's grid."""
+    g = np.sum(sol.values[0] ** 2, axis=0)[None, :]  # |f|^2
+    return scalar.solve(g, sol.times)
+
+
+def pointwise_check(sol, sq, HJ):
     """Sup over probe nodes and the levels nearest to s + k (T-s) / _N_T
     of |u(t,x)|^2 / (G(t,s)|f|^2)(x) against exp(2 H_J (T-s)), with sol
-    the Solution of evolve and G|f|^2 marched on its ladder; nodes where
-    the denominator is below _FLOOR are left out and counted."""
+    the Solution of evolve and sq its squared_solve; nodes where the
+    denominator is below _FLOOR are left out and counted."""
     times, grid = sol.times, sol.grid
+    if not np.array_equal(sq.times, times):
+        raise ValueError("G|f|^2 must be marched on the solve's ladder")
     s, T = times[0], times[-1]
     mask = grid.probe
-    g = np.sum(sol.values[0] ** 2, axis=0)[None, :]  # |f|^2
-    sq = [g, *_Stepper(scalar_comparison(spec), grid).march(g, times)]
     checks = np.linspace(s, T, _N_T + 1)[1:]
     picks = np.abs(times[:, None] - checks).argmin(axis=0)  # nearest levels
     num = np.sum(sol.values[picks] ** 2, axis=1)
-    den = np.stack([sq[l][0] for l in picks])
+    den = sq.values[picks, 0]
     floored = den[:, mask] < _FLOOR
     floored_frac = float(np.max(np.mean(floored, axis=1)))
     ratio = num[:, mask] / np.maximum(den[:, mask], _FLOOR)
@@ -108,7 +116,7 @@ def weighted_gradient_check(spec, solves):
                    {"drift": drift})
 
 
-def representation_residual(spec, sol):
+def representation_residual(spec, sol, scalar):
     """Defect of the representation of the first component, k = 1,
 
         (G_vec(t,s)f)_k = G(t,s) f_k + int_s^t G(t,r) (S r) dr,
@@ -116,21 +124,25 @@ def representation_residual(spec, sol):
               + <row_k C, G_vec(r,s)f>,
 
     with sol the vector Solution of evolve and the r-integral realized by
-    stepping the inhomogeneous scalar problem on its ladder."""
+    stepping the inhomogeneous scalar problem on its ladder with scalar,
+    the _Stepper of scalar_comparison(spec) on sol's grid."""
     grid, times, vec = sol.grid, sol.times, sol.values
     pts = grid.points()
     # left-endpoint quadrature: the source of the step onto times[l] is
     # built from level l-1 at times[l-1], so the defect is a genuine
     # O(dt) time-integration error; every left endpoint is evaluated in
-    # one call, then laid out (and summed) as one call per level was
+    # one call, then laid out (and summed) as one call per level was;
+    # only row k = 1 of Btilde and C is evaluated, as only it is read
     r, x = times[:-1, None], pts[:, None, :]
-    Btv = np.ascontiguousarray(
-        np.moveaxis(spec.Btilde_at(r, x)[:, 0], 2, 0))  # (L, d, m, N)
-    Cv = np.ascontiguousarray(np.moveaxis(spec.C_at(r, x)[0], 1, 0))
+    Btv = np.ascontiguousarray(np.moveaxis(np.array(
+        [[e(r, x) for e in Bj[0]] for Bj in spec.Btilde]),
+        2, 0))  # (L, d, m, N)
+    Cv = np.ascontiguousarray(np.moveaxis(
+        np.array([e(r, x) for e in spec.C[0]]), 1, 0))  # (L, m, N)
     src = np.einsum("likN,lkiN->lN", Btv, gradient(grid, vec[:-1])) \
         + np.einsum("lkN,lkN->lN", Cv, vec[:-1])
     # Duhamel's formula as one scalar march: f_k transported, with src
     # added at each step
-    resid = vec[-1, 0] - _Stepper(scalar_comparison(spec), grid).final(
-        vec[0, 0][None], times, src[:, None])[0]
+    resid = vec[-1, 0] - scalar.final(vec[0, 0][None], times,
+                                      src[:, None])[0]
     return float(np.max(np.abs(resid[grid.probe])))

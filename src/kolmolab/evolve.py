@@ -138,9 +138,10 @@ class _Stepper:
     With T given, the ladder times are tau = T - t of a backward problem
     and each step assembles A at the physical time T - tau.  A
     time-independent spec is assembled once and keeps one LU per step
-    size, so a ladder that alternates step sizes factorises each size
-    once.  A time-dependent spec keys its LU by (physical t, dt) and
-    holds at most one, as every step of its ladder needs a fresh one."""
+    size until drop(), so a ladder that alternates step sizes
+    factorises each size once.  A time-dependent spec keys its LU by
+    (physical t, dt) and holds at most one, as every step of its ladder
+    needs a fresh one."""
 
     def __init__(self, spec, grid, T=None):
         self.spec = spec
@@ -166,6 +167,11 @@ class _Stepper:
              - dt * self._A).tocsc()
         self._lus[key] = spla.splu(M, **LU_OPTIONS[self.spec.d])
         return self._lus[key]
+
+    def drop(self):
+        """Free every LU; the assembled operator is kept for the next
+        step size."""
+        self._lus.clear()
 
     def step(self, values, t_new, dt, adjoint=False):
         """values: (m, N, ...) -> one backward-Euler step
@@ -195,6 +201,11 @@ class _Stepper:
             raise ValueError(f"values of shape {values.shape} do not start "
                              f"with the operator's (m, N) = {want}")
         steps = range(1, len(times))
+        if adjoint and not self.time_dep:
+            # each LU from the ladder's first forward step of its size,
+            # so that it does not depend on the march's direction
+            for l in steps:
+                self.factor(times[l], times[l] - times[l - 1])
         for l in reversed(steps) if adjoint else steps:
             step = times[l] - times[l - 1]
             rhs = values if source is None else values + step * source[l - 1]
@@ -206,6 +217,11 @@ class _Stepper:
         levels are dropped as soon as the next one exists."""
         return deque(self.march(values, times, source, adjoint),
                      maxlen=1).pop()
+
+    def solve(self, values, times):
+        """The Solution whose level l is values marched to times[l]."""
+        return Solution(self.grid, times,
+                        np.stack([values, *self.march(values, times)]))
 
 
 def _time_ladder(s, t, dt):
@@ -219,6 +235,4 @@ def evolve(spec, grid, f, s, t, dt):
     """Evolve initial data f (m, N) on grid from time s to t on
     _time_ladder(s, t, dt); returns the Solution whose level l is
     u(times[l], .), from f to u(t, .)."""
-    times = _time_ladder(s, t, dt)
-    march = _Stepper(spec, grid).march(f, times)
-    return Solution(grid, times, np.stack([f, *march]))
+    return _Stepper(spec, grid).solve(f, _time_ladder(s, t, dt))

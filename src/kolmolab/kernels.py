@@ -16,11 +16,10 @@ Turb. Combust. 65, 2000).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .evolve import _Stepper, _time_ladder
 from .grids import interp_corners
 
 __all__ = ["KernelRow", "kernel_row", "tightness_mass", "compactness_probe"]
@@ -52,12 +51,14 @@ def cell_centers(d, L, n_cells):
     return np.stack([C.ravel() for C in axes])
 
 
-def kernel_row(spec, grid, t, s, x_list, n_cells, dt):
-    """Approximate all m x m kernel-row measures at each base point of
-    x_list from one adjoint march of the (m, N, points*m) batch
-    e_i w_x: mass[x, i, j, c] = (G^T (e_i w_x))_j . chi_c."""
+def kernel_row(stepper, times, x_list, n_cells):
+    """Approximate all m x m kernel-row measures of G(times[-1],
+    times[0]) at each base point of x_list from one adjoint march on
+    stepper, down the ladder times, of the (m, N, points*m) batch e_i w_x:
+    mass[x, i, j, c] = (G^T (e_i w_x))_j . chi_c."""
     if n_cells > 64:
         raise ValueError("n_cells capped at 64 per axis")
+    spec, grid = stepper.spec, stepper.grid
     m, N = spec.m, grid.n_nodes
     x = np.asarray(x_list, dtype=float).reshape(-1, spec.d).T  # (d, P)
     if np.max(np.abs(x)) >= grid.probe_L:
@@ -69,7 +70,7 @@ def kernel_row(spec, grid, t, s, x_list, n_cells, dt):
         w[corner, np.arange(P)] = np.prod(factors, axis=0)
     # column (p, i) holds w_p in component i
     Y = np.einsum("ik,np->inpk", np.eye(m), w).reshape(m, N, P * m)
-    Y = _Stepper(spec, grid).final(Y, _time_ladder(s, t, dt), adjoint=True)
+    Y = stepper.final(Y, times, adjoint=True)
     mass = np.einsum("jnpi,cn->pijc", Y.reshape(m, N, P, m),
                      _cell_weights(grid, n_cells))
     return KernelRow(centers=cell_centers(spec.d, grid.L, n_cells),
@@ -84,12 +85,16 @@ def tightness_mass(row: KernelRow, R):
                      for mass in row.mass])
 
 
-def compactness_probe(spec, grid, t, s, x_list, R_list, n_cells, dt):
-    """PASS iff the Neumann kernel row's outside mass decays monotonically
-    in R and falls below 0.05 at the largest R, for every base point."""
+def compactness_probe(stepper, times, x_list, R_list, n_cells):
+    """PASS iff the kernel row's outside mass decays monotonically in R
+    and falls below 0.05 at the largest R, for every base point; the row
+    is kernel_row(stepper, times, x_list, n_cells), and stepper's grid
+    must be Neumann."""
+    if stepper.grid.bc != "neumann":
+        raise ValueError("the compactness probe reads the Neumann kernel "
+                         "row")
     R_list = sorted(R_list)
-    row = kernel_row(spec, replace(grid, bc="neumann"), t, s, x_list,
-                     n_cells, dt)
+    row = kernel_row(stepper, times, x_list, n_cells)
     # outside mass per (base point, R): the max over the (m, m) block
     outside = np.array([np.max(tightness_mass(row, R), axis=(1, 2))
                         for R in R_list]).T

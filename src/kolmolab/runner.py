@@ -24,8 +24,9 @@ from .audit import full_audit
 from .dsl import check_guards, const_expr, parse_coeff_expr, \
     parse_state_expr
 from .estimates import (max_principle_check, pointwise_check,
-                        representation_residual, weighted_gradient_check)
-from .evolve import evolve
+                        representation_residual, squared_solve,
+                        weighted_gradient_check)
+from .evolve import _Stepper, _time_ladder, evolve
 from .fbsde import (DiffusionSpec, FbsdeError, girsanov_weights,
                     horizon_steps, simulate_forward, valid_paths)
 from .game import nash_check
@@ -257,6 +258,13 @@ def jsonable(obj):
     return obj
 
 
+def _kept(value):
+    """value, unless it is the error that a march kept: then raise it."""
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
 class _Runner:
     def __init__(self, cfg, cfg_bytes, outdir):
         self.cfg = cfg
@@ -299,11 +307,6 @@ class _Runner:
                 nonlinearity_from_exprs(psi, d, m)
         except ValueError as err:
             raise ConfigError(str(err)) from err
-        # the Solutions of G(., s) f over [s, T], one per step size, shared
-        # by max_principle, pointwise, weighted_gradient and representation
-        self.levels = functools.cache(
-            lambda dt: evolve(self.spec, self.grid, self.f, self.s, self.T,
-                              dt))
 
     def _path(self, name):
         return os.path.join(self.outdir, name)
@@ -332,6 +335,72 @@ class _Runner:
             sigma=self.cfg["audit"]["sigma"],
             n_samples=self.cfg["audit"]["n_samples"])
 
+    @functools.cached_property
+    def marches(self):
+        """Every march the requested estimate checks read, keyed by
+        (kind, step size), made in one pass when the first of them is
+        read.  The pass walks the step sizes 4dt, 2dt and dt, coarse to
+        fine, with one stepper per operator, so each operator is
+        assembled once per run.  At each size it makes the vector
+        operator's marches and then the scalar comparison's, and drops
+        each operator's LU after its last march of that size, so one LU
+        is alive at a time.  A march that raises keeps its error under
+        its key, and only the stages that read it raise it."""
+        checks = self.cfg["checks"]
+        kernel = (self.cfg["kernel"]["x_list"], self.cfg["kernel"]["R_list"],
+                  self.cfg["kernel"]["n_cells"])
+        ops = (self.spec, scalar_comparison(self.spec))
+        # one stepper per operator and box: compactness reads the kernel
+        # rows of the Neumann box, which is the run's box under Neumann
+        neumann = replace(self.grid, bc="neumann")
+        steppers = {grid: [_Stepper(op, grid) for op in ops]
+                    for grid in {self.grid, neumann}}
+        vector, scalar = steppers[self.grid]
+        # the step sizes, as multiples of dt, whose solve each check reads
+        reads = {"max_principle": (2, 1), "pointwise": (1,),
+                 "weighted_gradient": (1,), "representation": (4, 2, 1)}
+        done = {}
+
+        def attempt(key, make):
+            try:
+                done[key] = make()
+            except Exception as err:  # noqa: BLE001 - stage isolation
+                done[key] = err
+
+        def drop(op):
+            for pair in steppers.values():
+                pair[op].drop()
+
+        for k in (4, 2, 1):
+            dt = k * self.dt
+            times = _time_ladder(self.s, self.T, dt)
+            probes = "compactness" in checks and k == 2
+            if any(k in reads[c] for c in checks if c in reads):
+                attempt(("solve", dt), lambda: vector.solve(self.f, times))
+            if probes:
+                attempt(("vector", dt), lambda: compactness_probe(
+                    steppers[neumann][0], times, *kernel))
+            drop(0)
+            if "pointwise" in checks and k == 1:
+                attempt(("squared", dt), lambda: squared_solve(
+                    scalar, _kept(done["solve", dt])))
+            if "representation" in checks:
+                attempt(("residual", dt), lambda: representation_residual(
+                    self.spec, _kept(done["solve", dt]), scalar))
+            if probes:
+                attempt(("scalar", dt), lambda: compactness_probe(
+                    steppers[neumann][1], times, *kernel))
+            drop(1)
+        return done
+
+    def marched(self, kind, dt):
+        """What the pass made of the march (kind, dt).  A solve stays for
+        every stage that reads it; any other march has one reader, which
+        takes it, so that it is freed with its stage."""
+        if kind == "solve":
+            return _kept(self.marches[kind, dt])
+        return _kept(self.marches.pop((kind, dt)))
+
     # stage implementations -------------------------------------------
     def stage_audit(self):
         sections = self.audit
@@ -347,7 +416,7 @@ class _Runner:
     def stage_max_principle(self):
         dts = (2 * self.dt, self.dt)
         res = max_principle_check(
-            [self.levels(dt) for dt in dts],
+            [self.marched("solve", dt) for dt in dts],
             epsilon=self.cfg["audit"]["epsilon"],
             kappa0=self.cfg["audit"]["kappa0"])
         self._write_csv("max_principle.csv", ["dt", "ratio"],
@@ -356,20 +425,20 @@ class _Runner:
 
     def stage_pointwise(self):
         HJ = self.audit["coupling_growth"]["HJ"]
-        return pointwise_check(self.spec, self.levels(self.dt),
+        return pointwise_check(self.marched("solve", self.dt),
+                               self.marched("squared", self.dt),
                                HJ=max(float(HJ), 0.0))
 
     def stage_weighted_gradient(self):
         fine = replace(self.grid, n=2 * self.grid.n - 1)
         f = _default_f(self.spec, fine, self.cfg)
         return weighted_gradient_check(
-            self.spec, [self.levels(self.dt),
+            self.spec, [self.marched("solve", self.dt),
                         evolve(self.spec, fine, f, self.s, self.T, self.dt)])
 
     def stage_representation(self):
         dts = (4 * self.dt, 2 * self.dt, self.dt)
-        resids = [representation_residual(self.spec, self.levels(dt))
-                  for dt in dts]
+        resids = [self.marched("residual", dt) for dt in dts]
         self._write_csv("representation.csv", ["dt", "residual"],
                         list(zip(dts, resids)))
         decoupled = resids[0] <= 1e-12
@@ -379,12 +448,8 @@ class _Runner:
                 "residuals": resids, "decoupled": bool(decoupled)}
 
     def stage_compactness(self):
-        vec, sca = [compactness_probe(spec, self.grid, self.T, self.s,
-                                      self.cfg["kernel"]["x_list"],
-                                      self.cfg["kernel"]["R_list"],
-                                      self.cfg["kernel"]["n_cells"],
-                                      2 * self.dt)
-                    for spec in (self.spec, scalar_comparison(self.spec))]
+        vec, sca = [self.marched(name, 2 * self.dt)
+                    for name in ("vector", "scalar")]
         rows = [(str(e["x"]), *e["outside"]) for e in vec["table"]]
         self._write_csv("compactness.csv",
                         ["x"] + [f"outside_R{R:g}" for R in vec["R_list"]],

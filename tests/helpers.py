@@ -1,6 +1,11 @@
-"""Test-side builders of grid data and node masks."""
+"""Test-side builders of grid data, node masks and the squared solve
+that pointwise_check reads."""
 
 import numpy as np
+
+from kolmolab.estimates import squared_solve
+from kolmolab.evolve import _Stepper
+from kolmolab.operators import scalar_comparison
 
 
 def sample(grid, fn):
@@ -18,3 +23,8 @@ def constant(grid, vec):
 def box_mask(grid, radius):
     """Mask of the nodes with max-norm coordinate <= radius."""
     return np.max(np.abs(grid.points()), axis=0) <= radius + 1e-12
+
+
+def squared(spec, sol):
+    """squared_solve of sol on a stepper of spec's scalar comparison."""
+    return squared_solve(_Stepper(scalar_comparison(spec), sol.grid), sol)

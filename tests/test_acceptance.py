@@ -14,12 +14,12 @@ from scipy.special import erf
 from kolmolab.estimates import (max_principle_check, pointwise_check,
                                 representation_residual,
                                 weighted_gradient_check)
-from kolmolab.evolve import _Stepper, evolve
+from kolmolab.evolve import _Stepper, _time_ladder, evolve
 from kolmolab.fbsde import (DiffusionSpec, bsde_residual, girsanov_weights,
                             identify_yz, simulate_forward)
 from kolmolab.game import minimax_select, nash_check
 from kolmolab.grids import Grid, gradient
-from helpers import box_mask, constant, sample
+from helpers import box_mask, constant, sample, squared
 from kolmolab.kernels import compactness_probe
 from kolmolab.operators import example_family, scalar_comparison
 from kolmolab.semilinear import (MildSolution, _graded_ladder, kt_norm,
@@ -119,8 +119,8 @@ def test_03_pointwise_domination():
             grid = Grid(1, 5.0, n, "dirichlet")
             f = sample(grid,
                        lambda p: np.stack([np.cos(p[0]), np.sin(2 * p[0])]))
-            res = pointwise_check(
-                spec, evolve(spec, grid, f, 0.0, 0.5, 2e-3), HJ=HJ)
+            sol = evolve(spec, grid, f, 0.0, 0.5, 2e-3)
+            res = pointwise_check(sol, squared(spec, sol), HJ=HJ)
             worst = max(worst, res["measured"] / res["bound"])
             ok = ok and res["measured"] <= res["bound"] * 1.01
         lines.append(f"{name} ratio/bound {worst:.3f}")
@@ -156,15 +156,17 @@ def test_05_representation_formula():
                           {"d": 1, "C": [[0.0, 1.0], [-1.0, 0.0]]})
     grid = Grid(1, 6.0, 161, "dirichlet")
     f = sample(grid, lambda p: np.stack([np.exp(-p[0] ** 2), np.cos(p[0])]))
-    resids = [representation_residual(spec,
-                                      evolve(spec, grid, f, 0.0, 0.4, dt))
-              for dt in (8e-3, 4e-3, 2e-3)]
+    scalar = _Stepper(scalar_comparison(spec), grid)
+    resids = [representation_residual(
+        spec, evolve(spec, grid, f, 0.0, 0.4, dt), scalar)
+        for dt in (8e-3, 4e-3, 2e-3)]
     decays = [1 - resids[k + 1] / resids[k] for k in range(2)]
     ok1 = all(d >= 0.35 for d in decays)
 
     ou = example_family("ou", {"d": 1})
     g = sample(grid, lambda p: np.sin(p[0]))
-    r0 = representation_residual(ou, evolve(ou, grid, g, 0.0, 0.4, 5e-3))
+    r0 = representation_residual(ou, evolve(ou, grid, g, 0.0, 0.4, 5e-3),
+                                 _Stepper(scalar_comparison(ou), grid))
     ok2 = r0 == 0.0
     report(5, "representation formula", ok1 and ok2,
            f"decays {decays[0]:.1%}, {decays[1]:.1%} >= 35%; "
@@ -176,20 +178,22 @@ def test_06_kernel_compactness():
     grid = Grid(1, 6.0, 241, "neumann")
     xs = [[-1.0], [0.0], [1.0]]
     Rs = [1.0, 2.0, 3.0]
-    vec = compactness_probe(spec, grid, 0.5, 0.0, xs, Rs, n_cells=24,
-                            dt=5e-3)
+    vec = compactness_probe(_Stepper(spec, grid),
+                            _time_ladder(0.0, 0.5, 5e-3), xs, Rs, n_cells=24)
     outs = max(e["outside"][-1] for e in vec["table"])
     heat = example_family("heat", {"d": 1})
     gridh = Grid(1, 8.0, 321, "neumann")
-    hp = compactness_probe(heat, gridh, 0.5, 0.0, [[0.0], [3.5]], Rs,
-                           n_cells=32, dt=5e-3)
+    hp = compactness_probe(_Stepper(heat, gridh),
+                           _time_ladder(0.0, 0.5, 5e-3), [[0.0], [3.5]], Rs,
+                           n_cells=32)
     agree = True
     for name, s, g in (("ou", example_family("ou", {"d": 1}), grid),
                        ("ex71ii", spec, grid)):
-        v = compactness_probe(s, g, 0.5, 0.0, [[0.0], [1.0]], Rs,
-                              n_cells=24, dt=5e-3)
-        sc = compactness_probe(scalar_comparison(s), g, 0.5, 0.0,
-                               [[0.0], [1.0]], Rs, n_cells=24, dt=5e-3)
+        v = compactness_probe(_Stepper(s, g), _time_ladder(0.0, 0.5, 5e-3),
+                              [[0.0], [1.0]], Rs, n_cells=24)
+        sc = compactness_probe(_Stepper(scalar_comparison(s), g),
+                               _time_ladder(0.0, 0.5, 5e-3), [[0.0], [1.0]],
+                               Rs, n_cells=24)
         agree = agree and (v["verdict"] == sc["verdict"])
     ok = vec["verdict"] and outs < 0.05 and not hp["verdict"] and agree
     report(6, "kernel tightness/compactness", ok,

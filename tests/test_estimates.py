@@ -8,10 +8,11 @@ from kolmolab.estimates import (max_principle_check, pointwise_check,
                                 representation_residual,
                                 weighted_gradient_check)
 from kolmolab.grids import Grid, gradient
-from helpers import box_mask, constant, sample
+from helpers import box_mask, constant, sample, squared
 from kolmolab import evolve as evolve_module
-from kolmolab.evolve import evolve
-from kolmolab.operators import example_family, matrix_of_consts
+from kolmolab.evolve import _Stepper, evolve
+from kolmolab.operators import (example_family, matrix_of_consts,
+                                scalar_comparison)
 
 
 def test_max_principle_contraction_when_kappa_zero():
@@ -67,8 +68,8 @@ def test_pointwise_jensen_case():
     spec = example_family("ou", {"d": 1})
     grid = Grid(1, 6.0, 241, "dirichlet")
     f = sample(grid, lambda p: np.sin(3 * p[0]))
-    res = pointwise_check(spec, evolve(spec, grid, f, 0.0, 0.5, 2e-3),
-                          HJ=0.0)
+    sol = evolve(spec, grid, f, 0.0, 0.5, 2e-3)
+    res = pointwise_check(sol, squared(spec, sol), HJ=0.0)
     assert res["measured"] <= 1.0 + 1e-6
     assert res["verdict"] == "PASS"
 
@@ -79,14 +80,15 @@ def test_pointwise_ex71ii():
     HJ = check_coupling_growth(spec, box=5.0, sigma=0.5, n_samples=512)["HJ"]
     grid = Grid(1, 5.0, 201, "dirichlet")
     f = sample(grid, lambda p: np.stack([np.cos(p[0]), np.sin(2 * p[0])]))
-    res = pointwise_check(spec, evolve(spec, grid, f, 0.0, 0.5, 2e-3),
-                          HJ=max(HJ, 0.0))
+    sol = evolve(spec, grid, f, 0.0, 0.5, 2e-3)
+    res = pointwise_check(sol, squared(spec, sol), HJ=max(HJ, 0.0))
     assert res["verdict"] == "PASS", res
 
 
 def test_pointwise_factorises_once_per_operator(monkeypatch):
     # one LU per operator: the vector one in evolve's solve, the scalar
-    # one in pointwise's single march over every check time
+    # one in the single march of |f|^2 that pointwise reads at every
+    # check time
     calls = []
     splu = evolve_module.spla.splu
 
@@ -100,10 +102,20 @@ def test_pointwise_factorises_once_per_operator(monkeypatch):
     # the runner's default data: exp(-|x|^2) and cos(2 x1), neumann
     f = sample(grid,
                lambda p: np.stack([np.exp(-p[0] ** 2), np.cos(2 * p[0])]))
-    res = pointwise_check(spec, evolve(spec, grid, f, 0.0, 0.2, 0.01),
-                          HJ=1.0)
+    sol = evolve(spec, grid, f, 0.0, 0.2, 0.01)
+    res = pointwise_check(sol, squared(spec, sol), HJ=1.0)
     assert len(calls) == 2
     assert res["measured"] == 0.8649752824184967
+
+
+def test_pointwise_reads_g_f_squared_on_the_solve_ladder():
+    spec = example_family("ou", {"d": 1})
+    grid = Grid(1, 6.0, 61, "neumann")
+    f = sample(grid, lambda p: np.sin(p[0]))
+    sol = evolve(spec, grid, f, 0.0, 0.2, 0.01)
+    other = squared(spec, evolve(spec, grid, f, 0.0, 0.2, 0.02))
+    with pytest.raises(ValueError, match="ladder"):
+        pointwise_check(sol, other, HJ=0.0)
 
 
 def test_pointwise_coupled_bounded_C():
@@ -116,8 +128,8 @@ def test_pointwise_coupled_bounded_C():
     for _ in range(40):
         vals[:, 1:-1] = (vals[:, :-2] + 2 * vals[:, 1:-1] + vals[:, 2:]) / 4
     # Lambda_C = 0.5, xi = 0 on the diagonal-drift side: HJ = 0.5
-    res = pointwise_check(spec, evolve(spec, grid, vals, 0.0, 0.4, 2e-3),
-                          HJ=0.5)
+    sol = evolve(spec, grid, vals, 0.0, 0.4, 2e-3)
+    res = pointwise_check(sol, squared(spec, sol), HJ=0.5)
     assert res["verdict"] == "PASS"
 
 
@@ -191,7 +203,8 @@ def test_representation_decoupled_zero():
     grid = Grid(1, 6.0, 161, "dirichlet")
     f = sample(grid, lambda p: np.sin(p[0]))
     res = representation_residual(spec,
-                                  evolve(spec, grid, f, 0.0, 0.4, 5e-3))
+                                  evolve(spec, grid, f, 0.0, 0.4, 5e-3),
+                                  _Stepper(scalar_comparison(spec), grid))
     assert res <= 1e-12
 
 
@@ -200,9 +213,10 @@ def test_representation_residual_decays():
                           {"d": 1, "C": [[0.0, 1.0], [-1.0, 0.0]]})
     grid = Grid(1, 6.0, 161, "dirichlet")
     f = sample(grid, lambda p: np.stack([np.exp(-p[0] ** 2), np.cos(p[0])]))
-    resids = [representation_residual(spec,
-                                      evolve(spec, grid, f, 0.0, 0.4, dt))
-              for dt in (8e-3, 4e-3, 2e-3)]
+    scalar = _Stepper(scalar_comparison(spec), grid)
+    resids = [representation_residual(
+        spec, evolve(spec, grid, f, 0.0, 0.4, dt), scalar)
+        for dt in (8e-3, 4e-3, 2e-3)]
     assert resids[1] <= 0.65 * resids[0]
     assert resids[2] <= 0.65 * resids[1]
 
@@ -213,7 +227,8 @@ def test_representation_residual_at_t_equals_s():
     f = sample(grid, lambda p: np.stack([np.cos(p[0]), np.sin(p[0])]))
     # one vanishing-width step: residual collapses with the window
     res = representation_residual(spec,
-                                  evolve(spec, grid, f, 0.0, 1e-6, 1e-6))
+                                  evolve(spec, grid, f, 0.0, 1e-6, 1e-6),
+                                  _Stepper(scalar_comparison(spec), grid))
     assert res <= 1e-6
 
 
@@ -235,6 +250,7 @@ def test_representation_time_dependent_factorises_twice_per_step(
 
     monkeypatch.setattr(evolve_module.spla, "splu", counted)
     res = representation_residual(spec,
-                                  evolve(spec, grid, f, 0.0, 0.5, 0.01))
+                                  evolve(spec, grid, f, 0.0, 0.5, 0.01),
+                                  _Stepper(scalar_comparison(spec), grid))
     assert np.isfinite(res)
     assert len(factors) == 100

@@ -308,6 +308,32 @@ def test_adjoint_march_is_the_transpose_of_the_march():
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))
 
 
+def test_lu_does_not_depend_on_the_march_direction(monkeypatch):
+    # a time-independent LU is built from the ladder's first forward step
+    # of its size, whether the first march to reach it walks up or down
+    from kolmolab import evolve as evolve_mod
+    spec = example_family("ex71ii", {"d": 1, "m": 2})
+    grid = Grid(1, 6.0, 61, "neumann")
+    times = _time_ladder(0.0, 0.25, 0.0125)
+    assert times[-1] - times[-2] != times[1] - times[0]  # else vacuous
+    built = []
+    real_splu = evolve_mod.spla.splu
+
+    def kept(M, **options):
+        built.append(M)
+        return real_splu(M, **options)
+
+    monkeypatch.setattr(evolve_mod.spla, "splu", kept)
+    v = np.random.default_rng(3).standard_normal((2, grid.n_nodes, 4))
+    down = _Stepper(spec, grid).final(v, times, adjoint=True)
+    shared = _Stepper(spec, grid)
+    shared.final(v, times)
+    after_up = shared.final(v, times, adjoint=True)
+    assert len(built) == 2
+    assert (built[0] != built[1]).nnz == 0
+    assert np.array_equal(down, after_up)
+
+
 @pytest.mark.parametrize("bad", [1e13, np.inf, np.nan])
 def test_blowup_guard_on_the_adjoint_step(bad):
     # and on the forward step, which meets the same one-reduction test

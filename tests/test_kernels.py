@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from kolmolab import kernels
 from kolmolab.grids import Grid, interp_multilinear
 from kolmolab.evolve import _Stepper, _time_ladder, evolve
 from kolmolab.kernels import (compactness_probe, kernel_row,
@@ -31,7 +30,8 @@ def test_heat_kernel_matches_gaussian_cells():
     grid = Grid(1, 8.0, 321, "dirichlet")
     tau = 0.5
     x0 = 0.3
-    row = kernel_row(spec, grid, tau, 0.0, [x0], n_cells=16, dt=2e-3)
+    row = kernel_row(_Stepper(spec, grid), _time_ladder(0.0, tau, 2e-3),
+                     [x0], 16)
     edges = np.linspace(-8, 8, 17)
     expect = gauss_cell_mass(edges[:-1], edges[1:], x0, tau)
     assert np.max(np.abs(row.mass[0, 0, 0] - expect)) <= 1e-3
@@ -42,7 +42,8 @@ def test_total_mass_stochastic_kernel():
     # keeps every bit of mass inside the box)
     spec = example_family("ou", {"d": 1})
     grid = Grid(1, 6.0, 241, "neumann")
-    row = kernel_row(spec, grid, 0.5, 0.0, [0.2], n_cells=12, dt=5e-3)
+    row = kernel_row(_Stepper(spec, grid), _time_ladder(0.0, 0.5, 5e-3),
+                     [0.2], 12)
     assert np.sum(row.mass[0, 0, 0]) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -50,7 +51,8 @@ def test_reconstruction_linearity():
     spec = example_family("ex71ii", {"d": 1, "m": 2})
     grid = Grid(1, 5.0, 201, "neumann")
     tau, nc = 0.3, 10
-    row = kernel_row(spec, grid, tau, 0.0, [0.1], nc, dt=5e-3)
+    row = kernel_row(_Stepper(spec, grid), _time_ladder(0.0, tau, 5e-3),
+                     [0.1], nc)
     rng = np.random.default_rng(7)
     f_cells = rng.uniform(-1, 1, (2, nc))
     # apply the kernel row to the piecewise-constant cell values
@@ -68,7 +70,8 @@ def test_shrinking_cell_mass_vanishes():
     grid = Grid(1, 6.0, 241, "dirichlet")
     masses = []
     for nc in (8, 32):
-        row = kernel_row(spec, grid, 0.4, 0.0, [0.0], nc, dt=5e-3)
+        row = kernel_row(_Stepper(spec, grid), _time_ladder(0.0, 0.4, 5e-3),
+                         [0.0], nc)
         c = np.argmin(np.abs(row.centers[0] - 1.0))
         masses.append(abs(row.mass[0, 0, 0, c]))
     assert masses[1] < masses[0] / 2  # 4x smaller cells, ~4x less mass
@@ -79,7 +82,8 @@ def test_tightness_heat_tail_bound():
     spec = example_family("heat", {"d": 1})
     grid = Grid(1, 8.0, 321, "neumann")
     tau = 0.25
-    row = kernel_row(spec, grid, tau, 0.0, [0.0], 32, dt=5e-3)
+    row = kernel_row(_Stepper(spec, grid), _time_ladder(0.0, tau, 5e-3),
+                     [0.0], 32)
     R = 3.0
     out = tightness_mass(row, R)[0, 0, 0]
     tail = erfc(R / np.sqrt(2 * tau))  # two-sided gaussian tail
@@ -93,10 +97,10 @@ def test_compactness_ex71ii_pass_and_scalar_agrees():
     grid = Grid(1, 6.0, 241, "neumann")
     xs = [[-1.0], [0.0], [1.0]]
     Rs = [1.0, 2.0, 3.0]
-    vec = compactness_probe(spec, grid, 0.5, 0.0, xs, Rs, n_cells=24,
-                            dt=5e-3)
-    sca = compactness_probe(scalar_comparison(spec), grid, 0.5, 0.0, xs, Rs,
-                            n_cells=24, dt=5e-3)
+    vec = compactness_probe(_Stepper(spec, grid),
+                            _time_ladder(0.0, 0.5, 5e-3), xs, Rs, n_cells=24)
+    sca = compactness_probe(_Stepper(scalar_comparison(spec), grid),
+                            _time_ladder(0.0, 0.5, 5e-3), xs, Rs, n_cells=24)
     assert vec["verdict"]
     assert sca["verdict"] == vec["verdict"]
 
@@ -106,8 +110,9 @@ def test_compactness_heat_fails_for_spreading_points():
     grid = Grid(1, 8.0, 321, "neumann")
     # translation invariance: a base point far out keeps its mass far out
     xs = [[0.0], [3.5]]
-    probe = compactness_probe(spec, grid, 0.5, 0.0, xs, [1.0, 2.0, 3.0],
-                              n_cells=32, dt=5e-3)
+    probe = compactness_probe(_Stepper(spec, grid),
+                              _time_ladder(0.0, 0.5, 5e-3), xs,
+                              [1.0, 2.0, 3.0], n_cells=32)
     assert not probe["verdict"]
 
 
@@ -120,8 +125,9 @@ def test_outward_drift_fails():
         (parse_coeff_expr("x1*(1+normsq(x))", 1),),
         (matrix_of_consts([[0.0]], 1),), matrix_of_consts([[0.0]], 1))
     grid = Grid(1, 6.0, 241, "neumann")
-    probe = compactness_probe(spec, grid, 1.0, 0.0, [[0.5]], [1.0, 2.0, 3.0],
-                              n_cells=24, dt=5e-3)
+    probe = compactness_probe(_Stepper(spec, grid),
+                              _time_ladder(0.0, 1.0, 5e-3), [[0.5]],
+                              [1.0, 2.0, 3.0], n_cells=24)
     assert not probe["verdict"]
 
 
@@ -129,7 +135,8 @@ def test_signed_masses_for_coupled_potential():
     spec = example_family("const_coupling",
                           {"d": 1, "C": [[0.0, 1.0], [1.0, 0.0]]})
     grid = Grid(1, 6.0, 161, "neumann")
-    row = kernel_row(spec, grid, 0.5, 0.0, [0.0], 12, dt=5e-3)
+    row = kernel_row(_Stepper(spec, grid), _time_ladder(0.0, 0.5, 5e-3),
+                     [0.0], 12)
     # off-diagonal rows are genuinely nonzero here; diagonal stays positive
     assert np.max(np.abs(row.mass[0, 0, 1])) > 1e-3
     assert np.min(row.mass[0, 0, 0]) > -1e-9
@@ -145,10 +152,12 @@ def test_row_over_points_equals_one_point_rows(d, scalar):
     grid = Grid(d, 6.0, 121 if d == 1 else 31, "neumann")
     nc = 24 if d == 1 else 6
     xs = [[-1.0] * d, [0.0] * d, [1.0] + [-0.5] * (d - 1)]
-    row = kernel_row(spec, grid, 0.25, 0.0, xs, nc, dt=1.25e-2)
+    row = kernel_row(_Stepper(spec, grid), _time_ladder(0.0, 0.25, 1.25e-2),
+                     xs, nc)
     assert row.mass.shape == (3, spec.m, spec.m, nc ** d)
     for p, x in enumerate(xs):
-        one = kernel_row(spec, grid, 0.25, 0.0, [x], nc, dt=1.25e-2)
+        one = kernel_row(_Stepper(spec, grid),
+                         _time_ladder(0.0, 0.25, 1.25e-2), [x], nc)
         assert np.array_equal(row.mass[p], one.mass[0])
         for R in (1.0, 2.0, 3.0):
             assert np.array_equal(tightness_mass(row, R)[p],
@@ -156,20 +165,30 @@ def test_row_over_points_equals_one_point_rows(d, scalar):
 
 
 def test_compactness_probe_marches_once_for_all_points(monkeypatch):
-    made = []
+    # one march of the stepper it is handed serves every base point
+    marched = []
+    real_march = _Stepper.march
 
-    class CountingStepper(kernels._Stepper):
-        def __init__(self, *args):
-            made.append(args)
-            super().__init__(*args)
+    def counted(self, *args, **kwargs):
+        marched.append(self)
+        return real_march(self, *args, **kwargs)
 
-    monkeypatch.setattr(kernels, "_Stepper", CountingStepper)
+    monkeypatch.setattr(_Stepper, "march", counted)
     spec = example_family("ex71ii", {"d": 1, "m": 2})
-    probe = compactness_probe(spec, Grid(1, 6.0, 121, "neumann"), 0.25, 0.0,
+    stepper = _Stepper(spec, Grid(1, 6.0, 121, "neumann"))
+    probe = compactness_probe(stepper, _time_ladder(0.0, 0.25, 1.25e-2),
                               [[-1.0], [0.0], [1.0]], [1.0, 2.0, 3.0],
-                              n_cells=12, dt=1.25e-2)
+                              n_cells=12)
     assert len(probe["table"]) == 3
-    assert len(made) == 1
+    assert marched == [stepper]
+
+
+def test_compactness_probe_reads_the_neumann_row():
+    spec = example_family("ex71ii", {"d": 1, "m": 2})
+    stepper = _Stepper(spec, Grid(1, 6.0, 61, "dirichlet"))
+    with pytest.raises(ValueError, match="Neumann"):
+        compactness_probe(stepper, _time_ladder(0.0, 0.25, 1.25e-2),
+                          [[0.0]], [1.0], n_cells=12)
 
 
 # The adjoint march against the forward one it replaced: the (m, N,
@@ -202,7 +221,7 @@ def test_adjoint_masses_match_forward_march(d, bc, kind):
     grid = Grid(d, 6.0, 121 if d == 1 else 25, bc)
     nc = 12 if d == 1 else 4
     xs = [[-1.0] * d, [0.5] * d, [1.2] + [-0.7] * (d - 1)]
-    row = kernel_row(spec, grid, t, s, xs, nc, dt=2.5e-2)
+    row = kernel_row(_Stepper(spec, grid), _time_ladder(s, t, 2.5e-2), xs, nc)
     want = _forward_masses(spec, grid, t, s, xs, nc, 2.5e-2)
     assert row.mass.shape == want.shape == (3, spec.m, spec.m, nc ** d)
     scale = np.max(np.abs(want))
@@ -218,7 +237,7 @@ def test_adjoint_march_carries_m_columns_per_point(monkeypatch, n_cells,
     # one step per ladder step, in descending t, and the usual LU count
     from kolmolab import evolve as evolve_mod
     steps, factors = [], []
-    real_step, real_splu = kernels._Stepper.step, evolve_mod.spla.splu
+    real_step, real_splu = _Stepper.step, evolve_mod.spla.splu
 
     def recorded(self, values, t_new, dt, adjoint=False):
         steps.append((values.shape[-1], t_new, adjoint))
@@ -228,14 +247,14 @@ def test_adjoint_march_carries_m_columns_per_point(monkeypatch, n_cells,
         factors.append(M.shape)
         return real_splu(M)
 
-    monkeypatch.setattr(kernels._Stepper, "step", recorded)
+    monkeypatch.setattr(_Stepper, "step", recorded)
     monkeypatch.setattr(evolve_mod.spla, "splu", counted)
     spec = example_family("ex71ii", {"d": 1, "m": 2, **(
         _EX71II_T if time_dependent else {})})
     xs = [[-1.0], [0.0], [1.0]]
-    kernel_row(spec, Grid(1, 6.0, 61, "neumann"), 0.5, 0.1, xs, n_cells,
-               dt=0.05)
     times = _time_ladder(0.1, 0.5, 0.05)
+    kernel_row(_Stepper(spec, Grid(1, 6.0, 61, "neumann")), times, xs,
+               n_cells)
     assert [c for c, _, _ in steps] == [2 * len(xs)] * (len(times) - 1)
     assert [t for _, t, _ in steps] == list(times[:0:-1])
     assert all(adjoint for _, _, adjoint in steps)

@@ -19,7 +19,7 @@ import pytest
 from kolmolab import __version__
 from kolmolab.cli import main
 from kolmolab.estimates import weighted_gradient_check
-from kolmolab.evolve import evolve
+from kolmolab.evolve import EvolveError, _Stepper, _time_ladder
 from kolmolab.fbsde import identify_yz, simulate_forward
 from kolmolab.runner import (ConfigError, _setup, list_presets, load_config,
                               run)
@@ -514,14 +514,14 @@ def test_weighted_gradient_stage_adds_one_refined_solve_of_data_f(
         tmp_path, monkeypatch):
     # max_principle's two solves, the dt one shared, plus one solve of
     # data.f on the 2n - 1 grid
-    from kolmolab import runner as runner_module
     calls = []
+    real_solve = _Stepper.solve
 
-    def spy(spec, grid, f, s, T, dt):
-        calls.append((grid, f, dt))
-        return evolve(spec, grid, f, s, T, dt)
+    def spy(self, values, times):
+        calls.append((self.grid, values, times))
+        return real_solve(self, values, times)
 
-    monkeypatch.setattr(runner_module, "evolve", spy)
+    monkeypatch.setattr(_Stepper, "solve", spy)
     p = tmp_path / "c.run"
     write_cfg(p, operator={"family": "ex72", "params": {"d": 1}},
               grid={"L": 6.0, "n": 61},
@@ -530,7 +530,9 @@ def test_weighted_gradient_stage_adds_one_refined_solve_of_data_f(
               data={"f": ["exp(-(x1^2))", "1/(1+x1^2)"]}, mc={})
     code, report = run(p, outdir=tmp_path / "r")
     assert code == 0
-    assert [dt for _, _, dt in calls] == [0.025, 0.0125, 0.0125]
+    assert len(calls) == 3
+    for (_, _, times), dt in zip(calls, [0.025, 0.0125, 0.0125]):
+        np.testing.assert_array_equal(times, _time_ladder(0.0, 0.25, dt))
     fine, f, _ = calls[-1]
     assert (fine.n, fine.L) == (121, 6.0)
     x = np.linspace(-6.0, 6.0, 121)
@@ -890,7 +892,8 @@ def test_estimate_stages_share_one_vector_solve_per_step_size(
         tmp_path, monkeypatch):
     # max_principle (2dt, dt), pointwise (dt) and representation (4dt,
     # 2dt, dt) read one vector solve per step size; the scalar marches
-    # of pointwise (dt) and representation (each size) are their own
+    # of pointwise (dt) and representation (each size) share one scalar
+    # LU per step size
     n = 61
     cfg = _golden(grid={"n": n}, time={"dt": 0.02},
                   checks=["max_principle", "pointwise", "representation"])
@@ -908,7 +911,101 @@ def test_estimate_stages_share_one_vector_solve_per_step_size(
     code, report = run(p, outdir=tmp_path / "r")
     assert code == 0, report["verdicts"]
     # the golden operator has m = 2 components
-    assert (sizes.count(2 * n), sizes.count(n)) == (3, 4)
+    assert (sizes.count(2 * n), sizes.count(n)) == (3, 3)
+
+
+# the four checks that read the estimate pass, on the golden operator
+PLANNED = ["max_principle", "pointwise", "representation", "compactness"]
+
+
+def test_estimate_pass_factorises_each_operator_and_step_size_once(
+        tmp_path, monkeypatch):
+    # the vector and the scalar operator at 4dt, 2dt and dt are 6 LUs,
+    # each a different matrix, made from 2 assemblies
+    p = tmp_path / "c.run"
+    p.write_text(json.dumps(_golden(checks=PLANNED)))
+    from kolmolab import evolve
+    factors, assemblies = [], []
+    real_splu, real_assemble = evolve.spla.splu, evolve.assemble_operator
+
+    def counted(M, **options):
+        factors.append((M.shape[0], M.data.tobytes()))
+        return real_splu(M, **options)
+
+    def assembled(spec, grid, t):
+        assemblies.append(spec.m)
+        return real_assemble(spec, grid, t)
+
+    monkeypatch.setattr(evolve.spla, "splu", counted)
+    monkeypatch.setattr(evolve, "assemble_operator", assembled)
+    code, report = run(p, outdir=tmp_path / "r")
+    assert code == 0, report["verdicts"]
+    n = 201  # the golden grid; its operator has m = 2 components
+    assert [size for size, _ in factors].count(2 * n) == 3
+    assert [size for size, _ in factors].count(n) == 3
+    assert len(set(factors)) == len(factors) == 6
+    assert sorted(assemblies) == [1, 2]
+
+
+def test_estimate_pass_keeps_one_lu_alive_at_a_time(tmp_path,
+                                                    monkeypatch):
+    # a new LU is made only after the last one, of either operator, is
+    # freed; the compactness stage reads the same numbers alone as in
+    # the pass
+    import weakref
+    from kolmolab import evolve
+    made, overlaps = [], []  # (operator size, weak reference to its LU)
+    real_splu = evolve.spla.splu
+
+    class LU:  # SuperLU takes no weak reference; this wrapper does
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, *args, **kwargs):
+            return self.lu.solve(*args, **kwargs)
+
+    def tracked(M, **options):
+        overlaps.extend((size, M.shape[0]) for size, ref in made
+                        if ref() is not None)
+        lu = LU(real_splu(M, **options))
+        made.append((M.shape[0], weakref.ref(lu)))
+        return lu
+
+    monkeypatch.setattr(evolve.spla, "splu", tracked)
+    reports = {}
+    for name, checks in (("all", PLANNED), ("alone", ["compactness"])):
+        p = tmp_path / f"{name}.run"
+        p.write_text(json.dumps(_golden(checks=checks)))
+        code, reports[name] = run(p, outdir=tmp_path / name)
+        assert code == 0, reports[name]["verdicts"]
+    assert len(made) == 6 + 2
+    assert overlaps == [], "two LUs alive at once"
+    assert reports["all"]["stages"]["compactness"] == \
+        reports["alone"]["stages"]["compactness"]
+
+
+def test_estimate_pass_keeps_each_stage_error_its_own(tmp_path,
+                                                      monkeypatch):
+    # the pass runs in max_principle's stage, but an error of the kernel
+    # march is reported by compactness alone
+    real_march = _Stepper.march
+
+    def march(self, values, times, source=None, adjoint=False):
+        if adjoint:
+            raise EvolveError("forced blow-up of the kernel march")
+        return real_march(self, values, times, source, adjoint)
+
+    monkeypatch.setattr(_Stepper, "march", march)
+    p = tmp_path / "c.run"
+    p.write_text(json.dumps(_golden(checks=PLANNED)))
+    code, report = run(p, outdir=tmp_path / "r")
+    assert code == 1
+    assert report["verdicts"] == {"max_principle": "PASS",
+                                  "pointwise": "PASS",
+                                  "representation": "PASS",
+                                  "compactness": "ERROR"}
+    assert report["stages"]["compactness"]["error"] == \
+        "forced blow-up of the kernel march"
 
 
 if __name__ == "__main__":

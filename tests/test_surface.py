@@ -2,8 +2,10 @@
 class, is reached by the package itself or by a script; a name only
 tests reach is surface to delete.  Every step of the scheme is taken by
 the one stepping loop, _Stepper.march, and every LU and every operator
-assembly is made by _Stepper.factor.  Every keyword default of a public
-function is passed by some call; a default that no call passes is a
+assembly is made by _Stepper.factor.  A package function that marches
+takes its stepper: only evolve, mild_solve and the runner build one, so
+the caller decides how long each LU lives.  Every keyword default of a
+public function is passed by some call; a default that no call passes is a
 setting nothing sets, so it should be a constant, and a default that
 only tests pass is a knob unless it is listed with its reason.  Every
 name a function binds is read in it; a name bound and never read is
@@ -166,6 +168,18 @@ def test_one_factorisation_site(callee):
                     outside.append(f"{path.stem} line {node.lineno}")
     assert inside == 1, f"_Stepper.factor must make every {callee} call"
     assert not outside, f"{callee} outside _Stepper.factor: {outside}"
+
+
+def test_steppers_are_built_by_their_owners():
+    # evolve.py (evolve), semilinear.py (mild_solve) and runner.py (the
+    # estimate pass) own their LUs; every other module marches on the
+    # stepper it is handed
+    builders = sorted({path.stem for path in MODULES
+                       for node in ast.walk(ast.parse(path.read_text()))
+                       if isinstance(node, ast.Call)
+                       and getattr(node.func, "id", None) == "_Stepper"})
+    assert builders == ["evolve", "runner", "semilinear"], \
+        f"modules that build a _Stepper: {builders}"
 
 
 def _unpassed_defaults(paths):
