@@ -326,9 +326,10 @@ def check_weight_conditions(spec, box, n_samples):
                 tail[i + 1] > 1.05 * tail[i] for i in range(2))
             entry["verdict"] = bool(np.isfinite(entry["sup"]) and not growing)
         else:
+            # no finite outer value (all inf, say) is no limit: FAIL
             decreasing = all(tail[i + 1] <= tail[i] * (1 + 1e-9)
                              for i in range(len(tail) - 1))
-            entry["verdict"] = bool(decreasing
+            entry["verdict"] = bool(tail and decreasing
                                     and tail[-1] <= _LIMIT_THRESHOLD)
         if not entry["verdict"] and name not in dropped:
             all_pass = False

@@ -10,10 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .evolve import _time_ladder
 from .semilinear import sqrtQ_at
 
 __all__ = ["FbsdeError", "DiffusionSpec", "PathBatch", "YZProcess",
-           "horizon_steps", "simulate_forward", "path_z", "valid_paths",
+           "simulate_forward", "path_z", "valid_paths",
            "identify_yz", "bsde_residual", "girsanov_weights", "cost"]
 
 _EXPLODE = 1e9
@@ -66,7 +67,7 @@ class PathBatch:
     them: X[l] and dW[l] are (d, N)."""
 
     N: int
-    h_step: float
+    h_step: float  # the ladder's own step (T - t)/steps
     times: np.ndarray  # (steps + 1,)
     X: np.ndarray  # (steps + 1, d, N)
     dW: np.ndarray  # (steps, d, N)
@@ -95,22 +96,14 @@ def _path_normals(seed, N, steps, d):
         np.moveaxis(gen.standard_normal((N, steps, d)), 0, -1))
 
 
-def horizon_steps(horizon, h_step):
-    """Number of h_step steps covering the horizon; raises unless h_step
-    divides it."""
-    steps = int(round(horizon / h_step))
-    tol = 1e-10 * max(1.0, horizon)
-    if steps < 1 or abs(steps * h_step - horizon) > tol:
-        raise FbsdeError("h_step must divide the horizon T - t")
-    return steps
-
-
 def simulate_forward(ds: DiffusionSpec, x0, t, T, h_step, N, seed):
-    """Euler-Maruyama ensemble of the forward diffusion."""
+    """Euler-Maruyama ensemble of the forward diffusion on
+    _time_ladder(t, T, h_step), stepping by its own step (T - t)/steps."""
     d = ds.d
-    steps = horizon_steps(T - t, h_step)
+    times = _time_ladder(t, T, h_step)
+    steps = len(times) - 1
+    h_step = (T - t) / steps
     x0 = np.broadcast_to(np.asarray(x0, dtype=float).reshape(-1), (d,))
-    times = t + h_step * np.arange(steps + 1)
     dW = np.sqrt(h_step) * _path_normals(seed, N, steps, d)
     X = np.empty((steps + 1, d, N))
     X[0] = x0[:, None]

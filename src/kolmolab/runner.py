@@ -27,8 +27,8 @@ from .estimates import (max_principle_check, pointwise_check,
                         representation_residual, squared_solve,
                         weighted_gradient_check)
 from .evolve import _Stepper, _time_ladder, evolve
-from .fbsde import (DiffusionSpec, FbsdeError, girsanov_weights,
-                    horizon_steps, simulate_forward, valid_paths)
+from .fbsde import (DiffusionSpec, girsanov_weights, simulate_forward,
+                    valid_paths)
 from .game import nash_check
 from .grids import Grid, interp_multilinear
 from .kernels import compactness_probe
@@ -64,15 +64,6 @@ def _numbers(v):
 
 def _dim(cfg):
     return int(cfg["operator"]["params"].get("d", 1))
-
-
-def _divides_horizon(h, cfg):
-    """h > 0 divides T - s (horizon_steps raises unless it does)."""
-    T, s = cfg["time"]["T"], cfg["time"]["s"]
-    try:
-        return h > 0 and horizon_steps(T - s, h) >= 1
-    except FbsdeError:
-        return False
 
 
 def _points(v, cfg):
@@ -135,9 +126,11 @@ _SCHEMA = {
         "max_iter": (int, 40, lambda v, cfg: v >= 1, "an integer >= 1")},
     "mc": {
         "N": (int, 4000, lambda v, cfg: v >= 2, "an integer >= 2"),
+        # the largest step of _time_ladder(s, T, h_step), as time.dt is
         "h_step": (float,
                    lambda cfg: (cfg["time"]["T"] - cfg["time"]["s"]) / 32,
-                   _divides_horizon, "a number > 0 dividing time.T - time.s"),
+                   lambda v, cfg: 0 < v <= cfg["time"]["T"] - cfg["time"]["s"],
+                   "in (0, time.T - time.s]"),
         "x0": (list, lambda cfg: [0.0] * _dim(cfg),
                lambda v, cfg: _numbers(v) and len(v) == _dim(cfg)
                and max(map(abs, v)) < cfg["grid"]["L"],
@@ -198,6 +191,9 @@ def load_config(path):
                 f"{name} must be {check[1]}, got {holder[key]!r}")
     if "nash" in cfg["checks"] and not cfg["game"]["controls"]:
         raise ConfigError("check 'nash' needs game.controls")
+    if "girsanov" in cfg["checks"] and not cfg["game"]["r_const"]:
+        # with no drift rho == 1, and 0 <= 3 * stderr 0 cannot fail
+        raise ConfigError("check 'girsanov' needs a nonzero game.r_const")
     return cfg
 
 
@@ -218,6 +214,9 @@ def _build_operator(cfg):
                           cfg["operator"]["params"])
     if cfg["weight"]["M"] is not None:
         M = numeric_matrix(cfg["weight"]["M"], (spec.d, spec.d), "weight.M")
+        if not (np.array_equal(M, M.T) and np.linalg.eigvalsh(M)[0] > 0):
+            raise ConfigError(f"weight.M must be symmetric positive "
+                              f"definite, got {cfg['weight']['M']!r}")
         spec = replace(spec, weight=matrix_of_consts(M, spec.d))
     return spec
 
@@ -296,6 +295,13 @@ class _Runner:
                 raise ConfigError(f"kernel.x_list must be points with max "
                                   f"|x| < grid.L / 2 = {self.grid.probe_L!r}"
                                   f", got {x_list!r}")
+            # the radii are read only by compactness, so the default
+            # [1, 2, 3] does not refuse a box with L < 6 that skips it
+            R_list = cfg["kernel"]["R_list"]
+            if "compactness" in cfg["checks"] and \
+                    max(R_list) > self.grid.probe_L:
+                raise ConfigError(f"kernel.R_list must be radii <= grid.L / "
+                                  f"2 = {self.grid.probe_L!r}, got {R_list!r}")
             self.f = _default_f(self.spec, self.grid, cfg)
             psi = cfg["semilinear"]["psi"]
             d, m = self.spec.d, self.spec.m
@@ -553,7 +559,7 @@ class _Runner:
         rho = girsanov_weights(self.ds, self.batch)
         se = float(np.std(rho, ddof=1) / np.sqrt(self.batch.N))
         gap = abs(float(np.mean(rho)) - 1.0)
-        ok = gap <= 3 * se  # rho == 1 passes: 0 <= 0
+        ok = gap <= 3 * se
         return {"verdict": "PASS" if ok else "FAIL",
                 "mean_rho_gap": gap, "stderr": se}
 
@@ -591,7 +597,6 @@ def run(config_path, outdir=None):
             stages[name] = getattr(runner, f"stage_{name}")()
         except Exception as err:  # noqa: BLE001 - stage isolation
             stages[name] = {"verdict": "ERROR", "error": str(err)}
-            break
     verdicts = {k: v.get("verdict") for k, v in stages.items()}
     # exit 0 only when every requested check passes
     code = 0 if all(v == "PASS" for v in verdicts.values()) else 1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kolmolab.evolve import _time_ladder
 from kolmolab.fbsde import (DiffusionSpec, FbsdeError, bsde_residual, cost,
                             girsanov_weights, identify_yz, simulate_forward)
 from kolmolab.grids import Grid
@@ -61,6 +62,42 @@ def test_path_streams_are_blocks_of_one_philox_stream(seed):
     normals = gen.standard_normal((N, steps, 2))
     for p in range(N):
         assert np.array_equal(batch.dW[..., p], np.sqrt(h) * normals[p])
+
+
+def _heat_paths(t, T, h):
+    spec = example_family("heat", {"d": 1})
+    return simulate_forward(DiffusionSpec(op=spec, g=const_g([0.0])), 0.0,
+                            t, T, h, 4, seed=1)
+
+
+@pytest.mark.parametrize("t, T, h", [
+    (0.0, 0.5, 1 / 64), (0.0, 0.5, 1 / 128), (0.0, 0.5, 0.3),
+    (0.0, 0.3, 0.1), (0.1, 0.5, 0.03)])
+def test_paths_step_on_the_time_ladder(t, T, h):
+    # the PDE marches' ladder: it ends at T exactly, and the paths step
+    # by its own step (T - t)/steps, the largest step <= h that fits
+    batch = _heat_paths(t, T, h)
+    assert np.array_equal(batch.times, _time_ladder(t, T, h))
+    assert batch.h_step == (T - t) / batch.steps
+    assert batch.times[-1] == T and batch.h_step <= h
+
+
+@pytest.mark.parametrize("h", [1 / 64, 1 / 128])
+def test_power_of_two_steps_keep_the_times_t_plus_h_arange(h):
+    # the workloads' steps: the ladder is bitwise the times t + h k
+    batch = _heat_paths(0.0, 0.5, h)
+    n = round(0.5 / h)
+    assert np.array_equal(batch.times, 0.0 + h * np.arange(n + 1))
+    assert batch.h_step == h
+
+
+def test_a_step_that_does_not_divide_the_window_is_its_largest_step():
+    batch = _heat_paths(0.0, 0.5, 0.3)
+    assert (batch.steps, batch.h_step) == (2, 0.25)
+    assert batch.times.tolist() == [0.0, 0.25, 0.5]
+    # t + h k would end an ulp past T here, at 0.30000000000000004
+    batch = _heat_paths(0.0, 0.3, 0.1)
+    assert batch.steps == 3 and batch.times[-1] == 0.3
 
 
 def test_diffusion_matrix_consistency_check():

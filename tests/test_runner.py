@@ -146,6 +146,17 @@ def test_bad_mc_section_exits_2(tmp_path, mc, message):
     assert main(["run", str(p)]) == 2
 
 
+def test_h_step_is_the_largest_step_of_the_path_ladder(tmp_path):
+    # 0.3 does not divide T - s = 0.5: the paths take two steps of 0.25
+    p = tmp_path / "c.run"
+    write_cfg(p, time={"s": 0.0, "T": 0.5, "dt": 0.0125},
+              mc={"N": 500, "h_step": 0.3})
+    assert load_config(p)["mc"]["h_step"] == 0.3
+    batch = _setup(p, tmp_path / "o").batch
+    assert batch.times.tolist() == [0.0, 0.25, 0.5]
+    assert batch.h_step == 0.25
+
+
 def test_exhausted_picard_fails_with_strict_json(tmp_path):
     with open(GOLDEN_CONFIG) as fh:
         cfg = json.load(fh)
@@ -779,6 +790,76 @@ def test_collapsed_ladders_and_radii_not_above_zero_exit_2(
     assert main(["run", str(p), "--output", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key} must")
     assert not (tmp_path / "o").exists()
+
+
+def _without_r_const():
+    cfg = _golden(checks=["girsanov"])
+    del cfg["game"]["r_const"]
+    return cfg
+
+
+# inputs whose verdict could only PASS: radii past the probe box read an
+# outside mass of 0, a weight that is not positive definite reads a
+# gradient of 0 or of the wrong sign, and rho == 1 gives gap 0 <= 0
+@pytest.mark.parametrize("cfg, key", [
+    (_golden(kernel={"R_list": [1.0, 4.0]}), "kernel.R_list"),
+    (_golden(operator={"family": "heat", "params": {"d": 1, "m": 2}},
+             checks=["compactness"], kernel={"R_list": [8.5]}),
+     "kernel.R_list"),
+    (_golden(checks=["weighted_gradient"], weight={"M": [[0.0]]}),
+     "weight.M"),
+    (_golden(checks=["weighted_gradient"], weight={"M": [[-1.0]]}),
+     "weight.M"),
+    (_golden(operator={"family": "heat", "params": {"d": 2, "m": 2}},
+             kernel={"x_list": [[0.0, 0.0]]}, mc={"x0": [0.0, 0.0]},
+             checks=["audit"], weight={"M": [[1.0, 0.5], [0.0, 1.0]]}),
+     "weight.M"),
+    (_golden(checks=["girsanov"], game={"r_const": 0.0}), "game.r_const"),
+    (_without_r_const(), "game.r_const"),
+], ids=["R_past_the_probe_box", "heat_R_past_the_box", "M_zero",
+        "M_negative", "M_not_symmetric", "r_const_zero", "r_const_absent"])
+def test_estimate_inputs_that_cannot_fail_exit_2(tmp_path, capsys, cfg, key):
+    p = tmp_path / "c.run"
+    p.write_text(json.dumps(cfg))
+    assert main(["run", str(p), "--output", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_weight_whose_limits_overflow_fails_the_audit(tmp_path):
+    # lambda_M^2 underflows, so lim3a is inf on every outer annulus: the
+    # quantity has no limit to read, and its section FAILs
+    p = tmp_path / "c.run"
+    p.write_text(json.dumps(_golden(checks=["audit"],
+                                    weight={"M": [[1e-160]]})))
+    code, report = run(p, outdir=tmp_path / "r")
+    assert code == 1
+    assert report["verdicts"] == {"audit": "FAIL"}
+    audited = json.loads((tmp_path / "r" / "audit.json").read_text())
+    section = audited["sections"]["weighted_gradient"]
+    assert section["verdict"] is False
+    assert section["quantities"]["lim3a"]["annuli"][-3:] == [None] * 3
+    assert section["quantities"]["lim3a"]["verdict"] is False
+
+
+def test_a_stage_error_leaves_the_later_stages_their_verdicts(
+        tmp_path, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("forced representation error")
+
+    monkeypatch.setattr("kolmolab.runner.representation_residual", broken)
+    code, report = run(GOLDEN_CONFIG, outdir=tmp_path / "r")
+    assert code == 1
+    verdicts = report["verdicts"]
+    assert verdicts.pop("representation") == "ERROR"
+    assert verdicts == {name: "PASS" for name in (
+        "audit", "max_principle", "pointwise", "compactness", "semilinear",
+        "fbsde", "girsanov", "nash")}
+    assert report["stages"]["representation"]["error"] == \
+        "forced representation error"
 
 
 def test_dt_may_be_a_quarter_of_the_window(tmp_path):
