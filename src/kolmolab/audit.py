@@ -292,16 +292,20 @@ def check_weight_conditions(spec, box, n_samples):
     denom_floor = np.where(np.abs(denomC) < 1e-12, 1e-12, np.abs(denomC))
     r2 = np.sum(pts ** 2, axis=0)
 
-    quantities = {
-        "sup1a": psi[0] ** 2 * LamM2 / (lamQ * LamM ** 2),
-        "sup1b": LamQ ** 2 * LamM2 / ((1 + r2) * lamQ ** 2),
-        "sup2a": LamQ ** 2 / (1 + r2 ** 2) / denom_floor,
-        "sup2b": LamM ** 2 * psi[2] ** 2 / denom_floor,
-        "lim3a": (LamQ ** 2 * psi[4] ** 2 + LamM ** 2 * psi[5] ** 2
-                  + lamQ * psi[0] ** 2) / (lamQ * lamM ** 2 * denom_floor),
-        "lim3b": (LamM * psi[1] + psi[3]) / (lamM * denom_floor),
-        "lim3c": LamQ * psi[4] / np.maximum(np.abs(b0_vals), 1e-12),
-    }
+    # a quotient may overflow to inf (lambda_M^2 underflows for a tiny
+    # M, say); its row then reads no finite limit and FAILs, so numpy's
+    # warning would only repeat the verdict
+    with np.errstate(over="ignore"):
+        quantities = {
+            "sup1a": psi[0] ** 2 * LamM2 / (lamQ * LamM ** 2),
+            "sup1b": LamQ ** 2 * LamM2 / ((1 + r2) * lamQ ** 2),
+            "sup2a": LamQ ** 2 / (1 + r2 ** 2) / denom_floor,
+            "sup2b": LamM ** 2 * psi[2] ** 2 / denom_floor,
+            "lim3a": (LamQ ** 2 * psi[4] ** 2 + LamM ** 2 * psi[5] ** 2
+                      + lamQ * psi[0] ** 2) / (lamQ * lamM ** 2 * denom_floor),
+            "lim3b": (LamM * psi[1] + psi[3]) / (lamM * denom_floor),
+            "lim3c": LamQ * psi[4] / np.maximum(np.abs(b0_vals), 1e-12),
+        }
     dropped = {"sup2a", "sup1b", "lim3c"} if relax_identity else set()
 
     edges = np.linspace(0, box, _N_ANNULI + 1)

@@ -290,18 +290,18 @@ class _Runner:
             self.grid = Grid(self.spec.d, float(cfg["grid"]["L"]),
                              cfg["grid"]["n"], cfg["data"]["bc"])
             self.spec.check_guards(self.grid.L)
-            x_list = cfg["kernel"]["x_list"]
-            if np.max(np.abs(x_list)) >= self.grid.probe_L:
-                raise ConfigError(f"kernel.x_list must be points with max "
-                                  f"|x| < grid.L / 2 = {self.grid.probe_L!r}"
-                                  f", got {x_list!r}")
-            # the radii are read only by compactness, so the default
-            # [1, 2, 3] does not refuse a box with L < 6 that skips it
-            R_list = cfg["kernel"]["R_list"]
-            if "compactness" in cfg["checks"] and \
-                    max(R_list) > self.grid.probe_L:
-                raise ConfigError(f"kernel.R_list must be radii <= grid.L / "
-                                  f"2 = {self.grid.probe_L!r}, got {R_list!r}")
+            # the base points and radii are read only by compactness, so
+            # their defaults do not refuse a small box that skips it
+            x_list, R_list = cfg["kernel"]["x_list"], cfg["kernel"]["R_list"]
+            if "compactness" in cfg["checks"]:
+                if np.max(np.abs(x_list)) >= self.grid.probe_L:
+                    raise ConfigError(
+                        f"kernel.x_list must be points with max |x| < "
+                        f"grid.L / 2 = {self.grid.probe_L!r}, got {x_list!r}")
+                if max(R_list) > self.grid.probe_L:
+                    raise ConfigError(
+                        f"kernel.R_list must be radii <= grid.L / 2 = "
+                        f"{self.grid.probe_L!r}, got {R_list!r}")
             self.f = _default_f(self.spec, self.grid, cfg)
             psi = cfg["semilinear"]["psi"]
             d, m = self.spec.d, self.spec.m

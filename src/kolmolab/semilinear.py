@@ -33,6 +33,7 @@ class Nonlinearity:
     d: int
     m: int
     fn: object  # callable (x_pts (d,N), z (d,m,N)) -> (m,N)
+    reads: np.ndarray = None  # (d, m) bool, the z_ik fn names; None: all
 
     def __call__(self, x, z):
         return np.asarray(self.fn(x, z), dtype=float)
@@ -52,7 +53,10 @@ def nonlinearity_from_exprs(texts, d, m):
         return np.stack([np.broadcast_to(e.eval_state(0.0, x, zd), (N,))
                          for e in exprs])
 
-    return Nonlinearity(d, m, fn)
+    names = set().union(*(e.free_variables() for e in exprs))
+    reads = np.array([[f"z{i + 1}{k + 1}" in names for k in range(m)]
+                      for i in range(d)])
+    return Nonlinearity(d, m, fn, reads)
 
 
 def _theta(r):
@@ -68,26 +72,36 @@ def mollify_nonlinearity(nl: Nonlinearity, n: int):
         raise ValueError("n >= 1")
     d, m = nl.d, nl.m
     width = 1.0 / n
+    reads = np.ones((d, m), bool) if nl.reads is None else nl.reads
+    stencil = [(i, k, sgn) for i in range(d) for k in range(m)
+               for sgn in (+1.0, -1.0)]
 
     def fn(x, z):
         zn = np.sqrt(np.sum(z ** 2, axis=(0, 1)))
         cut = _theta(zn / n)
+        # psi is evaluated at the centre and at the shifts of the entries
+        # it reads; a shift of an unread entry gives psi at z plus +0.0,
+        # which is the centre's value unless z holds a -0.0
         shifted = [z]
-        for i in range(d):
-            for k in range(m):
-                for sgn in (+1.0, -1.0):
-                    dz = np.zeros_like(z)
-                    dz[i, k] = sgn * width
-                    shifted.append(z + dz)
-        # one psi call on all stencil points, stacked along the sample
-        # axis; summing the slices one by one in stencil order rounds
-        # like one call per point
+        if np.signbit(z[z == 0]).any():
+            shifted.append(z + 0.0)
+        plain = len(shifted) - 1
+        slots = []  # the index in shifted of each stencil point
+        for i, k, sgn in stencil:
+            if reads[i, k]:
+                dz = np.zeros_like(z)
+                dz[i, k] = sgn * width
+                shifted.append(z + dz)
+            slots.append(len(shifted) - 1 if reads[i, k] else plain)
+        # one psi call on those points, stacked along the sample axis;
+        # summing the slices one by one in stencil order rounds like one
+        # call per stencil point
         N = z.shape[-1]
         vals = nl(np.tile(x, len(shifted)), np.concatenate(shifted, -1))
         acc = vals[:, :N].copy()
-        for j in range(1, len(shifted)):
+        for j in slots:
             acc += vals[:, j * N:(j + 1) * N]
-        return cut * acc / len(shifted)
+        return cut * acc / (1 + len(slots))
 
     return Nonlinearity(d, m, fn)
 
@@ -102,7 +116,8 @@ def sqrtQ_at(spec, t, pts):
         return np.moveaxis(np.sqrt(Qv), -3, -1)
     w, V = np.linalg.eigh(Qv)
     root = (V * np.sqrt(w)[..., None, :]) @ np.swapaxes(V, -1, -2)
-    return np.moveaxis(root, -3, -1)
+    # contiguous, because einsum on the strided view is ~18x slower
+    return np.ascontiguousarray(np.moveaxis(root, -3, -1))
 
 
 @dataclass
@@ -118,6 +133,10 @@ class MildSolution(Solution):
 
 
 GRADED_STEPS = 8  # steps of the graded part of the ladder
+# samples per psi call of mild_solve's forcing (whole levels, at least
+# one): past a cache-sized block, psi's temporaries cost more than the
+# calls they save
+_BLOCK = 8192
 
 
 def _graded_ladder(T, dt):
@@ -160,14 +179,18 @@ def mild_solve(spec, nl, grid, g, s, T, dt, picard_tol=1e-8, max_iter=40,
 
     def forcing(nl, levels):
         """Source -Psi(u) of every step of the forward problem, with u
-        the previous iterate at the step's new level: one psi call on
-        the levels stacked along the sample axis."""
+        the previous iterate at the step's new level: one psi call per
+        block of levels stacked along the sample axis."""
         z = np.einsum("lidN,lmdN->limN", roots[1:],
                       gradient(grid, levels[1:]))  # (L-1, d, m, N)
         steps, d, m, N = z.shape
-        z = np.moveaxis(z, 0, 2).reshape(d, m, steps * N)
-        psi = nl(np.tile(pts, steps), z).reshape(m, steps, N)
-        return -np.moveaxis(psi, 1, 0)
+        per = max(1, _BLOCK // N)  # levels per block
+        source = np.empty((steps, m, N))
+        for a in range(0, steps, per):
+            zb = np.moveaxis(z[a:a + per], 0, 2).reshape(d, m, -1)
+            psi = nl(np.tile(pts, zb.shape[-1] // N), zb)
+            source[a:a + per] = -np.moveaxis(psi.reshape(m, -1, N), 1, 0)
+        return source
 
     nls = [*coarser, nl]
     linear = np.stack([g, *stepper.march(g, taus)])

@@ -221,7 +221,7 @@ def test_family_parameter_of_the_wrong_kind_names_its_key(
     {"audit": {"box": "4"}},
     {"operator": {"family": "ou", "params": [1]}},
     {"kernel": {"n_cells": 100}},
-    {"kernel": {"x_list": [[4.0]]}},
+    {"kernel": {"x_list": [[4.0]]}, "checks": ["compactness"]},
     {"semilinear": {"mollify_ladder": [0]}},
     {"data": {"f": ["1/x1"]}},
     {"semilinear": {"psi": ["1/z11"]}},
@@ -722,8 +722,9 @@ def test_golden_semilinear_factorises_each_step_size_once(tmp_path,
 def test_semilinear_rungs_are_solved_only_for_the_semilinear_check(
         tmp_path, monkeypatch):
     # fbsde alone reads one u: the ladder's last rung and no other, with
-    # the 9 LUs and 16 psi calls (8 sweeps, each a call of the mollifier
-    # and one of psi under it) of a single solve
+    # the 9 LUs and 48 psi calls of a single solve (8 sweeps, each 3
+    # blocks of at most 8,192 samples, each a call of the mollifier and
+    # one of psi under it at the 3 stencil points psi reads)
     cfg = _golden(checks=["fbsde"], mc={"N": 200})
     p = tmp_path / "c.run"
     p.write_text(json.dumps(cfg))
@@ -745,7 +746,8 @@ def test_semilinear_rungs_are_solved_only_for_the_semilinear_check(
     assert runner.stage_fbsde()["verdict"] == "PASS"
     assert runner.sol.rungs == []
     assert len(runner.sol.picard_history) == 8
-    assert (len(factors), len(calls)) == (9, 16)
+    assert (len(factors), len(calls)) == (9, 48)
+    assert max(samples for _, samples in calls) <= 3 * 8192
 
 
 def test_config_error_leaves_no_output_directory(tmp_path, capsys):
@@ -792,6 +794,16 @@ def test_collapsed_ladders_and_radii_not_above_zero_exit_2(
     assert not (tmp_path / "o").exists()
 
 
+def test_kernel_inputs_are_checked_only_for_compactness(tmp_path):
+    # the default base points [[0], [1]] and radii [1, 2, 3] are read only
+    # by compactness, so an audit-only run loads on the box [-1, 1]
+    p = tmp_path / "c.run"
+    write_cfg(p, grid={"L": 2.0, "n": 81}, checks=["audit"])
+    runner = _setup(p, tmp_path / "o")
+    assert runner.grid.probe_L == 1.0
+    assert runner.cfg["kernel"]["x_list"] == [[0.0], [1.0]]
+
+
 def _without_r_const():
     cfg = _golden(checks=["girsanov"])
     del cfg["game"]["r_const"]
@@ -828,10 +840,10 @@ def test_estimate_inputs_that_cannot_fail_exit_2(tmp_path, capsys, cfg, key):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_weight_whose_limits_overflow_fails_the_audit(tmp_path):
     # lambda_M^2 underflows, so lim3a is inf on every outer annulus: the
-    # quantity has no limit to read, and its section FAILs
+    # quantity has no limit to read, and its section FAILs, with no
+    # overflow warning beside the verdict
     p = tmp_path / "c.run"
     p.write_text(json.dumps(_golden(checks=["audit"],
                                     weight={"M": [[1e-160]]})))

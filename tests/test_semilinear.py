@@ -152,6 +152,20 @@ def test_sqrtQ_over_leading_axes_equals_one_call_per_time():
         assert np.array_equal(stacked[k], sqrtQ_at(spec, t, pts))
 
 
+def test_sqrtQ_at_d2_is_contiguous_and_equals_the_strided_root():
+    spec = example_family("ex71ii", {"d": 2, "m": 2, "q": "1+t"})
+    pts = np.array([[0.3, -1.0, 2.0], [0.1, 0.5, -1.5]])
+    ts = np.array([0.2, 0.7])[:, None]
+    root = sqrtQ_at(spec, ts, pts[:, None, :])
+    # the root as a strided view, as eigh leaves it
+    w, V = np.linalg.eigh(np.moveaxis(spec.Q_at(ts, pts[:, None, :]),
+                                      (0, 1), (-2, -1)))
+    strided = np.moveaxis((V * np.sqrt(w)[..., None, :])
+                          @ np.swapaxes(V, -1, -2), -3, -1)
+    assert root.flags.c_contiguous and not strided.flags.c_contiguous
+    assert root.tobytes() == strided.tobytes()
+
+
 def test_time_dependent_solve_on_a_window_matches_closed_form():
     # Q = (1 + t)/2, g = exp(-x^2/2): u(s, x) is the Gaussian of variance
     # 1 + 2A with A the integral of Q over [s, T]
@@ -200,6 +214,22 @@ def test_graded_ladder_clusters_near_terminal_time():
     assert steps[-1] < steps[0] / 10
 
 
+def _stencil_loop(nl, n, x, z):
+    """The mollifier of nl as one psi call per stencil point."""
+    d, m = nl.d, nl.m
+    zn = np.sqrt(np.sum(z ** 2, axis=(0, 1)))
+    s = np.clip(zn / n - 1.0, 0.0, 1.0)
+    cut = 1.0 - s * s * (3.0 - 2.0 * s)
+    acc = nl(x, z).copy()
+    for i in range(d):
+        for k in range(m):
+            for sgn in (+1.0, -1.0):
+                dz = np.zeros_like(z)
+                dz[i, k] = sgn * (1.0 / n)
+                acc += nl(x, z + dz)
+    return cut * acc / (1 + 2 * d * m)
+
+
 def test_mollifier_calls_psi_once_and_sums_like_the_stencil_loop():
     d, m, n = 2, 2, 3
     nl = nonlinearity_from_exprs(
@@ -210,23 +240,7 @@ def test_mollifier_calls_psi_once_and_sums_like_the_stencil_loop():
     x = rng.uniform(-3.0, 3.0, (d, 257))
     z = rng.uniform(-8.0, 8.0, (d, m, 257))
 
-    def stencil_loop(x, z):
-        # the mollifier as one psi call per stencil point
-        zn = np.sqrt(np.sum(z ** 2, axis=(0, 1)))
-        s = np.clip(zn / n - 1.0, 0.0, 1.0)
-        cut = 1.0 - s * s * (3.0 - 2.0 * s)
-        acc = nl(x, z).copy()
-        count = 1
-        for i in range(d):
-            for k in range(m):
-                for sgn in (+1.0, -1.0):
-                    dz = np.zeros_like(z)
-                    dz[i, k] = sgn * (1.0 / n)
-                    acc += nl(x, z + dz)
-                    count += 1
-        return cut * acc / count
-
-    want = stencil_loop(x, z)
+    want = _stencil_loop(nl, n, x, z)
     calls = []
     inner = nl.fn
     nl.fn = lambda x, z: calls.append(x.shape) or inner(x, z)
@@ -237,7 +251,8 @@ def test_mollifier_calls_psi_once_and_sums_like_the_stencil_loop():
 
 def test_mild_solve_calls_psi_once_per_picard_sweep():
     # every level's source is known from the previous iterate, so one
-    # psi call on the stacked levels serves the whole sweep
+    # psi call on the stacked levels serves the whole sweep when they fit
+    # one block (17 levels of 61 nodes here)
     spec = example_family("ou", {"d": 1})
     grid = Grid(1, 6.0, 61, "neumann")
     g = sample(grid, lambda p: np.sin(p[0]))
@@ -252,3 +267,41 @@ def test_mild_solve_calls_psi_once_per_picard_sweep():
     assert len(calls) == len(sol.picard_history)
     assert all(shape == (1, (len(sol.times) - 1) * grid.n_nodes)
                for shape in calls)
+
+
+@pytest.mark.parametrize("texts, d, read", [
+    (["((exp(2*z11)-1)/(exp(2*z11)+1))/2", "0"], 1, [[True, False]]),
+    (["x1 * z11 / (1 + z21^2)", "exp(-x2^2) * z21"], 2,
+     [[True, False], [True, False]]),
+], ids=["golden_d1", "z11_z21_d2"])
+def test_mollifier_skips_the_shifts_psi_does_not_read(texts, d, read):
+    # a shift of an entry psi does not name gives psi at the centre, so
+    # the stencil evaluates psi at 1 + 2 * (entries read) points and
+    # still sums like one psi call per stencil point
+    m, n, K = 2, 3, 257
+    nl = nonlinearity_from_exprs(texts, d, m)
+    assert nl.reads.tolist() == read
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-3.0, 3.0, (d, K))
+    z = rng.uniform(-8.0, 8.0, (d, m, K))
+
+    want = _stencil_loop(nl, n, x, z)
+    calls = []
+    inner = nl.fn
+    nl.fn = lambda x, z: calls.append(x.shape) or inner(x, z)
+    got = mollify_nonlinearity(nl, n)(x, z)
+    assert calls == [(d, (1 + 2 * np.sum(read)) * K)]
+    assert np.array_equal(got, want)
+
+
+def test_mollifier_evaluates_unread_shifts_at_a_negative_zero():
+    # z + dz turns z11 = -0.0 into +0.0, which 1/z11 tells apart, so the
+    # unread z12 shifts are evaluated there rather than read off the
+    # centre: the sum is nan, as in the stencil loop, and not -inf
+    nl = nonlinearity_from_exprs(["1/z11", "0"], 1, 2)
+    x, z = np.zeros((1, 1)), np.array([[[-0.0], [1.0]]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = _stencil_loop(nl, 3, x, z)
+        got = mollify_nonlinearity(nl, 3)(x, z)
+    assert np.isnan(want[0, 0])
+    assert np.array_equal(got, want, equal_nan=True)

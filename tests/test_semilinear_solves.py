@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from kolmolab import evolve as evolve_mod
+from kolmolab import evolve as evolve_mod, semilinear
 from kolmolab.runner import _setup
 from kolmolab.semilinear import mollify_nonlinearity, nonlinearity_from_exprs
 
@@ -130,6 +130,29 @@ def test_ladder_in_one_call_equals_its_rungs_alone(name, monkeypatch):
     steps = len(sol.times) - 1
     assert len(factors) == \
         (marches * steps if runner.spec.depends_on_t() else 9)
+
+
+@pytest.mark.parametrize("name", ["golden", "ex71ii_t_d2"])
+@pytest.mark.parametrize("block", [10 ** 9, 1], ids=["one_call", "levels"])
+def test_blocked_forcing_equals_one_call(name, block, monkeypatch):
+    # psi acts sample by sample, so calling it on blocks of levels, on
+    # all levels at once or on one level at a time gives the same solve
+    runner = _runner(name)
+    want = _solve(runner, name)
+    calls = []
+    real_call = semilinear.Nonlinearity.__call__
+
+    def called(self, x, z):
+        calls.append(x.shape[1])
+        return real_call(self, x, z)
+
+    monkeypatch.setattr(semilinear, "_BLOCK", block)
+    monkeypatch.setattr(semilinear.Nonlinearity, "__call__", called)
+    got = _solve(runner, name)
+    _assert_same_solve(got, want)
+    # a call of the mollifier and one of psi under it, per block
+    blocks = 1 if block > 1 else len(got.times) - 1
+    assert len(calls) == 2 * blocks * len(got.picard_history)
 
 
 def test_a_converged_rung_leaves_the_sweeps(monkeypatch):
