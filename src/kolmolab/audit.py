@@ -143,18 +143,16 @@ def check_coupling_nonnegativity(spec, box, epsilon, kappa0, n_samples):
             "witness": best_w, "verdict": bool(best >= -1e-9)}
 
 
-def check_coupling_growth(spec, box, sigma, n_samples):
-    """Smallest xi with |(Btilde_i)_jk| <= xi lambda_Q^sigma on samples,
-    the constant H_J, and a box-doubling divergence flag for xi."""
-    if not 0 < sigma < 1:
-        raise AuditError("sigma must lie in (0, 1)")
+def check_coupling_growth(spec, box, n_samples):
+    """Smallest xi with |(Btilde_i)_jk| <= xi lambda_Q^spec.sigma on
+    samples, the constant H_J, and a box-doubling divergence flag for xi."""
 
     def xi_on(box_):
         ts, pts = sample_points(spec.d, box_, n_samples, spec.time_interval)
         Qv = np.moveaxis(spec.Q_at(ts, pts), 2, 0)
         lam = np.linalg.eigvalsh(Qv)[:, 0]
         Bt = np.abs(spec.Btilde_at(ts, pts))  # (d, m, m, K)
-        ratios = np.max(Bt, axis=(0, 1, 2)) / lam ** sigma
+        ratios = np.max(Bt, axis=(0, 1, 2)) / lam ** spec.sigma
         idx = int(np.argmax(ratios))
         return float(ratios[idx]), ts, pts, lam, idx
 
@@ -165,10 +163,10 @@ def check_coupling_growth(spec, box, sigma, n_samples):
     Cv = np.moveaxis(spec.C_at(ts, pts), 2, 0)
     lam_C = _sym_lmax(Cv)
     HJ_vals = lam_C + 0.25 * spec.m ** 2 * spec.d * xi ** 2 \
-        * lam ** (2 * sigma - 1)
+        * lam ** (2 * spec.sigma - 1)
     idx = int(np.argmax(HJ_vals))
     return {"xi": xi, "xi_doubled_box": xi2, "xi_diverging": bool(diverging),
-            "HJ": float(HJ_vals[idx]), "sigma": sigma,
+            "HJ": float(HJ_vals[idx]), "sigma": spec.sigma,
             "witness": _witness(ts, pts, idx),
             "verdict": bool(np.isfinite(xi) and np.isfinite(HJ_vals[idx])
                             and not diverging)}
@@ -201,11 +199,13 @@ def lyapunov_probe(spec, box, n_samples):
     sup_res = float(np.max(Aphi - mu * phiv))  # <= 0 by construction
 
     # compactness: need A phi strongly negative far out; fit the decay
-    # exponent on the outer annulus |x| >= box/2
+    # exponent on the outer annulus |x| >= box/2 if phi takes two values
+    # there (at a few samples it holds only the box corners)
     rads = np.sqrt(np.sum(pts ** 2, axis=0))
     outer = rads >= box / 2
     fit = {"verdict": False, "b0": None, "K": None, "r": None}
-    if np.any(outer) and np.all(Aphi[outer] < 0):
+    if np.any(outer) and np.ptp(phiv[outer]) > 0 \
+            and np.all(Aphi[outer] < 0):
         y = phiv[outer]
         z = -Aphi[outer]
         slope, _ = np.polyfit(np.log(y), np.log(z), 1)
@@ -342,7 +342,7 @@ def check_weight_conditions(spec, box, n_samples):
     return section
 
 
-def full_audit(spec, box, epsilon, kappa0, sigma, n_samples):
+def full_audit(spec, box, epsilon, kappa0, n_samples):
     """Run every applicable check, the weight's only when spec has one;
     returns {section: result dict}, each with its "verdict".  A check
     that cannot sample this operator (AuditError) gives its section
@@ -356,7 +356,7 @@ def full_audit(spec, box, epsilon, kappa0, sigma, n_samples):
         "nonnegativity": lambda: check_coupling_nonnegativity(
             spec, box, epsilon, kappa0, n_samples),
         "coupling_growth": lambda: check_coupling_growth(
-            spec, box, sigma, n_samples),
+            spec, box, n_samples),
         "lyapunov": lambda: lyapunov_probe(spec, box, n_samples)}
     if spec.weight is not None:
         checks["weighted_gradient"] = lambda: check_weight_conditions(

@@ -71,6 +71,7 @@ class OperatorSpec:
     time_interval: tuple = (0.0, 1.0)
     name: str = "custom"
     weight: tuple | None = None  # d x d of CoeffExpr
+    sigma: float = 0.5  # of the coupling growth |Btilde| <= xi lambda_Q^sigma
 
     def __post_init__(self):
         # mirror the upper triangle so Q is symmetric by construction
@@ -213,7 +214,8 @@ def check_family_params(name, params):
                 ("p >= 0", pp >= 0, pp),
                 ("p <= k*sigma", pp <= k * sigma, k * sigma - pp),
                 ("gamma > k(2 sigma - 1)", gamma > k * (2 * sigma - 1),
-                 gamma - k * (2 * sigma - 1))]
+                 gamma - k * (2 * sigma - 1)),
+                ("0 < sigma < 1", 0 < sigma < 1, min(sigma, 1 - sigma))]
     if name == "ex72":
         m, k, r, pp = int(p["m"]), float(p["k"]), float(p["r"]), float(p["p"])
         s, tau = float(p["s"]), float(p["tau"])
@@ -301,7 +303,8 @@ def example_family(name, params=None):
                     for B in skew(1.0))
         C = _radial_matrix(np.eye(m), "-({!r})*cfun*", float(v["gamma"]), d,
                            bind)
-        return OperatorSpec(d, m, Q, b, Btl, C, ti, name)
+        return OperatorSpec(d, m, Q, b, Btl, C, ti, name,
+                            sigma=float(v["sigma"]))
 
     # ex72
     Q = _radial_matrix(np.eye(d), "({!r})*qfun*", k, d, bind)
@@ -319,7 +322,7 @@ FAMILIES = {
     "const_coupling": "no constraints (Q = I, constant potential C)",
     "ex71i": "p > 2r >= 0",
     "ex71ii": "m <= 2, r > k-1, 0 <= p <= k*sigma, "
-              "gamma > k(2 sigma - 1)",
+              "gamma > k(2 sigma - 1), 0 < sigma < 1",
     "ex72": "m <= 2, k >= 2r, 2k-2 <= a, 2s+2 tau <= a, 2r < 2s+a, "
             "k+s < p+1 (a = p for s < 1/2, else p-1)",
 }

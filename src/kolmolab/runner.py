@@ -106,7 +106,7 @@ _SCHEMA = {
                       lambda v, cfg: v > 0, "> 0"),
               "epsilon": (float, 1.0, lambda v, cfg: v > 0, "> 0"),
               "kappa0": (float, 0.0),
-              "sigma": (float, 0.5, lambda v, cfg: 0 < v < 1, "in (0, 1)"),
+              "sigma": (float, None),  # the operator's, if given
               "n_samples": (int, 1024, lambda v, cfg: v >= 1,
                             "an integer >= 1")},
     "kernel": {
@@ -209,9 +209,13 @@ def _check_type(name, val, typ):
 
 def _build_operator(cfg):
     """The family's operator, whose weight is weight.M when given, else
-    the family's own (None for a family without one)."""
+    the family's own (None for a family without one).  A given
+    audit.sigma must be the operator's sigma, which the audit reads."""
     spec = example_family(cfg["operator"]["family"],
                           cfg["operator"]["params"])
+    if (sigma := cfg["audit"]["sigma"]) not in (None, spec.sigma):
+        raise ConfigError(f"audit.sigma must be the family's sigma "
+                          f"{spec.sigma!r}, got {sigma!r}")
     if cfg["weight"]["M"] is not None:
         M = numeric_matrix(cfg["weight"]["M"], (spec.d, spec.d), "weight.M")
         if not (np.array_equal(M, M.T) and np.linalg.eigvalsh(M)[0] > 0):
@@ -338,7 +342,6 @@ class _Runner:
             self.spec, self.cfg["audit"]["box"],
             epsilon=self.cfg["audit"]["epsilon"],
             kappa0=self.cfg["audit"]["kappa0"],
-            sigma=self.cfg["audit"]["sigma"],
             n_samples=self.cfg["audit"]["n_samples"])
 
     @functools.cached_property

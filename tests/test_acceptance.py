@@ -113,7 +113,7 @@ def test_03_pointwise_domination():
             "const_coupling", {"d": 1, "C": C})))
     for name, spec in cases:
         HJ = max(float(check_coupling_growth(
-            spec, box=5.0, sigma=0.5, n_samples=512)["HJ"]), 0.0)
+            spec, box=5.0, n_samples=512)["HJ"]), 0.0)
         worst = 0.0
         for n in (101, 151, 201):
             grid = Grid(1, 5.0, n, "dirichlet")

@@ -77,7 +77,7 @@ def test_pointwise_jensen_case():
 def test_pointwise_ex71ii():
     from kolmolab.audit import check_coupling_growth
     spec = example_family("ex71ii", {"d": 1, "m": 2})
-    HJ = check_coupling_growth(spec, box=5.0, sigma=0.5, n_samples=512)["HJ"]
+    HJ = check_coupling_growth(spec, box=5.0, n_samples=512)["HJ"]
     grid = Grid(1, 5.0, 201, "dirichlet")
     f = sample(grid, lambda p: np.stack([np.cos(p[0]), np.sin(2 * p[0])]))
     sol = evolve(spec, grid, f, 0.0, 0.5, 2e-3)

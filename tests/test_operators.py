@@ -52,6 +52,26 @@ def test_ex71ii_accepted():
     assert spec.Btilde_at(0.0, pts)[0, 0, 1, 0] != 0.0
 
 
+def test_ex71ii_sigma_lies_in_the_open_unit_interval():
+    # k 1, p 1, gamma 2.5 meet the other inequalities at sigma 1.5
+    params = {"k": 1.0, "p": 1.0, "gamma": 2.5, "sigma": 1.5}
+    report = check_family_params("ex71ii", params)
+    assert [row for row in report if not row[1]] == \
+        [("0 < sigma < 1", False, -0.5)]
+    with pytest.raises(FamilyError, match="violated: 0 < sigma < 1$"):
+        example_family("ex71ii", params)
+    assert "0 < sigma < 1" in FAMILIES["ex71ii"]
+
+
+def test_the_operator_states_its_coupling_exponent():
+    # ex71ii carries its sigma; every other family's 1/2 suffices: ex72's
+    # k >= 2r bounds its coupling, and the rest have Btilde = 0 or Q = I
+    assert example_family("ex71ii", {"p": 0.8, "gamma": 0.9,
+                                     "sigma": 0.9}).sigma == 0.9
+    assert all(example_family(name).sigma == 0.5 for name in FAMILIES
+               if name != "ex71ii")
+
+
 @pytest.mark.parametrize("name", ["ex71ii", "ex72"])
 def test_skew_coupled_families_stop_at_two_components(name):
     # the skew coupling [[0, a], [-a, 0]] has no m >= 3 form; a zero one

@@ -11,6 +11,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -238,6 +240,12 @@ def test_family_parameter_of_the_wrong_kind_names_its_key(
     {"audit": {"box": 0.0}},
     {"audit": {"box": -1.0}},
     {"audit": {"sigma": 1.5}},
+    # sigma is the operator's: ex71ii's lies in (0, 1), and a given
+    # audit.sigma must equal it
+    {"operator": {"family": "ex71ii", "params": {
+        "d": 1, "k": 1, "p": 1, "gamma": 2.5, "sigma": 1.5}}},
+    {"operator": {"family": "ex71ii", "params": {"d": 1}},
+     "audit": {"sigma": 0.6}},
     {"audit": {"epsilon": 0.0}},
     {"audit": {"n_samples": 0}},
     {"operator": {"family": "ex71ii",
@@ -276,7 +284,8 @@ def test_family_parameter_of_the_wrong_kind_names_its_key(
         "operator_without_family", "controls_not_lists",
         "controls_not_numbers", "controls_empty_set", "bc_unknown",
         "family_param_misspelt", "family_param_unknown", "audit_box_zero",
-        "audit_box_negative", "audit_sigma_above_1", "audit_epsilon_zero",
+        "audit_box_negative", "audit_sigma_above_1", "ex71ii_sigma_above_1",
+        "audit_sigma_not_the_family_s", "audit_epsilon_zero",
         "audit_n_samples_zero", "deep_expression", "weight_M_a_row",
         "weight_M_2x2_at_d1", "weight_M_empty", "C_a_row", "C_not_square",
         "Chat_1x1_at_m2", "Bhat_1x1_at_m2", "ex71ii_m3", "ex72_m3",
@@ -618,6 +627,62 @@ def test_cli_audit(tmp_path, capsys):
     assert printed.pop("audit") == "PASS"
     assert printed == {k: "PASS" if v else "FAIL"
                        for k, v in audit["verdicts"].items()}
+
+
+def test_audit_sigma_other_than_the_family_s_names_both(tmp_path, capsys):
+    p = tmp_path / "c.run"
+    write_cfg(p, operator={"family": "ex71ii", "params": {"d": 1}},
+              audit={"sigma": 0.6})
+    assert main(["audit", str(p), "--output", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: audit.sigma must be the family's sigma 0.5, "
+        "got 0.6\n")
+
+
+@pytest.mark.parametrize("params", [
+    {"k": 1, "r": 1, "p": 0.8, "gamma": 0.9, "sigma": 0.9},
+    {"k": 1, "r": 1, "p": 0.6, "gamma": 0.4, "sigma": 0.665}],
+    ids=["sigma_0.9", "sigma_0.665"])
+def test_audit_and_pointwise_read_the_family_sigma(tmp_path, params):
+    # admissible ex71ii points whose coupling |Btilde| = (1+|x|^2)^p stays
+    # below lambda_Q^sigma = (1+|x|^2)^sigma; at sigma 1/2 instead,
+    # coupling_growth FAILs them and the pointwise bound reads 429.6 and
+    # 2.51 against a measured 0.672 and 0.676
+    with open(GOLDEN_CONFIG) as fh:
+        cfg = json.load(fh)
+    cfg["operator"]["params"].update(params)
+    cfg["checks"] = ["audit", "max_principle", "pointwise", "representation"]
+    del cfg["audit"]["sigma"]
+    for section in ("kernel", "semilinear", "mc", "game"):
+        del cfg[section]
+    p = tmp_path / "c.run"
+    p.write_text(json.dumps(cfg))
+    code, report = run(p, outdir=tmp_path / "r")
+    assert code == 0, report["verdicts"]
+    assert report["verdicts"]["audit"] == "PASS"
+    assert report["stages"]["pointwise"]["bound"] == 1.0
+    audit = json.loads((tmp_path / "r" / "audit.json").read_text())
+    assert audit["sections"]["coupling_growth"]["sigma"] == params["sigma"]
+
+
+def test_small_audit_prints_only_its_verdicts(tmp_path):
+    # one sample leaves only the box corners on the Lyapunov fit's outer
+    # annulus; the fit is skipped, not made with a warning on stderr
+    with open(GOLDEN_CONFIG) as fh:
+        cfg = json.load(fh)
+    cfg["audit"]["n_samples"] = 1
+    p = tmp_path / "c.run"
+    p.write_text(json.dumps(cfg))
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        x for x in (src, os.environ.get("PYTHONPATH")) if x))
+    out = subprocess.run(
+        [sys.executable, "-m", "kolmolab.cli", "audit", str(p), "--output",
+         str(tmp_path / "o")], env=env, capture_output=True, text=True)
+    assert out.stderr == ""
+    assert out.returncode == 0 and out.stdout.endswith("audit: PASS\n")
+    audit = json.loads((tmp_path / "o" / "audit.json").read_text())
+    assert audit["sections"]["lyapunov"]["compactness"]["r"] is None
 
 
 def _assert_audit_json(outdir, config_path):

@@ -14,7 +14,9 @@ d with a number.  The probe box |x| <= L/2 of every sup norm is written
 once, as Grid.probe_L, and the boundary condition is bound once, as the
 field Grid.bc, which only Grid(...) and replace(...) calls set.
 Every key of the runner's config table is read by the runner, and every
-key the runner reads is in the table.  Every script imports, builds
+key the runner reads is in the table.  The coupling-growth exponent
+sigma is a field of the operator: no function takes it, and the runner
+reads audit.sigma only to refuse a value other than the operator's.  Every script imports, builds
 its argument parser and runs end to end at a small size.  Every
 per-layer metric of BENCHMARK.json comes from an entry point that the
 benchmark's tracer can wrap."""
@@ -414,6 +416,36 @@ def test_every_config_key_is_read():
         f"keys the runner never reads: {set(_SCHEMA) - top, table - pairs}"
     assert not top - set(_SCHEMA) and not pairs - table, \
         f"reads of keys not in the table: {top - set(_SCHEMA), pairs - table}"
+
+
+def test_one_coupling_exponent():
+    # sigma is stated once, as OperatorSpec.sigma; a sigma parameter
+    # would let a caller audit an operator at an exponent not its own
+    takers = [f"{path.stem} line {node.lineno}" for path in SOURCES
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda))
+              and "sigma" in {a.arg for a in ast.walk(node.args)
+                              if isinstance(a, ast.arg)}]
+    assert not takers, f"functions that take sigma: {takers}"
+    # the runner reads audit.sigma once, in a comparison with an
+    # operator's sigma: the rule that a given value must be the operator's
+    text = (ROOT / "src" / "kolmolab" / "runner.py").read_text()
+    tree = ast.parse(text)
+
+    def reads(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Subscript)
+                and getattr(n.slice, "value", None) == "sigma"]
+
+    in_rules = [read for node in ast.walk(tree)
+                if isinstance(node, ast.Compare)
+                and any(getattr(n, "attr", None) == "sigma"
+                        for n in ast.walk(node))
+                for read in reads(node)]
+    assert len(reads(tree)) == 1 and in_rules == reads(tree), \
+        "runner.py reads audit.sigma outside one equality rule"
+    assert ast.get_source_segment(text, in_rules[0]) == \
+        'cfg["audit"]["sigma"]'
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
