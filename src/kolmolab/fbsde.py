@@ -39,7 +39,7 @@ class DiffusionSpec:
     r1: tuple = None  # d CoeffExprs, state-feedback part of r
     r2: object = None  # callable (pts, u (players,N)) -> (d,N)
     controls: tuple = ()  # per-player finite sets of control values
-    h: object = None  # running cost callable (pts, u) -> (players,N)
+    h: object = None  # running cost callable (i, pts, u) -> player i's (N,)
 
     @property
     def d(self):

@@ -66,7 +66,7 @@ def minimax_select(ds, t, x, z):
                     np.add(r1, ds.r2(x, vals), out=r[a])
                 ham = np.einsum("dK,dK->K", z[i], r[a])
                 if h is not None:
-                    h[a] = ds.h(x, vals)[i]  # a copy, if h returns a view
+                    h[a] = ds.h(i, x, vals)
                     ham = ham + h[a]
                 # strict improvement only: first minimizer wins ties
                 better = ham < best - 1e-14

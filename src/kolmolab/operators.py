@@ -316,13 +316,13 @@ def example_family(name, params=None):
                         _radial_matrix(np.eye(d), "", float(v["s"]), d))
 
 
-FAMILIES = {
-    "heat": "no constraints (Q = I/2, b = 0, C = 0)",
-    "ou": "no constraints (Q = I/2, b = -x, C = 0)",
-    "const_coupling": "no constraints (Q = I, constant potential C)",
-    "ex71i": "p > 2r >= 0",
-    "ex71ii": "m <= 2, r > k-1, 0 <= p <= k*sigma, "
-              "gamma > k(2 sigma - 1), 0 < sigma < 1",
-    "ex72": "m <= 2, k >= 2r, 2k-2 <= a, 2s+2 tau <= a, 2r < 2s+a, "
-            "k+s < p+1 (a = p for s < 1/2, else p-1)",
-}
+# what the presets table says of a family besides its inequalities
+_NOTES = {"heat": " (Q = I/2, b = 0, C = 0)",
+          "ou": " (Q = I/2, b = -x, C = 0)",
+          "const_coupling": " (Q = I, constant potential C)",
+          "ex72": " (a = p for s < 1/2, else p-1)"}
+
+# each family with the inequalities that check_family_params checks
+FAMILIES = {name: ", ".join([row[0] for row in check_family_params(name, {})]
+                            or ["no constraints"]) + _NOTES.get(name, "")
+            for name in _DEFAULTS}

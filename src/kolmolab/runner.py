@@ -31,7 +31,7 @@ from .fbsde import (DiffusionSpec, girsanov_weights, simulate_forward,
                     valid_paths)
 from .game import nash_check
 from .grids import Grid, interp_multilinear
-from .kernels import compactness_probe
+from .kernels import _cell_table, compactness_probe
 from .operators import (FAMILIES, example_family, matrix_of_consts,
                         numeric_matrix, scalar_comparison)
 from .semilinear import (mild_solve, mollify_nonlinearity,
@@ -294,8 +294,8 @@ class _Runner:
             self.grid = Grid(self.spec.d, float(cfg["grid"]["L"]),
                              cfg["grid"]["n"], cfg["data"]["bc"])
             self.spec.check_guards(self.grid.L)
-            # the base points and radii are read only by compactness, so
-            # their defaults do not refuse a small box that skips it
+            # the base points, radii and cells are read only by compactness,
+            # so their defaults do not refuse a small box that skips it
             x_list, R_list = cfg["kernel"]["x_list"], cfg["kernel"]["R_list"]
             if "compactness" in cfg["checks"]:
                 if np.max(np.abs(x_list)) >= self.grid.probe_L:
@@ -306,6 +306,15 @@ class _Runner:
                     raise ConfigError(
                         f"kernel.R_list must be radii <= grid.L / 2 = "
                         f"{self.grid.probe_L!r}, got {R_list!r}")
+                # a ball that holds every cell centre has no outside mass;
+                # the centres do not depend on n, so the table of the
+                # box's coarsest grid gives them without a (cells, N) array
+                n_cells = cfg["kernel"]["n_cells"]
+                radii = _cell_table(replace(self.grid, n=5), n_cells)[1]
+                if np.max(radii) <= max(R_list):
+                    raise ConfigError(
+                        f"kernel.n_cells must put a cell centre past "
+                        f"max(kernel.R_list) = {max(R_list)!r}, got {n_cells}")
             self.f = _default_f(self.spec, self.grid, cfg)
             psi = cfg["semilinear"]["psi"]
             d, m = self.spec.d, self.spec.m
@@ -526,8 +535,8 @@ class _Runner:
             out[:k] = gain * u[:k]
             return out
 
-        def h(pts, u):
-            return w * u ** 2
+        def h(i, pts, u):
+            return w * u[i] ** 2
 
         return DiffusionSpec(op=self.spec, g=g_fn, r1=r1,
                              r2=r2 if controls else None,

@@ -300,7 +300,7 @@ def test_10_nash_inequalities():
     ds1 = DiffusionSpec(
         op=heat, g=lambda p: np.zeros((1, p.shape[1])), controls=(V,),
         r2=lambda p, u: u[:1] * np.ones((1, p.shape[1])),
-        h=lambda p, u: (u[:1] - p[:1]) ** 2)
+        h=lambda i, p, u: (u[i] - p[0]) ** 2)
     rng = np.random.default_rng(5)
     x = rng.uniform(-2, 2, (1, 64))
     z = rng.uniform(-3, 3, (1, 1, 64))
@@ -311,9 +311,8 @@ def test_10_nash_inequalities():
 
     heat2 = example_family("heat", {"d": 2})
 
-    def h2(p, u):
-        return np.stack([(u[0] - 1.0) ** 2 * np.ones(p.shape[1]),
-                         (u[1] + 1.0) ** 2 * np.ones(p.shape[1])])
+    def h2(i, p, u):
+        return (u[i] - (1.0, -1.0)[i]) ** 2 * np.ones(p.shape[1])
 
     ds2 = DiffusionSpec(op=heat2,
                         g=lambda p: np.zeros((2, p.shape[1])),
@@ -325,7 +324,7 @@ def test_10_nash_inequalities():
 
     ds3 = DiffusionSpec(op=heat, g=lambda p: np.ones((1, p.shape[1])),
                         controls=((0.0, 1.0),),
-                        h=lambda p, u: np.ones((1, p.shape[1])))
+                        h=lambda i, p, u: np.ones(p.shape[1]))
     rep3 = nash_check(ds3, None,
                       simulate_forward(ds3, 0.0, 0.0, 0.5, 1 / 16, 512, 7))
     ok3 = rep3["verdict"] == "PASS" and all(

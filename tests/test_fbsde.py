@@ -220,10 +220,10 @@ def test_cost_constant_and_running():
     spec = example_family("heat", {"d": 1})
     tau = 0.4
     ds = DiffusionSpec(op=spec, g=const_g([1.5]),
-                       h=lambda p, u: np.ones((1, p.shape[1])))
+                       h=lambda i, p, u: np.ones(p.shape[1]))
     batch = simulate_forward(ds, 0.0, 0.0, tau, tau / 16, 4000, seed=19)
     rho = girsanov_weights(ds, batch)
-    running = sum(batch.h_step * ds.h(x, None)[0] for x in batch.X[:-1])
+    running = sum(batch.h_step * ds.h(0, x, None) for x in batch.X[:-1])
     out = cost(rho * (running + ds.g(batch.X[-1])[0]), rho)
     assert out["J"] == pytest.approx(tau + 1.5, abs=1e-10)
     assert out["stderr"] <= 1e-10
@@ -240,12 +240,12 @@ def test_cost_of_underflowed_weights_is_degenerate():
 def test_cost_two_seeds_agree():
     spec = example_family("ou", {"d": 1})
     ds = DiffusionSpec(op=spec, g=lambda p: (p ** 2)[:1],
-                       h=lambda p, u: np.abs(p[:1]))
+                       h=lambda i, p, u: np.abs(p[0]))
     ests = []
     for seed in (23, 29):
         batch = simulate_forward(ds, 0.0, 0.0, 0.5, 1 / 64, 8000, seed=seed)
         rho = girsanov_weights(ds, batch)
-        running = sum(batch.h_step * ds.h(x, None)[0] for x in batch.X[:-1])
+        running = sum(batch.h_step * ds.h(0, x, None) for x in batch.X[:-1])
         ests.append(cost(rho * (running + ds.g(batch.X[-1])[0]), rho))
     gap = abs(ests[0]["J"] - ests[1]["J"])
     comb = np.hypot(ests[0]["stderr"], ests[1]["stderr"])

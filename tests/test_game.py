@@ -29,7 +29,7 @@ def test_single_player_matches_brute_force():
     ds = DiffusionSpec(
         op=spec, g=const_g([0.0]), controls=(V,),
         r2=lambda p, u: u[:1] * np.ones((1, p.shape[1])),
-        h=lambda p, u: (u[:1] - p[:1]) ** 2)
+        h=lambda i, p, u: (u[i] - p[0]) ** 2)
     rng = np.random.default_rng(0)
     K = 50
     x = rng.uniform(-2, 2, (1, K))
@@ -46,7 +46,7 @@ def test_degenerate_game_lexicographic_tiebreak():
     ds = DiffusionSpec(
         op=spec, g=const_g([0.0, 0.0]),
         controls=((0.3, 0.7), (5.0, 1.0)),
-        h=lambda p, u: np.ones((2, p.shape[1])))  # control-independent
+        h=lambda i, p, u: np.ones(p.shape[1]))  # control-independent
     x = np.zeros((1, 4))
     z = np.zeros((2, 1, 4))
     got, _ = minimax_select(ds, 0.0, x, z)
@@ -65,9 +65,8 @@ def test_separable_two_player_independent_argmins():
         out[1] = u[1]
         return out
 
-    def h(p, u):
-        return np.stack([(u[0] - 0.9) ** 2 * np.ones(p.shape[1]),
-                         (u[1] + 1.8) ** 2 * np.ones(p.shape[1])])
+    def h(i, p, u):
+        return (u[i] - (0.9, -1.8)[i]) ** 2 * np.ones(p.shape[1])
 
     ds = DiffusionSpec(op=spec, g=const_g([0.0, 0.0]),
                        controls=(V1, V2), r2=r2, h=h)
@@ -77,7 +76,7 @@ def test_separable_two_player_independent_argmins():
     z = rng.uniform(-1, 1, (2, 2, K))
     got, _ = minimax_select(ds, 0.0, x, z)
     for i, V in enumerate((V1, V2)):
-        hams = np.stack([z[i, i] * v + np.asarray(h(x, np.full((2, K), v)))[i]
+        hams = np.stack([z[i, i] * v + h(i, x, np.full((2, K), v))
                          for v in V])
         expect = np.asarray(V)[np.argmin(hams, axis=0)]
         assert np.array_equal(got[i], expect)
@@ -86,9 +85,9 @@ def test_separable_two_player_independent_argmins():
 def test_best_response_cycle_detected():
     spec = example_family("heat", {"d": 1})
 
-    def h(p, u):
+    def h(i, p, u):
         same = (u[0] == u[1]).astype(float)
-        return np.stack([same, 1.0 - same])  # matching-pennies payoffs
+        return 1.0 - same if i else same  # matching-pennies payoffs
 
     ds = DiffusionSpec(op=spec, g=const_g([0.0, 0.0]),
                        controls=((0.0, 1.0), (0.0, 1.0)), h=h)
@@ -102,7 +101,7 @@ def test_nash_degenerate_zero_deltas():
     spec = example_family("heat", {"d": 1})
     ds = DiffusionSpec(op=spec, g=const_g([1.0]),
                        controls=((0.0, 1.0),),
-                       h=lambda p, u: np.ones((1, p.shape[1])))
+                       h=lambda i, p, u: np.ones(p.shape[1]))
     report = nash_check(
         ds, None, simulate_forward(ds, 0.0, 0.0, 0.5, 1 / 16, 512, 4))
     assert report["verdict"] == "PASS"
@@ -116,7 +115,7 @@ def test_nash_single_player_beats_constant_controls():
     ds = DiffusionSpec(
         op=spec, g=const_g([2.0]), controls=(V,),
         r2=lambda p, u: 0.2 * u[:1] * np.ones((1, p.shape[1])),
-        h=lambda p, u: u[:1] ** 2 * np.ones((1, p.shape[1])))
+        h=lambda i, p, u: u[i] ** 2 * np.ones(p.shape[1]))
     report = nash_check(
         ds, None, simulate_forward(ds, 0.0, 0.0, 0.5, 1 / 16, 2000, 6))
     assert report["verdict"] == "PASS"
@@ -131,7 +130,7 @@ def test_nash_single_player_beats_constant_controls():
             r = ds.r2(x, u)
             log_rho += np.einsum("dN,dN->N", r, dW)
             log_rho -= 0.5 * base.h_step * np.sum(r ** 2, axis=0)
-            running = running + base.h_step * ds.h(x, u)[0]
+            running = running + base.h_step * ds.h(0, x, u)
         rho = np.exp(log_rho)
         Js.append(cost(rho * (running + ds.g(base.X[-1])[0]), rho)["J"])
     assert np.argmin(Js) == V.index(0.0)
@@ -141,9 +140,8 @@ def test_nash_single_player_beats_constant_controls():
 def test_nash_separable_strict_deviations():
     spec = example_family("heat", {"d": 2})
 
-    def h(p, u):
-        return np.stack([(u[0] - 1.0) ** 2 * np.ones(p.shape[1]),
-                         (u[1] + 1.0) ** 2 * np.ones(p.shape[1])])
+    def h(i, p, u):
+        return (u[i] - (1.0, -1.0)[i]) ** 2 * np.ones(p.shape[1])
 
     ds = DiffusionSpec(op=spec, g=const_g([0.0, 0.0]),
                        controls=((-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0)), h=h)
@@ -171,9 +169,9 @@ def test_nash_selects_equilibrium_once_per_step(monkeypatch):
             inside[0] = False
 
     def watched(fn):
-        def wrapped(pts, u):
+        def wrapped(*args):
             (read if inside[0] else outside).append(1)
-            return fn(pts, u)
+            return fn(*args)
         return wrapped
 
     monkeypatch.setattr("kolmolab.game.minimax_select", counted)
@@ -182,7 +180,7 @@ def test_nash_selects_equilibrium_once_per_step(monkeypatch):
         op=spec, g=const_g([0.0, 0.0]),
         controls=((-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0)),
         r2=watched(lambda p, u: 0.5 * u),
-        h=watched(lambda p, u: u ** 2 * np.ones((2, p.shape[1]))))
+        h=watched(lambda i, p, u: u[i] ** 2 * np.ones(p.shape[1])))
     base = simulate_forward(ds, [0.0, 0.0], 0.0, 0.4, 0.4 / 8, 64, 3)
     report = nash_check(ds, None, base)
     assert len(report["rows"]) == 6
@@ -220,18 +218,18 @@ def test_callables_receive_contiguous_samples():
     seen = []
 
     def spy(fn):
-        def wrapped(pts, u=None):
-            seen.append(pts.flags.c_contiguous
-                        and (u is None or u.flags.c_contiguous))
-            return fn(pts, u)
+        def wrapped(*args):
+            seen.append(all(a.flags.c_contiguous for a in args
+                            if isinstance(a, np.ndarray)))
+            return fn(*args)
         return wrapped
 
     spec = example_family("heat", {"d": 2})
     ds = DiffusionSpec(
-        op=spec, g=spy(lambda p, u: np.zeros((2, p.shape[1]))),
+        op=spec, g=spy(lambda p: np.zeros((2, p.shape[1]))),
         controls=((-1.0, 0.0, 1.0), (-1.0, 1.0)),
         r2=spy(lambda p, u: 0.5 * u),
-        h=spy(lambda p, u: u ** 2 + p ** 2))
+        h=spy(lambda i, p, u: u[i] ** 2 + p[i] ** 2))
     base = simulate_forward(ds, [0.1, -0.2], 0.0, 0.25, 0.25 / 4, 32, 1)
     report = nash_check(ds, None, base)
     assert len(report["rows"]) == 5
@@ -263,8 +261,9 @@ def _per_deviation_nash(ds, sol, base):
         terminal = np.asarray(ds.g(base.X[-1]))
         if ds.h is not None:
             for l in range(base.steps):
-                running = running + base.h_step * np.asarray(
-                    ds.h(base.X[l], controls[l]))
+                running = running + base.h_step * np.stack(
+                    [ds.h(i, base.X[l], controls[l])
+                     for i in range(ds.n_players)])
             terminal = terminal[:len(running)]
         return rho * (running + terminal)
 
@@ -304,9 +303,10 @@ def _coupled_game(d, h=True):
         out[-1] += 0.4 * u[1] * np.cos(p[-1])
         return out
 
-    def cost_rows(p, u):
-        return np.stack([(u[0] - 0.5 * u[1] - 0.3 * p[0]) ** 2,
-                         (u[1] - 0.4 * u[0] + 0.2 * p[-1]) ** 2 + 0.1 * u[1]])
+    def cost_rows(i, p, u):
+        if i == 0:
+            return (u[0] - 0.5 * u[1] - 0.3 * p[0]) ** 2
+        return (u[1] - 0.4 * u[0] + 0.2 * p[-1]) ** 2 + 0.1 * u[1]
 
     return DiffusionSpec(
         op=spec, g=lambda p: np.stack([np.cos(p[0]), np.exp(-p[-1] ** 2)]),
@@ -340,7 +340,7 @@ def _logged(ds):
     """ds with h wrapped to log a copy of every control profile (players,
     K) it is called with."""
     calls, h = [], ds.h
-    ds.h = lambda p, u: calls.append(np.array(u)) or h(p, u)
+    ds.h = lambda i, p, u: calls.append(np.array(u)) or h(i, p, u)
     return calls
 
 
@@ -372,7 +372,7 @@ def _assert_tables_are_fresh(ds, t, x, u, sweep):
             vals[i] = v
             assert np.array_equal(r[a], ds.r1_at(t, x) + np.asarray(
                 ds.r2(x, vals), dtype=float))
-            assert np.array_equal(h[a], ds.h(x, vals)[i])
+            assert np.array_equal(h[a], ds.h(i, x, vals))
 
 
 def test_nash_check_settles_in_more_than_one_sweep():
@@ -391,7 +391,8 @@ def test_nash_check_settles_in_more_than_one_sweep():
 
 def _mc_d1_game(tmp_path):
     """The runner's game of mc_d1: ex71ii at d = 1, r1 = 0.4, r2 = 0.3 u[0],
-    h = u ** 2, and two players of the values -0.5, 0, 0.5."""
+    player i's running cost u[i] ** 2, and two players of the values
+    -0.5, 0, 0.5."""
     with open(GOLDEN_CONFIG) as fh:
         cfg = json.load(fh)
     assert cfg["game"] == {"controls": [[-0.5, 0.0, 0.5], [-0.5, 0.0, 0.5]],
@@ -419,7 +420,7 @@ def _brute_force_select(ds, t, x, z):
                     vals[i] = v
                     r = ds.r1_at(t, xk) + np.asarray(ds.r2(xk, vals))
                     ham = float(np.einsum("dK,dK->K", zk[i], r)[0]
-                                + ds.h(xk, vals)[i][0])
+                                + ds.h(i, xk, vals)[0])
                     if ham < best - 1e-14:
                         best, pick = ham, a
                 moved |= pick != picks[i]
@@ -449,7 +450,7 @@ def test_one_player_is_answered_once():
     V = (-1.0, 0.0, 0.5, 1.0)
     ds = DiffusionSpec(op=spec, g=const_g([0.0]), controls=(V,),
                        r2=lambda p, u: u[:1] * np.ones((1, p.shape[1])),
-                       h=lambda p, u: (u[:1] - p[:1]) ** 2)
+                       h=lambda i, p, u: (u[i] - p[0]) ** 2)
     calls = _logged(ds)
     x = np.linspace(-2, 2, 9)[None]
     z = np.full((1, 1, 9), 0.3)
@@ -464,9 +465,9 @@ def test_a_pick_that_moves_at_one_sample_forces_a_new_answer():
     spec = example_family("heat", {"d": 1})
     V = (-0.5, 0.0, 0.5)
 
-    def h(p, u):
+    def h(i, p, u):
         target = np.where(p[0] > 0.9, 0.5, -0.5)
-        return np.stack([(u[0] - u[1]) ** 2, (u[1] - target) ** 2])
+        return (u[1] - target) ** 2 if i else (u[0] - u[1]) ** 2
 
     ds = DiffusionSpec(op=spec, g=const_g([0.0, 0.0]), controls=(V, V),
                        r2=lambda p, u: np.zeros((1, p.shape[1])), h=h)
@@ -486,7 +487,7 @@ def test_nash_check_holds_no_steps_by_players_array():
     ds = DiffusionSpec(
         op=spec, g=lambda p: np.stack([p[0] ** 2, np.cos(p[0])]),
         r1=(parse_coeff_expr("0.4", 1),),
-        r2=lambda p, u: 0.3 * u[:1], h=lambda p, u: u ** 2,
+        r2=lambda p, u: 0.3 * u[:1], h=lambda i, p, u: u[i] ** 2,
         controls=((-0.5, 0.0, 0.5), (-0.5, 0.0, 0.5)))
     base = simulate_forward(ds, 0.2, 0.0, 0.5, 1 / 128, 4000, 1)
     one_array = base.steps * ds.n_players * base.N * 8
@@ -505,7 +506,7 @@ def test_degenerate_deviation_row_cannot_pass():
     spec = example_family("heat", {"d": 1})
     ds = DiffusionSpec(op=spec, g=const_g([1.0]), controls=((0.0, 6.0),),
                        r2=lambda p, u: u[:1],
-                       h=lambda p, u: np.zeros((1, p.shape[1])))
+                       h=lambda i, p, u: np.zeros(p.shape[1]))
     base = simulate_forward(ds, 0.0, 0.0, 0.5, 1 / 16, 2000, 4)
     report = nash_check(ds, None, base)
     still, tilted = report["rows"]

@@ -4,8 +4,7 @@ from scipy.special import erf
 
 from kolmolab.grids import Grid, interp_multilinear
 from kolmolab.evolve import _Stepper, _time_ladder, evolve
-from kolmolab.kernels import (compactness_probe, kernel_row,
-                              tightness_mass, _cell_weights)
+from kolmolab.kernels import compactness_probe, kernel_row, _cell_table
 from kolmolab.operators import example_family, scalar_comparison
 
 
@@ -17,12 +16,16 @@ def gauss_cell_mass(lo, hi, mean, var):
 def test_cell_weights_partition_of_unity():
     # interior nodes: full dual cell inside the box, weights sum to 1
     g = Grid(1, 4.0, 41, "dirichlet")
-    W = _cell_weights(g, 8)
+    W, radii = _cell_table(g, 8)
     assert np.allclose(W.sum(axis=0)[1:-1], 1.0)
+    assert np.array_equal(radii, [3.5, 2.5, 1.5, 0.5, 0.5, 1.5, 2.5, 3.5])
     g2 = Grid(2, 2.0, 11, "dirichlet")
-    W2 = _cell_weights(g2, 4)
+    W2, radii2 = _cell_table(g2, 4)
     interior = ~g2.dirichlet
     assert np.allclose(W2.sum(axis=0)[interior], 1.0)
+    # the centres in the weights' C-order, axis 1 major
+    c1, c2 = np.meshgrid(*[[-1.5, -0.5, 0.5, 1.5]] * 2, indexing="ij")
+    assert np.allclose(radii2, np.hypot(c1, c2).ravel())
 
 
 def test_heat_kernel_matches_gaussian_cells():
@@ -30,11 +33,11 @@ def test_heat_kernel_matches_gaussian_cells():
     grid = Grid(1, 8.0, 321, "dirichlet")
     tau = 0.5
     x0 = 0.3
-    row = kernel_row(_Stepper(spec, grid), _time_ladder(0.0, tau, 2e-3),
-                     [x0], 16)
+    mass, _ = kernel_row(_Stepper(spec, grid), _time_ladder(0.0, tau, 2e-3),
+                         [x0], 16)
     edges = np.linspace(-8, 8, 17)
     expect = gauss_cell_mass(edges[:-1], edges[1:], x0, tau)
-    assert np.max(np.abs(row.mass[0, 0, 0] - expect)) <= 1e-3
+    assert np.max(np.abs(mass[0, 0, 0] - expect)) <= 1e-3
 
 
 def test_total_mass_stochastic_kernel():
@@ -42,23 +45,23 @@ def test_total_mass_stochastic_kernel():
     # keeps every bit of mass inside the box)
     spec = example_family("ou", {"d": 1})
     grid = Grid(1, 6.0, 241, "neumann")
-    row = kernel_row(_Stepper(spec, grid), _time_ladder(0.0, 0.5, 5e-3),
-                     [0.2], 12)
-    assert np.sum(row.mass[0, 0, 0]) == pytest.approx(1.0, abs=1e-8)
+    mass, _ = kernel_row(_Stepper(spec, grid), _time_ladder(0.0, 0.5, 5e-3),
+                         [0.2], 12)
+    assert np.sum(mass[0, 0, 0]) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_reconstruction_linearity():
     spec = example_family("ex71ii", {"d": 1, "m": 2})
     grid = Grid(1, 5.0, 201, "neumann")
     tau, nc = 0.3, 10
-    row = kernel_row(_Stepper(spec, grid), _time_ladder(0.0, tau, 5e-3),
-                     [0.1], nc)
+    mass, _ = kernel_row(_Stepper(spec, grid), _time_ladder(0.0, tau, 5e-3),
+                         [0.1], nc)
     rng = np.random.default_rng(7)
     f_cells = rng.uniform(-1, 1, (2, nc))
     # apply the kernel row to the piecewise-constant cell values
-    got = np.einsum("ijc,jc->i", row.mass[0], f_cells)
+    got = np.einsum("ijc,jc->i", mass[0], f_cells)
     # evolve the matching mollified piecewise-constant data directly
-    W = _cell_weights(grid, nc)
+    W, _ = _cell_table(grid, nc)
     f_vals = f_cells @ W
     u = evolve(spec, grid, f_vals, 0.0, tau, dt=5e-3).values[-1]
     expect = interp_multilinear(grid, u, np.array([[0.1]]))[:, 0]
@@ -70,10 +73,10 @@ def test_shrinking_cell_mass_vanishes():
     grid = Grid(1, 6.0, 241, "dirichlet")
     masses = []
     for nc in (8, 32):
-        row = kernel_row(_Stepper(spec, grid), _time_ladder(0.0, 0.4, 5e-3),
-                         [0.0], nc)
-        c = np.argmin(np.abs(row.centers[0] - 1.0))
-        masses.append(abs(row.mass[0, 0, 0, c]))
+        mass, radii = kernel_row(_Stepper(spec, grid),
+                                 _time_ladder(0.0, 0.4, 5e-3), [0.0], nc)
+        c = np.argmin(np.abs(radii - 1.0))
+        masses.append(abs(mass[0, 0, 0, c]))
     assert masses[1] < masses[0] / 2  # 4x smaller cells, ~4x less mass
 
 
@@ -82,14 +85,14 @@ def test_tightness_heat_tail_bound():
     spec = example_family("heat", {"d": 1})
     grid = Grid(1, 8.0, 321, "neumann")
     tau = 0.25
-    row = kernel_row(_Stepper(spec, grid), _time_ladder(0.0, tau, 5e-3),
-                     [0.0], 32)
+    mass, radii = kernel_row(_Stepper(spec, grid),
+                             _time_ladder(0.0, tau, 5e-3), [0.0], 32)
     R = 3.0
-    out = tightness_mass(row, R)[0, 0, 0]
+    out = np.sum(np.abs(mass[0, 0, 0, radii > R]))
     tail = erfc(R / np.sqrt(2 * tau))  # two-sided gaussian tail
     assert out <= tail + 1e-3
-    assert tightness_mass(row, 0.0)[0, 0, 0] == pytest.approx(
-        np.sum(np.abs(row.mass[0, 0, 0])))
+    assert np.sum(np.abs(mass[0, 0, 0, radii > 0.0])) == pytest.approx(
+        np.sum(np.abs(mass[0, 0, 0])))
 
 
 def test_compactness_ex71ii_pass_and_scalar_agrees():
@@ -135,11 +138,11 @@ def test_signed_masses_for_coupled_potential():
     spec = example_family("const_coupling",
                           {"d": 1, "C": [[0.0, 1.0], [1.0, 0.0]]})
     grid = Grid(1, 6.0, 161, "neumann")
-    row = kernel_row(_Stepper(spec, grid), _time_ladder(0.0, 0.5, 5e-3),
-                     [0.0], 12)
+    mass, _ = kernel_row(_Stepper(spec, grid), _time_ladder(0.0, 0.5, 5e-3),
+                         [0.0], 12)
     # off-diagonal rows are genuinely nonzero here; diagonal stays positive
-    assert np.max(np.abs(row.mass[0, 0, 1])) > 1e-3
-    assert np.min(row.mass[0, 0, 0]) > -1e-9
+    assert np.max(np.abs(mass[0, 0, 1])) > 1e-3
+    assert np.min(mass[0, 0, 0]) > -1e-9
 
 
 @pytest.mark.parametrize("d, scalar", [(1, False), (1, True), (2, False)],
@@ -152,16 +155,17 @@ def test_row_over_points_equals_one_point_rows(d, scalar):
     grid = Grid(d, 6.0, 121 if d == 1 else 31, "neumann")
     nc = 24 if d == 1 else 6
     xs = [[-1.0] * d, [0.0] * d, [1.0] + [-0.5] * (d - 1)]
-    row = kernel_row(_Stepper(spec, grid), _time_ladder(0.0, 0.25, 1.25e-2),
-                     xs, nc)
-    assert row.mass.shape == (3, spec.m, spec.m, nc ** d)
+    mass, radii = kernel_row(_Stepper(spec, grid),
+                             _time_ladder(0.0, 0.25, 1.25e-2), xs, nc)
+    assert mass.shape == (3, spec.m, spec.m, nc ** d)
     for p, x in enumerate(xs):
-        one = kernel_row(_Stepper(spec, grid),
-                         _time_ladder(0.0, 0.25, 1.25e-2), [x], nc)
-        assert np.array_equal(row.mass[p], one.mass[0])
+        one, _ = kernel_row(_Stepper(spec, grid),
+                            _time_ladder(0.0, 0.25, 1.25e-2), [x], nc)
+        assert np.array_equal(mass[p], one[0])
         for R in (1.0, 2.0, 3.0):
-            assert np.array_equal(tightness_mass(row, R)[p],
-                                  tightness_mass(one, R)[0])
+            out = radii > R
+            assert np.array_equal(np.sum(np.abs(mass[p][:, :, out]), axis=2),
+                                  np.sum(np.abs(one[0][:, :, out]), axis=2))
 
 
 def test_compactness_probe_marches_once_for_all_points(monkeypatch):
@@ -197,7 +201,7 @@ def test_compactness_probe_reads_the_neumann_row():
 def _forward_masses(spec, grid, t, s, xs, n_cells, dt):
     m, N = spec.m, grid.n_nodes
     x = np.asarray(xs, dtype=float).reshape(-1, spec.d).T
-    W = _cell_weights(grid, n_cells)
+    W, _ = _cell_table(grid, n_cells)
     nc = W.shape[0]
     F = np.kron(np.eye(m), W.T).reshape(m, N, m * nc)
     out = _Stepper(spec, grid).final(F, _time_ladder(s, t, dt))
@@ -221,12 +225,13 @@ def test_adjoint_masses_match_forward_march(d, bc, kind):
     grid = Grid(d, 6.0, 121 if d == 1 else 25, bc)
     nc = 12 if d == 1 else 4
     xs = [[-1.0] * d, [0.5] * d, [1.2] + [-0.7] * (d - 1)]
-    row = kernel_row(_Stepper(spec, grid), _time_ladder(s, t, 2.5e-2), xs, nc)
+    mass, _ = kernel_row(_Stepper(spec, grid), _time_ladder(s, t, 2.5e-2),
+                         xs, nc)
     want = _forward_masses(spec, grid, t, s, xs, nc, 2.5e-2)
-    assert row.mass.shape == want.shape == (3, spec.m, spec.m, nc ** d)
+    assert mass.shape == want.shape == (3, spec.m, spec.m, nc ** d)
     scale = np.max(np.abs(want))
     assert scale > 0.1
-    assert np.max(np.abs(row.mass - want)) <= 1e-12 * scale
+    assert np.max(np.abs(mass - want)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("time_dependent", [False, True])

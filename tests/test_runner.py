@@ -23,6 +23,7 @@ from kolmolab.cli import main
 from kolmolab.estimates import weighted_gradient_check
 from kolmolab.evolve import EvolveError, _Stepper, _time_ladder
 from kolmolab.fbsde import identify_yz, simulate_forward
+from kolmolab.operators import check_family_params
 from kolmolab.runner import (ConfigError, _setup, list_presets, load_config,
                               run)
 
@@ -591,9 +592,13 @@ def test_report_writer_is_strict_json(tmp_path):
 
 
 def test_presets_table():
+    # every inequality a family checks is printed, in the words it checks
     rows = dict(list_presets())
-    assert "p > 2r >= 0" in rows["ex71i"]
+    for name, text in rows.items():
+        for ineq, _, _ in check_family_params(name, {}):
+            assert ineq in text
     assert "k+s < p+1" in rows["ex72"]
+    assert "a = p for s < 1/2" in rows["ex72"]
     assert "no constraints" in rows["heat"]
     assert "no constraints" in rows["ou"]
 
@@ -601,7 +606,7 @@ def test_presets_table():
 def test_cli_presets(capsys):
     assert main(["presets"]) == 0
     out = capsys.readouterr().out
-    assert "ex71i" in out and "p > 2r >= 0" in out
+    assert "ex71i" in out and "p > 2r, r >= 0" in out
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):
@@ -875,14 +880,20 @@ def _without_r_const():
     return cfg
 
 
-# inputs whose verdict could only PASS: radii past the probe box read an
-# outside mass of 0, a weight that is not positive definite reads a
-# gradient of 0 or of the wrong sign, and rho == 1 gives gap 0 <= 0
+# inputs whose verdict could only PASS: radii past the probe box, or
+# cells whose centres all lie in the largest ball (one cell at the
+# origin, two at radius L / 2), read an outside mass of 0 even for heat,
+# a weight that is not positive definite reads a gradient of 0 or of the
+# wrong sign, and rho == 1 gives gap 0 <= 0
+_HEAT_PROBE = {"operator": {"family": "heat", "params": {"d": 1, "m": 2}},
+               "checks": ["compactness"]}
+
+
 @pytest.mark.parametrize("cfg, key", [
     (_golden(kernel={"R_list": [1.0, 4.0]}), "kernel.R_list"),
-    (_golden(operator={"family": "heat", "params": {"d": 1, "m": 2}},
-             checks=["compactness"], kernel={"R_list": [8.5]}),
-     "kernel.R_list"),
+    (_golden(**_HEAT_PROBE, kernel={"R_list": [8.5]}), "kernel.R_list"),
+    (_golden(**_HEAT_PROBE, kernel={"n_cells": 1}), "kernel.n_cells"),
+    (_golden(**_HEAT_PROBE, kernel={"n_cells": 2}), "kernel.n_cells"),
     (_golden(checks=["weighted_gradient"], weight={"M": [[0.0]]}),
      "weight.M"),
     (_golden(checks=["weighted_gradient"], weight={"M": [[-1.0]]}),
@@ -893,8 +904,9 @@ def _without_r_const():
      "weight.M"),
     (_golden(checks=["girsanov"], game={"r_const": 0.0}), "game.r_const"),
     (_without_r_const(), "game.r_const"),
-], ids=["R_past_the_probe_box", "heat_R_past_the_box", "M_zero",
-        "M_negative", "M_not_symmetric", "r_const_zero", "r_const_absent"])
+], ids=["R_past_the_probe_box", "heat_R_past_the_box", "heat_one_cell",
+        "heat_two_cells", "M_zero", "M_negative", "M_not_symmetric",
+        "r_const_zero", "r_const_absent"])
 def test_estimate_inputs_that_cannot_fail_exit_2(tmp_path, capsys, cfg, key):
     p = tmp_path / "c.run"
     p.write_text(json.dumps(cfg))
@@ -903,6 +915,17 @@ def test_estimate_inputs_that_cannot_fail_exit_2(tmp_path, capsys, cfg, key):
     assert err.startswith("config error:") and key in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_heat_fails_compactness_once_a_cell_centre_passes_the_largest_R(
+        tmp_path):
+    # three cells put centres at radius 4 > 3: heat's tail shows
+    p = tmp_path / "c.run"
+    p.write_text(json.dumps(_golden(**_HEAT_PROBE, kernel={"n_cells": 3})))
+    code, report = run(p, outdir=tmp_path / "o")
+    assert (code, report["verdicts"]) == (1, {"compactness": "FAIL"})
+    outside = report["stages"]["compactness"]["vector"]["table"][0]["outside"]
+    assert outside[-1] > 0.05
 
 
 def test_weight_whose_limits_overflow_fails_the_audit(tmp_path):
