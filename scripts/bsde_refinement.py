@@ -13,8 +13,6 @@ import csv
 import os
 import sys
 
-import numpy as np
-
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from kolmolab.fbsde import (DiffusionSpec, bsde_residual,  # noqa: E402
@@ -23,6 +21,9 @@ from kolmolab.grids import Grid  # noqa: E402
 from kolmolab.operators import example_family  # noqa: E402
 from kolmolab.semilinear import (mild_solve,  # noqa: E402
                                  nonlinearity_from_exprs)
+
+# after kolmolab, which sets OpenBLAS's idle timeout before numpy loads
+import numpy as np  # noqa: E402
 
 
 def residual_ladder(N, tau, seed):

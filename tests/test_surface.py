@@ -19,7 +19,9 @@ sigma is a field of the operator: no function takes it, and the runner
 reads audit.sigma only to refuse a value other than the operator's.  Every script imports, builds
 its argument parser and runs end to end at a small size.  Every
 per-layer metric of BENCHMARK.json comes from an entry point that the
-benchmark's tracer can wrap."""
+benchmark's tracer can wrap.  kolmolab/__init__.py imports only os, and
+every script imports kolmolab before numpy or scipy, so the package's
+OpenBLAS default is in place before either library loads."""
 
 import ast
 import json
@@ -505,3 +507,28 @@ def test_no_source_calls_pythons_evaluator(path):
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id in ("eval", "exec", "compile")]
     assert not calls, f"{path.stem}: {calls}"
+
+
+def _imported(node):
+    """The top-level module names an import statement loads."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [(node.module or "").split(".")[0]]
+    return []
+
+
+def test_the_package_imports_only_os():
+    # numpy and scipy read OPENBLAS_THREAD_TIMEOUT when they load, so the
+    # package sets its default before any of its modules imports them
+    tree = ast.parse((ROOT / "src" / "kolmolab" / "__init__.py").read_text())
+    imports = [name for node in ast.walk(tree) for name in _imported(node)]
+    assert imports == ["os"]
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
+def test_every_script_imports_kolmolab_first(path):
+    names = [name for node in ast.parse(path.read_text()).body
+             for name in _imported(node)
+             if name in ("kolmolab", "numpy", "scipy")]
+    assert names and names[0] == "kolmolab", f"{path.stem} imports {names}"
