@@ -1,6 +1,7 @@
 """Batch front door: validate a JSON run configuration, execute the
 requested check stages in dependency order, and write a reproducible
-report tree (JSON summary plus plot-ready CSVs).
+report tree: report.json, the stage verdicts and their numbers, and
+audit.json, the hypothesis audit.
 
 Every artifact embeds the sha256 of the config file, the seed, and the
 package version; reruns of the same config are byte-identical.
@@ -9,7 +10,6 @@ package version; reruns of the same config are byte-identical.
 from __future__ import annotations
 
 import copy
-import csv
 import functools
 import hashlib
 import json
@@ -159,7 +159,7 @@ def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError, RecursionError) as err:
         raise ConfigError(f"cannot read config {path}: {err}")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -327,19 +327,8 @@ class _Runner:
         except ValueError as err:
             raise ConfigError(str(err)) from err
 
-    def _path(self, name):
-        return os.path.join(self.outdir, name)
-
-    def _write_csv(self, name, header, rows):
-        with open(self._path(name), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for row in rows:
-                w.writerow([f"{v:.15g}" if isinstance(v, float) else v
-                            for v in row])
-
     def _write_json(self, name, payload):
-        with open(self._path(name), "w") as fh:
+        with open(os.path.join(self.outdir, name), "w") as fh:
             json.dump(jsonable(payload), fh, indent=2, sort_keys=True,
                       allow_nan=False)
 
@@ -432,14 +421,10 @@ class _Runner:
                 "sections": verdicts}
 
     def stage_max_principle(self):
-        dts = (2 * self.dt, self.dt)
-        res = max_principle_check(
-            [self.marched("solve", dt) for dt in dts],
+        return max_principle_check(
+            [self.marched("solve", dt) for dt in (2 * self.dt, self.dt)],
             epsilon=self.cfg["audit"]["epsilon"],
             kappa0=self.cfg["audit"]["kappa0"])
-        self._write_csv("max_principle.csv", ["dt", "ratio"],
-                        list(zip(dts, res["refinement_trend"])))
-        return res
 
     def stage_pointwise(self):
         HJ = self.audit["coupling_growth"]["HJ"]
@@ -457,8 +442,6 @@ class _Runner:
     def stage_representation(self):
         dts = (4 * self.dt, 2 * self.dt, self.dt)
         resids = [self.marched("residual", dt) for dt in dts]
-        self._write_csv("representation.csv", ["dt", "residual"],
-                        list(zip(dts, resids)))
         decoupled = resids[0] <= 1e-12
         ok = decoupled or all(resids[k + 1] <= 0.65 * resids[k]
                               for k in range(len(resids) - 1))
@@ -468,10 +451,6 @@ class _Runner:
     def stage_compactness(self):
         vec, sca = [self.marched(name, 2 * self.dt)
                     for name in ("vector", "scalar")]
-        rows = [(str(e["x"]), *e["outside"]) for e in vec["table"]]
-        self._write_csv("compactness.csv",
-                        ["x"] + [f"outside_R{R:g}" for R in vec["R_list"]],
-                        rows)
         return {"verdict": "PASS" if vec["verdict"] else "FAIL",
                 "scalar_agrees": bool(sca["verdict"] == vec["verdict"]),
                 "vector": vec, "scalar": sca}
@@ -499,15 +478,10 @@ class _Runner:
         return self._mild_solve(last, coarser)
 
     def stage_semilinear(self):
-        ladder = [None] if self.nl is None else \
-            self.cfg["semilinear"]["mollify_ladder"]
         sols = [*self.sol.rungs, self.sol]
         norms = [sol.kt_norm for sol in sols]
         spread = (max(norms) - min(norms)) / max(max(norms), 1e-300)
         converged = all(sol.converged for sol in sols)
-        self._write_csv("semilinear.csv", ["mollify_n", "kt_norm"],
-                        [(0 if n is None else n, v)
-                         for n, v in zip(ladder, norms)])
         ok = converged and spread <= 0.10
         return {"verdict": "PASS" if ok else "FAIL",
                 "kt_norms": norms, "spread": float(spread),
@@ -577,9 +551,6 @@ class _Runner:
 
     def stage_nash(self):
         report = nash_check(self.ds, self.sol, self.batch)
-        self._write_csv("nash.csv", ["player", "deviation", "dJ", "stderr"],
-                        [(r["player"] + 1, f"{r['deviation']:.12g}",
-                          r["dJ"], r["stderr"]) for r in report["rows"]])
         return {"verdict": report["verdict"], "rows": report["rows"]}
 
 

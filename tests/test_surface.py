@@ -16,12 +16,15 @@ field Grid.bc, which only Grid(...) and replace(...) calls set.
 Every key of the runner's config table is read by the runner, and every
 key the runner reads is in the table.  The coupling-growth exponent
 sigma is a field of the operator: no function takes it, and the runner
-reads audit.sigma only to refuse a value other than the operator's.  Every script imports, builds
-its argument parser and runs end to end at a small size.  Every
-per-layer metric of BENCHMARK.json comes from an entry point that the
-benchmark's tracer can wrap.  kolmolab/__init__.py imports only os, and
-every script imports kolmolab before numpy or scipy, so the package's
-OpenBLAS default is in place before either library loads."""
+reads audit.sigma only to refuse a value other than the operator's.  A
+run's artifacts have one serializer: no module imports csv, and the only
+open(...) with a write mode is the one in _Runner._write_json.  Every
+script imports, builds its argument parser and runs end to end at a
+small size.  Every per-layer metric of BENCHMARK.json comes from an
+entry point that the benchmark's tracer can wrap.  kolmolab/__init__.py
+imports only os, and every script imports kolmolab before numpy or
+scipy, so the package's OpenBLAS default is in place before either
+library loads."""
 
 import ast
 import json
@@ -448,6 +451,39 @@ def test_one_coupling_exponent():
         "runner.py reads audit.sigma outside one equality rule"
     assert ast.get_source_segment(text, in_rules[0]) == \
         'cfg["audit"]["sigma"]'
+
+
+def _open_mode(call):
+    """The mode an open(...) call passes: its second positional argument,
+    else its mode keyword, else "r"; "w" when it is not a literal, which
+    may write."""
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"),
+        ast.Constant("r"))
+    return mode.value if isinstance(mode, ast.Constant) else "w"
+
+
+def test_one_report_writer():
+    # report.json and audit.json are a run's artifacts; a second writer
+    # would be a second format for the numbers the report holds
+    csv_users = [path.stem for path in MODULES
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if "csv" in _imported(node)]
+    assert not csv_users, f"modules that import csv: {csv_users}"
+    writers = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        owners = {id(node): f"{cls.name}.{fn.name}" for cls in tree.body
+                  if isinstance(cls, ast.ClassDef) for fn in cls.body
+                  if isinstance(fn, ast.FunctionDef)
+                  for node in ast.walk(fn)}
+        writers += [owners.get(id(node), f"{path.stem} line {node.lineno}")
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "open"
+                    and set(_open_mode(node)) & set("wax+")]
+    assert writers == ["_Runner._write_json"], \
+        f"open(...) calls with a write mode: {writers}"
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
